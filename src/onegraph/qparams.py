@@ -97,7 +97,10 @@ def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
     qi = np.asarray(q)
     if qi.size and (qi.min() < p.q_min or qi.max() > p.q_max):
         raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
-    return (np.float64(p.scale) * (qi.astype(np.float64) - p.zero_point)).astype(np.float32)
+    t = qi.astype(np.float64)
+    t -= p.zero_point
+    t *= p.scale
+    return t.astype(np.float32)
 
 
 def fake_quant(t: np.ndarray, p: QuantParams) -> np.ndarray:

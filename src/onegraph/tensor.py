@@ -4,6 +4,14 @@ Tensors are plain numpy arrays restricted to the dtypes below.  The
 matrix kernels accumulate in fp32 with a fixed sequential order, so two
 executions of the same graph produce bit-identical floats; downstream
 pass-correctness checks rely on this.
+
+``matmul`` evaluates that order in blocks of consecutive k rather than
+one k at a time: one broadcast multiply writes a block of fp32 product
+slices behind a slice holding the running sum, and one reduction over
+that outer axis adds the slices in ascending k.  Each output element
+sees the same products and the same fp32 additions, in the same order,
+as the one-k-at-a-time loop, so the bits do not change; only the number
+of numpy calls does.
 """
 
 from __future__ import annotations
@@ -44,11 +52,30 @@ def _require_fp32(*arrays: np.ndarray) -> None:
             raise ShapeError(f"expected fp32 tensor, got {a.dtype}")
 
 
+# Bytes of scratch one matmul call may hold for a block of k: the product
+# slices with the running sum, plus the transposed block of ``a``.
+MATMUL_BLOCK_BYTES = 128 * 1024
+_BLOCK_FLOATS = MATMUL_BLOCK_BYTES // np.dtype(np.float32).itemsize
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with sequential fp32 accumulation.
 
     Each output element accumulates its k products in ascending-k order,
-    matching a naive triple loop bit-for-bit.
+    starting from +0.0, matching a naive triple loop bit-for-bit.
+
+    k is taken in blocks of ``kb``, the most that fit
+    ``MATMUL_BLOCK_BYTES`` together with the transposed block of ``a``.
+    A buffer of shape ``[kb + 1, short, long]`` (the longer output extent
+    innermost) holds the running sum in slice 0 and the fp32 products of
+    the block in slices 1..kb.  ``np.add.reduce`` over that outer axis
+    adds whole slices elementwise, one after another, so each element is
+    summed as ``((s + p_k) + p_k+1) + ...``, exactly as in the per-k loop.
+    numpy sums pairwise only along a reduced axis that is innermost; when
+    m*n == 1 the slices are single elements and the outer axis is the
+    innermost one, so the block falls to one k.  It also falls to one k
+    when the running sum and one product slice alone exceed the budget.
+    The result is a fresh C-contiguous array, never a view of the buffer.
     """
     _require_fp32(a, b)
     if a.ndim != 2 or b.ndim != 2:
@@ -57,10 +84,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.float32)
-    for kk in range(k):
-        out += a[:, kk, None] * b[None, kk, :]
-    return out
+    wide = n >= m
+    short, long = (m, n) if wide else (n, m)
+    plane = short * long
+    kb = 1 if plane == 1 else max(1, min(k, (_BLOCK_FLOATS - plane) // max(plane + m, 1)))
+    buf = np.empty((kb + 1, short, long), dtype=np.float32)
+    a_t = np.empty((kb, m), dtype=np.float32)
+    acc = np.zeros((short, long), dtype=np.float32)
+    for k0 in range(0, k, kb):
+        c = min(kb, k - k0)
+        buf[0] = acc
+        np.copyto(a_t[:c], a[:, k0:k0 + c].T)
+        if wide:
+            np.multiply(a_t[:c, :, None], b[k0:k0 + c, None, :], out=buf[1:c + 1])
+        else:
+            np.multiply(a_t[:c, None, :], b[k0:k0 + c, :, None], out=buf[1:c + 1])
+        np.add.reduce(buf[:c + 1], axis=0, out=acc)
+    return acc if wide else acc.T.copy()
 
 
 def elementwise(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
@@ -199,6 +239,8 @@ def qtns_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one QTNS record; returns (tensor, next offset)."""
     if data[offset:offset + 4] != QTNS_MAGIC:
         raise FormatError("bad QTNS magic")
+    if len(data) < offset + 8:
+        raise FormatError("truncated QTNS header")
     version, code, rank = struct.unpack_from("<HBB", data, offset + 4)
     if version != QTNS_VERSION:
         raise FormatError(f"unsupported QTNS version {version}")

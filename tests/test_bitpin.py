@@ -1,0 +1,114 @@
+"""End-to-end bit pin.
+
+Two invariants over the whole chain (calibrate, compile, freeze, pack,
+load, bind, infer):
+
+* the served output equals QuantSim on the uncompiled bundle, bit for
+  bit;
+* the ``.quadm`` bytes, every ``.qlp`` and every served output hash to
+  digests recorded with the reference per-k matmul loop, so a change to
+  a kernel that moves a single bit anywhere in the chain fails here.
+
+The distillation digest pins the forward and backward products of the
+gradient tape the same way.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from onegraph import compiler as cp
+from onegraph import distill as dst
+from onegraph import modelspec as ms
+from onegraph import quant as qt
+from onegraph import runtime as rt
+from onegraph import sensitivity as sv
+
+W64_MODEL = "\n".join(
+    ["name w64", "steps 2", "seed 3", "batch 4", "input 64", "cond 4", "latent 64",
+     "section encoder", "dense 64 relu", "section backbone"]
+    + ["lora 64 relu rank=8"] * 3
+    + ["lora 64 none rank=8", "section decoder", "dense 64 none"]) + "\n"
+
+# SHA-256 digests recorded with the reference per-k matmul loop.
+PINNED = {
+    "toy": {
+        "model": "418b2a5929392426d1a80ed1a7c1c86bdd8417e7176c8be64fa3807d64e48c87",
+        "packs": ["25388d2aea51e0b0ca23cba7d60b653534e77879093e4b4ff77e466c331ac252"],
+        "outputs": ["ea94f1bf4ff6a618dc774145a21b3c1f36c3b4a06de575609787f52a495815ba"],
+    },
+    "w64": {
+        "model": "76888e2a7d65787348419b563f3c2b74067f0e6ccd1abd538b9d940a7b577d2e",
+        "packs": ["dc211f7af24b7265c159c0dd1093c472372c2fa9d106b0f5ea86405b72e900e2",
+                  "b18477ce51083940d5955849d62a422c8ea9297bf09c0501118c55a013b088f2"],
+        "outputs": ["374244fdbd6bdfdfca3db02b7dbb26614cba7bb69417c1aa548858e73d3754fe",
+                    "cf7c9024c01ad77d89b64de12c890b6b2f8c4a75236b39d0271f443f5e18a02e"],
+    },
+    "distill": "2d3565379bd910e5d1153c41b71f88a8ede161cf27771ee501e42a52adbbe9ed",
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def serve(bundle, profile, adapters, x, cond, seed):
+    """Compile once, then bind and infer each adapter; returns the
+    artifacts and the served outputs, each checked against QuantSim."""
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    model = cp.freeze(frozen, profile, descriptors, name="pin")
+    packs = [cp.pack_lora(a, descriptors, profile) for a in adapters]
+    session = rt.load_model(model)
+    outputs = []
+    for adapter, pack in zip(adapters, packs):
+        rt.bind_lora(session, pack)
+        out = rt.infer(session, x, cond, seed=seed)
+        ref = qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=seed)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes(), f"{adapter.adapter_id}: infer differs from QuantSim"
+        outputs.append(out)
+    return model, packs, outputs
+
+
+def check_pinned(pinned, model, packs, outputs):
+    assert sha(model) == pinned["model"]
+    assert [sha(p) for p in packs] == pinned["packs"]
+    assert [sha(o.tobytes()) for o in outputs] == pinned["outputs"]
+
+
+def test_toy_bits_pinned(toy_bundle, toy_adapter, toy_samples, toy_profile):
+    x, cond = toy_samples[0]
+    model, packs, outputs = serve(toy_bundle, toy_profile, [toy_adapter], x, cond, seed=5)
+    check_pinned(PINNED["toy"], model, packs, outputs)
+
+
+@pytest.fixture(scope="module")
+def w64():
+    bundle = ms.build_bundle(ms.parse_model_spec(W64_MODEL))
+    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=20 + i, rank=8,
+                                                        amplitude=0.1))
+                for i in range(2)]
+    samples = ms.make_samples(bundle, 2, 31)
+    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=1)
+    return bundle, adapters, samples, profile
+
+
+def test_w64_bits_pinned(w64):
+    bundle, adapters, samples, profile = w64
+    x, cond = samples[1]
+    model, packs, outputs = serve(bundle, profile, adapters, x, cond, seed=9)
+    assert all(np.isfinite(o).all() for o in outputs)
+    check_pinned(PINNED["w64"], model, packs, outputs)
+
+
+def test_distilled_factors_pinned(w64):
+    bundle, adapters, samples, profile = w64
+    cfg = dst.DistillConfig(steps=2, learning_rate=1e-4, batch=2, seed=4)
+    tuned, _ = dst.finetune_adapter(bundle, adapters[1], profile,
+                                    [(x, c, None) for x, c in samples], cfg)
+    h = hashlib.sha256()
+    for nid in sorted(tuned.entries):
+        e = tuned.entries[nid]
+        h.update(e.A.tobytes() + e.B.tobytes())
+    assert h.hexdigest() == PINNED["distill"]

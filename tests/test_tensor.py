@@ -22,6 +22,87 @@ def naive_matmul(a, b):
     return out
 
 
+def per_k_matmul(a, b):
+    """The one-k-at-a-time fp32 loop that tensor.matmul blocks."""
+    m, k = a.shape
+    n = b.shape[1]
+    out = np.zeros((m, n), dtype=np.float32)
+    for kk in range(k):
+        out += a[:, kk, None] * b[None, kk, :]
+    return out
+
+
+def assert_same_bits(a, b):
+    got = og.matmul(a, b)
+    want = per_k_matmul(a, b)
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert got.tobytes() == want.tobytes(), f"{a.shape} x {b.shape}"
+
+
+EXTENTS = (1, 2, 3, 4, 5, 6, 8, 16, 128, 256)
+
+
+class TestMatmulBlocked:
+    @pytest.mark.parametrize("k", (1, 2, 3, 33, 256, 700))
+    def test_grid_matches_per_k_loop(self, k):
+        rng = Rng(100 + k)
+        for m in EXTENTS:
+            for n in EXTENTS:
+                assert_same_bits(rng.uniform((m, k), -2, 2), rng.uniform((k, n), -2, 2))
+
+    def test_fortran_and_negative_strides(self):
+        rng = Rng(21)
+        for m, k, n in ((1, 300, 1), (3, 33, 5), (128, 64, 8), (8, 64, 128), (256, 40, 256)):
+            a = rng.uniform((m, k), -1, 1)
+            b = rng.uniform((k, n), -1, 1)
+            for aa, bb in ((np.asfortranarray(a), np.asfortranarray(b)),
+                           (a[::-1, ::-1], b[::-1, ::-1]),
+                           (np.asfortranarray(a)[:, ::-1], b[:, ::-1])):
+                assert_same_bits(aa, bb)
+
+    def test_signed_zero(self):
+        for m, k, n in ((1, 1, 1), (1, 40, 1), (2, 40, 3), (64, 40, 4), (4, 40, 64)):
+            a = np.full((m, k), -1.0, dtype=np.float32)
+            b = np.zeros((k, n), dtype=np.float32)
+            out = og.matmul(a, b)
+            assert not np.signbit(out).any()
+            assert_same_bits(a, b)
+
+    def test_inf_and_nan(self):
+        rng = Rng(22)
+        for m, k, n in ((1, 50, 1), (1, 50, 2), (5, 50, 3), (128, 50, 16), (16, 50, 128),
+                        (256, 40, 256)):
+            for i, j in ((3, 11), (11, 3)):
+                a = rng.uniform((m, k), -1, 1)
+                b = rng.uniform((k, n), -1, 1)
+                a[-1, i] = -np.inf
+                b[i, -1] = 0.0          # -inf * 0 is the default NaN
+                b[20, 0] = np.inf
+                if m * n > 1:           # NaN inputs meeting that NaN, see below
+                    b[j, -1] = np.nan
+                    a[0, 30] = np.array(0xFFC12345, dtype=np.uint32).view(np.float32)
+                with np.errstate(invalid="ignore"):
+                    assert_same_bits(a, b)
+
+    def test_nan_payloads_meeting_in_a_single_output(self):
+        # When two NaNs with different payloads are added, IEEE 754 leaves
+        # open which payload the sum carries.  numpy's length-1 add loop and
+        # its reduction loop choose differently, so for a 1x1 output only
+        # NaN-ness is pinned; every larger output keeps the payload too.
+        a = np.ones((1, 20), dtype=np.float32)
+        b = np.ones((20, 1), dtype=np.float32)
+        a[0, 3] = -np.inf
+        b[3, 0] = 0.0
+        b[11, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(og.matmul(a, b)).all() and np.isnan(per_k_matmul(a, b)).all()
+
+    def test_empty_extents(self):
+        for m, k, n in ((0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)):
+            assert_same_bits(np.ones((m, k), np.float32), np.ones((k, n), np.float32))
+
+
 class TestMatmul:
     def test_identity(self):
         x = np.array([[1, 2], [3, 4]], dtype=np.float32)
@@ -244,3 +325,16 @@ class TestQtns:
         p.write_bytes(raw[:-8])
         with pytest.raises(FormatError):
             og.read_qtns(p)
+
+    def test_every_truncation_raises_format_error(self):
+        raw = tz.qtns_bytes(Rng(13).uniform((2, 3), -1, 1))
+        for cut in range(len(raw)):
+            with pytest.raises(FormatError):
+                tz.qtns_from_bytes(raw[:cut])
+        arr, end = tz.qtns_from_bytes(raw)
+        assert end == len(raw) and arr.shape == (2, 3)
+
+    def test_truncated_at_offset(self):
+        raw = tz.qtns_bytes(np.zeros((3,), dtype=np.int16))
+        with pytest.raises(FormatError):
+            tz.qtns_from_bytes(b"xx" + raw[:6], offset=2)
