@@ -15,8 +15,10 @@ Both formats are little-endian with a crc32 over the payload.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from . import graph as gr
 from . import quant as qt
 from . import tensor as tz
-from .errors import CoverageError, FormatError, GraphError, PackError
+from .errors import CoverageError, FormatError, PackError
 from .qparams import QuantParams, quantize_array, storage_dtype
 
 MODEL_MAGIC = b"QADM"
@@ -82,10 +84,6 @@ class CompiledModel:
     graphs: dict                 # role -> Graph
     descriptors: list
 
-    def bundle_like(self):
-        return gr.ModelBundle(self.graphs["encoder"], self.graphs["backbone"],
-                              self.graphs["decoder"], self.steps)
-
 
 # ---------------------------------------------------------------------------
 # LoRA-as-input rewrite
@@ -101,6 +99,9 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
     gr.validate(g)
     out = g.copy()
     descriptors = []
+    tids = itertools.count(out.next_tid())
+    node_ids = itertools.count(out.next_node_id())
+    expansions = {}   # id(lora node) -> the nodes that follow it
     lora = sorted(out.lora_nodes(), key=lambda n: n.id)
     for slot_id, node in enumerate(lora):
         w = out.constants[node.inputs[0]]
@@ -111,8 +112,7 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
         if a_params is None or b_params is None:
             raise CoverageError(f"shared profile lacks slot params for lora node {node.id}")
 
-        t_a, t_b, t_alpha = out.next_tid(), out.next_tid() + 1, out.next_tid() + 2
-        t_wx, t_bx, t_abx, t_scaled = (out.next_tid() + 3 + i for i in range(4))
+        t_a, t_b, t_alpha, t_wx, t_bx, t_abx, t_scaled = (next(tids) for _ in range(7))
         y_tid = node.output
         x_tid = node.inputs[1]
 
@@ -127,18 +127,20 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
         out.inputs.append(gr.GraphInput(desc.b_name, t_b, (r_max, d_in)))
         out.inputs.append(gr.GraphInput(desc.alpha_name, t_alpha, (1,)))
 
-        nid = out.next_node_id()
         node.kind = "matmul"
         node.attrs.pop("rank", None)
         node.output = t_wx
-        expansion = [
-            gr.Node(nid, "matmul", [t_b, x_tid], t_bx),
-            gr.Node(nid + 1, "matmul", [t_a, t_bx], t_abx),
-            gr.Node(nid + 2, "scale", [t_abx, t_alpha], t_scaled),
-            gr.Node(nid + 3, "add", [t_wx, t_scaled], y_tid),
+        expansions[id(node)] = [
+            gr.Node(next(node_ids), "matmul", [t_b, x_tid], t_bx),
+            gr.Node(next(node_ids), "matmul", [t_a, t_bx], t_abx),
+            gr.Node(next(node_ids), "scale", [t_abx, t_alpha], t_scaled),
+            gr.Node(next(node_ids), "add", [t_wx, t_scaled], y_tid),
         ]
-        pos = out.nodes.index(node)
-        out.nodes[pos + 1:pos + 1] = expansion
+    nodes = []
+    for node in out.nodes:
+        nodes.append(node)
+        nodes += expansions.get(id(node), ())
+    out.nodes = nodes
     gr.validate(out)
     return out, descriptors
 
@@ -219,67 +221,82 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
     slot inputs become integer inputs (packs deliver them quantized);
     activations with profile entries get a quantize/dequantize pair.
     The result computes bit-identically to hook-based quantsim.
+
+    Node order: the pairs of the covered inputs (last input first), then
+    the slot dequantizes and the weight dequantizes (each last first),
+    then the original nodes, each covered one followed by its pair.
+    Tensor and node ids are allocated upward from the graph's next free
+    ones in the order weights, slot inputs, covered inputs, nodes.
     """
     out = g.copy()
     slot_tids = {}
     for d in descriptors:
         slot_tids[d.a_tid] = d.a_params
         slot_tids[d.b_tid] = d.b_params
+    tids = itertools.count(out.next_tid())
+    node_ids = itertools.count(out.next_node_id())
 
-    def rewire(old_tid, new_tid, skip_ids):
-        # scale's scalar operand (alpha) is exempt from quantization
-        for n in out.nodes:
-            if n.id in skip_ids:
-                continue
-            for pos, t in enumerate(n.inputs):
-                if t == old_tid and not (n.kind == "scale" and pos == 1):
-                    n.inputs[pos] = new_tid
+    # scale's scalar operand (alpha) is exempt from quantization
+    consumers = {}
+    for n in out.nodes:
+        for pos, t in enumerate(n.inputs):
+            if not (n.kind == "scale" and pos == 1):
+                consumers.setdefault(t, []).append((n, pos))
+
+    def rewire(old_tid, new_tid):
+        moved = consumers.pop(old_tid, [])
+        for n, pos in moved:
+            n.inputs[pos] = new_tid
+        consumers[new_tid] = moved
         out.outputs = [(name, new_tid if t == old_tid else t) for name, t in out.outputs]
 
+    def dequantize(tid, p):
+        dq = gr.Node(next(node_ids), "dequantize", [tid], next(tids), {"qparams": p})
+        rewire(tid, dq.output)
+        return dq
+
+    def act_pair(tid, p):
+        qn = gr.Node(next(node_ids), "quantize", [tid], next(tids), {"qparams": p})
+        dqn = gr.Node(next(node_ids), "dequantize", [qn.output], next(tids), {"qparams": p})
+        rewire(tid, dqn.output)
+        return [qn, dqn]
+
     # weights: integer payload + dequantize
+    weight_dqs = []
     for tid in qt.weight_tids(g):
         p = profile.weight(role, tid)
         if p is None:
             raise CoverageError(f"profile does not cover {role}.w.{tid}")
         out.constants[tid] = quantize_array(out.constants[tid], p)
-        dq_tid = out.next_tid()
-        dq = gr.Node(out.next_node_id(), "dequantize", [tid], dq_tid, {"qparams": p})
-        rewire(tid, dq_tid, skip_ids={dq.id})
-        out.nodes.insert(0, dq)
+        weight_dqs.append(dequantize(tid, p))
 
     # slot inputs arrive quantized; alpha stays fp32
+    slot_dqs = []
     for gi in out.inputs:
         if gi.tid in slot_tids:
             p = slot_tids[gi.tid]
             gi.dtype = tz.dtype_name(np.empty(0, storage_dtype(p.bits, p.signed)))
-            dq_tid = out.next_tid()
-            dq = gr.Node(out.next_node_id(), "dequantize", [gi.tid], dq_tid, {"qparams": p})
-            rewire(gi.tid, dq_tid, skip_ids={dq.id})
-            out.nodes.insert(0, dq)
+            slot_dqs.append(dequantize(gi.tid, p))
 
     # covered fp32 inputs and node outputs get a quantize/dequantize pair
-    def insert_act_pair(tid, p, position):
-        q_tid = out.next_tid()
-        dq_tid = q_tid + 1
-        qn = gr.Node(out.next_node_id(), "quantize", [tid], q_tid, {"qparams": p})
-        dqn = gr.Node(out.next_node_id() + 1, "dequantize", [q_tid], dq_tid, {"qparams": p})
-        rewire(tid, dq_tid, skip_ids={qn.id, dqn.id})
-        out.nodes[position:position] = [qn, dqn]
-        return dq_tid
-
-    for gi in list(out.inputs):
+    input_pairs = []
+    for gi in out.inputs:
         if gi.dtype != "fp32" or gi.tid in slot_tids:
             continue
         p = profile.act(role, gi.tid)
         if p is not None:
-            insert_act_pair(gi.tid, p, 0)
+            input_pairs.append(act_pair(gi.tid, p))
 
-    for node in list(out.nodes):
-        if node.kind not in gr.FP_KINDS:
-            continue
-        p = profile.act(role, node.output)
-        if p is not None:
-            insert_act_pair(node.output, p, out.nodes.index(node) + 1)
+    nodes = [n for pair in reversed(input_pairs) for n in pair]
+    nodes += reversed(slot_dqs)
+    nodes += reversed(weight_dqs)
+    for node in out.nodes:
+        nodes.append(node)
+        if node.kind in gr.FP_KINDS:
+            p = profile.act(role, node.output)
+            if p is not None:
+                nodes += act_pair(node.output, p)
+    out.nodes = nodes
 
     gr.validate(out)
     return out
@@ -296,70 +313,80 @@ def scale_fold(g: gr.Graph, profile=None) -> gr.Graph:
     quantizer) are left untouched.
     """
     out = g.copy()
-
-    def consumers(tid):
-        return [n for n in out.nodes if tid in n.inputs]
-
     output_tids = {t for _, t in out.outputs}
-    changed = True
-    while changed:
-        changed = False
-        producer = out.producer_map()
-        for node in list(out.nodes):
-            if node.kind not in ("matmul", "conv2d"):
-                continue
-            w_pos = 0 if node.kind == "matmul" else 1
-            x_pos = 1 - w_pos
-            dq_w = producer.get(node.inputs[w_pos])
-            dq_x = producer.get(node.inputs[x_pos])
-            if not (dq_w is not None and dq_w.kind == "dequantize"
-                    and dq_x is not None and dq_x.kind == "dequantize"):
-                continue
-            if node.output in output_tids:
-                continue
-            next_nodes = consumers(node.output)
-            if len(next_nodes) != 1:
-                continue
-            tail = next_nodes[0]
+    producer = out.producer_map()
+    consumers = {}   # tid -> {node id: node}, each consuming node once
+    for n in out.nodes:
+        for t in n.inputs:
+            consumers.setdefault(t, {})[n.id] = n
 
-            bias_node = None
-            bias_dq = None
-            if tail.kind == "add" and tail.output not in output_tids:
-                other = tail.inputs[0] if tail.inputs[1] == node.output else tail.inputs[1]
-                cand = producer.get(other)
-                if cand is not None and cand.kind == "dequantize" and cand.inputs[0] in out.constants:
-                    after = consumers(tail.output)
-                    if len(after) == 1 and after[0].kind == "quantize":
-                        bias_node, bias_dq, tail = tail, cand, after[0]
-            if tail.kind != "quantize":
-                continue
+    def unlink(n):
+        for t in n.inputs:
+            consumers[t].pop(n.id, None)
 
-            attrs = {
-                "op": node.kind,
-                "w_qparams": dq_w.attrs["qparams"],
-                "in_qparams": dq_x.attrs["qparams"],
-                "out_qparams": tail.attrs["qparams"],
-            }
-            if node.kind == "conv2d":
-                attrs["stride"] = node.attrs.get("stride", (1, 1))
-                attrs["padding"] = node.attrs.get("padding", (0, 0))
-            inputs = [dq_w.inputs[0], dq_x.inputs[0]]
-            if bias_node is not None:
-                attrs["bias_qparams"] = bias_dq.attrs["qparams"]
-                inputs.append(bias_dq.inputs[0])
+    replaced = {}   # id(matmul/conv2d node) -> fused node
+    removed = set()   # id() of nodes fused away
+    for node in out.nodes:
+        if node.kind not in ("matmul", "conv2d"):
+            continue
+        w_pos = 0 if node.kind == "matmul" else 1
+        x_pos = 1 - w_pos
+        dq_w = producer.get(node.inputs[w_pos])
+        dq_x = producer.get(node.inputs[x_pos])
+        if not (dq_w is not None and dq_w.kind == "dequantize"
+                and dq_x is not None and dq_x.kind == "dequantize"):
+            continue
+        if node.output in output_tids:
+            continue
+        next_nodes = consumers.get(node.output, {})
+        if len(next_nodes) != 1:
+            continue
+        tail = next(iter(next_nodes.values()))
 
-            fused = gr.Node(node.id, "qlinear", inputs, tail.output, attrs)
-            pos = out.nodes.index(node)
-            out.nodes[pos] = fused
-            out.nodes.remove(tail)
-            if bias_node is not None:
-                out.nodes.remove(bias_node)
-            for dq in (dq_w, dq_x, bias_dq):
-                if dq is not None and dq in out.nodes and not consumers(dq.output):
-                    if dq.output not in output_tids:
-                        out.nodes.remove(dq)
-            changed = True
-            break
+        bias_node = None
+        bias_dq = None
+        if tail.kind == "add" and tail.output not in output_tids:
+            other = tail.inputs[0] if tail.inputs[1] == node.output else tail.inputs[1]
+            cand = producer.get(other)
+            if cand is not None and cand.kind == "dequantize" and cand.inputs[0] in out.constants:
+                after = consumers.get(tail.output, {})
+                if len(after) == 1:
+                    quant = next(iter(after.values()))
+                    if quant.kind == "quantize":
+                        bias_node, bias_dq, tail = tail, cand, quant
+        if tail.kind != "quantize":
+            continue
+
+        attrs = {
+            "op": node.kind,
+            "w_qparams": dq_w.attrs["qparams"],
+            "in_qparams": dq_x.attrs["qparams"],
+            "out_qparams": tail.attrs["qparams"],
+        }
+        if node.kind == "conv2d":
+            attrs["stride"] = node.attrs.get("stride", (1, 1))
+            attrs["padding"] = node.attrs.get("padding", (0, 0))
+        inputs = [dq_w.inputs[0], dq_x.inputs[0]]
+        if bias_node is not None:
+            attrs["bias_qparams"] = bias_dq.attrs["qparams"]
+            inputs.append(bias_dq.inputs[0])
+
+        fused = gr.Node(node.id, "qlinear", inputs, tail.output, attrs)
+        replaced[id(node)] = fused
+        producer[fused.output] = fused
+        unlink(node)
+        for t in inputs:
+            consumers.setdefault(t, {})[fused.id] = fused
+        for n in (tail, bias_node):
+            if n is not None:
+                unlink(n)
+                removed.add(id(n))
+        for dq in (dq_w, dq_x, bias_dq):
+            if (dq is not None and id(dq) not in removed and not consumers[dq.output]
+                    and dq.output not in output_tids):
+                unlink(dq)
+                removed.add(id(dq))
+    out.nodes = [replaced.get(id(n), n) for n in out.nodes if id(n) not in removed]
     gr.validate(out)
     return out
 
@@ -460,24 +487,24 @@ def _unpack_attrs(data, pos):
 
 def _pack_graph(g: gr.Graph) -> bytes:
     g = gr.sort_nodes(g)
-    body = struct.pack("<H", len(g.inputs))
+    parts = [struct.pack("<H", len(g.inputs))]
     for gi in g.inputs:
-        body += _pack_str(gi.name)
-        body += struct.pack("<IBB", gi.tid, tz.DTYPE_CODES[gi.dtype], len(gi.shape))
-        body += struct.pack(f"<{len(gi.shape)}I", *gi.shape)
-    body += struct.pack("<H", len(g.outputs))
+        parts += (_pack_str(gi.name),
+                  struct.pack("<IBB", gi.tid, tz.DTYPE_CODES[gi.dtype], len(gi.shape)),
+                  struct.pack(f"<{len(gi.shape)}I", *gi.shape))
+    parts.append(struct.pack("<H", len(g.outputs)))
     for name, tid in g.outputs:
-        body += _pack_str(name) + struct.pack("<I", tid)
-    body += struct.pack("<I", len(g.nodes))
+        parts += (_pack_str(name), struct.pack("<I", tid))
+    parts.append(struct.pack("<I", len(g.nodes)))
     for n in g.nodes:
-        body += struct.pack("<IBB", n.id, _KIND_CODES[n.kind], len(n.inputs))
-        body += struct.pack(f"<{len(n.inputs)}I", *n.inputs)
-        body += struct.pack("<I", n.output)
-        body += _pack_attrs(n.attrs)
-    body += struct.pack("<I", len(g.constants))
+        parts += (struct.pack("<IBB", n.id, _KIND_CODES[n.kind], len(n.inputs)),
+                  struct.pack(f"<{len(n.inputs)}I", *n.inputs),
+                  struct.pack("<I", n.output),
+                  _pack_attrs(n.attrs))
+    parts.append(struct.pack("<I", len(g.constants)))
     for tid in sorted(g.constants):
-        body += struct.pack("<I", tid) + tz.qtns_bytes(g.constants[tid])
-    return body
+        parts += (struct.pack("<I", tid), tz.qtns_bytes(g.constants[tid]))
+    return b"".join(parts)
 
 
 def _unpack_graph(data, pos):
@@ -528,6 +555,20 @@ def _wrap_payload(magic: bytes, payload: bytes) -> bytes:
     return head + payload
 
 
+@contextmanager
+def _decoding(what: str):
+    """Report a payload that passed its checksum but does not decode.
+
+    Such a payload trips over a short read (struct.error), an unknown
+    code (KeyError), bad UTF-8 or out-of-range parameters (ValueError,
+    which covers the toolkit's RangeError and ShapeError).
+    """
+    try:
+        yield
+    except (struct.error, KeyError, ValueError) as exc:
+        raise FormatError(f"malformed {what} payload: {type(exc).__name__}: {exc}") from exc
+
+
 def _open_payload(magic: bytes, data: bytes) -> bytes:
     if len(data) < 20:
         raise FormatError("file too short")
@@ -551,51 +592,50 @@ def _open_payload(magic: bytes, data: bytes) -> bytes:
 def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
            *, name: str = "model", creation_seed: int = 0) -> bytes:
     """Serialize an optimized bundle; byte-identical for identical inputs."""
-    payload = struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF)
-    payload += _pack_str(name)
-    payload += struct.pack("<I", bundle.steps)
-    payload += _pack_str(qt.profile_to_text(shared))
-    payload += struct.pack("<B", 3)
+    parts = [struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF), _pack_str(name),
+             struct.pack("<I", bundle.steps), _pack_str(qt.profile_to_text(shared)),
+             struct.pack("<B", 3)]
     for role, g in bundle.graphs():
-        payload += struct.pack("<B", _ROLE_CODES[role])
-        payload += _pack_graph(g)
-    payload += struct.pack("<I", len(descriptors))
+        parts.append(struct.pack("<B", _ROLE_CODES[role]))
+        parts.append(_pack_graph(g))
+    parts.append(struct.pack("<I", len(descriptors)))
     for d in sorted(descriptors, key=lambda d: d.slot_id):
-        payload += struct.pack("<IIIII", d.slot_id, d.target_node_id, d.a_tid, d.b_tid, d.alpha_tid)
-        payload += struct.pack("<IIIB", d.d_out, d.d_in, d.r_max, d.bits)
-        payload += _pack_qparams(d.a_params) + _pack_qparams(d.b_params)
-    return _wrap_payload(MODEL_MAGIC, payload)
+        parts += (struct.pack("<IIIII", d.slot_id, d.target_node_id, d.a_tid, d.b_tid, d.alpha_tid),
+                  struct.pack("<IIIB", d.d_out, d.d_in, d.r_max, d.bits),
+                  _pack_qparams(d.a_params), _pack_qparams(d.b_params))
+    return _wrap_payload(MODEL_MAGIC, b"".join(parts))
 
 
 def load_compiled(data: bytes) -> CompiledModel:
     payload = _open_payload(MODEL_MAGIC, data)
-    pos = 0
-    (seed,) = struct.unpack_from("<Q", payload, pos)
-    pos += 8
-    name, pos = _unpack_str(payload, pos)
-    (steps,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    profile_text, pos = _unpack_str(payload, pos)
-    (n_graphs,) = struct.unpack_from("<B", payload, pos)
-    pos += 1
-    graphs = {}
-    for _ in range(n_graphs):
-        (role_code,) = struct.unpack_from("<B", payload, pos)
+    with _decoding("model"):
+        pos = 0
+        (seed,) = struct.unpack_from("<Q", payload, pos)
+        pos += 8
+        name, pos = _unpack_str(payload, pos)
+        (steps,) = struct.unpack_from("<I", payload, pos)
+        pos += 4
+        profile_text, pos = _unpack_str(payload, pos)
+        (n_graphs,) = struct.unpack_from("<B", payload, pos)
         pos += 1
-        g, pos = _unpack_graph(payload, pos)
-        graphs[_ROLE_NAMES[role_code]] = g
-    (n_desc,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    descriptors = []
-    for _ in range(n_desc):
-        slot_id, target, a_tid, b_tid, alpha_tid = struct.unpack_from("<IIIII", payload, pos)
-        pos += 20
-        d_out, d_in, r_max, bits = struct.unpack_from("<IIIB", payload, pos)
-        pos += 13
-        a_params, pos = _unpack_qparams(payload, pos)
-        b_params, pos = _unpack_qparams(payload, pos)
-        descriptors.append(LoRASlotDescriptor(slot_id, target, a_tid, b_tid, alpha_tid,
-                                              d_out, d_in, r_max, bits, a_params, b_params))
+        graphs = {}
+        for _ in range(n_graphs):
+            (role_code,) = struct.unpack_from("<B", payload, pos)
+            pos += 1
+            g, pos = _unpack_graph(payload, pos)
+            graphs[_ROLE_NAMES[role_code]] = g
+        (n_desc,) = struct.unpack_from("<I", payload, pos)
+        pos += 4
+        descriptors = []
+        for _ in range(n_desc):
+            slot_id, target, a_tid, b_tid, alpha_tid = struct.unpack_from("<IIIII", payload, pos)
+            pos += 20
+            d_out, d_in, r_max, bits = struct.unpack_from("<IIIB", payload, pos)
+            pos += 13
+            a_params, pos = _unpack_qparams(payload, pos)
+            b_params, pos = _unpack_qparams(payload, pos)
+            descriptors.append(LoRASlotDescriptor(slot_id, target, a_tid, b_tid, alpha_tid,
+                                                  d_out, d_in, r_max, bits, a_params, b_params))
     if pos != len(payload):
         raise FormatError("trailing bytes in model payload")
     if set(graphs) != {"encoder", "backbone", "decoder"}:
@@ -613,9 +653,8 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared: qt.QuantProfile) -> 
     Factors are zero-padded to the slot rank in the quantized domain
     (pad value = zero point, which dequantizes to exactly 0).
     """
-    payload = _pack_str(adapter.adapter_id)
-    payload += struct.pack("<B", shared.lora_bits)
-    payload += struct.pack("<I", len(descriptors))
+    parts = [_pack_str(adapter.adapter_id), struct.pack("<B", shared.lora_bits),
+             struct.pack("<I", len(descriptors))]
     for d in sorted(descriptors, key=lambda d: d.slot_id):
         entry = adapter.entries.get(d.target_node_id)
         if entry is None:
@@ -630,10 +669,10 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared: qt.QuantProfile) -> 
         b_q = np.full(d.b_shape, d.b_params.zero_point, dtype=storage_dtype(d.b_params.bits, d.b_params.signed))
         a_q[:, :r] = quantize_array(entry.A, d.a_params)
         b_q[:r, :] = quantize_array(entry.B, d.b_params)
-        payload += struct.pack("<IIf", d.slot_id, r, np.float32(entry.alpha))
-        payload += _pack_qparams(d.a_params) + _pack_qparams(d.b_params)
-        payload += tz.qtns_bytes(a_q) + tz.qtns_bytes(b_q)
-    return _wrap_payload(PACK_MAGIC, payload)
+        parts += (struct.pack("<IIf", d.slot_id, r, np.float32(entry.alpha)),
+                  _pack_qparams(d.a_params), _pack_qparams(d.b_params),
+                  tz.qtns_bytes(a_q), tz.qtns_bytes(b_q))
+    return _wrap_payload(PACK_MAGIC, b"".join(parts))
 
 
 @dataclass
@@ -656,21 +695,22 @@ class LoRAPack:
 
 def unpack_lora(data: bytes) -> LoRAPack:
     payload = _open_payload(PACK_MAGIC, data)
-    pos = 0
-    adapter_id, pos = _unpack_str(payload, pos)
-    (lora_bits,) = struct.unpack_from("<B", payload, pos)
-    pos += 1
-    (n_slots,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
-    slots = {}
-    for _ in range(n_slots):
-        slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
-        pos += 12
-        a_params, pos = _unpack_qparams(payload, pos)
-        b_params, pos = _unpack_qparams(payload, pos)
-        a_q, pos = tz.qtns_from_bytes(payload, pos)
-        b_q, pos = tz.qtns_from_bytes(payload, pos)
-        slots[slot_id] = PackedSlot(slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q)
+    with _decoding("pack"):
+        pos = 0
+        adapter_id, pos = _unpack_str(payload, pos)
+        (lora_bits,) = struct.unpack_from("<B", payload, pos)
+        pos += 1
+        (n_slots,) = struct.unpack_from("<I", payload, pos)
+        pos += 4
+        slots = {}
+        for _ in range(n_slots):
+            slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
+            pos += 12
+            a_params, pos = _unpack_qparams(payload, pos)
+            b_params, pos = _unpack_qparams(payload, pos)
+            a_q, pos = tz.qtns_from_bytes(payload, pos)
+            b_q, pos = tz.qtns_from_bytes(payload, pos)
+            slots[slot_id] = PackedSlot(slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q)
     if pos != len(payload):
         raise FormatError("trailing bytes in pack payload")
     return LoRAPack(adapter_id, lora_bits, slots)

@@ -14,7 +14,7 @@ execution is deterministic bit-for-bit.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,6 @@ class Graph:
     outputs: list         # [(name, tid)]
     constants: dict       # tid -> np.ndarray
 
-    def node_by_id(self, nid: int):
-        for n in self.nodes:
-            if n.id == nid:
-                return n
-        raise GraphError(f"no node with id {nid}")
-
     def producer_map(self) -> dict:
         return {n.output: n for n in self.nodes}
 
@@ -77,8 +71,8 @@ class Graph:
 
     def copy(self) -> "Graph":
         return Graph(
-            nodes=[replace(n, inputs=list(n.inputs), attrs=dict(n.attrs)) for n in self.nodes],
-            inputs=[replace(gi) for gi in self.inputs],
+            nodes=[Node(n.id, n.kind, list(n.inputs), n.output, dict(n.attrs)) for n in self.nodes],
+            inputs=[GraphInput(gi.name, gi.tid, gi.shape, gi.dtype) for gi in self.inputs],
             outputs=list(self.outputs),
             constants=dict(self.constants),
         )
@@ -290,9 +284,9 @@ def topo_sort(g: Graph) -> list:
 def sort_nodes(g: Graph) -> Graph:
     """Copy of g with nodes reordered into canonical topological order."""
     order = topo_sort(g)
-    by_id = {n.id: n for n in g.nodes}
     out = g.copy()
-    out.nodes = [replace(by_id[nid], inputs=list(by_id[nid].inputs), attrs=dict(by_id[nid].attrs)) for nid in order]
+    by_id = {n.id: n for n in out.nodes}
+    out.nodes = [by_id[nid] for nid in order]
     return out
 
 

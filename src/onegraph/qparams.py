@@ -6,6 +6,11 @@ t_hat = s * (q - z), with z = q_min - round(t_min / s) clamped into
 dequantize(quantize(t)) stays within s/2 of t across the calibrated
 range.  Rounding is half-away-from-zero; quotients are taken in
 float64 so the rounding step itself is exact.
+
+The scale is an fp32 value floored at the smallest normal fp32
+(``MIN_SCALE``): a range so narrow that its width over the level count
+underflows fp32 gets that scale, whose s/2 still bounds the error of
+every value in the range.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from .errors import RangeError
 
 SUPPORTED_BITS = (8, 16)
+MIN_SCALE = float(np.finfo(np.float32).tiny)
 
 
 def int_bounds(bits: int, signed: bool) -> tuple[int, int]:
@@ -79,7 +85,7 @@ def compute_quant_params(t_min: float, t_max: float, bits: int, signed: bool = T
     q_lo, q_hi = int_bounds(bits, signed)
     if t_min == t_max:
         return QuantParams(scale=1.0, zero_point=0, bits=bits, signed=signed)
-    scale = float(np.float32((np.float64(t_max) - np.float64(t_min)) / (q_hi - q_lo)))
+    scale = max(float(np.float32((np.float64(t_max) - np.float64(t_min)) / (q_hi - q_lo))), MIN_SCALE)
     z = q_lo - int(round_half_away(np.float64(t_min) / np.float64(scale)))
     z = max(q_lo, min(q_hi, z))
     return QuantParams(scale=scale, zero_point=z, bits=bits, signed=signed)

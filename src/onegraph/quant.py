@@ -115,15 +115,15 @@ def weight_tids(g: gr.Graph) -> list:
     Mirrors the engine rule: every fp32 constant consumed by a node,
     except the scalar operand of a ``scale`` node.
     """
-    seen = []
+    tids = {}   # insertion-ordered set
     for n in g.nodes:
         for pos, tid in enumerate(n.inputs):
-            if tid in g.constants and tid not in seen:
+            if tid in g.constants and tid not in tids:
                 if n.kind == "scale" and pos == 1:
                     continue
                 if g.constants[tid].dtype == np.float32:
-                    seen.append(tid)
-    return seen
+                    tids[tid] = None
+    return list(tids)
 
 
 def act_keys(g: gr.Graph, role: str) -> list:
@@ -311,10 +311,6 @@ def execute_quantsim(bundle, profile: QuantProfile, adapter, x, cond, seed: int 
         gr.check_adapter(bundle, adapter)
     return gr.run_bundle(bundle, x, cond, adapter, noise_seed=seed,
                          hooks=QuantSimHooks(profile), tape=tape)
-
-
-def run_graph_quantsim(g, feeds, profile: QuantProfile, role="graph"):
-    return gr.run_graph(g, feeds, role=role, hooks=QuantSimHooks(profile))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,28 @@
 """On-device style runtime: load once, swap adapters, infer.
 
 A session materializes a compiled model, plans one reusable byte arena
-for all intermediate tensors (lifetime analysis plus greedy best-fit
-offsets), and binds adapter packs into the designated input slots
-without touching the base graph or weights.
+for all intermediate tensors, and binds adapter packs into the
+designated input slots without touching the base graph or weights.
+
+The plan is a lifetime analysis (``lifetime_items``) followed by greedy
+best-fit offsets (``assign_offsets``): tensors are placed in production
+order into the smallest free gap between live tensors that fits, ties
+to the lowest offset, and zero-size tensors are placed like any other.
+The free gaps are kept in an index sorted by size, so placing a tensor
+is a bisect rather than a walk over every live tensor; the offsets are
+the ones that walk finds.  The index keys are ints, not tuples, so the
+planner leaves no tuples on CPython's free lists behind it.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 import statistics
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,42 +62,95 @@ def lifetime_items(g: gr.Graph) -> list:
     for _, t in g.outputs:
         last_use[t] = len(g.nodes)
 
-    items = []
-    for gi in g.inputs:
-        shape, dtype = info[gi.tid]
-        size = int(np.prod(shape, dtype=np.int64)) * tz.itemsize(dtype) if shape else tz.itemsize(dtype)
-        items.append(PlanItem(gi.tid, size, -1, last_use.get(gi.tid, -1)))
+    def nbytes(tid):
+        shape, dtype = info[tid]
+        return int(math.prod(shape)) * tz.itemsize(dtype)
+
+    items = [PlanItem(gi.tid, nbytes(gi.tid), -1, last_use.get(gi.tid, -1)) for gi in g.inputs]
     for idx, n in enumerate(g.nodes):
-        shape, dtype = info[n.output]
-        size = int(np.prod(shape, dtype=np.int64)) * tz.itemsize(dtype) if shape else tz.itemsize(dtype)
-        items.append(PlanItem(n.output, size, idx, last_use.get(n.output, idx)))
+        items.append(PlanItem(n.output, nbytes(n.output), idx, last_use.get(n.output, idx)))
     return items
+
+
+# Working keys of assign_offsets pack two fields into one int, the high
+# field shifted past the low, non-negative one, so the int orders like
+# the pair.  Offsets and sizes stay below 2**40 bytes, sequence numbers
+# below 2**32; lifetime ends may be -1.
+_LOW40 = (1 << 40) - 1
+_LOW32 = (1 << 32) - 1
 
 
 def assign_offsets(items) -> MemoryPlan:
     """Greedy best-fit placement over lifetime-sorted items.
 
-    Tensors are placed in production order; a tensor whose lifetime
-    ended is released before the next allocation, and the smallest
-    free gap that fits wins (ties to the lowest offset).
+    Items are placed in (start, tid) order.  Before each placement every
+    live tensor whose lifetime ended before the item's start is
+    released.  The item then goes into the smallest free gap between
+    live tensors that holds it, ties to the lowest offset, or, when no
+    gap fits, on top of the highest live tensor.  The gap before the
+    lowest live tensor starts at offset 0; the space above the highest
+    one is not a gap.
+
+    Three structures replace a scan of the live set per item:
+
+    * ``blocks``, the live tensors sorted by (offset, size);
+    * ``gaps``, one entry per live tensor for the free space between it
+      and its predecessor in ``blocks``, sorted by (size, start), so
+      best-fit is one bisect for the first entry with size >= the
+      item's size, and the lowest start wins among equal sizes;
+    * ``expiry``, a heap of lifetime ends, so each release is one pop.
+
+    Zero-size items are legal.  They take the smallest gap too, which
+    is often a zero-width one where two live tensors touch; a zero-size
+    live tensor still splits the gap it sits in.  Item tids must be
+    distinct, as they are within one graph.
+
+    The keys are plain ints, not tuples.  CPython keeps freed small
+    tuples on per-size free lists, so the thousands of tuples a
+    tuple-keyed index churns through stay allocated after the plan, and
+    a tracemalloc peak over load, bind and infer counts them.
     """
     offsets = {}
-    live = []   # (offset, size, end)
+    blocks = []   # offset << 40 | size
+    gaps = []     # size << 40 | start
+    expiry = []   # end << 32 | seq, a heap; seq indexes ``order``
+    top = 0       # end of the highest live block
     arena = 0
-    for item in sorted(items, key=lambda it: (it.start, it.tid)):
-        live = [rec for rec in live if rec[2] >= item.start]
-        placed = sorted((off, sz) for off, sz, _ in live)
-        best = None
-        cursor = 0
-        for off, sz in placed:
-            gap = off - cursor
-            if gap >= item.size and (best is None or gap < best[1]):
-                best = (cursor, gap)
-            cursor = max(cursor, off + sz)
-        offset = best[0] if best is not None else cursor
-        offsets[item.tid] = (offset, item.size)
-        live.append((offset, item.size, item.end))
-        arena = max(arena, offset + item.size)
+
+    def drop_gap(start, size):
+        del gaps[bisect.bisect_left(gaps, size << 40 | start)]
+
+    order = sorted(items, key=lambda it: (it.start, it.tid))
+    for seq, item in enumerate(order):
+        while expiry and expiry[0] >> 32 < item.start:
+            off, size = offsets[order[heapq.heappop(expiry) & _LOW32].tid]
+            i = bisect.bisect_left(blocks, off << 40 | size)
+            prev = blocks[i - 1] if i else 0
+            prev_end = (prev >> 40) + (prev & _LOW40)
+            drop_gap(prev_end, off - prev_end)
+            if i + 1 < len(blocks):
+                nxt = blocks[i + 1] >> 40
+                end = off + size
+                drop_gap(end, nxt - end)
+                bisect.insort(gaps, (nxt - prev_end) << 40 | prev_end)
+            else:
+                top = prev_end
+            del blocks[i]
+
+        size = item.size
+        g = bisect.bisect_left(gaps, size << 40)
+        if g < len(gaps):
+            gap = gaps.pop(g)
+            offset = gap & _LOW40
+            bisect.insort(gaps, ((gap >> 40) - size) << 40 | (offset + size))
+        else:
+            offset = top
+            top += size
+        bisect.insort(gaps, offset)   # zero-width gap before the new block
+        bisect.insort(blocks, offset << 40 | size)
+        heapq.heappush(expiry, item.end << 32 | seq)
+        offsets[item.tid] = (offset, size)
+        arena = max(arena, offset + size)
     return MemoryPlan(offsets, arena)
 
 

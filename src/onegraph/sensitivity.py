@@ -11,7 +11,7 @@ factor distributions of all adapters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,15 +141,6 @@ class QSSReport:
             f"tie_epsilon {self.tie_epsilon!r}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def score_adapters(bundle, adapters, data, policy, *, lora_bits: int = 16, seed: int = 0) -> dict:
-    """Per-adapter sensitivity, each under its own provisional calibration."""
-    scores = {}
-    for a in adapters:
-        provisional = qt.calibrate(bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed)
-        scores[a.adapter_id] = qss(bundle, a, provisional, data, seed=seed)
-    return scores
 
 
 def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.05,

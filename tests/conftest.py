@@ -6,6 +6,7 @@ import pytest
 import onegraph as og
 from onegraph import modelspec as ms
 from onegraph import quant as qt
+from onegraph import sensitivity as sv
 
 TOY_MODEL = """
 name toy
@@ -37,6 +38,14 @@ lora 4 none rank=2
 section decoder
 dense 4 none
 """
+
+# Deep and narrow: 48 adapter slots make long chains of rewired tensors
+# in the compiler passes and a large live set in the memory planner.
+D48_MODEL = "\n".join(
+    ["name d48", "steps 2", "seed 17", "batch 2", "input 16", "cond 2", "latent 16",
+     "amplitude 0.65", "section encoder", "dense 16 relu", "section backbone"]
+    + ["lora 16 relu rank=4"] * 47
+    + ["lora 16 none rank=4", "section decoder", "dense 16 none"]) + "\n"
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +84,18 @@ def twolayer_adapter(twolayer_bundle):
 @pytest.fixture(scope="session")
 def twolayer_samples(twolayer_bundle):
     return ms.make_samples(twolayer_bundle, 4, 42)
+
+
+@pytest.fixture(scope="session")
+def d48():
+    """The D48_MODEL bundle, two rank-4 adapters, samples, unified profile."""
+    bundle = ms.build_bundle(ms.parse_model_spec(D48_MODEL))
+    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=40 + i, rank=4,
+                                                        amplitude=0.1))
+                for i in range(2)]
+    samples = ms.make_samples(bundle, 2, 47)
+    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=2)
+    return bundle, adapters, samples, profile
 
 
 def copy_adapter(adapter, new_id=None):

@@ -6,8 +6,11 @@ load, bind, infer):
 * the served output equals QuantSim on the uncompiled bundle, bit for
   bit;
 * the ``.quadm`` bytes, every ``.qlp`` and every served output hash to
-  digests recorded with the reference per-k matmul loop, so a change to
-  a kernel that moves a single bit anywhere in the chain fails here.
+  pinned digests, so a change that moves a single bit anywhere in the
+  chain fails here.  The toy and w64 digests were recorded with the
+  reference per-k matmul loop; the d48 digests, whose 48 adapter slots
+  make long rewire chains, with the compiler passes that rescanned the
+  node list for every rewire and the planner that rescanned the live set.
 
 The distillation digest pins the forward and backward products of the
 gradient tape the same way.
@@ -31,7 +34,7 @@ W64_MODEL = "\n".join(
     + ["lora 64 relu rank=8"] * 3
     + ["lora 64 none rank=8", "section decoder", "dense 64 none"]) + "\n"
 
-# SHA-256 digests recorded with the reference per-k matmul loop.
+# SHA-256 digests recorded before the change each one guards (see above).
 PINNED = {
     "toy": {
         "model": "418b2a5929392426d1a80ed1a7c1c86bdd8417e7176c8be64fa3807d64e48c87",
@@ -44,6 +47,13 @@ PINNED = {
                   "b18477ce51083940d5955849d62a422c8ea9297bf09c0501118c55a013b088f2"],
         "outputs": ["374244fdbd6bdfdfca3db02b7dbb26614cba7bb69417c1aa548858e73d3754fe",
                     "cf7c9024c01ad77d89b64de12c890b6b2f8c4a75236b39d0271f443f5e18a02e"],
+    },
+    "d48": {
+        "model": "121c9f64150ee87009a012b1f567fe9bafefd137f44edad63f02784dc5ab6c6c",
+        "packs": ["2114b12913aae2542b6e587764c37f2ed474a4101b8478bbb42c1311d24d5f5c",
+                  "9d6fce60f82f39fd7068f65be1830521a6285714ffcb09e6721edc68e0ffec37"],
+        "outputs": ["873bd172605496e7ae03325e4ff72ca7a35d0b9affc734026e4ffda5789e028a",
+                    "14ee8d86ff53fc1ebc2642e0f69ad8365ac465fa2fc03ecdf05b4ec0ff71e346"],
     },
     "distill": "2d3565379bd910e5d1153c41b71f88a8ede161cf27771ee501e42a52adbbe9ed",
 }
@@ -100,6 +110,14 @@ def test_w64_bits_pinned(w64):
     model, packs, outputs = serve(bundle, profile, adapters, x, cond, seed=9)
     assert all(np.isfinite(o).all() for o in outputs)
     check_pinned(PINNED["w64"], model, packs, outputs)
+
+
+def test_d48_bits_pinned(d48):
+    bundle, adapters, samples, profile = d48
+    x, cond = samples[1]
+    model, packs, outputs = serve(bundle, profile, adapters, x, cond, seed=3)
+    assert all(np.isfinite(o).all() for o in outputs)
+    check_pinned(PINNED["d48"], model, packs, outputs)
 
 
 def test_distilled_factors_pinned(w64):

@@ -1,0 +1,98 @@
+"""Arena planner: the gap index places every tensor where a scan would.
+
+``reference_assign_offsets`` is the plain best-fit scan that the gap
+index replaced: for every item it filters the live set, sorts it by
+offset and walks every gap.  It is quadratic in the live set, and kept
+here only as the oracle.
+"""
+
+import random
+
+import pytest
+
+from onegraph import compiler as cp
+from onegraph import runtime as rt
+
+SIZES = (0, 1, 3, 4, 8, 16, 64, 100)
+
+
+def reference_assign_offsets(items) -> rt.MemoryPlan:
+    offsets = {}
+    live = []   # (offset, size, end)
+    arena = 0
+    for item in sorted(items, key=lambda it: (it.start, it.tid)):
+        live = [rec for rec in live if rec[2] >= item.start]
+        placed = sorted((off, sz) for off, sz, _ in live)
+        best = None
+        cursor = 0
+        for off, sz in placed:
+            gap = off - cursor
+            if gap >= item.size and (best is None or gap < best[1]):
+                best = (cursor, gap)
+            cursor = max(cursor, off + sz)
+        offset = best[0] if best is not None else cursor
+        offsets[item.tid] = (offset, item.size)
+        live.append((offset, item.size, item.end))
+        arena = max(arena, offset + item.size)
+    return rt.MemoryPlan(offsets, arena)
+
+
+def random_items(rng: random.Random) -> list:
+    """Graph inputs live from -1, node outputs from their index; a few
+    sizes repeat often, so equal gaps and zero-width gaps are common."""
+    n = rng.randint(1, 60)
+    n_inputs = rng.randint(0, min(n, 12))
+    horizon = n - n_inputs
+    sizes = rng.sample(SIZES, rng.randint(1, len(SIZES)))
+    items = []
+    tids = rng.sample(range(4 * n), n)
+    for k, tid in enumerate(tids):
+        start = -1 if k < n_inputs else k - n_inputs
+        end = rng.randint(start, horizon)
+        items.append(rt.PlanItem(tid, rng.choice(sizes), start, end))
+    rng.shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_gap_index_matches_scan(chunk):
+    for seed in range(chunk * 600, (chunk + 1) * 600):
+        items = random_items(random.Random(seed))
+        got = rt.assign_offsets(items)
+        ref = reference_assign_offsets(items)
+        assert got.offsets == ref.offsets, f"seed {seed}"
+        assert got.arena_size == ref.arena_size, f"seed {seed}"
+        assert rt.check_plan(items, got) == []
+
+
+def test_zero_size_items():
+    # A zero-size tensor lands in the zero-width gap where two live
+    # tensors touch (offset 8), outlives them, and then splits the free
+    # space they leave: 16 bytes no longer fit below it, 8 still do.
+    items = [rt.PlanItem(0, 4, -1, 0), rt.PlanItem(1, 4, -1, 1), rt.PlanItem(2, 8, -1, 1),
+             rt.PlanItem(3, 0, 1, 5), rt.PlanItem(4, 16, 2, 3), rt.PlanItem(5, 8, 2, 3)]
+    plan = rt.assign_offsets(items)
+    assert plan.offsets == {0: (0, 4), 1: (4, 4), 2: (8, 8), 3: (8, 0), 4: (8, 16), 5: (0, 8)}
+    assert plan.arena_size == 24
+    assert plan == reference_assign_offsets(items)
+    assert rt.assign_offsets([rt.PlanItem(0, 0, -1, 0)]) == rt.MemoryPlan({0: (0, 0)}, 0)
+    assert rt.assign_offsets([]) == rt.MemoryPlan({}, 0)
+
+
+def test_ties_go_to_lowest_offset():
+    # Two 4-byte gaps open at offsets 0 and 8; best fit takes the lower.
+    items = [rt.PlanItem(t, 4, -1, end) for t, end in enumerate((0, 5, 0, 5))]
+    items.append(rt.PlanItem(9, 4, 1, 2))
+    plan = rt.assign_offsets(items)
+    assert plan.offsets[9] == (0, 4)
+    assert plan == reference_assign_offsets(items)
+
+
+def test_deep_plans_have_no_overlaps(d48):
+    bundle, adapters, samples, profile = d48
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    session = rt.load_model(cp.freeze(frozen, profile, descriptors, name="plan"))
+    for role, plan in session.plans.items():
+        items = rt.lifetime_items(session.model.graphs[role])
+        assert rt.check_plan(items, plan) == [], role
+        assert plan == reference_assign_offsets(items), role
