@@ -21,7 +21,7 @@ from .quant import (
 from .rng import Rng
 from .sensitivity import (
     QSSReport, UNIFIED, build_shared_profile, js_divergence, qss,
-    select_anchor, unified_profile,
+    qss_report, select_anchor, unified_profile,
 )
 from .distill import DistillConfig, DistillTrace, align_adapters, finetune_adapter, recon_loss
 from .compiler import (

@@ -140,11 +140,7 @@ def cmd_qss(args):
     profile = qt.profile_from_text(_read(args.profile))
     scores = {a.adapter_id: sv.qss(bundle, a, profile, samples, seed=args.seed)
               for a in adapters}
-    anchor = sv.select_anchor(scores, args.tie_eps)
-    rule = "single" if len(scores) == 1 else (
-        "unified-fallback" if anchor == sv.UNIFIED else "argmax")
-    report = sv.QSSReport(scores, anchor, args.tie_eps, rule)
-    _write(args.out, report.to_text())
+    _write(args.out, sv.qss_report(scores, args.tie_eps).to_text())
     return EXIT_OK
 
 

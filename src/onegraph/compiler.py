@@ -26,7 +26,7 @@ import numpy as np
 from . import graph as gr
 from . import quant as qt
 from . import tensor as tz
-from .errors import CoverageError, FormatError, PackError
+from .errors import CoverageError, FormatError, GraphError, PackError
 from .qparams import QuantParams, quantize_array, storage_dtype
 
 MODEL_MAGIC = b"QADM"
@@ -561,11 +561,12 @@ def _decoding(what: str):
 
     Such a payload trips over a short read (struct.error), an unknown
     code (KeyError), bad UTF-8 or out-of-range parameters (ValueError,
-    which covers the toolkit's RangeError and ShapeError).
+    which covers the toolkit's RangeError and ShapeError).  A decoded
+    model whose graphs fail the structural checks raises GraphError.
     """
     try:
         yield
-    except (struct.error, KeyError, ValueError) as exc:
+    except (struct.error, KeyError, ValueError, GraphError) as exc:
         raise FormatError(f"malformed {what} payload: {type(exc).__name__}: {exc}") from exc
 
 
@@ -606,6 +607,34 @@ def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
     return _wrap_payload(MODEL_MAGIC, b"".join(parts))
 
 
+def _check_compiled(graphs: dict, descriptors):
+    """Structural checks on a decoded model, so a bad one fails at load, not at infer.
+
+    Each graph is valid with one output; the latent passes unchanged in
+    shape and dtype from the encoder through the backbone to the decoder;
+    and every slot input is the backbone input its descriptor names.
+    """
+    info = {}
+    for role, g in graphs.items():
+        info[role] = gr.validate(g)
+        if len(g.outputs) != 1:
+            raise GraphError(f"{role} graph must have exactly one output")
+    enc, bb, dec = graphs["encoder"], graphs["backbone"], graphs["decoder"]
+    if (len(enc.inputs), len(bb.inputs), len(dec.inputs)) != (1, 2 + 3 * len(descriptors), 1):
+        raise GraphError("graph inputs do not match the slot count")
+    chain = (info["encoder"][enc.outputs[0][1]], info["backbone"][bb.inputs[0].tid],
+             info["backbone"][bb.outputs[0][1]], info["decoder"][dec.inputs[0].tid])
+    if len(set(chain)) != 1:
+        raise GraphError(f"latent shapes and dtypes differ along the pipeline: {chain}")
+    inputs = {gi.tid: gi for gi in bb.inputs}
+    for d in descriptors:
+        for tid, name, shape in ((d.a_tid, d.a_name, d.a_shape), (d.b_tid, d.b_name, d.b_shape),
+                                 (d.alpha_tid, d.alpha_name, (1,))):
+            gi = inputs.get(tid)
+            if gi is None or gi.name != name or tuple(gi.shape) != shape:
+                raise GraphError(f"slot {d.slot_id}: no backbone input {name} {shape} at tensor {tid}")
+
+
 def load_compiled(data: bytes) -> CompiledModel:
     payload = _open_payload(MODEL_MAGIC, data)
     with _decoding("model"):
@@ -636,10 +665,11 @@ def load_compiled(data: bytes) -> CompiledModel:
             b_params, pos = _unpack_qparams(payload, pos)
             descriptors.append(LoRASlotDescriptor(slot_id, target, a_tid, b_tid, alpha_tid,
                                                   d_out, d_in, r_max, bits, a_params, b_params))
-    if pos != len(payload):
-        raise FormatError("trailing bytes in model payload")
-    if set(graphs) != {"encoder", "backbone", "decoder"}:
-        raise FormatError("model must contain encoder, backbone, and decoder graphs")
+        if pos != len(payload):
+            raise FormatError("trailing bytes in model payload")
+        if set(graphs) != {"encoder", "backbone", "decoder"}:
+            raise FormatError("model must contain encoder, backbone, and decoder graphs")
+        _check_compiled(graphs, descriptors)
     return CompiledModel(FORMAT_VERSION, name, seed, steps, profile_text, graphs, descriptors)
 
 

@@ -122,6 +122,13 @@ def _conv_out_shape(xs, ws, stride, padding):
     return (n, cout, oh, ow)
 
 
+def _qparams(n, key):
+    p = n.attrs.get(key)
+    if not isinstance(p, qp.QuantParams):
+        raise GraphError(f"node {n.id}: {n.kind} lacks {key}")
+    return p
+
+
 def infer_shapes(g: Graph) -> dict:
     """tid -> (shape, dtype) for every tensor, checking node contracts."""
     info = {}
@@ -191,20 +198,28 @@ def infer_shapes(g: Graph) -> dict:
             sx, dx = get(n.inputs[0])
             if dx != "fp32":
                 raise ShapeError(f"node {n.id}: quantize needs fp32 input")
-            p = n.attrs["qparams"]
+            p = _qparams(n, "qparams")
             out = (sx, tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
         elif n.kind == "dequantize":
             sx, _ = get(n.inputs[0])
+            _qparams(n, "qparams")
             out = (sx, "fp32")
         elif n.kind == "qlinear":
             (sw, _), (sx, _) = get(n.inputs[0]), get(n.inputs[1])
-            if n.attrs["op"] == "matmul":
+            _qparams(n, "w_qparams")
+            _qparams(n, "in_qparams")
+            if len(n.inputs) > 2:
+                _qparams(n, "bias_qparams")
+            op = n.attrs.get("op")
+            if op == "matmul":
                 if sw[1] != sx[0]:
                     raise ShapeError(f"node {n.id}: qlinear shapes {sw} x {sx}")
                 oshape = (sw[0], sx[1])
-            else:
+            elif op == "conv2d":
                 oshape = _conv_out_shape(sx, sw, n.attrs.get("stride", (1, 1)), n.attrs.get("padding", (0, 0)))
-            p = n.attrs["out_qparams"]
+            else:
+                raise GraphError(f"node {n.id}: qlinear op {op!r}")
+            p = _qparams(n, "out_qparams")
             out = (oshape, tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
@@ -215,8 +230,11 @@ def infer_shapes(g: Graph) -> dict:
     return info
 
 
-def validate(g: Graph):
-    """Raise on the first structural violation; None when the graph is well formed."""
+def validate(g: Graph) -> dict:
+    """Raise on the first structural violation; returns ``infer_shapes(g)``.
+
+    Its success proves list order topological: no cycle, nothing unreachable.
+    """
     seen_ids = set()
     for n in g.nodes:
         if n.id in seen_ids:
@@ -227,26 +245,21 @@ def validate(g: Graph):
         if n.output in n.inputs:
             raise CycleError(f"node {n.id} consumes its own output")
 
-    produced = set(gi.tid for gi in g.inputs) | set(g.constants)
+    known = {gi.tid for gi in g.inputs} | set(g.constants) | {n.output for n in g.nodes}
     for n in g.nodes:
         for t in n.inputs:
-            if t not in produced and t not in {m.output for m in g.nodes}:
+            if t not in known:
                 raise GraphError(f"node {n.id}: dangling tensor id {t}")
-        produced.add(n.output)
 
-    topo_sort(g)  # raises CycleError on cycles
-    info = infer_shapes(g)  # raises on use-before-production and shape errors
-
-    # every output must exist and be reachable from the graph sources
-    reachable = set(gi.tid for gi in g.inputs) | set(g.constants)
-    for n in g.nodes:
-        if all(t in reachable for t in n.inputs):
-            reachable.add(n.output)
+    try:
+        info = infer_shapes(g)
+    except Exception:
+        topo_sort(g)  # a cycle or a doubly produced tensor is reported first
+        raise
     for name, tid in g.outputs:
         if tid not in info:
             raise GraphError(f"output {name!r}: tensor {tid} does not exist")
-        if tid not in reachable:
-            raise GraphError(f"output {name!r}: tensor {tid} unreachable from inputs")
+    return info
 
 
 def topo_sort(g: Graph) -> list:
@@ -499,8 +512,9 @@ def check_adapter(bundle: ModelBundle, adapter: LoRAAdapter):
 
 
 def validate_bundle(bundle: ModelBundle):
+    info = {}
     for role, g in bundle.graphs():
-        validate(g)
+        info[role] = validate(g)
         if role != "backbone" and g.lora_nodes():
             raise GraphError(f"{role} graph may not contain lora_matmul nodes")
         if len(g.outputs) != 1:
@@ -511,11 +525,11 @@ def validate_bundle(bundle: ModelBundle):
         raise GraphError("encoder and decoder take exactly one input")
     if len(bundle.backbone.inputs) != 2:
         raise GraphError("backbone takes latent and conditioning inputs")
-    enc_out = infer_shapes(bundle.encoder)[bundle.encoder.outputs[0][1]][0]
+    enc_out = info["encoder"][bundle.encoder.outputs[0][1]][0]
     latent = tuple(bundle.backbone.inputs[0].shape)
     if enc_out != latent:
         raise ShapeError(f"encoder output {enc_out} does not match backbone latent input {latent}")
-    bb_out = infer_shapes(bundle.backbone)[bundle.backbone.outputs[0][1]][0]
+    bb_out = info["backbone"][bundle.backbone.outputs[0][1]][0]
     if bb_out != latent:
         raise ShapeError(f"backbone output {bb_out} must match its latent input {latent}")
     dec_in = tuple(bundle.decoder.inputs[0].shape)
@@ -524,8 +538,11 @@ def validate_bundle(bundle: ModelBundle):
 
 
 def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
-               hooks=NULL_HOOKS, tape=None) -> np.ndarray:
-    """Encoder -> seeded noise -> `steps` backbone passes -> decoder."""
+               hooks=NULL_HOOKS, tape=None, backbone_feeds=None) -> np.ndarray:
+    """Encoder -> seeded noise -> `steps` backbone passes -> decoder.
+
+    ``backbone_feeds`` (a compiled model's slot buffers) join every backbone step.
+    """
     enc = run_graph(bundle.encoder, {bundle.encoder.inputs[0].name: x},
                     role="encoder", hooks=hooks, tape=tape)
     z = next(iter(enc.values()))
@@ -534,7 +551,7 @@ def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
     z_name = bundle.backbone.inputs[0].name
     c_name = bundle.backbone.inputs[1].name
     for _ in range(bundle.steps):
-        out = run_graph(bundle.backbone, {z_name: z, c_name: cond},
+        out = run_graph(bundle.backbone, {z_name: z, c_name: cond, **(backbone_feeds or {})},
                         role="backbone", adapter=adapter, hooks=hooks, tape=tape)
         z = next(iter(out.values()))
     dec = run_graph(bundle.decoder, {bundle.decoder.inputs[0].name: z},

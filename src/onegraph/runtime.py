@@ -3,6 +3,8 @@
 A session materializes a compiled model, plans one reusable byte arena
 for all intermediate tensors, and binds adapter packs into the
 designated input slots without touching the base graph or weights.
+``infer`` is ``graph.run_bundle`` with arena hooks and the slot buffers
+as extra backbone feeds.
 
 The plan is a lifetime analysis (``lifetime_items``) followed by greedy
 best-fit offsets (``assign_offsets``): tensors are placed in production
@@ -30,7 +32,6 @@ from . import compiler as cp
 from . import graph as gr
 from . import tensor as tz
 from .errors import BindError, FormatError
-from .rng import Rng
 
 
 @dataclass
@@ -175,19 +176,19 @@ def check_plan(items, plan: MemoryPlan) -> list:
 class _ArenaHooks:
     """Store every planned tensor at its arena offset during execution."""
 
-    def __init__(self, plan: MemoryPlan, arena: bytearray):
-        self.plan = plan
+    def __init__(self, plans: dict, arena: bytearray):
+        self.plans = plans   # role -> MemoryPlan
         self.arena = arena
 
-    def _view(self, tid, value):
-        offset, size = self.plan.offsets[tid]
+    def _view(self, role, tid, value):
+        offset, size = self.plans[role].offsets[tid]
         view = np.frombuffer(self.arena, dtype=value.dtype, count=value.size, offset=offset)
         view = view.reshape(value.shape)
         view[...] = value
         return view
 
     def input_value(self, role, tid, value, tape):
-        return self._view(tid, value)
+        return self._view(role, tid, value)
 
     def weight_value(self, role, tid, value, tape):
         return value
@@ -196,7 +197,7 @@ class _ArenaHooks:
         return value
 
     def node_output(self, role, node, value, tape):
-        return self._view(node.output, value)
+        return self._view(role, node.output, value)
 
 
 class Session:
@@ -212,19 +213,17 @@ class Session:
         self.model_bytes = model_bytes
         self.bound_adapter = None
         self._slot_feeds = {}
-        for role, g in self._graphs():
-            gr.validate(g)
-        self.plans = {role: plan_memory(g) for role, g in self._graphs()}
+        graphs = model.graphs
+        self.bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"],
+                                     model.steps)
+        self.plans = {role: plan_memory(g) for role, g in self.bundle.graphs()}
         self.arena = bytearray(max(p.arena_size for p in self.plans.values()) or 1)
         self.base_checksum = self._weights_crc()
         self.init_ms = (time.perf_counter() - t0) * 1000.0
 
-    def _graphs(self):
-        return [(role, self.model.graphs[role]) for role in ("encoder", "backbone", "decoder")]
-
     def _weights_crc(self) -> int:
         crc = 0
-        for role, g in self._graphs():
+        for _, g in self.bundle.graphs():
             for tid in sorted(g.constants):
                 crc = zlib.crc32(np.ascontiguousarray(g.constants[tid]).tobytes(), crc)
         return crc
@@ -274,26 +273,10 @@ def infer(session: Session, x, cond, seed: int = 0) -> np.ndarray:
     """Run the frozen pipeline with the bound adapter; deterministic."""
     if session.model.descriptors and session.bound_adapter is None:
         raise BindError("model has adapter slots but no adapter is bound")
-    model = session.model
-
-    def run(role, feeds):
-        g = model.graphs[role]
-        hooks = _ArenaHooks(session.plans[role], session.arena)
-        out = gr.run_graph(g, feeds, role=role, hooks=hooks)
-        return {k: v.copy() for k, v in out.items()}
-
-    enc = run("encoder", {model.graphs["encoder"].inputs[0].name: x})
-    z = next(iter(enc.values()))
-    z = z + Rng(seed).normal(z.shape)
-    bb = model.graphs["backbone"]
-    z_name, c_name = bb.inputs[0].name, bb.inputs[1].name
-    for _ in range(model.steps):
-        feeds = {z_name: z, c_name: cond}
-        feeds.update(session._slot_feeds)
-        out = run("backbone", feeds)
-        z = next(iter(out.values()))
-    dec = run("decoder", {model.graphs["decoder"].inputs[0].name: z})
-    return next(iter(dec.values()))
+    hooks = _ArenaHooks(session.plans, session.arena)
+    # the decoder output is a view into the arena, which the next call reuses
+    return gr.run_bundle(session.bundle, x, cond, noise_seed=seed, hooks=hooks,
+                         backbone_feeds=session._slot_feeds).copy()
 
 
 # ---------------------------------------------------------------------------

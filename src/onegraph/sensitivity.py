@@ -143,15 +143,31 @@ class QSSReport:
         return "\n".join(lines) + "\n"
 
 
+def qss_report(scores: dict, tie_epsilon: float) -> QSSReport:
+    """The anchor and its rule: "single", "argmax" or "unified-fallback"."""
+    anchor = select_anchor(scores, tie_epsilon)
+    if len(scores) == 1:
+        rule = "single"
+    elif anchor == UNIFIED:
+        rule = "unified-fallback"
+    else:
+        rule = "argmax"
+    return QSSReport(scores=scores, anchor=anchor, tie_epsilon=tie_epsilon, rule=rule)
+
+
 def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.05,
                          *, lora_bits: int = 16, seed: int = 0):
     """Pick the anchor (or fall back to unified) and return (profile, report).
 
     The anchor adapter's provisional calibration becomes the shared
-    profile; the unified fallback merges all adapters instead.
+    profile; the unified fallback merges all adapters instead.  Adapter
+    ids must be distinct, since profiles and scores are keyed by them.
     """
     if not adapters:
         raise RangeError("need at least one adapter")
+    ids = [a.adapter_id for a in adapters]
+    if len(set(ids)) != len(ids):
+        raise RangeError(f"duplicate adapter ids: {ids}")
     provisionals = {}
     scores = {}
     for a in adapters:
@@ -159,20 +175,11 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
             bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed)
         scores[a.adapter_id] = qss(bundle, a, provisionals[a.adapter_id], data, seed=seed)
 
-    anchor = select_anchor(scores, tie_epsilon)
-    if len(adapters) == 1:
-        rule = "single"
-    elif anchor == UNIFIED:
-        rule = "unified-fallback"
-    else:
-        rule = "argmax"
-
-    if anchor == UNIFIED:
+    report = qss_report(scores, tie_epsilon)
+    if report.anchor == UNIFIED:
         shared = unified_profile(bundle, adapters, data, policy, lora_bits=lora_bits, seed=seed)
     else:
         # the anchor's calibration becomes the fixed shared parameters;
         # other adapters are later distilled to perform under them
-        shared = provisionals[anchor]
-
-    report = QSSReport(scores=scores, anchor=anchor, tie_epsilon=tie_epsilon, rule=rule)
+        shared = provisionals[report.anchor]
     return shared, report

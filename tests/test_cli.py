@@ -1,0 +1,89 @@
+"""The command line: exit codes, written artifacts and error reporting.
+
+Every command goes through ``cli.main`` in process, so a failure that
+escapes as a traceback fails the test instead of printing it.
+"""
+
+import pytest
+from conftest import TOY_MODEL
+
+from onegraph import cli
+from onegraph import compiler as cp
+from onegraph import qparams as qp
+from onegraph import quant as qt
+from onegraph import tensor as tz
+
+# Activations vanish through 64 layers at amplitude 0.05, so calibration
+# meets ranges whose fp32 scale would underflow without the floor.
+VANISHING_MODEL = "\n".join(
+    ["name vanishing", "steps 1", "seed 3", "batch 4", "input 64", "cond 4", "latent 64",
+     "amplitude 0.05", "section encoder", "dense 64 relu", "section backbone"]
+    + ["lora 64 relu rank=8"] * 63
+    + ["lora 64 none rank=8", "section decoder", "dense 64 none"]) + "\n"
+
+ADAPTER = "adapter style\nseed 11\nrank 2\nalpha 1.0\namplitude 0.4\n"
+
+
+@pytest.fixture
+def files(tmp_path):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+def test_calibrate_floors_vanishing_scales(files, tmp_path):
+    out = tmp_path / "profile.txt"
+    argv = ["calibrate", "--model", files("vanishing.spec", VANISHING_MODEL),
+            "--synthetic-data", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    profile = qt.profile_from_text(out.read_text())
+    scales = [p.scale for p in {**profile.weight_params, **profile.act_params}.values()]
+    assert min(scales) == qp.MIN_SCALE   # floored, not underflowed
+
+
+@pytest.fixture
+def corrupt_model(tmp_path, toy_bundle, toy_profile):
+    """The toy ``.quadm`` with one payload byte changed (checksum left stale)."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    data = bytearray(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+    data[len(data) // 2] ^= 0x5A
+    path = tmp_path / "corrupt.quadm"
+    path.write_bytes(bytes(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ("inspect", "run"))
+def test_corrupt_model_is_a_usage_error(command, corrupt_model, tmp_path, toy_samples, capsys):
+    if command == "inspect":
+        argv = ["inspect", corrupt_model]
+    else:
+        x, cond = toy_samples[0]
+        tz.write_qtns(str(tmp_path / "x.qtns"), x)
+        tz.write_qtns(str(tmp_path / "cond.qtns"), cond)
+        argv = ["run", "--model-bin", corrupt_model, "--x", str(tmp_path / "x.qtns"),
+                "--cond", str(tmp_path / "cond.qtns"), "--out", str(tmp_path / "y.qtns")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_pipeline_writes_the_model(files, tmp_path):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--model", files("toy.spec", TOY_MODEL),
+            "--adapters", files("style.adapter", ADAPTER),
+            "--synthetic-data", "2", "--steps", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert cp.load_compiled((out / "model.quadm").read_bytes()).name == "toy"
+
+
+def test_qss_with_one_adapter_is_rule_single(files, tmp_path, toy_profile):
+    out = tmp_path / "qss.txt"
+    argv = ["qss", "--model", files("toy.spec", TOY_MODEL),
+            "--profile", files("profile.txt", qt.profile_to_text(toy_profile)),
+            "--adapters", files("style.adapter", ADAPTER),
+            "--synthetic-data", "2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = out.read_text().splitlines()
+    assert "rule single" in report and "anchor style" in report

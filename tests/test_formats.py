@@ -4,17 +4,22 @@ The fuzz changes one payload byte of the toy ``.quadm`` and ``.qlp``
 and recomputes the checksum, so every mutant reaches the decoder.  A
 mutant may still load (a changed weight value is a valid model); what
 it may not do is escape as struct.error, KeyError, UnicodeDecodeError
-or a RangeError from the quantization parameters.
+or a RangeError from the quantization parameters.  A model mutant that
+loads must also serve: the structural checks at load leave binding a
+pack that no longer fits as the only failure after it.
 """
 
+import dataclasses
 import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from onegraph import compiler as cp
-from onegraph.errors import FormatError
+from onegraph import runtime as rt
+from onegraph.errors import BindError, FormatError
 
 TRIALS = 200
 
@@ -35,18 +40,60 @@ def toy_artifacts(toy_bundle, toy_adapter, toy_profile):
     return model, cp.pack_lora(toy_adapter, descriptors, toy_profile)
 
 
+def serve(model: bytes, pack: bytes, seed: int):
+    """Load, bind and infer a model that ``load_compiled`` accepted."""
+    session = rt.load_model(model)
+    try:
+        rt.bind_lora(session, pack)
+    except BindError:
+        return
+    rng = np.random.default_rng(seed)
+    x, cond = (rng.standard_normal(gi.shape).astype(np.float32)
+               for gi in (session.model.graphs["encoder"].inputs[0],
+                          session.model.graphs["backbone"].inputs[1]))
+    rt.infer(session, x, cond, seed=seed)
+
+
 @pytest.mark.parametrize("kind", ("model", "pack"))
 def test_one_byte_corruption_is_a_format_error(toy_artifacts, kind):
-    data, loader = ((toy_artifacts[0], cp.load_compiled) if kind == "model"
-                    else (toy_artifacts[1], cp.unpack_lora))
+    model, pack = toy_artifacts
+    data, loader = (model, cp.load_compiled) if kind == "model" else (pack, cp.unpack_lora)
     loader(data)
     rng = random.Random(kind)
     rejected = 0
     for trial in range(TRIALS):
+        mutant = mutate(data, rng)
         try:
-            loader(mutate(data, rng))
+            loader(mutant)
+            if kind == "model":
+                serve(mutant, pack, trial)
         except FormatError:
             rejected += 1
         except Exception as exc:  # noqa: BLE001 - the test reports what escaped
             pytest.fail(f"trial {trial}: {type(exc).__name__}: {exc}")
     assert rejected > 0
+
+
+@pytest.mark.parametrize("defect", ("swapped slot tids", "wider slot", "missing descriptor"))
+def test_descriptors_must_name_the_slot_inputs(toy_bundle, toy_profile, defect):
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    d = descriptors[0]
+    if defect == "swapped slot tids":
+        descriptors[0] = dataclasses.replace(d, a_tid=d.b_tid, b_tid=d.a_tid)
+    elif defect == "wider slot":
+        descriptors[0] = dataclasses.replace(d, r_max=d.r_max + 1)
+    else:
+        descriptors = descriptors[1:]
+    with pytest.raises(FormatError, match="GraphError"):
+        cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+
+
+@pytest.mark.parametrize("kind, key", (("dequantize", "qparams"), ("quantize", "qparams"),
+                                       ("qlinear", "w_qparams"), ("qlinear", "op")))
+def test_quant_node_without_its_attribute(toy_bundle, toy_profile, kind, key):
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    node = next(n for _, g in frozen.graphs() for n in g.nodes if n.kind == kind)
+    del node.attrs[key]
+    lacks = f"lacks {key}" if key != "op" else "op None"
+    with pytest.raises(FormatError, match=f"GraphError: node {node.id}: {kind} {lacks}"):
+        cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))

@@ -1,0 +1,82 @@
+"""``graph.validate`` reports each structural defect with one fixed error.
+
+Each hand-built graph carries one defect, or two where the order in
+which they are reported matters: a cycle or a dangling input is named
+before a shape error earlier in the node list.  The expected exception
+types and messages were recorded with a ``validate`` that ran
+``topo_sort`` and a reachability walk on every graph, so a validator
+that proves the same through ``infer_shapes`` alone must fail the same
+way.
+"""
+
+import numpy as np
+import pytest
+
+from onegraph import graph as gr
+from onegraph.errors import CycleError, GraphError, ShapeError
+
+
+def graph(nodes, outputs=(("y", 12),)):
+    """Input ``x`` (tid 0, [4, 2]), constants ``w`` (tid 1, [3, 4]) and
+    ``v`` (tid 2, [5, 5]); node outputs from tid 10 on."""
+    constants = {1: np.ones((3, 4), np.float32), 2: np.ones((5, 5), np.float32)}
+    return gr.Graph(list(nodes), [gr.GraphInput("x", 0, (4, 2))], list(outputs), constants)
+
+
+def act(nid, src, out):
+    return gr.Node(nid, "activation", [src], out, {"kind": "relu"})
+
+
+CASES = {
+    "duplicate node id": (
+        [gr.Node(0, "matmul", [1, 0], 10), act(0, 10, 12)],
+        GraphError, "duplicate node id 0"),
+    "unknown kind": (
+        [gr.Node(0, "matmul", [1, 0], 10), gr.Node(1, "softmax", [10], 12)],
+        GraphError, "node 1: unknown kind 'softmax'"),
+    "self-consuming node": (
+        [gr.Node(0, "matmul", [1, 0], 10), gr.Node(1, "add", [10, 12], 12)],
+        CycleError, "node 1 consumes its own output"),
+    "dangling input": (
+        [gr.Node(0, "matmul", [1, 0], 10), gr.Node(1, "add", [10, 99], 12)],
+        GraphError, "node 1: dangling tensor id 99"),
+    "two-node cycle": (
+        [gr.Node(0, "matmul", [1, 0], 10), gr.Node(1, "add", [10, 11], 12), act(2, 12, 11)],
+        CycleError, "cycle through nodes [1, 2]"),
+    "cycle after a shape error": (
+        [gr.Node(0, "matmul", [2, 0], 10), gr.Node(1, "matmul", [1, 0], 13),
+         gr.Node(2, "add", [13, 11], 12), act(3, 12, 11)],
+        CycleError, "cycle through nodes [2, 3]"),
+    "used before production": (
+        [gr.Node(0, "matmul", [1, 0], 10), act(1, 11, 12), act(2, 10, 11)],
+        GraphError, "node 1: tensor 11 used before production"),
+    "tensor produced twice": (
+        [gr.Node(0, "matmul", [1, 0], 10), act(1, 10, 12), act(2, 10, 12)],
+        GraphError, "tensor 12 produced twice"),
+    "node output on a constant": (
+        [gr.Node(0, "matmul", [1, 0], 10), act(1, 10, 2), act(2, 10, 12)],
+        GraphError, "node 1: tensor 2 already has a producer"),
+    "matmul shape error": (
+        [gr.Node(0, "matmul", [2, 0], 10), act(1, 10, 12)],
+        ShapeError, "node 0: matmul shapes (5, 5) x (4, 2)"),
+    "missing output": (
+        [gr.Node(0, "matmul", [1, 0], 10), act(1, 10, 12)],
+        GraphError, "output 'z': tensor 77 does not exist"),
+    "dangling input after a shape error": (
+        [gr.Node(0, "matmul", [2, 0], 10), gr.Node(1, "add", [10, 98], 12)],
+        GraphError, "node 1: dangling tensor id 98"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_defect_is_reported_with_its_error(case):
+    nodes, error, message = CASES[case]
+    outputs = [("y", 12), ("z", 77)] if case == "missing output" else [("y", 12)]
+    with pytest.raises(error) as info:
+        gr.validate(graph(nodes, outputs))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_well_formed_graph_passes():
+    gr.validate(graph([gr.Node(0, "matmul", [1, 0], 10), act(1, 10, 12)]))
