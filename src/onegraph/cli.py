@@ -65,7 +65,10 @@ def _settle_globals(args):
                 setattr(args, key, cast(cfg[key]))
             else:
                 setattr(args, key, _DEFAULTS[key])
-    args.policy_obj = qt.Policy.parse(args.policy)
+    try:
+        args.policy_obj = qt.Policy.parse(args.policy)
+    except ValueError as exc:
+        raise UsageError(f"--policy: {exc}") from exc
     if args.lora_bits not in (8, 16):
         raise UsageError(f"--lora-bits must be 8 or 16, got {args.lora_bits}")
 
@@ -101,6 +104,16 @@ def _load_samples(bundle, args, need_targets=False):
         else:
             samples.append((x, cond))
     return samples
+
+
+def _distill_config(args, samples):
+    """The distillation flags as a DistillConfig; a value it refuses is a usage error."""
+    try:
+        return dst.DistillConfig(steps=args.steps, learning_rate=args.lr,
+                                 lambda_task=args.lambda_task,
+                                 batch=args.batch or len(samples), seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_adapters(bundle, paths):
@@ -147,11 +160,9 @@ def cmd_qss(args):
 def cmd_distill(args):
     _, bundle = _load_bundle(args)
     samples = _load_samples(bundle, args, need_targets=True)
+    cfg = _distill_config(args, samples)
     adapter = ms.load_adapter(args.adapter, bundle)
     shared = qt.profile_from_text(_read(args.profile))
-    cfg = dst.DistillConfig(steps=args.steps, learning_rate=args.lr,
-                            lambda_task=args.lambda_task, batch=args.batch or len(samples),
-                            seed=args.seed)
     tuned, trace = dst.finetune_adapter(bundle, adapter, shared, samples, cfg)
     ms.save_adapter_dir(tuned, args.out_adapter)
     print(f"wrote {args.out_adapter}")
@@ -277,6 +288,7 @@ def cmd_pipeline(args):
         spec, bundle = _load_bundle(args)
         adapters = _load_adapters(bundle, args.adapters)
         samples = _load_samples(bundle, args)
+        cfg = _distill_config(args, samples)
 
         stage = "calibrate+qss"
         shared, report = sv.build_shared_profile(
@@ -286,9 +298,6 @@ def cmd_pipeline(args):
         _write(os.path.join(out_dir, "qss_report.txt"), report.to_text())
 
         stage = "distill"
-        cfg = dst.DistillConfig(steps=args.steps, learning_rate=args.lr,
-                                lambda_task=args.lambda_task,
-                                batch=args.batch or len(samples), seed=args.seed)
         exclude = {report.anchor} if report.anchor != sv.UNIFIED else set()
         distill_data = [(x, c, None) for x, c in samples]
         results = dst.align_adapters(bundle, adapters, shared, distill_data, cfg, exclude=exclude)

@@ -35,7 +35,8 @@ FORMAT_VERSION = 1
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
-_KIND_CODES = {k: i for i, k in enumerate(gr.ALL_KINDS)}
+# The runtime's qmatmul has no code: no artifact can hold it.
+_KIND_CODES = {k: i for i, k in enumerate(gr.FP_KINDS + gr.QUANT_KINDS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
@@ -220,7 +221,9 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
     Weight constants become integer payloads behind dequantize nodes;
     slot inputs become integer inputs (packs deliver them quantized);
     activations with profile entries get a quantize/dequantize pair.
-    The result computes bit-identically to hook-based quantsim.
+    Lowered as a runtime session lowers it at load
+    (``runtime.lower_products``), the result computes bit-identically to
+    hook-based quantsim.
 
     Node order: the pairs of the covered inputs (last input first), then
     the slot dequantizes and the weight dequantizes (each last first),
@@ -307,8 +310,10 @@ def scale_fold(g: gr.Graph, profile=None) -> gr.Graph:
 
     The quantization parameters move into the fused node's attributes,
     removing the standalone arithmetic nodes around each linear layer.
-    The fused kernel performs the identical operation sequence, so
-    integer results are preserved bit-for-bit.  Patterns that do not
+    The fused kernel computes what the unfused nodes compute once a
+    session has lowered them (a matmul as the exact integer product, a
+    conv2d on the dequantized operands), so integer results are preserved
+    bit-for-bit.  Patterns that do not
     match (for example the runtime adapter path, which has no output
     quantizer) are left untouched.
     """

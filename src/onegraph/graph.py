@@ -5,10 +5,15 @@ Backbone layers of kind ``lora_matmul`` hold a frozen weight and accept
 low-rank factors at execution time; the same layers degenerate to a
 plain product when no adapter is supplied.
 
-Nodes are stored in topological order (validated), activations are
-column-major feature matrices ``[features, batch]``, and all arithmetic
-goes through the sequential fp32 kernels in :mod:`onegraph.tensor`, so
-execution is deterministic bit-for-bit.
+Nodes are stored in topological order (validated), and activations are
+column-major feature matrices ``[features, batch]``.  Execution is
+deterministic bit-for-bit: fp32 arithmetic goes through the sequential
+kernels in :mod:`onegraph.tensor`, and a product whose two operands are
+quantized (``qlinear`` with ``op=matmul``, the runtime's ``qmatmul``, or a
+product that QuantSim's ``product`` hook sees with both operands
+fake-quantized) goes through the exact integer kernel of
+:mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``), whose
+result no summation order changes.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from .rng import Rng
 
 # Kinds of the floating-point IR; quantize/dequantize/qlinear appear
 # only after quantization nodes are materialized for compilation.
+# qmatmul (fp32 product of two integer tensors) exists only in graphs a
+# runtime session lowers at load; no artifact can hold it.
 FP_KINDS = ("matmul", "conv2d", "add", "mul", "scale", "concat", "activation", "lora_matmul")
 QUANT_KINDS = ("quantize", "dequantize", "qlinear")
-ALL_KINDS = FP_KINDS + QUANT_KINDS
+RUNTIME_KINDS = ("qmatmul",)
+ALL_KINDS = FP_KINDS + QUANT_KINDS + RUNTIME_KINDS
 
 
 @dataclass
@@ -221,6 +229,13 @@ def infer_shapes(g: Graph) -> dict:
                 raise GraphError(f"node {n.id}: qlinear op {op!r}")
             p = _qparams(n, "out_qparams")
             out = (oshape, tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
+        elif n.kind == "qmatmul":
+            (sa, _), (sb, _) = get(n.inputs[0]), get(n.inputs[1])
+            _qparams(n, "w_qparams")
+            _qparams(n, "in_qparams")
+            if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
+                raise ShapeError(f"node {n.id}: qmatmul shapes {sa} x {sb}")
+            out = ((sa[0], sb[1]), "fp32")
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
 
@@ -380,15 +395,12 @@ def _act(x, kind, tape):
     return out
 
 
-def _fq(x, params, tape):
-    out = qp.fake_quant(x, params)
-    if tape is not None:
-        tape.record("fq", (x,), out, params)
-    return out
-
-
 class _NullHooks:
-    """Plain floating-point execution: no quantization, no observation."""
+    """Plain floating-point execution: no quantization, no observation.
+
+    ``product`` computes the operand products of ``matmul`` and
+    ``lora_matmul`` nodes (W x, and B x then A (B x) for an adapter).
+    """
 
     def input_value(self, role, tid, value, tape):
         return value
@@ -401,6 +413,9 @@ class _NullHooks:
 
     def node_output(self, role, node, value, tape):
         return value
+
+    def product(self, role, node, a, b, tape):
+        return _mm(a, b, tape)
 
 
 NULL_HOOKS = _NullHooks()
@@ -437,16 +452,16 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
     for n in g.nodes:
         ins = [fetch(t, n) for t in n.inputs]
         if n.kind == "matmul":
-            out = _mm(ins[0], ins[1], tape)
+            out = hooks.product(role, n, ins[0], ins[1], tape)
         elif n.kind == "lora_matmul":
-            out = _mm(ins[0], ins[1], tape)
+            out = hooks.product(role, n, ins[0], ins[1], tape)
             entry = adapter.entries.get(n.id) if adapter is not None else None
             if entry is not None:
                 _check_entry_shapes(n, ins[0], entry)
                 a_fac = hooks.lora_factor(role, n.id, "A", entry.A, tape)
                 b_fac = hooks.lora_factor(role, n.id, "B", entry.B, tape)
-                bx = _mm(b_fac, ins[1], tape)
-                abx = _mm(a_fac, bx, tape)
+                bx = hooks.product(role, n, b_fac, ins[1], tape)
+                abx = hooks.product(role, n, a_fac, bx, tape)
                 scaled = _scale(abx, np.full((1,), entry.alpha, dtype=np.float32), tape)
                 out = _add(out, scaled, tape)
         elif n.kind == "add":
@@ -469,6 +484,8 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
             out = qp.dequantize_array(ins[0], n.attrs["qparams"])
         elif n.kind == "qlinear":
             out = _run_qlinear(n, ins)
+        elif n.kind == "qmatmul":
+            out = qp.int_matmul(ins[0], n.attrs["w_qparams"], ins[1], n.attrs["in_qparams"])
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
         env[n.output] = hooks.node_output(role, n, out, tape)
@@ -477,11 +494,11 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
 
 
 def _run_qlinear(n, ins):
-    w_hat = qp.dequantize_array(ins[0], n.attrs["w_qparams"])
-    x_hat = qp.dequantize_array(ins[1], n.attrs["in_qparams"])
     if n.attrs["op"] == "matmul":
-        y = tz.matmul(w_hat, x_hat)
+        y = qp.int_matmul(ins[0], n.attrs["w_qparams"], ins[1], n.attrs["in_qparams"])
     else:
+        w_hat = qp.dequantize_array(ins[0], n.attrs["w_qparams"])
+        x_hat = qp.dequantize_array(ins[1], n.attrs["in_qparams"])
         y = tz.conv2d(x_hat, w_hat, n.attrs.get("stride", (1, 1)), n.attrs.get("padding", (0, 0)))
     if len(ins) > 2:
         y = y + qp.dequantize_array(ins[2], n.attrs["bias_qparams"])

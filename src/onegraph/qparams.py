@@ -11,6 +11,16 @@ The scale is an fp32 value floored at the smallest normal fp32
 (``MIN_SCALE``): a range so narrow that its width over the level count
 underflows fp32 gets that scale, whose s/2 still bounds the error of
 every value in the range.
+
+A product of two quantized tensors is computed on their integers
+(``int_matmul`` for stored levels, ``centered_matmul`` for levels already
+centred): fp32(float64(sum_k (q_a - z_a)(q_b - z_b)) * s_a * s_b), with
+the sum taken exactly, as integer-arithmetic-only inference does
+(Jacob et al. 2018, arXiv:1712.05877).  The sum is one float64 GEMM.  Its
+every partial sum is an integer below ``k * 2**bits_a * 2**bits_b`` in
+magnitude; while that bound stays below 2**53 a float64 holds each one
+exactly, so neither the summation order nor BLAS blocking or threads can
+change a bit.  The kernel checks the bound and raises past it.
 """
 
 from __future__ import annotations
@@ -19,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, ShapeError
 
 SUPPORTED_BITS = (8, 16)
 MIN_SCALE = float(np.finfo(np.float32).tiny)
+# Every integer up to this magnitude is exact in float64.
+EXACT_INT_LIMIT = 1 << 53
 
 
 def int_bounds(bits: int, signed: bool) -> tuple[int, int]:
@@ -91,29 +103,88 @@ def compute_quant_params(t_min: float, t_max: float, bits: int, signed: bool = T
     return QuantParams(scale=scale, zero_point=z, bits=bits, signed=signed)
 
 
+def quantize_levels(t: np.ndarray, p: QuantParams) -> np.ndarray:
+    """round(t / s) + z saturated to [q_min, q_max]: the integer levels, in float64."""
+    q = round_half_away(np.asarray(t, dtype=np.float64) / np.float64(p.scale)) + p.zero_point
+    return np.clip(q, p.q_min, p.q_max)
+
+
 def quantize_array(t: np.ndarray, p: QuantParams) -> np.ndarray:
     """fp32 tensor -> integer tensor, saturating at the range bounds."""
-    q = round_half_away(np.asarray(t, dtype=np.float64) / np.float64(p.scale)) + p.zero_point
-    q = np.clip(q, p.q_min, p.q_max)
-    return q.astype(storage_dtype(p.bits, p.signed))
+    return quantize_levels(t, p).astype(storage_dtype(p.bits, p.signed))
+
+
+def _centered(q: np.ndarray, p: QuantParams) -> np.ndarray:
+    """q - z in float64, rejecting elements outside [q_min, q_max].
+
+    A signed range held in its own storage dtype fills that dtype, so no
+    element of it can fall outside; only other dtypes are scanned.
+    """
+    qi = np.asarray(q)
+    full = p.signed and qi.dtype == storage_dtype(p.bits, True)
+    if not full and qi.size and (qi.min() < p.q_min or qi.max() > p.q_max):
+        raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
+    t = qi.astype(np.float64)
+    t -= p.zero_point
+    return t
 
 
 def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
     """Integer tensor -> fp32, rejecting out-of-range elements."""
-    qi = np.asarray(q)
-    if qi.size and (qi.min() < p.q_min or qi.max() > p.q_max):
-        raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
-    t = qi.astype(np.float64)
-    t -= p.zero_point
+    t = _centered(q, p)
     t *= p.scale
     return t.astype(np.float32)
 
 
+def _check_exact(a_shape, p_a: QuantParams, b_shape, p_b: QuantParams) -> None:
+    if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
+        raise ShapeError(f"integer matmul shapes {a_shape} x {b_shape}")
+    k = a_shape[1]
+    if k << (p_a.bits + p_b.bits) >= EXACT_INT_LIMIT:
+        raise RangeError(f"inner extent {k} at {p_a.bits}x{p_b.bits} bits may exceed 2**53")
+
+
+def centered_matmul(c_a: np.ndarray, p_a: QuantParams, c_b: np.ndarray, p_b: QuantParams) -> np.ndarray:
+    """fp32(float64(c_a @ c_b) * (s_a * s_b)) for centred levels c = q - z.
+
+    The exact product itself.  The operands are float64 holding integers
+    within their ranges, as ``fake_quant_levels`` returns them; nothing
+    here checks that.  A shape whose bound k * 2**bits_a * 2**bits_b
+    reaches 2**53 raises ``RangeError``: past it the float64 sum could
+    round.
+    """
+    _check_exact(c_a.shape, p_a, c_b.shape, p_b)
+    acc = np.matmul(c_a, c_b)
+    # An exact zero may come out of the GEMM as -0.0, depending on where its
+    # accumulator started; adding +0.0 makes it +0.0, as the integer sum is.
+    acc += 0.0
+    acc *= np.float64(p_a.scale) * np.float64(p_b.scale)
+    return acc.astype(np.float32)
+
+
+def int_matmul(q_a: np.ndarray, p_a: QuantParams, q_b: np.ndarray, p_b: QuantParams) -> np.ndarray:
+    """fp32 product of two quantized matrices, from the exact integer sum.
+
+    Returns fp32(float64(sum_k (q_a - z_a)(q_b - z_b)) * (s_a * s_b)), the
+    ``centered_matmul`` of the operands' centred levels.  The operands
+    hold integer levels in any numeric dtype; an element outside its
+    [q_min, q_max] raises ``RangeError``, as in ``dequantize_array``.  A
+    shape whose bound reaches 2**53 raises ``RangeError`` before anything
+    is allocated.  The widened operands live only for the call.
+    """
+    _check_exact(q_a.shape, p_a, q_b.shape, p_b)
+    return centered_matmul(_centered(q_a, p_a), p_a, _centered(q_b, p_b), p_b)
+
+
+def fake_quant_levels(t: np.ndarray, p: QuantParams):
+    """``fake_quant(t, p)`` and the centred levels q - z it scales, in float64."""
+    c = quantize_levels(t, p) - p.zero_point
+    return (np.float64(p.scale) * c).astype(np.float32), c
+
+
 def fake_quant(t: np.ndarray, p: QuantParams) -> np.ndarray:
     """dequantize(quantize(t)): the simulated-quantization value."""
-    q = round_half_away(np.asarray(t, dtype=np.float64) / np.float64(p.scale)) + p.zero_point
-    q = np.clip(q, p.q_min, p.q_max)
-    return (np.float64(p.scale) * (q - p.zero_point)).astype(np.float32)
+    return fake_quant_levels(t, p)[0]
 
 
 def ste_mask(t: np.ndarray, p: QuantParams) -> np.ndarray:

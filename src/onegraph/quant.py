@@ -6,6 +6,13 @@ follow the policy (w8a16, w8a8, or a mixed split); adapter factors use
 the profile's ``lora_bits``.  QuantSim execution keeps the fp dataflow
 but routes every covered tensor through dequantize(quantize(.)).
 
+QuantSim computes products as the compiled graph does.  A product whose
+two operands it fake-quantized (a dense W x, and an adapter layer's W x
+and B x) is the exact integer product of their levels,
+``qparams.centered_matmul``, reusing the levels it rounded them to; A (B x),
+whose B x is not quantized, stays an fp32 ``tensor.matmul``, as in the
+compiled graph.
+
 Profile keys are strings: ``<role>.w.<tid>`` for weights,
 ``<role>.a.<tid>`` for activations (graph inputs included), and
 ``backbone.lora.<node>.<A|B>`` for adapter factor slots.
@@ -14,11 +21,13 @@ Profile keys are strings: ``<role>.w.<tid>`` for weights,
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graph as gr
+from . import qparams as qp
 from .errors import CalibrationError, CoverageError
 from .qparams import QuantParams, compute_quant_params
 from .tensor import dtype_name
@@ -155,10 +164,26 @@ def check_coverage(profile: QuantProfile, bundle: gr.ModelBundle):
 
 
 class QuantSimHooks:
-    """Fake-quantize every covered tensor during execution."""
+    """Fake-quantize every covered tensor during execution.
+
+    The centred integer levels of each fake-quantized array are kept,
+    keyed by the array's id, for as long as the array lives, so that
+    ``product`` can hand them to ``qparams.centered_matmul`` without
+    quantizing again.
+    """
 
     def __init__(self, profile: QuantProfile):
         self.profile = profile
+        self._levels = {}   # id(fake-quantized array) -> (weakref to it, q - z, params)
+
+    def _fq(self, value, p, tape):
+        out, c = qp.fake_quant_levels(value, p)
+        key, levels = id(out), self._levels
+        # the entry goes when ``out`` does, before its id can be reused
+        levels[key] = (weakref.ref(out, lambda _, key=key: levels.pop(key, None)), c, p)
+        if tape is not None:
+            tape.record("fq", (value,), out, p)
+        return out
 
     def _lookup_act(self, role, tid):
         p = self.profile.act(role, tid)
@@ -169,27 +194,36 @@ class QuantSimHooks:
     def input_value(self, role, tid, value, tape):
         if value.dtype != np.float32:
             return value
-        return gr._fq(value, self._lookup_act(role, tid), tape)
+        return self._fq(value, self._lookup_act(role, tid), tape)
 
     def weight_value(self, role, tid, value, tape):
         p = self.profile.weight(role, tid)
         if p is None:
             raise CoverageError(f"profile does not cover {role}.w.{tid}")
-        return gr._fq(value, p, tape)
+        return self._fq(value, p, tape)
 
     def lora_factor(self, role, node_id, which, value, tape):
         p = self.profile.lora(node_id, which)
         if p is None:
             raise CoverageError(f"profile does not cover backbone.lora.{node_id}.{which}")
-        return gr._fq(value, p, tape)
+        return self._fq(value, p, tape)
 
     def node_output(self, role, node, value, tape):
         if node.kind not in gr.FP_KINDS or value.dtype != np.float32:
             return value
-        return gr._fq(value, self._lookup_act(role, node.output), tape)
+        return self._fq(value, self._lookup_act(role, node.output), tape)
+
+    def product(self, role, node, a, b, tape):
+        la, lb = self._levels.get(id(a)), self._levels.get(id(b))
+        if la is None or lb is None:
+            return gr._mm(a, b, tape)
+        out = qp.centered_matmul(la[1], la[2], lb[1], lb[2])
+        if tape is not None:
+            tape.record("matmul", (a, b), out)
+        return out
 
 
-class ObserverHooks:
+class ObserverHooks(gr._NullHooks):
     """Record activation ranges during full-precision execution."""
 
     def __init__(self, observers: dict):
@@ -202,12 +236,6 @@ class ObserverHooks:
 
     def input_value(self, role, tid, value, tape):
         return self._observe(f"{role}.a.{tid}", value)
-
-    def weight_value(self, role, tid, value, tape):
-        return value
-
-    def lora_factor(self, role, node_id, which, value, tape):
-        return value
 
     def node_output(self, role, node, value, tape):
         if node.kind not in gr.FP_KINDS:

@@ -6,6 +6,16 @@ designated input slots without touching the base graph or weights.
 ``infer`` is ``graph.run_bundle`` with arena hooks and the slot buffers
 as extra backbone feeds.
 
+At load the session lowers each ``matmul(dequantize(q_a),
+dequantize(q_b))`` the compiler left unfused (an adapter layer's W x and
+B x) into ``qmatmul [q_a, q_b]``, the exact integer product of
+``qparams.int_matmul`` with an fp32 output, and drops every
+``dequantize`` that is left without consumers.  Weights are then never
+dequantized on a denoising step, and the arena holds no dequantized
+weights.  The session plans and runs the lowered graphs, which
+``session.model`` holds; the artifact and ``compiler.load_compiled`` keep
+the graphs as frozen.
+
 The plan is a lifetime analysis (``lifetime_items``) followed by greedy
 best-fit offsets (``assign_offsets``): tensors are placed in production
 order into the smallest free gap between live tensors that fits, ties
@@ -24,7 +34,7 @@ import math
 import statistics
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,6 +165,29 @@ def assign_offsets(items) -> MemoryPlan:
     return MemoryPlan(offsets, arena)
 
 
+def lower_products(g: gr.Graph) -> gr.Graph:
+    """``matmul(dequantize(q_a), dequantize(q_b))`` -> ``qmatmul [q_a, q_b]``.
+
+    The new node keeps the matmul's id and output and takes the
+    dequantizes' parameters as ``w_qparams`` and ``in_qparams``.  A
+    ``dequantize`` left without consumers, and not a graph output, is
+    dropped.  Returns a new graph that shares the unchanged nodes and the
+    constants with ``g``.
+    """
+    producer = g.producer_map()
+    nodes = []
+    for n in g.nodes:
+        if n.kind == "matmul":
+            dqs = [producer.get(t) for t in n.inputs]
+            if all(d is not None and d.kind == "dequantize" for d in dqs):
+                n = gr.Node(n.id, "qmatmul", [d.inputs[0] for d in dqs], n.output,
+                            {"w_qparams": dqs[0].attrs["qparams"], "in_qparams": dqs[1].attrs["qparams"]})
+        nodes.append(n)
+    used = {t for n in nodes for t in n.inputs} | {t for _, t in g.outputs}
+    nodes = [n for n in nodes if n.kind != "dequantize" or n.output in used]
+    return gr.Graph(nodes, g.inputs, g.outputs, g.constants)
+
+
 def plan_memory(g: gr.Graph) -> MemoryPlan:
     """Arena plan for a topologically ordered graph with static shapes."""
     return assign_offsets(lifetime_items(g))
@@ -173,7 +206,7 @@ def check_plan(items, plan: MemoryPlan) -> list:
     return bad
 
 
-class _ArenaHooks:
+class _ArenaHooks(gr._NullHooks):
     """Store every planned tensor at its arena offset during execution."""
 
     def __init__(self, plans: dict, arena: bytearray):
@@ -190,12 +223,6 @@ class _ArenaHooks:
     def input_value(self, role, tid, value, tape):
         return self._view(role, tid, value)
 
-    def weight_value(self, role, tid, value, tape):
-        return value
-
-    def lora_factor(self, role, node_id, which, value, tape):
-        return value
-
     def node_output(self, role, node, value, tape):
         return self._view(role, node.output, value)
 
@@ -209,11 +236,11 @@ class Session:
 
     def __init__(self, model: cp.CompiledModel, model_bytes: bytes):
         t0 = time.perf_counter()
-        self.model = model
+        self.model = replace(model, graphs={role: lower_products(g) for role, g in model.graphs.items()})
         self.model_bytes = model_bytes
         self.bound_adapter = None
         self._slot_feeds = {}
-        graphs = model.graphs
+        graphs = self.model.graphs
         self.bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"],
                                      model.steps)
         self.plans = {role: plan_memory(g) for role, g in self.bundle.graphs()}

@@ -12,6 +12,12 @@ that outer axis adds the slices in ascending k.  Each output element
 sees the same products and the same fp32 additions, in the same order,
 as the one-k-at-a-time loop, so the bits do not change; only the number
 of numpy calls does.
+
+These fp32 kernels serve the full-precision paths (``execute_fp``,
+calibration, the distillation gradients) and every product that has an
+fp32 operand, such as an adapter's A (B x).  A product of two quantized
+tensors is not computed here: ``qparams.int_matmul`` takes it on their
+integers, exactly, in one float64 GEMM.
 """
 
 from __future__ import annotations

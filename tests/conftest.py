@@ -39,6 +39,12 @@ section decoder
 dense 4 none
 """
 
+W64_MODEL = "\n".join(
+    ["name w64", "steps 2", "seed 3", "batch 4", "input 64", "cond 4", "latent 64",
+     "section encoder", "dense 64 relu", "section backbone"]
+    + ["lora 64 relu rank=8"] * 3
+    + ["lora 64 none rank=8", "section decoder", "dense 64 none"]) + "\n"
+
 # Deep and narrow: 48 adapter slots make long chains of rewired tensors
 # in the compiler passes and a large live set in the memory planner.
 D48_MODEL = "\n".join(
@@ -84,6 +90,18 @@ def twolayer_adapter(twolayer_bundle):
 @pytest.fixture(scope="session")
 def twolayer_samples(twolayer_bundle):
     return ms.make_samples(twolayer_bundle, 4, 42)
+
+
+@pytest.fixture(scope="session")
+def w64():
+    """The W64_MODEL bundle, two rank-8 adapters, samples, unified profile."""
+    bundle = ms.build_bundle(ms.parse_model_spec(W64_MODEL))
+    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=20 + i, rank=8,
+                                                        amplitude=0.1))
+                for i in range(2)]
+    samples = ms.make_samples(bundle, 2, 31)
+    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=1)
+    return bundle, adapters, samples, profile
 
 
 @pytest.fixture(scope="session")

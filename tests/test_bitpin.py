@@ -8,31 +8,30 @@ load, bind, infer):
 * the ``.quadm`` bytes, every ``.qlp`` and every served output hash to
   pinned digests, so a change that moves a single bit anywhere in the
   chain fails here.  The toy and w64 digests were recorded with the
-  reference per-k matmul loop; the d48 digests, whose 48 adapter slots
-  make long rewire chains, with the compiler passes that rescanned the
-  node list for every rewire and the planner that rescanned the live set.
+  reference per-k matmul loop; the d48 ``.quadm`` and ``.qlp`` digests,
+  whose 48 adapter slots make long rewire chains, with the compiler
+  passes that rescanned the node list for every rewire and the planner
+  that rescanned the live set.
 
 The distillation digest pins the forward and backward products of the
 gradient tape the same way.
+
+Which product semantics recorded which output digest: the toy and w64
+outputs, recorded when every product was the sequential fp32
+``tensor.matmul`` of dequantized operands, hold unchanged under the exact
+integer products of ``qparams.int_matmul``.  The d48 outputs and the
+distillation digest moved with that change and were recorded under the
+integer products.
 """
 
 import hashlib
 
 import numpy as np
-import pytest
 
 from onegraph import compiler as cp
 from onegraph import distill as dst
-from onegraph import modelspec as ms
 from onegraph import quant as qt
 from onegraph import runtime as rt
-from onegraph import sensitivity as sv
-
-W64_MODEL = "\n".join(
-    ["name w64", "steps 2", "seed 3", "batch 4", "input 64", "cond 4", "latent 64",
-     "section encoder", "dense 64 relu", "section backbone"]
-    + ["lora 64 relu rank=8"] * 3
-    + ["lora 64 none rank=8", "section decoder", "dense 64 none"]) + "\n"
 
 # SHA-256 digests recorded before the change each one guards (see above).
 PINNED = {
@@ -52,10 +51,10 @@ PINNED = {
         "model": "121c9f64150ee87009a012b1f567fe9bafefd137f44edad63f02784dc5ab6c6c",
         "packs": ["2114b12913aae2542b6e587764c37f2ed474a4101b8478bbb42c1311d24d5f5c",
                   "9d6fce60f82f39fd7068f65be1830521a6285714ffcb09e6721edc68e0ffec37"],
-        "outputs": ["873bd172605496e7ae03325e4ff72ca7a35d0b9affc734026e4ffda5789e028a",
-                    "14ee8d86ff53fc1ebc2642e0f69ad8365ac465fa2fc03ecdf05b4ec0ff71e346"],
+        "outputs": ["bedcd70ed1e633d41d358bccf4bf12114e55baea07be5fd0fb967fc4b327e628",
+                    "06802acbae4f47b2322405195628176494c1f178f362090928ca8af0ec9e862e"],
     },
-    "distill": "2d3565379bd910e5d1153c41b71f88a8ede161cf27771ee501e42a52adbbe9ed",
+    "distill": "e7e3f05de17a89f7924a366ab36b6fef111e8687ab23bbbb5af8be0b3065a673",
 }
 
 
@@ -91,17 +90,6 @@ def test_toy_bits_pinned(toy_bundle, toy_adapter, toy_samples, toy_profile):
     x, cond = toy_samples[0]
     model, packs, outputs = serve(toy_bundle, toy_profile, [toy_adapter], x, cond, seed=5)
     check_pinned(PINNED["toy"], model, packs, outputs)
-
-
-@pytest.fixture(scope="module")
-def w64():
-    bundle = ms.build_bundle(ms.parse_model_spec(W64_MODEL))
-    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=20 + i, rank=8,
-                                                        amplitude=0.1))
-                for i in range(2)]
-    samples = ms.make_samples(bundle, 2, 31)
-    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=1)
-    return bundle, adapters, samples, profile
 
 
 def test_w64_bits_pinned(w64):

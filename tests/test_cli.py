@@ -87,3 +87,35 @@ def test_qss_with_one_adapter_is_rule_single(files, tmp_path, toy_profile):
     assert cli.main(argv) == cli.EXIT_OK
     report = out.read_text().splitlines()
     assert "rule single" in report and "anchor style" in report
+
+
+def usage_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("policy", ("w4a4", "mixed:half", "mixed:150"))
+def test_unknown_policy_is_a_usage_error(policy, files, tmp_path, capsys):
+    argv = ["--policy", policy, "calibrate", "--model", files("toy.spec", TOY_MODEL),
+            "--synthetic-data", "2", "--out", str(tmp_path / "profile.txt")]
+    assert "--policy" in usage_error(argv, capsys)
+    assert not (tmp_path / "profile.txt").exists()
+
+
+@pytest.mark.parametrize("command", ("distill", "pipeline"))
+@pytest.mark.parametrize("flag, message", ((["--steps", "0"], "steps"),
+                                           (["--lr", "-1"], "learning rate")))
+def test_refused_distill_setting_is_a_usage_error(command, flag, message, files, tmp_path,
+                                                  toy_profile, capsys):
+    model = files("toy.spec", TOY_MODEL)
+    adapter = files("style.adapter", ADAPTER)
+    if command == "distill":
+        argv = ["distill", "--model", model, "--adapter", adapter,
+                "--profile", files("profile.txt", qt.profile_to_text(toy_profile)),
+                "--out-adapter", str(tmp_path / "tuned"), "--trace", str(tmp_path / "t.csv")]
+    else:
+        argv = ["pipeline", "--model", model, "--adapters", adapter, "--out", str(tmp_path / "out")]
+    argv += ["--synthetic-data", "2", *flag]
+    assert message in usage_error(argv, capsys)
