@@ -399,7 +399,9 @@ class _NullHooks:
     """Plain floating-point execution: no quantization, no observation.
 
     ``product`` computes the operand products of ``matmul`` and
-    ``lora_matmul`` nodes (W x, and B x then A (B x) for an adapter).
+    ``lora_matmul`` nodes; ``which`` names the left factor: ``"W"`` for
+    the node's own product of its two inputs, ``"B"`` and ``"A"`` for an
+    adapter's B x and A (B x).
     """
 
     def input_value(self, role, tid, value, tape):
@@ -414,7 +416,7 @@ class _NullHooks:
     def node_output(self, role, node, value, tape):
         return value
 
-    def product(self, role, node, a, b, tape):
+    def product(self, role, node, which, a, b, tape):
         return _mm(a, b, tape)
 
 
@@ -452,16 +454,16 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
     for n in g.nodes:
         ins = [fetch(t, n) for t in n.inputs]
         if n.kind == "matmul":
-            out = hooks.product(role, n, ins[0], ins[1], tape)
+            out = hooks.product(role, n, "W", ins[0], ins[1], tape)
         elif n.kind == "lora_matmul":
-            out = hooks.product(role, n, ins[0], ins[1], tape)
+            out = hooks.product(role, n, "W", ins[0], ins[1], tape)
             entry = adapter.entries.get(n.id) if adapter is not None else None
             if entry is not None:
                 _check_entry_shapes(n, ins[0], entry)
                 a_fac = hooks.lora_factor(role, n.id, "A", entry.A, tape)
                 b_fac = hooks.lora_factor(role, n.id, "B", entry.B, tape)
-                bx = hooks.product(role, n, b_fac, ins[1], tape)
-                abx = hooks.product(role, n, a_fac, bx, tape)
+                bx = hooks.product(role, n, "B", b_fac, ins[1], tape)
+                abx = hooks.product(role, n, "A", a_fac, bx, tape)
                 scaled = _scale(abx, np.full((1,), entry.alpha, dtype=np.float32), tape)
                 out = _add(out, scaled, tape)
         elif n.kind == "add":

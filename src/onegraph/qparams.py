@@ -148,7 +148,7 @@ def centered_matmul(c_a: np.ndarray, p_a: QuantParams, c_b: np.ndarray, p_b: Qua
     """fp32(float64(c_a @ c_b) * (s_a * s_b)) for centred levels c = q - z.
 
     The exact product itself.  The operands are float64 holding integers
-    within their ranges, as ``fake_quant_levels`` returns them; nothing
+    within their ranges, as ``fake_quant_levels`` recovers them; nothing
     here checks that.  A shape whose bound k * 2**bits_a * 2**bits_b
     reaches 2**53 raises ``RangeError``: past it the float64 sum could
     round.
@@ -176,15 +176,22 @@ def int_matmul(q_a: np.ndarray, p_a: QuantParams, q_b: np.ndarray, p_b: QuantPar
     return centered_matmul(_centered(q_a, p_a), p_a, _centered(q_b, p_b), p_b)
 
 
-def fake_quant_levels(t: np.ndarray, p: QuantParams):
-    """``fake_quant(t, p)`` and the centred levels q - z it scales, in float64."""
-    c = quantize_levels(t, p) - p.zero_point
-    return (np.float64(p.scale) * c).astype(np.float32), c
-
-
 def fake_quant(t: np.ndarray, p: QuantParams) -> np.ndarray:
     """dequantize(quantize(t)): the simulated-quantization value."""
-    return fake_quant_levels(t, p)[0]
+    return (np.float64(p.scale) * (quantize_levels(t, p) - p.zero_point)).astype(np.float32)
+
+
+def fake_quant_levels(v: np.ndarray, p: QuantParams) -> np.ndarray:
+    """The centred levels q - z that a finite ``fake_quant`` output v holds, in float64.
+
+    v is fp32(s * (q - z)), normal or zero since s >= ``MIN_SCALE``, so
+    v * (1 / s) in float64 is the level within a relative error below
+    2**-24 + 2**-52.  As |q - z| < 2**16, the absolute error stays below
+    2**-7, and rounding recovers the level exactly.
+    """
+    c = np.array(v, dtype=np.float64)
+    c *= np.float64(1.0) / np.float64(p.scale)
+    return np.rint(c, out=c)
 
 
 def ste_mask(t: np.ndarray, p: QuantParams) -> np.ndarray:

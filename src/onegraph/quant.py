@@ -9,9 +9,13 @@ but routes every covered tensor through dequantize(quantize(.)).
 QuantSim computes products as the compiled graph does.  A product whose
 two operands it fake-quantized (a dense W x, and an adapter layer's W x
 and B x) is the exact integer product of their levels,
-``qparams.centered_matmul``, reusing the levels it rounded them to; A (B x),
-whose B x is not quantized, stays an fp32 ``tensor.matmul``, as in the
-compiled graph.
+``qparams.centered_matmul``.  The ``product`` hook finds each operand's
+params in the profile, under the operand's tensor id or the adapter
+slot that ``which`` names, and takes the levels back exactly from the
+fake-quantized values (``qparams.fake_quant_levels``): nothing is
+quantized twice and no level is kept between calls.  A (B x), whose B x
+is not quantized, stays an fp32 ``tensor.matmul``, as in the compiled
+graph.
 
 Profile keys are strings: ``<role>.w.<tid>`` for weights,
 ``<role>.a.<tid>`` for activations (graph inputs included), and
@@ -21,7 +25,6 @@ Profile keys are strings: ``<role>.w.<tid>`` for weights,
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,23 +167,13 @@ def check_coverage(profile: QuantProfile, bundle: gr.ModelBundle):
 
 
 class QuantSimHooks:
-    """Fake-quantize every covered tensor during execution.
-
-    The centred integer levels of each fake-quantized array are kept,
-    keyed by the array's id, for as long as the array lives, so that
-    ``product`` can hand them to ``qparams.centered_matmul`` without
-    quantizing again.
-    """
+    """Fake-quantize every covered tensor during execution."""
 
     def __init__(self, profile: QuantProfile):
         self.profile = profile
-        self._levels = {}   # id(fake-quantized array) -> (weakref to it, q - z, params)
 
     def _fq(self, value, p, tape):
-        out, c = qp.fake_quant_levels(value, p)
-        key, levels = id(out), self._levels
-        # the entry goes when ``out`` does, before its id can be reused
-        levels[key] = (weakref.ref(out, lambda _, key=key: levels.pop(key, None)), c, p)
+        out = qp.fake_quant(value, p)
         if tape is not None:
             tape.record("fq", (value,), out, p)
         return out
@@ -213,11 +206,24 @@ class QuantSimHooks:
             return value
         return self._fq(value, self._lookup_act(role, node.output), tape)
 
-    def product(self, role, node, a, b, tape):
-        la, lb = self._levels.get(id(a)), self._levels.get(id(b))
-        if la is None or lb is None:
+    def _operand(self, role, tid, value):
+        """The params ``value``, the fp32 tensor ``tid``, was fake-quantized with."""
+        if value.dtype != np.float32:
+            return None
+        p = self.profile.weight(role, tid)
+        return self.profile.act(role, tid) if p is None else p
+
+    def product(self, role, node, which, a, b, tape):
+        if which == "A":   # B x is not quantized
             return gr._mm(a, b, tape)
-        out = qp.centered_matmul(la[1], la[2], lb[1], lb[2])
+        if which == "B":
+            p_a = self.profile.lora(node.id, "B")
+        else:
+            p_a = self._operand(role, node.inputs[0], a)
+        p_b = self._operand(role, node.inputs[1], b)
+        if p_a is None or p_b is None:
+            return gr._mm(a, b, tape)
+        out = qp.centered_matmul(qp.fake_quant_levels(a, p_a), p_a, qp.fake_quant_levels(b, p_b), p_b)
         if tape is not None:
             tape.record("matmul", (a, b), out)
         return out

@@ -74,14 +74,24 @@ def test_unsigned_and_float64_levels(k):
     assert_bits(qp.int_matmul(q_a.astype(np.float64), p_a, q_b.astype(np.float64), p_b), want)
 
 
-def test_the_levels_of_fake_quant():
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("bits,signed", ((8, True), (16, True), (16, False)))
+@pytest.mark.parametrize("scale", (qp.MIN_SCALE, 1e-3, 0.37, 3e3, 1e30))
+def test_the_levels_of_fake_quant(bits, signed, scale):
+    """fake_quant_levels takes back q - z exactly, for every level and zero points at both ends."""
+    lo, hi = qp.int_bounds(bits, signed)
+    for z in (lo, (lo + hi) // 2, hi):
+        p = qp.QuantParams(float(np.float32(scale)), z, bits, signed=signed)
+        q = np.arange(lo, hi + 1, dtype=np.int64).reshape(-1, 1 << (bits // 2))
+        fq = qp.dequantize_array(q, p)
+        assert np.array_equal(qp.fake_quant_levels(fq, p), (q - z).astype(np.float64))
+    rng = np.random.default_rng(bits)
     t = rng.standard_normal((7, 33)).astype(np.float32)
-    p = qp.compute_quant_params(-2.0, 2.5, 16)
-    fq, c = qp.fake_quant_levels(t, p)
+    p = qp.compute_quant_params(-2.0, 2.5, bits, signed)
     q = qp.quantize_array(t, p)
+    fq = qp.fake_quant(t, p)
+    assert fq.tobytes() == qp.dequantize_array(q, p).tobytes()
+    c = qp.fake_quant_levels(fq, p)
     assert c.dtype == np.float64 and np.array_equal(c, q.astype(np.float64) - p.zero_point)
-    assert fq.tobytes() == qp.fake_quant(t, p).tobytes() == qp.dequantize_array(q, p).tobytes()
 
 
 def test_an_exact_zero_is_positive():
