@@ -25,7 +25,7 @@ from .sensitivity import (
 )
 from .distill import DistillConfig, DistillTrace, align_adapters, finetune_adapter, recon_loss
 from .compiler import (
-    CompiledModel, LoRASlotDescriptor, adapter_slot_feeds, constant_fold,
+    CompiledModel, LoRASlotDescriptor, constant_fold,
     dead_code_eliminate, freeze, load_compiled, materialize_quantsim,
     optimize_for_freeze, pack_lora, rewrite_lora_as_input, scale_fold,
     unpack_lora,

@@ -35,11 +35,19 @@ class UsageError(Exception):
     pass
 
 
-def _read(path, mode="r"):
-    if not os.path.exists(path):
+def _require_file(path):
+    if not os.path.isfile(path):
         raise UsageError(f"no such file: {path}")
-    with open(path, mode) as fh:
+    return path
+
+
+def _read(path, mode="r"):
+    with open(_require_file(path), mode) as fh:
         return fh.read()
+
+
+def _read_qtns(path):
+    return tz.read_qtns(_require_file(path))
 
 
 def _load_config(path):
@@ -80,6 +88,17 @@ def _load_bundle(args):
     return spec, ms.build_bundle(spec)
 
 
+def _sample_stems(data_dir):
+    """Stems of the ``<stem>.x.qtns`` files in a sample directory."""
+    if not data_dir or not os.path.isdir(data_dir):
+        raise UsageError(f"data directory not found: {data_dir}")
+    stems = sorted(
+        f[:-len(".x.qtns")] for f in os.listdir(data_dir) if f.endswith(".x.qtns"))
+    if not stems:
+        raise UsageError(f"data directory {data_dir} holds no *.x.qtns samples")
+    return stems
+
+
 def _load_samples(bundle, args, need_targets=False):
     if getattr(args, "synthetic_data", None):
         samples = ms.make_samples(bundle, args.synthetic_data, args.seed)
@@ -87,16 +106,10 @@ def _load_samples(bundle, args, need_targets=False):
             return [(x, c, None) for x, c in samples]
         return samples
     data_dir = args.data
-    if not data_dir or not os.path.isdir(data_dir):
-        raise UsageError(f"data directory not found: {data_dir}")
-    stems = sorted(
-        f[:-len(".x.qtns")] for f in os.listdir(data_dir) if f.endswith(".x.qtns"))
-    if not stems:
-        raise UsageError(f"data directory {data_dir} holds no *.x.qtns samples")
     samples = []
-    for stem in stems:
-        x = tz.read_qtns(os.path.join(data_dir, f"{stem}.x.qtns"))
-        cond = tz.read_qtns(os.path.join(data_dir, f"{stem}.cond.qtns"))
+    for stem in _sample_stems(data_dir):
+        x = _read_qtns(os.path.join(data_dir, f"{stem}.x.qtns"))
+        cond = _read_qtns(os.path.join(data_dir, f"{stem}.cond.qtns"))
         if need_targets:
             tpath = os.path.join(data_dir, f"{stem}.target.qtns")
             target = tz.read_qtns(tpath) if os.path.exists(tpath) else None
@@ -196,8 +209,8 @@ def cmd_run(args):
     session = rt.load_model(_read(args.model_bin, "rb"))
     if args.pack:
         rt.bind_lora(session, _read(args.pack, "rb"))
-    x = tz.read_qtns(args.x)
-    cond = tz.read_qtns(args.cond)
+    x = _read_qtns(args.x)
+    cond = _read_qtns(args.cond)
     out = rt.infer(session, x, cond, seed=args.seed)
     _write(args.out, tz.qtns_bytes(out))
     return EXIT_OK
@@ -207,12 +220,10 @@ def cmd_bench(args):
     session = rt.load_model(_read(args.model_bin, "rb"))
     packs = [_read(p, "rb") for p in args.packs]
     if args.workload_dir:
-        stems = sorted(f[:-len(".x.qtns")] for f in os.listdir(args.workload_dir)
-                       if f.endswith(".x.qtns"))
         workload = [
-            (tz.read_qtns(os.path.join(args.workload_dir, f"{s}.x.qtns")),
-             tz.read_qtns(os.path.join(args.workload_dir, f"{s}.cond.qtns")))
-            for s in stems
+            (_read_qtns(os.path.join(args.workload_dir, f"{s}.x.qtns")),
+             _read_qtns(os.path.join(args.workload_dir, f"{s}.cond.qtns")))
+            for s in _sample_stems(args.workload_dir)
         ]
     else:
         bb = session.model.graphs["encoder"].inputs[0]

@@ -84,6 +84,7 @@ class CompiledModel:
     profile_text: str
     graphs: dict                 # role -> Graph
     descriptors: list
+    shapes: dict                 # role -> tid -> (shape, dtype) from load; not serialized
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +145,6 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
     out.nodes = nodes
     gr.validate(out)
     return out, descriptors
-
-
-def adapter_slot_feeds(adapter: gr.LoRAAdapter, descriptors) -> dict:
-    """Full-precision feeds for a rewritten graph: factors padded to r_max."""
-    feeds = {}
-    for d in descriptors:
-        entry = adapter.entries.get(d.target_node_id)
-        if entry is None:
-            raise PackError(f"adapter {adapter.adapter_id!r} lacks entry for node {d.target_node_id}")
-        if entry.rank > d.r_max:
-            raise PackError(f"adapter rank {entry.rank} exceeds slot rank {d.r_max}")
-        a = np.zeros(d.a_shape, dtype=np.float32)
-        b = np.zeros(d.b_shape, dtype=np.float32)
-        a[:, :entry.rank] = entry.A
-        b[:entry.rank, :] = entry.B
-        feeds[d.a_name] = a
-        feeds[d.b_name] = b
-        feeds[d.alpha_name] = np.full((1,), entry.alpha, dtype=np.float32)
-    return feeds
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +504,7 @@ def _unpack_graph(data, pos):
         pos += 6
         shape = struct.unpack_from(f"<{rank}I", data, pos)
         pos += 4 * rank
-        dtype = {v: k for k, v in tz.DTYPE_CODES.items()}[dcode]
-        inputs.append(gr.GraphInput(name, tid, tuple(shape), dtype))
+        inputs.append(gr.GraphInput(name, tid, tuple(shape), tz.DTYPE_NAMES[dcode]))
     (n_out,) = struct.unpack_from("<H", data, pos)
     pos += 2
     outputs = []
@@ -567,7 +548,7 @@ def _decoding(what: str):
     Such a payload trips over a short read (struct.error), an unknown
     code (KeyError), bad UTF-8 or out-of-range parameters (ValueError,
     which covers the toolkit's RangeError and ShapeError).  A decoded
-    model whose graphs fail the structural checks raises GraphError.
+    model that breaks ``graph.validate_bundle`` raises GraphError.
     """
     try:
         yield
@@ -612,34 +593,6 @@ def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
     return _wrap_payload(MODEL_MAGIC, b"".join(parts))
 
 
-def _check_compiled(graphs: dict, descriptors):
-    """Structural checks on a decoded model, so a bad one fails at load, not at infer.
-
-    Each graph is valid with one output; the latent passes unchanged in
-    shape and dtype from the encoder through the backbone to the decoder;
-    and every slot input is the backbone input its descriptor names.
-    """
-    info = {}
-    for role, g in graphs.items():
-        info[role] = gr.validate(g)
-        if len(g.outputs) != 1:
-            raise GraphError(f"{role} graph must have exactly one output")
-    enc, bb, dec = graphs["encoder"], graphs["backbone"], graphs["decoder"]
-    if (len(enc.inputs), len(bb.inputs), len(dec.inputs)) != (1, 2 + 3 * len(descriptors), 1):
-        raise GraphError("graph inputs do not match the slot count")
-    chain = (info["encoder"][enc.outputs[0][1]], info["backbone"][bb.inputs[0].tid],
-             info["backbone"][bb.outputs[0][1]], info["decoder"][dec.inputs[0].tid])
-    if len(set(chain)) != 1:
-        raise GraphError(f"latent shapes and dtypes differ along the pipeline: {chain}")
-    inputs = {gi.tid: gi for gi in bb.inputs}
-    for d in descriptors:
-        for tid, name, shape in ((d.a_tid, d.a_name, d.a_shape), (d.b_tid, d.b_name, d.b_shape),
-                                 (d.alpha_tid, d.alpha_name, (1,))):
-            gi = inputs.get(tid)
-            if gi is None or gi.name != name or tuple(gi.shape) != shape:
-                raise GraphError(f"slot {d.slot_id}: no backbone input {name} {shape} at tensor {tid}")
-
-
 def load_compiled(data: bytes) -> CompiledModel:
     payload = _open_payload(MODEL_MAGIC, data)
     with _decoding("model"):
@@ -674,8 +627,9 @@ def load_compiled(data: bytes) -> CompiledModel:
             raise FormatError("trailing bytes in model payload")
         if set(graphs) != {"encoder", "backbone", "decoder"}:
             raise FormatError("model must contain encoder, backbone, and decoder graphs")
-        _check_compiled(graphs, descriptors)
-    return CompiledModel(FORMAT_VERSION, name, seed, steps, profile_text, graphs, descriptors)
+        bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], steps)
+        shapes = gr.validate_bundle(bundle, descriptors)
+    return CompiledModel(FORMAT_VERSION, name, seed, steps, profile_text, graphs, descriptors, shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -530,7 +530,17 @@ def check_adapter(bundle: ModelBundle, adapter: LoRAAdapter):
         _check_entry_shapes(by_id[nid], w, entry)
 
 
-def validate_bundle(bundle: ModelBundle):
+def validate_bundle(bundle: ModelBundle, descriptors=()) -> dict:
+    """The structural contract of a bundle, built or loaded; role -> ``validate(g)``.
+
+    Each graph is valid with exactly one output, and only the backbone
+    holds ``lora_matmul`` nodes.  The step count is positive.  The
+    encoder and decoder take one input; the backbone takes the latent,
+    the conditioning and three inputs (A, B, alpha) per slot
+    descriptor, each the input its descriptor names.  The latent passes
+    unchanged in shape and dtype from the encoder through the backbone
+    to the decoder.  A built bundle has no descriptors yet.
+    """
     info = {}
     for role, g in bundle.graphs():
         info[role] = validate(g)
@@ -540,20 +550,22 @@ def validate_bundle(bundle: ModelBundle):
             raise GraphError(f"{role} graph must have exactly one output")
     if bundle.steps < 1:
         raise GraphError("bundle step count must be positive")
-    if len(bundle.encoder.inputs) != 1 or len(bundle.decoder.inputs) != 1:
-        raise GraphError("encoder and decoder take exactly one input")
-    if len(bundle.backbone.inputs) != 2:
-        raise GraphError("backbone takes latent and conditioning inputs")
-    enc_out = info["encoder"][bundle.encoder.outputs[0][1]][0]
-    latent = tuple(bundle.backbone.inputs[0].shape)
-    if enc_out != latent:
-        raise ShapeError(f"encoder output {enc_out} does not match backbone latent input {latent}")
-    bb_out = info["backbone"][bundle.backbone.outputs[0][1]][0]
-    if bb_out != latent:
-        raise ShapeError(f"backbone output {bb_out} must match its latent input {latent}")
-    dec_in = tuple(bundle.decoder.inputs[0].shape)
-    if bb_out != dec_in:
-        raise ShapeError(f"backbone output {bb_out} does not match decoder input {dec_in}")
+    enc, bb, dec = bundle.encoder, bundle.backbone, bundle.decoder
+    if (len(enc.inputs), len(bb.inputs), len(dec.inputs)) != (1, 2 + 3 * len(descriptors), 1):
+        raise GraphError("encoder and decoder take one input, the backbone the latent, "
+                         "the conditioning and three per adapter slot")
+    chain = (info["encoder"][enc.outputs[0][1]], info["backbone"][bb.inputs[0].tid],
+             info["backbone"][bb.outputs[0][1]], info["decoder"][dec.inputs[0].tid])
+    if len(set(chain)) != 1:
+        raise GraphError(f"latent shapes and dtypes differ along the pipeline: {chain}")
+    inputs = {gi.tid: gi for gi in bb.inputs}
+    for d in descriptors:
+        for tid, name, shape in ((d.a_tid, d.a_name, d.a_shape), (d.b_tid, d.b_name, d.b_shape),
+                                 (d.alpha_tid, d.alpha_name, (1,))):
+            gi = inputs.get(tid)
+            if gi is None or gi.name != name or tuple(gi.shape) != shape:
+                raise GraphError(f"slot {d.slot_id}: no backbone input {name} {shape} at tensor {tid}")
+    return info
 
 
 def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,

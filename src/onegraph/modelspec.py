@@ -286,6 +286,8 @@ def load_adapter(path, bundle: gr.ModelBundle) -> gr.LoRAAdapter:
     """Adapter from either a spec file (generated) or a saved directory."""
     if os.path.isdir(path):
         return load_adapter_dir(path)
+    if not os.path.isfile(path):
+        raise ModelSpecError(f"no such adapter file or directory: {path}")
     with open(path) as fh:
         return build_adapter(bundle, parse_adapter_spec(fh.read()))
 

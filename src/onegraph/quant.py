@@ -111,15 +111,6 @@ class QuantProfile:
     def lora(self, node_id, which):
         return self.weight_params.get(f"backbone.lora.{node_id}.{which}")
 
-    def set_act(self, role, tid, params):
-        self.act_params[f"{role}.a.{tid}"] = params
-
-    def set_weight(self, role, tid, params):
-        self.weight_params[f"{role}.w.{tid}"] = params
-
-    def set_lora(self, node_id, which, params):
-        self.weight_params[f"backbone.lora.{node_id}.{which}"] = params
-
 
 def weight_tids(g: gr.Graph) -> list:
     """Constant tensors that count as quantizable weights, in first-use order.

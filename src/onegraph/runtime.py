@@ -16,6 +16,12 @@ weights.  The session plans and runs the lowered graphs, which
 ``session.model`` holds; the artifact and ``compiler.load_compiled`` keep
 the graphs as frozen.
 
+Loading derives each graph's shapes once: ``load_compiled`` checks the
+bundle with ``graph.validate_bundle``, and the session plans from the
+shape maps that check returns.  Those maps fit the lowered graphs too,
+since lowering only drops ``dequantize`` nodes and turns a ``matmul``
+into a ``qmatmul`` with the same output tensor and shape.
+
 The plan is a lifetime analysis (``lifetime_items``) followed by greedy
 best-fit offsets (``assign_offsets``): tensors are placed in production
 order into the smallest free gap between live tensors that fits, ties
@@ -33,7 +39,6 @@ import heapq
 import math
 import statistics
 import time
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +46,7 @@ import numpy as np
 from . import compiler as cp
 from . import graph as gr
 from . import tensor as tz
-from .errors import BindError, FormatError
+from .errors import BindError
 
 
 @dataclass
@@ -58,14 +63,16 @@ class MemoryPlan:
     arena_size: int
 
 
-def lifetime_items(g: gr.Graph) -> list:
+def lifetime_items(g: gr.Graph, shapes=None) -> list:
     """Byte sizes and lifetimes for every planned tensor of a graph.
 
     Graph inputs are planned (they are copied into the arena); constants
     live in the model image and are excluded.  Outputs stay live until
-    the end of the graph.
+    the end of the graph.  ``shapes`` (tid -> (shape, dtype)) defaults
+    to ``infer_shapes(g)``; a caller that already holds a map covering
+    every tensor of ``g`` passes it instead.
     """
-    info = gr.infer_shapes(g)
+    info = gr.infer_shapes(g) if shapes is None else shapes
     last_use = {}
     for idx, n in enumerate(g.nodes):
         for t in n.inputs:
@@ -188,9 +195,9 @@ def lower_products(g: gr.Graph) -> gr.Graph:
     return gr.Graph(nodes, g.inputs, g.outputs, g.constants)
 
 
-def plan_memory(g: gr.Graph) -> MemoryPlan:
+def plan_memory(g: gr.Graph, shapes=None) -> MemoryPlan:
     """Arena plan for a topologically ordered graph with static shapes."""
-    return assign_offsets(lifetime_items(g))
+    return assign_offsets(lifetime_items(g, shapes))
 
 
 def check_plan(items, plan: MemoryPlan) -> list:
@@ -236,24 +243,19 @@ class Session:
 
     def __init__(self, model: cp.CompiledModel, model_bytes: bytes):
         t0 = time.perf_counter()
-        self.model = replace(model, graphs={role: lower_products(g) for role, g in model.graphs.items()})
+        # The session's copy does not keep the shape maps: they would stay
+        # live through every infer (219 KB for the w32/d128 benchmark model).
+        self.model = replace(model, graphs={role: lower_products(g) for role, g in model.graphs.items()},
+                             shapes=None)
         self.model_bytes = model_bytes
         self.bound_adapter = None
         self._slot_feeds = {}
         graphs = self.model.graphs
         self.bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"],
                                      model.steps)
-        self.plans = {role: plan_memory(g) for role, g in self.bundle.graphs()}
+        self.plans = {role: plan_memory(g, model.shapes[role]) for role, g in self.bundle.graphs()}
         self.arena = bytearray(max(p.arena_size for p in self.plans.values()) or 1)
-        self.base_checksum = self._weights_crc()
         self.init_ms = (time.perf_counter() - t0) * 1000.0
-
-    def _weights_crc(self) -> int:
-        crc = 0
-        for _, g in self.bundle.graphs():
-            for tid in sorted(g.constants):
-                crc = zlib.crc32(np.ascontiguousarray(g.constants[tid]).tobytes(), crc)
-        return crc
 
     @property
     def adapter_buffer_bytes(self) -> int:
@@ -262,10 +264,7 @@ class Session:
 
 def load_model(data: bytes) -> Session:
     """Parse and verify a compiled model; plans memory and times init."""
-    model = cp.load_compiled(data)
-    if model.steps < 1:
-        raise FormatError("model step count must be positive")
-    return Session(model, data)
+    return Session(cp.load_compiled(data), data)
 
 
 def bind_lora(session: Session, pack_bytes: bytes):

@@ -36,7 +36,7 @@ DTYPES = {
     "i32": np.int32,
 }
 DTYPE_CODES = {"fp32": 0, "i8": 1, "i16": 2, "i32": 3}
-_CODE_TO_DTYPE = {v: k for k, v in DTYPE_CODES.items()}
+DTYPE_NAMES = {v: k for k, v in DTYPE_CODES.items()}
 
 PSNR_CAP_DB = 99.0
 
@@ -250,14 +250,14 @@ def qtns_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     version, code, rank = struct.unpack_from("<HBB", data, offset + 4)
     if version != QTNS_VERSION:
         raise FormatError(f"unsupported QTNS version {version}")
-    if code not in _CODE_TO_DTYPE:
+    if code not in DTYPE_NAMES:
         raise FormatError(f"unknown QTNS dtype code {code}")
     pos = offset + 8
     if len(data) < pos + 4 * rank:
         raise FormatError("truncated QTNS header")
     shape = struct.unpack_from(f"<{rank}I", data, pos)
     pos += 4 * rank
-    name = _CODE_TO_DTYPE[code]
+    name = DTYPE_NAMES[code]
     count = int(np.prod(shape, dtype=np.int64)) if rank else 1
     nbytes = count * itemsize(name)
     if len(data) < pos + nbytes:

@@ -4,6 +4,8 @@ Every command goes through ``cli.main`` in process, so a failure that
 escapes as a traceback fails the test instead of printing it.
 """
 
+import dataclasses
+
 import pytest
 from conftest import TOY_MODEL
 
@@ -52,6 +54,19 @@ def corrupt_model(tmp_path, toy_bundle, toy_profile):
     path = tmp_path / "corrupt.quadm"
     path.write_bytes(bytes(data))
     return str(path)
+
+
+@pytest.fixture
+def toy_files(tmp_path, toy_bundle, toy_profile, toy_adapter, toy_samples):
+    """Paths of the toy ``.quadm``, a ``.qlp`` for it and one sample's cond."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    paths = {}
+    for name, data in (("model.quadm", cp.freeze(frozen, toy_profile, descriptors, name="toy")),
+                       ("style.qlp", cp.pack_lora(toy_adapter, descriptors, toy_profile)),
+                       ("cond.qtns", tz.qtns_bytes(toy_samples[0][1]))):
+        (tmp_path / name).write_bytes(data)
+        paths[name] = str(tmp_path / name)
+    return paths
 
 
 @pytest.mark.parametrize("command", ("inspect", "run"))
@@ -119,3 +134,29 @@ def test_refused_distill_setting_is_a_usage_error(command, flag, message, files,
         argv = ["pipeline", "--model", model, "--adapters", adapter, "--out", str(tmp_path / "out")]
     argv += ["--synthetic-data", "2", *flag]
     assert message in usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("missing", ("x", "workload-dir", "directory", "adapter"))
+def test_missing_input_is_a_usage_error(missing, toy_files, files, tmp_path, capsys):
+    absent = str(tmp_path / "absent")
+    if missing == "adapter":
+        argv = ["calibrate", "--model", files("toy.spec", TOY_MODEL), "--synthetic-data", "2",
+                "--adapter", absent, "--out", str(tmp_path / "profile.txt")]
+    elif missing == "x":
+        argv = ["run", "--model-bin", toy_files["model.quadm"], "--pack", toy_files["style.qlp"],
+                "--x", absent, "--cond", toy_files["cond.qtns"], "--out", str(tmp_path / "y.qtns")]
+    elif missing == "workload-dir":
+        argv = ["bench", "--model", toy_files["model.quadm"], "--packs", toy_files["style.qlp"],
+                "--workload-dir", absent]
+    else:
+        absent = str(tmp_path)   # a directory where a file is expected
+        argv = ["inspect", absent]
+    assert absent in usage_error(argv, capsys)
+
+
+def test_stepless_model_is_a_usage_error(tmp_path, toy_bundle, toy_profile, capsys):
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    path = tmp_path / "stepless.quadm"
+    path.write_bytes(cp.freeze(dataclasses.replace(frozen, steps=0), toy_profile, descriptors,
+                               name="toy"))
+    assert "step count" in usage_error(["inspect", str(path)], capsys)

@@ -97,3 +97,10 @@ def test_quant_node_without_its_attribute(toy_bundle, toy_profile, kind, key):
     lacks = f"lacks {key}" if key != "op" else "op None"
     with pytest.raises(FormatError, match=f"GraphError: node {node.id}: {kind} {lacks}"):
         cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+
+
+def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    data = cp.freeze(dataclasses.replace(frozen, steps=0), toy_profile, descriptors, name="toy")
+    with pytest.raises(FormatError, match="GraphError: bundle step count must be positive"):
+        cp.load_compiled(data)

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from onegraph import compiler as cp
+from onegraph import graph as gr
 from onegraph import runtime as rt
 
 SIZES = (0, 1, 3, 4, 8, 16, 64, 100)
@@ -96,3 +97,25 @@ def test_deep_plans_have_no_overlaps(d48):
         items = rt.lifetime_items(session.model.graphs[role])
         assert rt.check_plan(items, plan) == [], role
         assert plan == reference_assign_offsets(items), role
+
+
+@pytest.fixture(params=("w64", "d48"))
+def model_bytes(request):
+    bundle, _, _, profile = request.getfixturevalue(request.param)
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    return cp.freeze(frozen, profile, descriptors, name="plan")
+
+
+def test_load_derives_each_graphs_shapes_once(model_bytes, monkeypatch):
+    calls = []
+    infer_shapes = gr.infer_shapes
+    monkeypatch.setattr(gr, "infer_shapes", lambda g: calls.append(g) or infer_shapes(g))
+    rt.load_model(model_bytes)
+    assert len(calls) == 3
+
+
+def test_plans_from_the_load_shapes_are_the_fresh_plans(model_bytes):
+    """The session plans the lowered graphs from the shapes of the frozen ones."""
+    session = rt.load_model(model_bytes)
+    for role, g in session.model.graphs.items():
+        assert session.plans[role] == rt.assign_offsets(rt.lifetime_items(g)), role
