@@ -35,7 +35,7 @@ FORMAT_VERSION = 1
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
-# The runtime's qmatmul has no code: no artifact can hold it.
+# The runtime kinds (graph.RUNTIME_KINDS) have no code: no artifact can hold them.
 _KIND_CODES = {k: i for i, k in enumerate(gr.FP_KINDS + gr.QUANT_KINDS)}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -292,9 +292,9 @@ def scale_fold(g: gr.Graph, profile=None) -> gr.Graph:
 
     The quantization parameters move into the fused node's attributes,
     removing the standalone arithmetic nodes around each linear layer.
-    The fused kernel computes what the unfused nodes compute once a
-    session has lowered them (a matmul as the exact integer product, a
-    conv2d on the dequantized operands), so integer results are preserved
+    The fused kernel computes what QuantSim computes for the unfused
+    nodes (a matmul as the exact integer product, a conv2d on the
+    dequantized operands), so integer results are preserved
     bit-for-bit.  Patterns that do not
     match (for example the runtime adapter path, which has no output
     quantizer) are left untouched.

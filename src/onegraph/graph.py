@@ -9,9 +9,9 @@ Nodes are stored in topological order (validated), and activations are
 column-major feature matrices ``[features, batch]``.  Execution is
 deterministic bit-for-bit: fp32 arithmetic goes through the sequential
 kernels in :mod:`onegraph.tensor`, and a product whose two operands are
-quantized (``qlinear`` with ``op=matmul``, the runtime's ``qmatmul``, or a
-product that QuantSim's ``product`` hook sees with both operands
-fake-quantized) goes through the exact integer kernel of
+quantized (``qlinear`` with ``op=matmul``, W x and B x inside the
+runtime's ``qlora``, or a product that QuantSim's ``product`` hook sees
+with both operands fake-quantized) goes through the exact integer kernel of
 :mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``), whose
 result no summation order changes.
 """
@@ -30,11 +30,14 @@ from .rng import Rng
 
 # Kinds of the floating-point IR; quantize/dequantize/qlinear appear
 # only after quantization nodes are materialized for compilation.
-# qmatmul (fp32 product of two integer tensors) exists only in graphs a
-# runtime session lowers at load; no artifact can hold it.
+# The runtime kinds exist only in graphs a runtime session lowers at
+# load (``runtime.lower_products``), and have no kind code, so no
+# artifact can hold them: ``qlora`` is one adapter layer, W x + alpha *
+# A (B x) from the integer q_w, q_x, q_b and q_a, and ``requant`` one
+# quantize -> dequantize [-> activation] chain, fp32 in and out.
 FP_KINDS = ("matmul", "conv2d", "add", "mul", "scale", "concat", "activation", "lora_matmul")
 QUANT_KINDS = ("quantize", "dequantize", "qlinear")
-RUNTIME_KINDS = ("qmatmul",)
+RUNTIME_KINDS = ("qlora", "requant")
 ALL_KINDS = FP_KINDS + QUANT_KINDS + RUNTIME_KINDS
 
 
@@ -229,13 +232,22 @@ def infer_shapes(g: Graph) -> dict:
                 raise GraphError(f"node {n.id}: qlinear op {op!r}")
             p = _qparams(n, "out_qparams")
             out = (oshape, tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
-        elif n.kind == "qmatmul":
-            (sa, _), (sb, _) = get(n.inputs[0]), get(n.inputs[1])
-            _qparams(n, "w_qparams")
-            _qparams(n, "in_qparams")
-            if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
-                raise ShapeError(f"node {n.id}: qmatmul shapes {sa} x {sb}")
-            out = ((sa[0], sb[1]), "fp32")
+        elif n.kind == "qlora":
+            (sw, _), (sx, _), (sb, _), (sa, _), (sal, dal) = (get(t) for t in n.inputs)
+            for key in ("w_qparams", "in_qparams", "b_qparams", "a_qparams"):
+                _qparams(n, key)
+            if (len(sw) != 2 or len(sx) != 2 or len(sb) != 2 or len(sa) != 2 or sw[1] != sx[0]
+                    or sb[1] != sx[0] or sa[1] != sb[0] or sa[0] != sw[0]):
+                raise ShapeError(f"node {n.id}: qlora shapes W{sw} x{sx} B{sb} A{sa}")
+            if dal != "fp32" or int(np.prod(sal)) != 1:
+                raise ShapeError(f"node {n.id}: qlora needs a 1-element fp32 alpha")
+            out = ((sw[0], sx[1]), "fp32")
+        elif n.kind == "requant":
+            sx, dx = get(n.inputs[0])
+            if dx != "fp32":
+                raise ShapeError(f"node {n.id}: requant needs fp32 input")
+            _qparams(n, "qparams")
+            out = (sx, "fp32")
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
 
@@ -486,8 +498,12 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
             out = qp.dequantize_array(ins[0], n.attrs["qparams"])
         elif n.kind == "qlinear":
             out = _run_qlinear(n, ins)
-        elif n.kind == "qmatmul":
-            out = qp.int_matmul(ins[0], n.attrs["w_qparams"], ins[1], n.attrs["in_qparams"])
+        elif n.kind == "qlora":
+            out = _run_qlora(n, ins)
+        elif n.kind == "requant":
+            out = qp.dequantize_array(qp.quantize_array(ins[0], n.attrs["qparams"]), n.attrs["qparams"])
+            if "activation" in n.attrs:
+                out = tz.activation(out, n.attrs["activation"])
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
         env[n.output] = hooks.node_output(role, n, out, tape)
@@ -505,6 +521,27 @@ def _run_qlinear(n, ins):
     if len(ins) > 2:
         y = y + qp.dequantize_array(ins[2], n.attrs["bias_qparams"])
     return qp.quantize_array(y, n.attrs["out_qparams"])
+
+
+def _run_qlora(n, ins):
+    """add(W x, scale(A (B x), alpha)), as the unfused adapter layer computes it.
+
+    W x and B x are the exact integer products of ``qparams.int_matmul``
+    on one centring of q_x; A is dequantized, A (B x) is the fp32
+    ``tensor.matmul``.  Each product checks its 2**53 bound before the
+    operands are widened.
+    """
+    q_w, q_x, q_b, q_a, alpha = ins
+    p_w, p_x, p_b = n.attrs["w_qparams"], n.attrs["in_qparams"], n.attrs["b_qparams"]
+    qp.check_exact(q_w.shape, p_w, q_x.shape, p_x)
+    qp.check_exact(q_b.shape, p_b, q_x.shape, p_x)
+    c_x = qp.centered_levels(q_x, p_x)
+    out = qp.centered_matmul(qp.centered_levels(q_w, p_w), p_w, c_x, p_x)
+    bx = qp.centered_matmul(qp.centered_levels(q_b, p_b), p_b, c_x, p_x)
+    abx = tz.matmul(qp.dequantize_array(q_a, n.attrs["a_qparams"]), bx)
+    abx *= alpha.reshape(())
+    out += abx
+    return out
 
 
 def _check_entry_shapes(node, w, entry):

@@ -104,9 +104,24 @@ def compute_quant_params(t_min: float, t_max: float, bits: int, signed: bool = T
 
 
 def quantize_levels(t: np.ndarray, p: QuantParams) -> np.ndarray:
-    """round(t / s) + z saturated to [q_min, q_max]: the integer levels, in float64."""
-    q = round_half_away(np.asarray(t, dtype=np.float64) / np.float64(p.scale)) + p.zero_point
-    return np.clip(q, p.q_min, p.q_max)
+    """round(t / s) + z saturated to [q_min, q_max]: the integer levels, in float64.
+
+    The steps of ``round_half_away`` on t / s, taken in place on two
+    float64 buffers: true division by s, |.| + 0.5, floor, the sign of
+    the quotient back by ``copysign``, + z, then the bounds.  ``copysign``
+    and ``round_half_away``'s sign * floor differ only in the sign of a
+    zero, which + z makes +0.0, so the levels keep their bits.  An
+    infinity saturates; a NaN stays NaN.
+    """
+    q = np.array(t, dtype=np.float64)
+    q /= np.float64(p.scale)
+    levels = np.abs(q)
+    levels += 0.5
+    np.floor(levels, out=levels)
+    np.copysign(levels, q, out=levels)
+    levels += p.zero_point
+    np.maximum(levels, p.q_min, out=levels)
+    return np.minimum(levels, p.q_max, out=levels)
 
 
 def quantize_array(t: np.ndarray, p: QuantParams) -> np.ndarray:
@@ -114,7 +129,7 @@ def quantize_array(t: np.ndarray, p: QuantParams) -> np.ndarray:
     return quantize_levels(t, p).astype(storage_dtype(p.bits, p.signed))
 
 
-def _centered(q: np.ndarray, p: QuantParams) -> np.ndarray:
+def centered_levels(q: np.ndarray, p: QuantParams) -> np.ndarray:
     """q - z in float64, rejecting elements outside [q_min, q_max].
 
     A signed range held in its own storage dtype fills that dtype, so no
@@ -131,12 +146,12 @@ def _centered(q: np.ndarray, p: QuantParams) -> np.ndarray:
 
 def dequantize_array(q: np.ndarray, p: QuantParams) -> np.ndarray:
     """Integer tensor -> fp32, rejecting out-of-range elements."""
-    t = _centered(q, p)
+    t = centered_levels(q, p)
     t *= p.scale
     return t.astype(np.float32)
 
 
-def _check_exact(a_shape, p_a: QuantParams, b_shape, p_b: QuantParams) -> None:
+def check_exact(a_shape, p_a: QuantParams, b_shape, p_b: QuantParams) -> None:
     if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
         raise ShapeError(f"integer matmul shapes {a_shape} x {b_shape}")
     k = a_shape[1]
@@ -153,7 +168,7 @@ def centered_matmul(c_a: np.ndarray, p_a: QuantParams, c_b: np.ndarray, p_b: Qua
     reaches 2**53 raises ``RangeError``: past it the float64 sum could
     round.
     """
-    _check_exact(c_a.shape, p_a, c_b.shape, p_b)
+    check_exact(c_a.shape, p_a, c_b.shape, p_b)
     acc = np.matmul(c_a, c_b)
     # An exact zero may come out of the GEMM as -0.0, depending on where its
     # accumulator started; adding +0.0 makes it +0.0, as the integer sum is.
@@ -172,13 +187,16 @@ def int_matmul(q_a: np.ndarray, p_a: QuantParams, q_b: np.ndarray, p_b: QuantPar
     shape whose bound reaches 2**53 raises ``RangeError`` before anything
     is allocated.  The widened operands live only for the call.
     """
-    _check_exact(q_a.shape, p_a, q_b.shape, p_b)
-    return centered_matmul(_centered(q_a, p_a), p_a, _centered(q_b, p_b), p_b)
+    check_exact(q_a.shape, p_a, q_b.shape, p_b)
+    return centered_matmul(centered_levels(q_a, p_a), p_a, centered_levels(q_b, p_b), p_b)
 
 
 def fake_quant(t: np.ndarray, p: QuantParams) -> np.ndarray:
     """dequantize(quantize(t)): the simulated-quantization value."""
-    return (np.float64(p.scale) * (quantize_levels(t, p) - p.zero_point)).astype(np.float32)
+    levels = quantize_levels(t, p)
+    levels -= p.zero_point
+    levels *= np.float64(p.scale)
+    return levels.astype(np.float32)
 
 
 def fake_quant_levels(v: np.ndarray, p: QuantParams) -> np.ndarray:

@@ -6,21 +6,26 @@ designated input slots without touching the base graph or weights.
 ``infer`` is ``graph.run_bundle`` with arena hooks and the slot buffers
 as extra backbone feeds.
 
-At load the session lowers each ``matmul(dequantize(q_a),
-dequantize(q_b))`` the compiler left unfused (an adapter layer's W x and
-B x) into ``qmatmul [q_a, q_b]``, the exact integer product of
-``qparams.int_matmul`` with an fp32 output, and drops every
-``dequantize`` that is left without consumers.  Weights are then never
-dequantized on a denoising step, and the arena holds no dequantized
-weights.  The session plans and runs the lowered graphs, which
-``session.model`` holds; the artifact and ``compiler.load_compiled`` keep
-the graphs as frozen.
+At load the session fuses the frozen graphs (``lower_products``).  Each
+adapter layer, the ``add`` of W x and alpha * A (B x) with W, x, B and A
+dequantized from integers, becomes one ``qlora`` node on the integer
+q_w, q_x, q_b and q_a: it centres q_x once for the two exact integer
+products W x and B x (``qparams.int_matmul``), then runs the same fp32
+A (B x), scale and add.  Each ``quantize -> dequantize [-> activation]``
+chain whose links are read only by the next link becomes one
+``requant`` node running the same kernels in the same order.  So one
+layer of a denoising step is a ``qlora``, a ``requant`` and the
+``quantize`` of the next layer's input, no base weight is dequantized
+on a step, and the arena holds none of the chains' inner tensors.  The
+session plans and runs the fused graphs, which ``session.model``
+holds; the artifact and ``compiler.load_compiled`` keep the graphs as
+frozen.
 
 Loading derives each graph's shapes once: ``load_compiled`` checks the
 bundle with ``graph.validate_bundle``, and the session plans from the
-shape maps that check returns.  Those maps fit the lowered graphs too,
-since lowering only drops ``dequantize`` nodes and turns a ``matmul``
-into a ``qmatmul`` with the same output tensor and shape.
+shape maps that check returns.  Those maps fit the fused graphs too,
+since a fused node keeps the output tensor, and so the shape, of its
+chain's last node, and the chains' inner tensors are no longer planned.
 
 The plan is a lifetime analysis (``lifetime_items``) followed by greedy
 best-fit offsets (``assign_offsets``): tensors are placed in production
@@ -46,7 +51,7 @@ import numpy as np
 from . import compiler as cp
 from . import graph as gr
 from . import tensor as tz
-from .errors import BindError
+from .errors import BindError, RangeError
 
 
 @dataclass
@@ -172,27 +177,115 @@ def assign_offsets(items) -> MemoryPlan:
     return MemoryPlan(offsets, arena)
 
 
-def lower_products(g: gr.Graph) -> gr.Graph:
-    """``matmul(dequantize(q_a), dequantize(q_b))`` -> ``qmatmul [q_a, q_b]``.
-
-    The new node keeps the matmul's id and output and takes the
-    dequantizes' parameters as ``w_qparams`` and ``in_qparams``.  A
-    ``dequantize`` left without consumers, and not a graph output, is
-    dropped.  Returns a new graph that shares the unchanged nodes and the
-    constants with ``g``.
-    """
-    producer = g.producer_map()
-    nodes = []
+def _consumers(g: gr.Graph) -> dict:
+    """tid -> the nodes that read it, once per read; a graph output adds ``None``."""
+    users = {}
     for n in g.nodes:
-        if n.kind == "matmul":
-            dqs = [producer.get(t) for t in n.inputs]
-            if all(d is not None and d.kind == "dequantize" for d in dqs):
-                n = gr.Node(n.id, "qmatmul", [d.inputs[0] for d in dqs], n.output,
-                            {"w_qparams": dqs[0].attrs["qparams"], "in_qparams": dqs[1].attrs["qparams"]})
-        nodes.append(n)
+        for t in n.inputs:
+            users.setdefault(t, []).append(n)
+    for _, t in g.outputs:
+        users.setdefault(t, []).append(None)
+    return users
+
+
+def _rebuild(g: gr.Graph, fused: dict, gone: set) -> gr.Graph:
+    """``g`` with each chain's last node replaced by its fused node, the
+    chain's other nodes (``gone``, by ``id``) dropped, and every
+    ``dequantize`` left without consumers dropped too."""
+    nodes = [fused.get(id(n), n) for n in g.nodes if id(n) not in gone]
     used = {t for n in nodes for t in n.inputs} | {t for _, t in g.outputs}
     nodes = [n for n in nodes if n.kind != "dequantize" or n.output in used]
     return gr.Graph(nodes, g.inputs, g.outputs, g.constants)
+
+
+def _fuse_lora(g: gr.Graph) -> gr.Graph:
+    """Adapter layers -> ``qlora [q_w, q_x, q_b, q_a, alpha]``.
+
+    The layer is ``add(matmul(dq(q_w), dq(q_x)), scale(matmul(dq(q_a),
+    matmul(dq(q_b), dq(q_x))), alpha))``, where both x operands
+    dequantize the same ``q_x`` with the same parameters, and W x, B x,
+    A (B x) and the scaled term are each read once, by the layer.
+    """
+    producer = g.producer_map()
+    users = _consumers(g)
+
+    def inner(tid, kind):
+        """The producer of ``tid`` if it has this kind and ``tid`` is read once."""
+        n = producer.get(tid)
+        return n if n is not None and n.kind == kind and len(users[tid]) == 1 else None
+
+    fused, gone = {}, set()
+    for n in g.nodes:
+        if n.kind != "add":
+            continue
+        wx, sc = inner(n.inputs[0], "matmul"), inner(n.inputs[1], "scale")
+        abx = sc and inner(sc.inputs[0], "matmul")
+        bx = abx and inner(abx.inputs[1], "matmul")
+        if wx is None or bx is None:
+            continue
+        dq_w, dq_x, dq_b, dq_x2, dq_a = (
+            producer.get(t) for t in (*wx.inputs, *bx.inputs, abx.inputs[0]))
+        if not all(d is not None and d.kind == "dequantize" for d in (dq_w, dq_x, dq_b, dq_x2, dq_a)):
+            continue
+        p_x = dq_x.attrs["qparams"]
+        if dq_x2.inputs[0] != dq_x.inputs[0] or dq_x2.attrs["qparams"] != p_x:
+            continue
+        fused[id(n)] = gr.Node(
+            n.id, "qlora", [dq_w.inputs[0], dq_x.inputs[0], dq_b.inputs[0], dq_a.inputs[0], sc.inputs[1]],
+            n.output, {"w_qparams": dq_w.attrs["qparams"], "in_qparams": p_x,
+                       "b_qparams": dq_b.attrs["qparams"], "a_qparams": dq_a.attrs["qparams"]})
+        gone.update((id(wx), id(sc), id(abx), id(bx)))
+    return _rebuild(g, fused, gone)
+
+
+def _fuse_requant(g: gr.Graph) -> gr.Graph:
+    """``quantize -> dequantize [-> activation]`` -> ``requant``.
+
+    Each link's output is read once, by the next link, and both ends of
+    the pair hold the same parameters.
+    """
+    users = _consumers(g)
+
+    def sole(tid, kind):
+        u = users.get(tid, ())
+        return u[0] if len(u) == 1 and u[0] is not None and u[0].kind == kind else None
+
+    fused, gone = {}, set()
+    for n in g.nodes:
+        if n.kind != "quantize":
+            continue
+        dq = sole(n.output, "dequantize")
+        if dq is None or dq.attrs["qparams"] != n.attrs["qparams"]:
+            continue
+        act = sole(dq.output, "activation")
+        last = act or dq
+        attrs = {"qparams": n.attrs["qparams"]}
+        if act is not None:
+            attrs["activation"] = act.attrs["kind"]
+            gone.add(id(dq))
+        fused[id(last)] = gr.Node(last.id, "requant", [n.inputs[0]], last.output, attrs)
+        gone.add(id(n))
+    return _rebuild(g, fused, gone)
+
+
+def lower_products(g: gr.Graph) -> gr.Graph:
+    """A session's graph: each adapter layer one ``qlora``, each
+    ``quantize -> dequantize [-> activation]`` chain one ``requant``.
+
+    A fused node takes the id and the output tensor of its chain's last
+    node and stands where that node stood, so the order stays
+    topological and load's shape maps still fit.  It runs the chain's
+    kernels in the chain's order (``graph.run_graph``); ``qlora``
+    computes both exact integer products, W x and B x, on one centring
+    of ``q_x``.  Adapter layers are fused first: their ``q_x`` feeds two
+    products and never starts a ``requant``.  A ``dequantize`` left
+    without consumers, and not a graph output, is dropped.  A product of
+    two dequantized tensors outside an adapter layer, which the compiler
+    never emits (``scale_fold`` makes each a ``qlinear``), stays the fp32
+    ``matmul`` its graph names.  Returns a new graph that shares the
+    unchanged nodes and the constants with ``g``.
+    """
+    return _fuse_requant(_fuse_lora(g))
 
 
 def plan_memory(g: gr.Graph, shapes=None) -> MemoryPlan:
@@ -296,9 +389,17 @@ def bind_lora(session: Session, pack_bytes: bytes):
 
 
 def infer(session: Session, x, cond, seed: int = 0) -> np.ndarray:
-    """Run the frozen pipeline with the bound adapter; deterministic."""
+    """Run the frozen pipeline with the bound adapter; deterministic.
+
+    A NaN in ``x`` or ``cond`` has no quantization level and raises
+    ``RangeError`` before anything runs; an infinity saturates to the
+    end of its range, as in QuantSim.
+    """
     if session.model.descriptors and session.bound_adapter is None:
         raise BindError("model has adapter slots but no adapter is bound")
+    for name, value in (("x", x), ("cond", cond)):
+        if np.isnan(value).any():
+            raise RangeError(f"{name} holds a NaN, which has no quantization level")
     hooks = _ArenaHooks(session.plans, session.arena)
     # the decoder output is a view into the arena, which the next call reuses
     return gr.run_bundle(session.bundle, x, cond, noise_seed=seed, hooks=hooks,

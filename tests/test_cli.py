@@ -6,6 +6,7 @@ escapes as a traceback fails the test instead of printing it.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from conftest import TOY_MODEL
 
@@ -152,6 +153,19 @@ def test_missing_input_is_a_usage_error(missing, toy_files, files, tmp_path, cap
         absent = str(tmp_path)   # a directory where a file is expected
         argv = ["inspect", absent]
     assert absent in usage_error(argv, capsys)
+
+
+def test_a_nan_input_is_a_stage_error(toy_files, tmp_path, toy_samples, capsys):
+    x = toy_samples[0][0].copy()
+    x[2, 0] = np.nan
+    tz.write_qtns(str(tmp_path / "nan.qtns"), x)
+    argv = ["run", "--model-bin", toy_files["model.quadm"], "--pack", toy_files["style.qlp"],
+            "--x", str(tmp_path / "nan.qtns"), "--cond", toy_files["cond.qtns"],
+            "--out", str(tmp_path / "y.qtns")]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NaN" in err and "Traceback" not in err
+    assert not (tmp_path / "y.qtns").exists()
 
 
 def test_stepless_model_is_a_usage_error(tmp_path, toy_bundle, toy_profile, capsys):

@@ -1,23 +1,33 @@
 """The load-time lowering of a session's graphs.
 
-``runtime.Session`` turns every ``matmul(dequantize(q_a), dequantize(q_b))``
-into a ``qmatmul [q_a, q_b]`` and drops the dequantizes that lose their
-consumers.  The artifact does not change: ``compiler.load_compiled``
+``runtime.Session`` fuses each adapter layer into one ``qlora`` node and
+each ``quantize -> dequantize [-> activation]`` chain into one
+``requant`` node.  The artifact does not change: ``compiler.load_compiled``
 returns the graphs as frozen, they freeze back to the same bytes, and
 ``onegraph inspect`` prints what it printed before the lowering existed
 (digests recorded then, with ``--dump``).
+
+A fused node must give the bits of its unfused chain.  The chain's
+reference here runs the chain's own nodes through ``graph.run_graph``,
+with each product of two dequantized tensors taken as QuantSim takes
+it: the exact product of the levels it recovers from the fp32 values.
 """
 
 import hashlib
+import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from onegraph import cli
 from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
-from onegraph.errors import FormatError
+from onegraph import tensor as tz
+from onegraph.errors import FormatError, RangeError
 
 INSPECT_SHA256 = {
     "w64": "5fef9cd6e15be4c3a54d09df19d6a382918814f870a329bac9c6f143ae052230",
@@ -35,17 +45,33 @@ def compiled(request):
 def test_no_dequantized_product_is_left(compiled):
     _, _, model = compiled
     session = rt.load_model(model)
-    lowered = 0
+    fused = 0
     for role, g in session.model.graphs.items():
         producer = g.producer_map()
         consumed = {t for n in g.nodes for t in n.inputs} | {t for _, t in g.outputs}
         for n in g.nodes:
             kinds = [producer[t].kind if t in producer else None for t in n.inputs]
-            assert not (n.kind == "matmul" and kinds == ["dequantize", "dequantize"]), (role, n.id)
+            assert not (n.kind == "matmul" and "dequantize" in kinds), (role, n.id)
+            assert not (n.kind == "dequantize" and kinds == ["quantize"]), (role, n.id)
             assert n.kind != "dequantize" or n.output in consumed, (role, n.id)
-            lowered += n.kind == "qmatmul"
+            fused += n.kind in gr.RUNTIME_KINDS
         assert session.plans[role].offsets.keys() == {it.tid for it in rt.lifetime_items(g)}
-    assert lowered > 0
+    assert fused > 0
+
+
+def test_each_lora_layer_is_one_qlora(compiled):
+    """One ``qlora`` per slot, reading that slot's A, B and alpha, in place
+    of the frozen layer's ``add``; no adapter arithmetic is left over."""
+    name, _, model = compiled
+    session = rt.load_model(model)
+    backbone = session.model.graphs["backbone"]
+    qlora = [n for n in backbone.nodes if n.kind == "qlora"]
+    slots = sorted((d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors)
+    assert sorted(tuple(n.inputs[2:]) for n in qlora) == slots
+    assert len(qlora) == {"w64": 4, "d48": 48}[name]
+    adds = {n.output for n in cp.load_compiled(model).graphs["backbone"].nodes if n.kind == "add"}
+    assert {n.output for n in qlora} == adds
+    assert not [n for n in backbone.nodes if n.kind in ("matmul", "scale", "add", "dequantize")]
 
 
 def test_the_file_keeps_its_graphs(compiled):
@@ -69,15 +95,170 @@ def test_inspect_prints_what_it_printed(compiled, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == INSPECT_SHA256[name]
 
 
-def test_no_artifact_holds_a_qmatmul(toy_bundle, toy_profile, monkeypatch):
-    """A node of kind code 11, which a qmatmul would take, does not load."""
+@pytest.mark.parametrize("kind", gr.RUNTIME_KINDS)
+def test_no_artifact_holds_a_runtime_kind(kind, toy_bundle, toy_profile, monkeypatch):
+    """A node of the first unused kind code, which a runtime kind would take, does not load."""
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     node = next(n for n in frozen.backbone.nodes if n.kind == "matmul")
-    node.kind = "qmatmul"
+    node.kind = kind
     node.attrs = {}
-    codes = {**cp._KIND_CODES, "qmatmul": len(cp._KIND_CODES)}
+    codes = {**cp._KIND_CODES, kind: len(cp._KIND_CODES)}
     monkeypatch.setattr(cp, "_KIND_CODES", codes)
     data = cp.freeze(frozen, toy_profile, descriptors, name="toy")
     monkeypatch.undo()
     with pytest.raises(FormatError, match="KeyError"):
         cp.load_compiled(data)
+
+
+# ---------------------------------------------------------------------------
+# Each fused node against its unfused chain, on constructed inputs
+
+
+class _LevelProducts(gr._NullHooks):
+    """A product of two dequantized tensors as QuantSim takes it."""
+
+    def __init__(self, g):
+        self.producer = g.producer_map()
+
+    def product(self, role, node, which, a, b, tape):
+        dqs = [self.producer.get(t) for t in node.inputs]
+        if not all(d is not None and d.kind == "dequantize" for d in dqs):
+            return gr._mm(a, b, tape)
+        p_a, p_b = (d.attrs["qparams"] for d in dqs)
+        return qp.centered_matmul(qp.fake_quant_levels(a, p_a), p_a, qp.fake_quant_levels(b, p_b), p_b)
+
+
+def _fused_and_chain(g, feeds, kind):
+    lowered = rt.lower_products(g)
+    assert [n.kind for n in lowered.nodes] == [kind]
+    gr.validate(lowered)
+    fused = gr.run_graph(lowered, feeds)["y"]
+    chain = gr.run_graph(g, feeds, hooks=_LevelProducts(g))["y"]
+    assert fused.dtype == chain.dtype == np.float32 and fused.shape == chain.shape
+    return fused, chain
+
+
+def _params(bits, signed, zero, scale):
+    lo, hi = qp.int_bounds(bits, signed)
+    return qp.QuantParams(float(np.float32(scale)), {"low": lo, "high": hi, "mid": (lo + hi) // 2}[zero],
+                          bits, signed)
+
+
+PARAMS = [(bits, signed, zero) for bits, signed in ((8, True), (16, True), (8, False), (16, False))
+          for zero in ("low", "high", "mid")]
+
+
+@pytest.mark.parametrize("activation", (None, "relu", "silu"))
+@pytest.mark.parametrize("bits, signed, zero", PARAMS)
+def test_requant_equals_its_chain(activation, bits, signed, zero):
+    """Signed zeros, infinities, half steps and values far past both ends."""
+    p = _params(bits, signed, zero, 0.0213)
+    s = np.float64(p.scale)
+    special = [0.0, -0.0, np.inf, -np.inf, 3e38, -3e38, 1e-30, -1e-30,
+               0.5 * s, -0.5 * s, 1.5 * s, -1.5 * s, s * (p.q_max - p.zero_point) + 0.5 * s,
+               s * (p.q_min - p.zero_point) - 0.5 * s]
+    rng = np.random.default_rng(bits + 7 * len(zero))
+    x = np.concatenate([special, rng.normal(0.0, s * (p.q_max - p.q_min), 50)])
+    x = x.astype(np.float32).reshape(-1, 2)
+    nodes = [gr.Node(0, "quantize", [0], 1, {"qparams": p}),
+             gr.Node(1, "dequantize", [1], 2, {"qparams": p})]
+    if activation:
+        nodes.append(gr.Node(2, "activation", [2], 3, {"kind": activation}))
+    g = gr.Graph(nodes, [gr.GraphInput("x", 0, x.shape)], [("y", nodes[-1].output)], {})
+    fused, chain = _fused_and_chain(g, {"x": x}, "requant")
+    assert fused.tobytes() == chain.tobytes()
+
+
+def _storage(p):
+    return tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed)))
+
+
+def _adapter_layer(q_w, p_w, p_x, p_b, p_a, x_shape, b_shape, a_shape):
+    """The adapter layer as the compiler emits it: W a constant, the rest inputs."""
+    def dq(nid, tid, p):
+        return gr.Node(nid, "dequantize", [tid], 10 + tid, {"qparams": p})
+
+    inputs = [gr.GraphInput("x", 1, x_shape, _storage(p_x)), gr.GraphInput("B", 2, b_shape, _storage(p_b)),
+              gr.GraphInput("A", 3, a_shape, _storage(p_a)), gr.GraphInput("alpha", 4, (1,))]
+    nodes = [dq(0, 0, p_w), dq(1, 1, p_x), dq(2, 2, p_b), dq(3, 3, p_a),
+             gr.Node(4, "matmul", [10, 11], 20), gr.Node(5, "matmul", [12, 11], 21),
+             gr.Node(6, "matmul", [13, 21], 22), gr.Node(7, "scale", [22, 4], 23),
+             gr.Node(8, "add", [20, 23], 24)]
+    return gr.Graph(nodes, inputs, [("y", 24)], {0: q_w})
+
+
+def _levels(rng, shape, p, fill):
+    dtype = qp.storage_dtype(p.bits, p.signed)
+    value = {"min": p.q_min, "max": p.q_max, "zero": p.zero_point}.get(fill)
+    if value is not None:
+        return np.full(shape, value, dtype=dtype)
+    return rng.integers(p.q_min, p.q_max, size=shape, endpoint=True).astype(dtype)
+
+
+@pytest.mark.parametrize("zero", ("low", "high", "mid"))
+@pytest.mark.parametrize("x_bits, x_signed", ((16, True), (8, True), (16, False)))
+def test_qlora_equals_its_chain(zero, x_bits, x_signed):
+    """Every level at either end or at the zero point, zero points at both
+    ends of the range, and alpha at +-0.0 and +-inf."""
+    rng = np.random.default_rng(len(zero) + x_bits)
+    d_out, k, r, batch = 5, 7, 3, 2
+    p_w = _params(8, True, zero, 0.0037)
+    p_x = _params(x_bits, x_signed, zero, 6.5e-5)
+    p_b = _params(16, True, zero, 1.1e-5)
+    p_a = _params(16, True, "mid" if zero == "low" else "low", 1.3e-5)
+    checked = 0
+    for fw, fx, fb, fa in itertools.product(("min", "max", "random"), ("min", "max", "zero", "random"),
+                                            ("max", "random"), ("min", "random")):
+        q_w = _levels(rng, (d_out, k), p_w, fw)
+        g = _adapter_layer(q_w, p_w, p_x, p_b, p_a, (k, batch), (r, k), (d_out, r))
+        for alpha in (1.0, -0.0, np.inf, -np.inf, -0.37):
+            feeds = {"x": _levels(rng, (k, batch), p_x, fx), "B": _levels(rng, (r, k), p_b, fb),
+                     "A": _levels(rng, (d_out, r), p_a, fa), "alpha": np.full((1,), alpha, np.float32)}
+            with np.errstate(invalid="ignore"):   # 0 * inf in both
+                fused, chain = _fused_and_chain(g, feeds, "qlora")
+            assert fused.tobytes() == chain.tobytes(), (fw, fx, fb, fa, alpha)
+            checked += 1
+    assert checked == 3 * 4 * 2 * 2 * 5
+
+
+def _qlora_node(p_w, p_x, p_b, p_a):
+    return gr.Node(0, "qlora", [0, 1, 2, 3, 4], 5,
+                   {"w_qparams": p_w, "in_qparams": p_x, "b_qparams": p_b, "a_qparams": p_a})
+
+
+def _run_qlora(node, q_w, q_x, q_b, q_a):
+    inputs = [gr.GraphInput(name, tid, v.shape, tz.dtype_name(v))
+              for name, tid, v in (("x", 1, q_x), ("B", 2, q_b), ("A", 3, q_a))]
+    inputs.append(gr.GraphInput("alpha", 4, (1,)))
+    g = gr.Graph([node], inputs, [("y", 5)], {0: q_w})
+    return gr.run_graph(g, {"x": q_x, "B": q_b, "A": q_a, "alpha": np.ones(1, np.float32)})
+
+
+@pytest.mark.parametrize("operand", ("w", "x", "b", "a"))
+def test_qlora_rejects_a_level_out_of_range(operand):
+    """8-bit levels held in int16 are scanned, as ``dequantize_array`` scans them."""
+    p = qp.QuantParams(0.01, 0, 8)
+    ops = {name: np.zeros(shape, np.int16) for name, shape in
+           (("w", (3, 4)), ("x", (4, 2)), ("b", (2, 4)), ("a", (3, 2)))}
+    ops[operand][1, 1] = 128
+    with pytest.raises(RangeError, match="outside"):
+        _run_qlora(_qlora_node(p, p, p, p), ops["w"], ops["x"], ops["b"], ops["a"])
+
+
+def test_qlora_checks_the_2_53_bound_before_widening():
+    """B x at 16x16 bits over k = 2**21 reaches 2**53; zero-stride operands
+    show any float64 copy as megabytes in the traced peak."""
+    k = 1 << 21
+    p8, p16 = qp.QuantParams(1.0, 0, 8), qp.QuantParams(1.0, 0, 16)
+    q_w = np.broadcast_to(np.int8(0), (1, k))
+    q_x = np.broadcast_to(np.int16(0), (k, 1))
+    q_b = np.broadcast_to(np.int16(0), (1, k))
+    q_a = np.zeros((1, 1), np.int16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="2\\*\\*53"):
+            _run_qlora(_qlora_node(p8, p16, p16, p16), q_w, q_x, q_b, q_a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
