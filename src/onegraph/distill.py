@@ -5,6 +5,16 @@ the simulated-quantization model is the student.  Only the low-rank
 factors receive gradients, via reverse-mode accumulation over the
 recorded execution tape with a straight-through estimator at every
 fake-quant site.  Base weights and the profile stay frozen.
+
+Reverse mode runs over the active part of the tape only.  A tape tensor
+is active when it depends on a factor array; one forward sweep over the
+entries finds them.  No vjp goes into an inactive input: no gradient
+product for a frozen weight, and no straight-through mask over a
+weight, the encoder or the first layer's input.  The gradient of an
+active tensor comes only from the entries that read it, and their
+outputs are active too.  So every active tensor receives the same
+contributions in the same order as in a sweep over the whole tape, and
+the factor gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -37,10 +47,10 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if self.lambda_task < 0:
-            raise ValueError("lambda_task must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning rate must be finite and nonnegative")
+        if not (math.isfinite(self.lambda_task) and self.lambda_task >= 0):
+            raise ValueError("lambda_task must be finite and nonnegative")
         if self.batch < 1:
             raise ValueError("batch must be positive")
 
@@ -70,9 +80,21 @@ def recon_loss(teacher_out: np.ndarray, student_out: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def _backward(tape: gr.Tape, seeds: dict) -> dict:
-    """Walk the tape in reverse, accumulating vjps; returns id(array) -> grad."""
-    grads = dict(seeds)
+def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
+    """Walk the active tape in reverse; returns id(param) -> grad for ``params``.
+
+    ``seeds`` maps id(output) -> output gradient.  A tensor is active when
+    it is one of ``params`` or an entry output with an active input; vjps
+    go into active inputs only (see the module docstring for why the
+    gradients of ``params`` keep their bits).
+    """
+    active = {id(p) for p in params}
+    for _op, inputs, out, _ctx in tape.entries:
+        for i in inputs:
+            if id(i) in active:
+                active.add(id(out))
+                break
+    grads = {k: g for k, g in seeds.items() if k in active}
 
     def acc(arr, g):
         key = id(arr)
@@ -81,20 +103,28 @@ def _backward(tape: gr.Tape, seeds: dict) -> dict:
         else:
             grads[key] = g
 
+    def live(arr):
+        return id(arr) in active
+
     for op, inputs, out, ctx in reversed(tape.entries):
         g = grads.get(id(out))
         if g is None:
             continue
         if op == "matmul":
             a, b = inputs
-            acc(a, matmul(g, np.ascontiguousarray(b.T)))
-            acc(b, matmul(np.ascontiguousarray(a.T), g))
+            if live(a):
+                acc(a, matmul(g, np.ascontiguousarray(b.T)))
+            if live(b):
+                acc(b, matmul(np.ascontiguousarray(a.T), g))
         elif op == "add":
-            acc(inputs[0], g)
-            acc(inputs[1], g)
+            for x in inputs:
+                if live(x):
+                    acc(x, g)
         elif op == "mul":
-            acc(inputs[0], g * inputs[1])
-            acc(inputs[1], g * inputs[0])
+            if live(inputs[0]):
+                acc(inputs[0], g * inputs[1])
+            if live(inputs[1]):
+                acc(inputs[1], g * inputs[0])
         elif op == "scale":
             x, s = inputs
             acc(x, g * s.reshape(()))  # alpha itself stays frozen
@@ -102,9 +132,10 @@ def _backward(tape: gr.Tape, seeds: dict) -> dict:
             offset = 0
             for part in inputs:
                 n = part.shape[ctx]
-                sl = [slice(None)] * g.ndim
-                sl[ctx] = slice(offset, offset + n)
-                acc(part, g[tuple(sl)])
+                if live(part):
+                    sl = [slice(None)] * g.ndim
+                    sl[ctx] = slice(offset, offset + n)
+                    acc(part, g[tuple(sl)])
                 offset += n
         elif op == "activation":
             x = inputs[0]
@@ -117,7 +148,7 @@ def _backward(tape: gr.Tape, seeds: dict) -> dict:
             acc(inputs[0], g * ste_mask(inputs[0], ctx))
         else:
             raise NotImplementedError(f"no vjp for {op}")
-    return grads
+    return {id(p): grads[id(p)] for p in params if id(p) in grads}
 
 
 def _working_adapter(adapter: gr.LoRAAdapter) -> gr.LoRAAdapter:
@@ -138,6 +169,8 @@ def student_step(bundle, shared, adapter, batch, teachers, lambda_task, seed_bas
     task_sum = 0.0
     grads_total = {}
     inv = np.float32(1.0 / len(batch))
+    factors = {(nid, which): getattr(entry, which)
+               for nid, entry in adapter.entries.items() for which in ("A", "B")}
     for idx, x, cond, target in batch:
         tape = gr.Tape()
         student = qt.execute_quantsim(bundle, shared, adapter, x, cond, seed=seed_base + idx, tape=tape)
@@ -147,13 +180,11 @@ def student_step(bundle, shared, adapter, batch, teachers, lambda_task, seed_bas
         if lambda_task > 0 and target is not None:
             task_sum += recon_loss(target, student)
             seed_g = seed_g + (np.float32(2.0 * lambda_task / student.size) * inv) * (student - target)
-        grads = _backward(tape, {id(student): seed_g})
-        for nid, entry in adapter.entries.items():
-            for which, arr in (("A", entry.A), ("B", entry.B)):
-                g = grads.get(id(arr))
-                if g is not None:
-                    key = (nid, which)
-                    grads_total[key] = grads_total.get(key, 0.0) + g
+        grads = _backward(tape, {id(student): seed_g}, factors.values())
+        for key, arr in factors.items():
+            g = grads.get(id(arr))
+            if g is not None:
+                grads_total[key] = grads_total.get(key, 0.0) + g
     recon = recon_sum / len(batch)
     task = task_sum / len(batch)
     return recon, task, recon + lambda_task * task, grads_total
@@ -163,17 +194,17 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
     """Adapt one adapter to the shared profile by teacher-student descent.
 
     ``data`` is a list of (x, cond, target) samples; target may be None
-    when lambda_task is zero.  Returns (updated adapter, trace).
+    when lambda_task is zero.  Sample ``(step * batch + j) % len(data)``
+    is the j-th of each step's batch; only those samples get a teacher
+    pass.  Returns (updated adapter, trace), or raises DivergenceError
+    when a step's loss or the factors after its update are non-finite.
     """
     if not data:
         raise ValueError("distillation needs at least one sample")
     qt.check_coverage(shared, bundle)
     gr.check_adapter(bundle, adapter)
 
-    teachers = {
-        i: gr.execute_fp(bundle, x, cond, adapter, noise_seed=cfg.seed + i)
-        for i, (x, cond, _t) in enumerate(data)
-    }
+    teachers = {}   # sample index -> teacher output, for the samples the schedule visits
     work = _working_adapter(adapter)
     trace = DistillTrace()
     lr = np.float32(cfg.learning_rate)
@@ -183,6 +214,8 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
         for j in range(cfg.batch):
             i = (step * cfg.batch + j) % len(data)
             x, cond, target = data[i]
+            if i not in teachers:
+                teachers[i] = gr.execute_fp(bundle, x, cond, adapter, noise_seed=cfg.seed + i)
             batch.append((i, x, cond, target))
         recon, task, total, grads = student_step(
             bundle, shared, work, batch, teachers, cfg.lambda_task, seed_base=cfg.seed)
@@ -195,6 +228,8 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
                 entry.A = (entry.A - lr * g).astype(np.float32)
             else:
                 entry.B = (entry.B - lr * g).astype(np.float32)
+        if not all(np.isfinite(e.A).all() and np.isfinite(e.B).all() for e in work.entries.values()):
+            raise DivergenceError(step, f"non-finite factors after the update of step {step}")
     return work, trace
 
 

@@ -30,7 +30,7 @@ class CalibrationError(OneGraphError):
 
 
 class DivergenceError(OneGraphError):
-    """Training diverged; carries the step at which loss became non-finite."""
+    """Training diverged; carries the step whose loss or updated factors became non-finite."""
 
     def __init__(self, step, message=""):
         self.step = step

@@ -285,20 +285,26 @@ def lora_slot_params(bundle: gr.ModelBundle, adapters, lora_bits: int) -> dict:
     return params
 
 
-def observe_bundle(bundle, data, adapter, seed, observers):
-    """Accumulate activation observers over full-precision runs."""
+def observe_bundle(bundle, data, adapter, seed, observers) -> list:
+    """Accumulate activation observers over full-precision runs.
+
+    Returns each sample's output.  Observing changes no value, so output
+    i has the bits of ``execute_fp`` with noise seed ``seed + i``.
+    """
     hooks = ObserverHooks(observers)
-    for i, (x, cond) in enumerate(data):
-        gr.run_bundle(bundle, x, cond, adapter, noise_seed=seed + i, hooks=hooks)
+    return [gr.run_bundle(bundle, x, cond, adapter, noise_seed=seed + i, hooks=hooks)
+            for i, (x, cond) in enumerate(data)]
 
 
-def calibrate(target, data, policy: Policy, *, adapter=None, lora_bits: int = 16, seed: int = 0) -> QuantProfile:
+def calibrate(target, data, policy: Policy, *, adapter=None, lora_bits: int = 16, seed: int = 0,
+              outputs=None) -> QuantProfile:
     """Derive a quantization profile from full-precision runs.
 
     ``target`` is a Graph (data: list of feed arrays or dicts) or a
     ModelBundle (data: list of (x, cond) pairs).  For bundles, the
     optional adapter stays bound during observation and supplies the
-    factor ranges for the lora slots.
+    factor ranges for the lora slots, and a list given as ``outputs``
+    receives the fp output of each sample (see ``observe_bundle``).
     """
     if not data:
         raise CalibrationError("calibration requires at least one sample")
@@ -309,7 +315,9 @@ def calibrate(target, data, policy: Policy, *, adapter=None, lora_bits: int = 16
         gr.validate_bundle(target)
         if adapter is not None:
             gr.check_adapter(target, adapter)
-        observe_bundle(target, data, adapter, seed, observers)
+        fp_outputs = observe_bundle(target, data, adapter, seed, observers)
+        if outputs is not None:
+            outputs.extend(fp_outputs)
         for role, g in target.graphs():
             profile.weight_params.update(weight_params_for_graph(g, role))
         if adapter is not None:

@@ -53,17 +53,21 @@ def _distribution(arr, lo, hi):
     return h.counts.astype(np.float64) / h.total
 
 
-def qss(bundle, adapter, profile, data, *, seed: int = 0) -> float:
+def qss(bundle, adapter, profile, data, *, seed: int = 0, refs=None) -> float:
     """Mean output divergence between fp and quantsim execution.
 
     Outputs of both paths are binned into 256-bucket histograms over
     their union value range; lower means less sensitive to quantization.
+    The fp reference of sample i is ``execute_fp`` with the adapter and
+    noise seed ``seed + i``.  ``refs`` supplies those outputs when the
+    caller already has them, as calibration returns them; without it
+    each is computed here.
     """
     if not data:
         raise RangeError("sensitivity scoring requires at least one sample")
     total = 0.0
     for i, (x, cond) in enumerate(data):
-        ref = gr.execute_fp(bundle, x, cond, adapter, noise_seed=seed + i)
+        ref = gr.execute_fp(bundle, x, cond, adapter, noise_seed=seed + i) if refs is None else refs[i]
         sim = qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=seed + i)
         lo = float(min(ref.min(), sim.min()))
         hi = float(max(ref.max(), sim.max()))
@@ -162,6 +166,9 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
     The anchor adapter's provisional calibration becomes the shared
     profile; the unified fallback merges all adapters instead.  Adapter
     ids must be distinct, since profiles and scores are keyed by them.
+    Each adapter's QSS takes its fp references from the fp runs of its
+    own calibration, which have the same seeds and bits as the runs
+    ``qss`` would make.
     """
     if not adapters:
         raise RangeError("need at least one adapter")
@@ -171,9 +178,10 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
     provisionals = {}
     scores = {}
     for a in adapters:
+        refs = []
         provisionals[a.adapter_id] = qt.calibrate(
-            bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed)
-        scores[a.adapter_id] = qss(bundle, a, provisionals[a.adapter_id], data, seed=seed)
+            bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed, outputs=refs)
+        scores[a.adapter_id] = qss(bundle, a, provisionals[a.adapter_id], data, seed=seed, refs=refs)
 
     report = qss_report(scores, tie_epsilon)
     if report.anchor == UNIFIED:

@@ -122,7 +122,10 @@ def test_unknown_policy_is_a_usage_error(policy, files, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ("distill", "pipeline"))
 @pytest.mark.parametrize("flag, message", ((["--steps", "0"], "steps"),
-                                           (["--lr", "-1"], "learning rate")))
+                                           (["--lr", "-1"], "learning rate"),
+                                           (["--lr", "nan"], "learning rate"),
+                                           (["--lr", "inf"], "learning rate"),
+                                           (["--lambda-task", "nan"], "lambda_task")))
 def test_refused_distill_setting_is_a_usage_error(command, flag, message, files, tmp_path,
                                                   toy_profile, capsys):
     model = files("toy.spec", TOY_MODEL)

@@ -41,7 +41,8 @@ def test_tape_gradients_match_central_differences(path, twolayer_bundle, twolaye
 
     tape = gr.Tape()
     out = run(twolayer_adapter, tape)
-    grads = dst._backward(tape, {id(out): w})
+    factors = [getattr(e, which) for e in twolayer_adapter.entries.values() for which in ("A", "B")]
+    grads = dst._backward(tape, {id(out): w}, factors)
     checked = 0
     for nid, entry in twolayer_adapter.entries.items():
         for which in ("A", "B"):
