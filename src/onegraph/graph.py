@@ -52,10 +52,19 @@ class Node:
 
 @dataclass
 class GraphInput:
+    """One named input of a graph.
+
+    ``bound`` marks an input that a runtime session reads in place from
+    where it was bound (an adapter slot's A, B or alpha), so its memory
+    plan holds no bytes for it.  Only ``runtime.Session`` sets it, and no
+    artifact stores it.
+    """
+
     name: str
     tid: int
     shape: tuple
     dtype: str = "fp32"
+    bound: bool = False
 
 
 @dataclass
@@ -83,7 +92,7 @@ class Graph:
     def copy(self) -> "Graph":
         return Graph(
             nodes=[Node(n.id, n.kind, list(n.inputs), n.output, dict(n.attrs)) for n in self.nodes],
-            inputs=[GraphInput(gi.name, gi.tid, gi.shape, gi.dtype) for gi in self.inputs],
+            inputs=[GraphInput(gi.name, gi.tid, gi.shape, gi.dtype, gi.bound) for gi in self.inputs],
             outputs=list(self.outputs),
             constants=dict(self.constants),
         )

@@ -22,6 +22,7 @@ integers, exactly, in one float64 GEMM.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -81,7 +82,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m*n == 1 the slices are single elements and the outer axis is the
     innermost one, so the block falls to one k.  It also falls to one k
     when the running sum and one product slice alone exceed the budget.
-    The result is a fresh C-contiguous array, never a view of the buffer.
+    When one block holds every k, as for an adapter's rank-k A (B x),
+    the products of ``a``'s transpose are written straight behind a
+    +0.0 slice and reduced once, with no staging of the transpose or
+    of the running sum: the same products and additions in the same
+    order.  The result is a fresh C-contiguous array, never a view of
+    the buffer.
     """
     _require_fp32(a, b)
     if a.ndim != 2 or b.ndim != 2:
@@ -95,17 +101,24 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     plane = short * long
     kb = 1 if plane == 1 else max(1, min(k, (_BLOCK_FLOATS - plane) // max(plane + m, 1)))
     buf = np.empty((kb + 1, short, long), dtype=np.float32)
-    a_t = np.empty((kb, m), dtype=np.float32)
-    acc = np.zeros((short, long), dtype=np.float32)
-    for k0 in range(0, k, kb):
-        c = min(kb, k - k0)
-        buf[0] = acc
-        np.copyto(a_t[:c], a[:, k0:k0 + c].T)
-        if wide:
-            np.multiply(a_t[:c, :, None], b[k0:k0 + c, None, :], out=buf[1:c + 1])
-        else:
-            np.multiply(a_t[:c, None, :], b[k0:k0 + c, :, None], out=buf[1:c + 1])
-        np.add.reduce(buf[:c + 1], axis=0, out=acc)
+    one_block = kb == k
+    a_t = a.T if one_block else np.empty((kb, m), dtype=np.float32)
+    if wide:
+        a3, b3 = a_t[:, :, None], b[:, None, :]
+    else:
+        a3, b3 = a_t[:, None, :], b[:, :, None]
+    if one_block:
+        buf[0] = 0.0
+        np.multiply(a3, b3, out=buf[1:])
+        acc = np.add.reduce(buf, axis=0)
+    else:
+        acc = np.zeros((short, long), dtype=np.float32)
+        for k0 in range(0, k, kb):
+            c = min(kb, k - k0)
+            buf[0] = acc
+            np.copyto(a_t[:c], a[:, k0:k0 + c].T)
+            np.multiply(a3[:c], b3[k0:k0 + c], out=buf[1:c + 1])
+            np.add.reduce(buf[:c + 1], axis=0, out=acc)
     return acc if wide else acc.T.copy()
 
 
@@ -242,7 +255,13 @@ def qtns_bytes(arr: np.ndarray) -> bytes:
 
 
 def qtns_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one QTNS record; returns (tensor, next offset)."""
+    """Decode one QTNS record; returns (tensor, next offset).
+
+    The payload is read in place from ``data`` and copied once, into a
+    native-order array that owns its bytes.  The element count is the
+    exact integer product of the extents, so extents whose product
+    exceeds any buffer are a truncated payload, not a wrapped count.
+    """
     if data[offset:offset + 4] != QTNS_MAGIC:
         raise FormatError("bad QTNS magic")
     if len(data) < offset + 8:
@@ -258,12 +277,12 @@ def qtns_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     shape = struct.unpack_from(f"<{rank}I", data, pos)
     pos += 4 * rank
     name = DTYPE_NAMES[code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)
     nbytes = count * itemsize(name)
     if len(data) < pos + nbytes:
         raise FormatError("truncated QTNS payload")
-    flat = np.frombuffer(data[pos:pos + nbytes], dtype=np.dtype(DTYPES[name]).newbyteorder("<"))
-    arr = flat.astype(DTYPES[name]).reshape(shape)
+    flat = np.frombuffer(data, dtype=np.dtype(DTYPES[name]).newbyteorder("<"), count=count, offset=pos)
+    arr = flat.reshape(shape).astype(DTYPES[name])
     return arr, pos + nbytes
 
 

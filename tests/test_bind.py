@@ -3,15 +3,19 @@
 A bind that fails leaves the previous binding as it was, so the next
 infer serves the same bits.  Neither a bind, failed or not, nor an
 infer changes a byte of the model's constants: binding only replaces
-the slot input buffers.
+the slot input buffers.  Those buffers are the arrays the bind decoded,
+and every step of ``infer`` reads them in place.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from onegraph import compiler as cp
+from onegraph import graph as gr
 from onegraph import runtime as rt
+from onegraph import tensor as tz
 from onegraph.errors import BindError
 
 
@@ -25,6 +29,13 @@ def served(w64):
 def bad_pack(defect, descriptors, adapter, profile):
     if defect == "slots":
         return cp.pack_lora(adapter, descriptors[1:], profile)
+    if defect == "dtype":
+        # slot 0's A stored as i32: the same levels under the same parameters
+        pack = cp.pack_lora(adapter, descriptors, profile)
+        a_q = cp.unpack_lora(pack).slots[0].a_q
+        payload, old = pack[20:], tz.qtns_bytes(a_q)
+        assert payload.count(old) == 1
+        return cp._wrap_payload(cp.PACK_MAGIC, payload.replace(old, tz.qtns_bytes(a_q.astype(np.int32))))
     coarser = [dataclasses.replace(d, a_params=dataclasses.replace(d.a_params,
                                                                    scale=2 * d.a_params.scale))
                for d in descriptors]
@@ -37,7 +48,8 @@ def constant_bytes(session):
 
 
 @pytest.mark.parametrize("defect, message", (("slots", "do not match model slots"),
-                                             ("params", "quantization parameters")))
+                                             ("params", "quantization parameters"),
+                                             ("dtype", "is i32, the slot stores i16")))
 def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     model, descriptors, (_, adapters, samples, profile) = served
     session = rt.load_model(model)
@@ -53,3 +65,52 @@ def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     again = rt.infer(session, x, cond, seed=3)
     assert again.dtype == first.dtype and again.tobytes() == first.tobytes()
     assert constant_bytes(session) == base
+
+
+@pytest.fixture
+def bound(served):
+    """A fresh session with the first adapter bound, and its first sample."""
+    model, descriptors, (_, adapters, samples, profile) = served
+    session = rt.load_model(model)
+    rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
+    return session, samples[0]
+
+
+def test_bind_keeps_the_decoded_arrays(served, monkeypatch):
+    model, descriptors, (_, adapters, _, profile) = served
+    session = rt.load_model(model)
+    decoded = []
+    unpack = cp.unpack_lora
+    monkeypatch.setattr(cp, "unpack_lora", lambda data: decoded.append(unpack(data)) or decoded[-1])
+    rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
+    (pack,) = decoded
+    for d in descriptors:
+        s = pack.slots[d.slot_id]
+        assert session._slot_feeds[d.a_name] is s.a_q and session._slot_feeds[d.b_name] is s.b_q
+        assert s.a_q.flags.owndata and s.b_q.flags.owndata
+
+
+def test_every_qlora_reads_the_slot_arrays_in_place(bound, monkeypatch):
+    session, (x, cond) = bound
+    feeds = session._slot_feeds
+    by_tids = {(d.b_tid, d.a_tid, d.alpha_tid): [feeds[n] for n in (d.b_name, d.a_name, d.alpha_name)]
+               for d in session.model.descriptors}
+    seen = []
+    run = gr._run_qlora
+    monkeypatch.setattr(gr, "_run_qlora", lambda n, ins: seen.append((n, ins[2:])) or run(n, ins))
+    rt.infer(session, x, cond, seed=3)
+    assert len(seen) == session.model.steps * len(by_tids)
+    for node, slot_ins in seen:
+        want = by_tids[tuple(node.inputs[2:])]
+        assert [id(v) for v in slot_ins] == [id(v) for v in want], node.id
+
+
+def test_infer_makes_no_buffer_views(bound, monkeypatch):
+    session, (x, cond) = bound
+    first = rt.infer(session, x, cond, seed=3)
+    calls = []
+    frombuffer = np.frombuffer
+    monkeypatch.setattr(np, "frombuffer", lambda *a, **k: calls.append(a) or frombuffer(*a, **k))
+    again = rt.infer(session, x, cond, seed=3)
+    assert calls == []
+    assert again.tobytes() == first.tobytes()

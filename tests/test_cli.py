@@ -5,6 +5,7 @@ escapes as a traceback fails the test instead of printing it.
 """
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ def test_missing_input_is_a_usage_error(missing, toy_files, files, tmp_path, cap
         absent = str(tmp_path)   # a directory where a file is expected
         argv = ["inspect", absent]
     assert absent in usage_error(argv, capsys)
+
+
+def test_an_overflowing_qtns_header_is_a_usage_error(toy_files, tmp_path, capsys):
+    bad = tmp_path / "bad.qtns"
+    bad.write_bytes(b"QTNS" + struct.pack("<HBB4I", 1, 0, 4, *(65536,) * 4) + bytes(12))
+    argv = ["run", "--model-bin", toy_files["model.quadm"], "--pack", toy_files["style.qlp"],
+            "--x", str(bad), "--cond", toy_files["cond.qtns"], "--out", str(tmp_path / "y.qtns")]
+    assert "truncated QTNS payload" in usage_error(argv, capsys)
 
 
 def test_a_nan_input_is_a_stage_error(toy_files, tmp_path, toy_samples, capsys):

@@ -19,6 +19,7 @@ import pytest
 
 from onegraph import compiler as cp
 from onegraph import runtime as rt
+from onegraph import tensor as tz
 from onegraph.errors import BindError, FormatError
 
 TRIALS = 200
@@ -104,3 +105,11 @@ def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
     data = cp.freeze(dataclasses.replace(frozen, steps=0), toy_profile, descriptors, name="toy")
     with pytest.raises(FormatError, match="GraphError: bundle step count must be positive"):
         cp.load_compiled(data)
+
+
+def test_extents_whose_product_overflows_int64():
+    """Four extents of 65536 hold 2**64 elements, which an int64 count wraps to 0."""
+    data = b"QTNS" + struct.pack("<HBB4I", 1, 0, 4, *(65536,) * 4) + bytes(12)
+    assert len(data) == 36
+    with pytest.raises(FormatError, match="truncated QTNS payload"):
+        tz.qtns_from_bytes(data)

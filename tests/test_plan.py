@@ -119,3 +119,17 @@ def test_plans_from_the_load_shapes_are_the_fresh_plans(model_bytes):
     session = rt.load_model(model_bytes)
     for role, g in session.model.graphs.items():
         assert session.plans[role] == rt.assign_offsets(rt.lifetime_items(g)), role
+
+
+def test_bound_slots_are_not_planned(model_bytes):
+    """The session marks exactly the slot inputs bound; no plan holds one,
+    and the loaded model it was made from keeps its inputs unmarked."""
+    model = cp.load_compiled(model_bytes)
+    session = rt.Session(model, model_bytes)
+    slots = {t for d in session.model.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
+    assert len(slots) == 3 * len(session.model.descriptors) > 0
+    bound = {role: {gi.tid for gi in g.inputs if gi.bound} for role, g in session.model.graphs.items()}
+    assert bound == {"encoder": set(), "backbone": slots, "decoder": set()}
+    for role, plan in session.plans.items():
+        assert not slots & plan.offsets.keys(), role
+    assert not any(gi.bound for g in model.graphs.values() for gi in g.inputs)

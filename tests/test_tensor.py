@@ -61,6 +61,16 @@ class TestMatmulBlocked:
                            (np.asfortranarray(a)[:, ::-1], b[:, ::-1])):
                 assert_same_bits(aa, bb)
 
+    @pytest.mark.parametrize("m", (32, 128, 256))
+    @pytest.mark.parametrize("n", (2, 8, 16))
+    def test_one_block_rank_products(self, m, n):
+        """An adapter's A (B x): every k fits one block."""
+        rng = Rng(300 + m + n)
+        a = rng.uniform((m, 8), -2, 2)
+        b = rng.uniform((8, n), -2, 2)
+        for aa, bb in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
+            assert_same_bits(aa, bb)
+
     def test_signed_zero(self):
         for m, k, n in ((1, 1, 1), (1, 40, 1), (2, 40, 3), (64, 40, 4), (4, 40, 64)):
             a = np.full((m, k), -1.0, dtype=np.float32)
