@@ -10,10 +10,7 @@ from .graph import (
     attach_lora_static, dump_graph, execute_fp, run_bundle, run_graph,
     topo_sort, validate, validate_bundle,
 )
-from .qparams import (
-    QuantParams, compute_quant_params, dequantize_array, fake_quant,
-    fake_quant_ste, quantize_array,
-)
+from .qparams import QuantParams, compute_quant_params, dequantize_array, fake_quant, quantize_array
 from .quant import (
     Observer, Policy, QuantProfile, calibrate, check_coverage,
     execute_quantsim, profile_from_text, profile_to_text,
@@ -34,9 +31,6 @@ from .runtime import (
     KPIReport, MemoryPlan, Session, bind_lora, infer, kpi, load_model,
     memory_accounting, plan_memory, swap_benchmark,
 )
-from .tensor import (
-    Histogram, activation, conv2d, cosine_similarity, elementwise, histogram,
-    matmul, psnr, read_qtns, write_qtns,
-)
+from .tensor import Histogram, activation, histogram, matmul, psnr, read_qtns, write_qtns
 
 __version__ = "0.1.0"

@@ -35,8 +35,11 @@ FORMAT_VERSION = 1
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
-# The runtime kinds (graph.RUNTIME_KINDS) have no code: no artifact can hold them.
-_KIND_CODES = {k: i for i, k in enumerate(gr.FP_KINDS + gr.QUANT_KINDS)}
+# The node kinds an artifact can hold.  Codes 1 and 3 belonged to the
+# retired conv2d and mul kinds and stay unassigned; the runtime kinds
+# (graph.RUNTIME_KINDS) have no code, so no artifact can hold them.
+_KIND_CODES = {"matmul": 0, "add": 2, "scale": 4, "concat": 5, "activation": 6, "lora_matmul": 7,
+               "quantize": 8, "dequantize": 9, "qlinear": 10}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
@@ -151,8 +154,7 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
 # Optimization passes
 
 
-_FOLDABLE = ("matmul", "conv2d", "add", "mul", "scale", "concat", "activation",
-             "quantize", "dequantize", "qlinear")
+_FOLDABLE = ("matmul", "add", "scale", "concat", "activation", "quantize", "dequantize", "qlinear")
 
 
 def constant_fold(g: gr.Graph) -> gr.Graph:
@@ -160,24 +162,20 @@ def constant_fold(g: gr.Graph) -> gr.Graph:
 
     Adapter-capable layers are never folded: their value depends on the
     runtime-bound factors.  Outputs are bit-exact because folding runs
-    the same kernels execution would.
+    the same kernels execution would.  Nodes are in topological order,
+    so one forward pass sees each folded value before its consumers.
     """
     out = g.copy()
-    changed = True
-    while changed:
-        changed = False
-        for node in list(out.nodes):
-            if node.kind not in _FOLDABLE:
-                continue
-            if not all(t in out.constants for t in node.inputs):
-                continue
-            probe = gr.Graph(nodes=[replace(node, inputs=list(node.inputs), attrs=dict(node.attrs))],
-                             inputs=[], outputs=[("v", node.output)],
-                             constants={t: out.constants[t] for t in node.inputs})
-            value = gr.run_graph(probe, {})["v"]
-            out.constants[node.output] = value
-            out.nodes.remove(node)
-            changed = True
+    kept = []
+    for node in out.nodes:
+        if node.kind not in _FOLDABLE or not all(t in out.constants for t in node.inputs):
+            kept.append(node)
+            continue
+        probe = gr.Graph(nodes=[replace(node, inputs=list(node.inputs), attrs=dict(node.attrs))],
+                         inputs=[], outputs=[("v", node.output)],
+                         constants={t: out.constants[t] for t in node.inputs})
+        out.constants[node.output] = gr.run_graph(probe, {})["v"]
+    out.nodes = kept
     return out
 
 
@@ -287,17 +285,16 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
     return out
 
 
-def scale_fold(g: gr.Graph, profile=None) -> gr.Graph:
-    """Fuse dequantize -> linear op [-> bias add] -> quantize into one node.
+def scale_fold(g: gr.Graph) -> gr.Graph:
+    """Fuse dequantize -> matmul [-> bias add] -> quantize into one qlinear node.
 
     The quantization parameters move into the fused node's attributes,
     removing the standalone arithmetic nodes around each linear layer.
-    The fused kernel computes what QuantSim computes for the unfused
-    nodes (a matmul as the exact integer product, a conv2d on the
-    dequantized operands), so integer results are preserved
-    bit-for-bit.  Patterns that do not
-    match (for example the runtime adapter path, which has no output
-    quantizer) are left untouched.
+    The fused kernel computes the product as QuantSim computes it for
+    the unfused nodes, the exact integer product of the two operands'
+    levels, so integer results are preserved bit-for-bit.  Patterns
+    that do not match (for example the runtime adapter path, which has
+    no output quantizer) are left untouched.
     """
     out = g.copy()
     output_tids = {t for _, t in out.outputs}
@@ -311,15 +308,12 @@ def scale_fold(g: gr.Graph, profile=None) -> gr.Graph:
         for t in n.inputs:
             consumers[t].pop(n.id, None)
 
-    replaced = {}   # id(matmul/conv2d node) -> fused node
+    replaced = {}   # id(matmul node) -> fused node
     removed = set()   # id() of nodes fused away
     for node in out.nodes:
-        if node.kind not in ("matmul", "conv2d"):
+        if node.kind != "matmul":
             continue
-        w_pos = 0 if node.kind == "matmul" else 1
-        x_pos = 1 - w_pos
-        dq_w = producer.get(node.inputs[w_pos])
-        dq_x = producer.get(node.inputs[x_pos])
+        dq_w, dq_x = (producer.get(t) for t in node.inputs)
         if not (dq_w is not None and dq_w.kind == "dequantize"
                 and dq_x is not None and dq_x.kind == "dequantize"):
             continue
@@ -345,14 +339,11 @@ def scale_fold(g: gr.Graph, profile=None) -> gr.Graph:
             continue
 
         attrs = {
-            "op": node.kind,
+            "op": "matmul",
             "w_qparams": dq_w.attrs["qparams"],
             "in_qparams": dq_x.attrs["qparams"],
             "out_qparams": tail.attrs["qparams"],
         }
-        if node.kind == "conv2d":
-            attrs["stride"] = node.attrs.get("stride", (1, 1))
-            attrs["padding"] = node.attrs.get("padding", (0, 0))
         inputs = [dq_w.inputs[0], dq_x.inputs[0]]
         if bias_node is not None:
             attrs["bias_qparams"] = bias_dq.attrs["qparams"]
@@ -419,7 +410,10 @@ def _unpack_qparams(data, pos):
     return QuantParams(float(np.float32(scale)), zp, bits, bool(signed)), pos + 10
 
 
-_ATTR_INT, _ATTR_FLOAT, _ATTR_STR, _ATTR_QPARAMS, _ATTR_TUPLE = range(5)
+# Attribute value tags.  Tags 1 (float) and 4 (int tuple) are retired:
+# no node attribute takes such a value, and a payload holding one is
+# malformed.
+_ATTR_INT, _ATTR_STR, _ATTR_QPARAMS = 0, 2, 3
 
 
 def _pack_attrs(attrs: dict) -> bytes:
@@ -433,12 +427,8 @@ def _pack_attrs(attrs: dict) -> bytes:
             raise FormatError(f"boolean attr {key} unsupported")
         elif isinstance(v, (int, np.integer)):
             body += struct.pack("<Bq", _ATTR_INT, int(v))
-        elif isinstance(v, float):
-            body += struct.pack("<Bd", _ATTR_FLOAT, v)
         elif isinstance(v, str):
             body += struct.pack("<B", _ATTR_STR) + _pack_str(v)
-        elif isinstance(v, (tuple, list)):
-            body += struct.pack("<BB", _ATTR_TUPLE, len(v)) + struct.pack(f"<{len(v)}q", *v)
         else:
             raise FormatError(f"cannot serialize attr {key}={v!r}")
     return body
@@ -457,16 +447,8 @@ def _unpack_attrs(data, pos):
         elif tag == _ATTR_INT:
             (attrs[key],) = struct.unpack_from("<q", data, pos)
             pos += 8
-        elif tag == _ATTR_FLOAT:
-            (attrs[key],) = struct.unpack_from("<d", data, pos)
-            pos += 8
         elif tag == _ATTR_STR:
             attrs[key], pos = _unpack_str(data, pos)
-        elif tag == _ATTR_TUPLE:
-            (n,) = struct.unpack_from("<B", data, pos)
-            pos += 1
-            attrs[key] = tuple(struct.unpack_from(f"<{n}q", data, pos))
-            pos += 8 * n
         else:
             raise FormatError(f"unknown attr tag {tag}")
     return attrs, pos

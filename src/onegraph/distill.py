@@ -27,12 +27,11 @@ import numpy as np
 from . import graph as gr
 from . import quant as qt
 from .errors import DivergenceError, ShapeError
-from .qparams import fake_quant_ste, ste_mask
+from .qparams import ste_mask
 from .tensor import matmul, sigmoid
 
 __all__ = [
-    "DistillConfig", "DistillTrace", "recon_loss", "fake_quant_ste",
-    "finetune_adapter", "align_adapters",
+    "DistillConfig", "DistillTrace", "recon_loss", "finetune_adapter", "align_adapters",
 ]
 
 
@@ -120,11 +119,6 @@ def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
             for x in inputs:
                 if live(x):
                     acc(x, g)
-        elif op == "mul":
-            if live(inputs[0]):
-                acc(inputs[0], g * inputs[1])
-            if live(inputs[1]):
-                acc(inputs[1], g * inputs[0])
         elif op == "scale":
             x, s = inputs
             acc(x, g * s.reshape(()))  # alpha itself stays frozen

@@ -9,11 +9,12 @@ Nodes are stored in topological order (validated), and activations are
 column-major feature matrices ``[features, batch]``.  Execution is
 deterministic bit-for-bit: fp32 arithmetic goes through the sequential
 kernels in :mod:`onegraph.tensor`, and a product whose two operands are
-quantized (``qlinear`` with ``op=matmul``, W x and B x inside the
-runtime's ``qlora``, or a product that QuantSim's ``product`` hook sees
-with both operands fake-quantized) goes through the exact integer kernel of
+quantized (a ``qlinear`` node, W x and B x inside the runtime's
+``qlora``, or a product that QuantSim's ``product`` hook sees with both
+operands fake-quantized) goes through the exact integer kernel of
 :mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``), whose
-result no summation order changes.
+result no summation order changes.  Every product in the IR is a
+matrix product: ``qlinear`` has no other ``op``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .rng import Rng
 # artifact can hold them: ``qlora`` is one adapter layer, W x + alpha *
 # A (B x) from the integer q_w, q_x, q_b and q_a, and ``requant`` one
 # quantize -> dequantize [-> activation] chain, fp32 in and out.
-FP_KINDS = ("matmul", "conv2d", "add", "mul", "scale", "concat", "activation", "lora_matmul")
+FP_KINDS = ("matmul", "add", "scale", "concat", "activation", "lora_matmul")
 QUANT_KINDS = ("quantize", "dequantize", "qlinear")
 RUNTIME_KINDS = ("qlora", "requant")
 ALL_KINDS = FP_KINDS + QUANT_KINDS + RUNTIME_KINDS
@@ -130,18 +131,6 @@ class ModelBundle:
 # Shape propagation and validation
 
 
-def _conv_out_shape(xs, ws, stride, padding):
-    n, cin, h, w = xs
-    cout, cin_w, kh, kw = ws
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channels {cin} vs {cin_w}")
-    oh = (h + 2 * padding[0] - kh) // stride[0] + 1
-    ow = (w + 2 * padding[1] - kw) // stride[1] + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError("conv2d output empty")
-    return (n, cout, oh, ow)
-
-
 def _qparams(n, key):
     p = n.attrs.get(key)
     if not isinstance(p, qp.QuantParams):
@@ -182,10 +171,10 @@ def infer_shapes(g: Graph) -> dict:
             if not 1 <= r <= min(sw):
                 raise ShapeError(f"node {n.id}: rank {r} exceeds min{sw}")
             out = ((sw[0], sx[1]), "fp32")
-        elif n.kind in ("add", "mul"):
+        elif n.kind == "add":
             (sa, da), (sb, db) = get(n.inputs[0]), get(n.inputs[1])
             if sa != sb or da != "fp32" or db != "fp32":
-                raise ShapeError(f"node {n.id}: {n.kind} operands {sa}/{da} vs {sb}/{db}")
+                raise ShapeError(f"node {n.id}: add operands {sa}/{da} vs {sb}/{db}")
             out = (sa, "fp32")
         elif n.kind == "scale":
             (sx, dx), (ss, ds) = get(n.inputs[0]), get(n.inputs[1])
@@ -209,11 +198,6 @@ def infer_shapes(g: Graph) -> dict:
             if dx != "fp32":
                 raise ShapeError(f"node {n.id}: activation needs fp32")
             out = (sx, "fp32")
-        elif n.kind == "conv2d":
-            (sx, dx), (sw, dw) = get(n.inputs[0]), get(n.inputs[1])
-            if dx != "fp32" or dw != "fp32" or len(sx) != 4 or len(sw) != 4:
-                raise ShapeError(f"node {n.id}: conv2d needs 4-D fp32 operands")
-            out = (_conv_out_shape(sx, sw, n.attrs.get("stride", (1, 1)), n.attrs.get("padding", (0, 0))), "fp32")
         elif n.kind == "quantize":
             sx, dx = get(n.inputs[0])
             if dx != "fp32":
@@ -231,16 +215,12 @@ def infer_shapes(g: Graph) -> dict:
             if len(n.inputs) > 2:
                 _qparams(n, "bias_qparams")
             op = n.attrs.get("op")
-            if op == "matmul":
-                if sw[1] != sx[0]:
-                    raise ShapeError(f"node {n.id}: qlinear shapes {sw} x {sx}")
-                oshape = (sw[0], sx[1])
-            elif op == "conv2d":
-                oshape = _conv_out_shape(sx, sw, n.attrs.get("stride", (1, 1)), n.attrs.get("padding", (0, 0)))
-            else:
+            if op != "matmul":
                 raise GraphError(f"node {n.id}: qlinear op {op!r}")
+            if len(sw) != 2 or len(sx) != 2 or sw[1] != sx[0]:
+                raise ShapeError(f"node {n.id}: qlinear shapes {sw} x {sx}")
             p = _qparams(n, "out_qparams")
-            out = (oshape, tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
+            out = ((sw[0], sx[1]), tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
         elif n.kind == "qlora":
             (sw, _), (sx, _), (sb, _), (sa, _), (sal, dal) = (get(t) for t in n.inputs)
             for key in ("w_qparams", "in_qparams", "b_qparams", "a_qparams"):
@@ -348,8 +328,6 @@ def dump_graph(g: Graph) -> str:
             v = n.attrs[k]
             if isinstance(v, qp.QuantParams):
                 v = f"q({v.scale!r},{v.zero_point},{v.bits},{int(v.signed)})"
-            elif isinstance(v, tuple):
-                v = "x".join(str(i) for i in v)
             parts.append(f"{k}={v}")
         attrs = "{" + ", ".join(parts) + "}"
         ins = " ".join(str(t) for t in n.inputs)
@@ -385,13 +363,6 @@ def _add(a, b, tape):
     out = a + b
     if tape is not None:
         tape.record("add", (a, b), out)
-    return out
-
-
-def _mul(a, b, tape):
-    out = a * b
-    if tape is not None:
-        tape.record("mul", (a, b), out)
     return out
 
 
@@ -489,18 +460,12 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
                 out = _add(out, scaled, tape)
         elif n.kind == "add":
             out = _add(ins[0], ins[1], tape)
-        elif n.kind == "mul":
-            out = _mul(ins[0], ins[1], tape)
         elif n.kind == "scale":
             out = _scale(ins[0], ins[1], tape)
         elif n.kind == "concat":
             out = _concat(ins, int(n.attrs["axis"]), tape)
         elif n.kind == "activation":
             out = _act(ins[0], n.attrs["kind"], tape)
-        elif n.kind == "conv2d":
-            if tape is not None:
-                raise GraphError("conv2d is not differentiable in this build")
-            out = tz.conv2d(ins[0], ins[1], n.attrs.get("stride", (1, 1)), n.attrs.get("padding", (0, 0)))
         elif n.kind == "quantize":
             out = qp.quantize_array(ins[0], n.attrs["qparams"])
         elif n.kind == "dequantize":
@@ -521,12 +486,7 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
 
 
 def _run_qlinear(n, ins):
-    if n.attrs["op"] == "matmul":
-        y = qp.int_matmul(ins[0], n.attrs["w_qparams"], ins[1], n.attrs["in_qparams"])
-    else:
-        w_hat = qp.dequantize_array(ins[0], n.attrs["w_qparams"])
-        x_hat = qp.dequantize_array(ins[1], n.attrs["in_qparams"])
-        y = tz.conv2d(x_hat, w_hat, n.attrs.get("stride", (1, 1)), n.attrs.get("padding", (0, 0)))
+    y = qp.int_matmul(ins[0], n.attrs["w_qparams"], ins[1], n.attrs["in_qparams"])
     if len(ins) > 2:
         y = y + qp.dequantize_array(ins[2], n.attrs["bias_qparams"])
     return qp.quantize_array(y, n.attrs["out_qparams"])

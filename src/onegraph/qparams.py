@@ -222,9 +222,3 @@ def ste_mask(t: np.ndarray, p: QuantParams) -> np.ndarray:
     lo = np.float64(p.scale) * (p.q_min - p.zero_point)
     hi = np.float64(p.scale) * (p.q_max - p.zero_point)
     return ((t64 >= lo) & (t64 <= hi)).astype(np.float32)
-
-
-def fake_quant_ste(value, p: QuantParams):
-    """Forward fake-quant plus the straight-through gradient factor."""
-    arr = np.asarray(value, dtype=np.float32)
-    return fake_quant(arr, p), ste_mask(arr, p)

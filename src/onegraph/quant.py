@@ -1,6 +1,6 @@
 """Calibration and simulated-quantization execution.
 
-A :class:`QuantProfile` maps every quantizable tensor of a graph or
+A :class:`QuantProfile` maps every quantizable tensor of a model
 bundle to affine parameters.  Weights are always 8-bit; activations
 follow the policy (w8a16, w8a8, or a mixed split); adapter factors use
 the profile's ``lora_bits``.  QuantSim execution keeps the fp dataflow
@@ -33,7 +33,6 @@ from . import graph as gr
 from . import qparams as qp
 from .errors import CalibrationError, CoverageError
 from .qparams import QuantParams, compute_quant_params
-from .tensor import dtype_name
 
 WEIGHT_BITS = 8
 
@@ -296,42 +295,45 @@ def observe_bundle(bundle, data, adapter, seed, observers) -> list:
             for i, (x, cond) in enumerate(data)]
 
 
-def calibrate(target, data, policy: Policy, *, adapter=None, lora_bits: int = 16, seed: int = 0,
-              outputs=None) -> QuantProfile:
-    """Derive a quantization profile from full-precision runs.
+def build_profile(bundle, data, policy: Policy, adapters, lora_bits: int, seed: int,
+                  outputs=None) -> QuantProfile:
+    """Observe, then 8-bit weights, then slot params, then activation params.
 
-    ``target`` is a Graph (data: list of feed arrays or dicts) or a
-    ModelBundle (data: list of (x, cond) pairs).  For bundles, the
-    optional adapter stays bound during observation and supplies the
-    factor ranges for the lora slots, and a list given as ``outputs``
-    receives the fp output of each sample (see ``observe_bundle``).
+    Activations are observed over full-precision runs of ``data`` with
+    each of ``adapters`` bound in turn (no adapter when the list is
+    empty), the observers accumulating across runs.  Slot params come
+    from the concatenation of the adapters' factors.  A list given as
+    ``outputs`` receives the fp output of every run, in order.
+    """
+    profile = QuantProfile(policy=policy, lora_bits=lora_bits)
+    observers = {}
+    for a in adapters or [None]:
+        fp_outputs = observe_bundle(bundle, data, a, seed, observers)
+        if outputs is not None:
+            outputs.extend(fp_outputs)
+    for role, g in bundle.graphs():
+        profile.weight_params.update(weight_params_for_graph(g, role))
+    profile.weight_params.update(lora_slot_params(bundle, adapters, lora_bits))
+    profile.act_params = finalize_act_params(observers, policy)
+    return profile
+
+
+def calibrate(bundle: gr.ModelBundle, data, policy: Policy, *, adapter=None, lora_bits: int = 16,
+              seed: int = 0, outputs=None) -> QuantProfile:
+    """Derive a quantization profile from full-precision runs of a bundle.
+
+    ``data`` is a list of (x, cond) pairs.  The optional adapter stays
+    bound during observation and supplies the factor ranges for the lora
+    slots, and a list given as ``outputs`` receives the fp output of each
+    sample (see ``observe_bundle``).
     """
     if not data:
         raise CalibrationError("calibration requires at least one sample")
-    profile = QuantProfile(policy=policy, lora_bits=lora_bits)
-    observers = {}
-
-    if isinstance(target, gr.ModelBundle):
-        gr.validate_bundle(target)
-        if adapter is not None:
-            gr.check_adapter(target, adapter)
-        fp_outputs = observe_bundle(target, data, adapter, seed, observers)
-        if outputs is not None:
-            outputs.extend(fp_outputs)
-        for role, g in target.graphs():
-            profile.weight_params.update(weight_params_for_graph(g, role))
-        if adapter is not None:
-            profile.weight_params.update(lora_slot_params(target, [adapter], lora_bits))
-    else:
-        gr.validate(target)
-        hooks = ObserverHooks(observers)
-        for sample in data:
-            feeds = sample if isinstance(sample, dict) else {target.inputs[0].name: sample}
-            gr.run_graph(target, feeds, role="graph", hooks=hooks)
-        profile.weight_params.update(weight_params_for_graph(target, "graph"))
-
-    profile.act_params = finalize_act_params(observers, policy)
-    return profile
+    gr.validate_bundle(bundle)
+    if adapter is not None:
+        gr.check_adapter(bundle, adapter)
+    adapters = [] if adapter is None else [adapter]
+    return build_profile(bundle, data, policy, adapters, lora_bits, seed, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,7 @@ def unified_profile(bundle, adapters, data, policy, *, lora_bits: int = 16, seed
             raise CoverageError(
                 f"adapter {a.adapter_id!r} leaves lora nodes {sorted(missing)} uncovered"
             )
-    profile = qt.QuantProfile(policy=policy, lora_bits=lora_bits)
-    observers = {}
-    for a in adapters:
-        qt.observe_bundle(bundle, data, a, seed, observers)
-    for role, g in bundle.graphs():
-        profile.weight_params.update(qt.weight_params_for_graph(g, role))
-    profile.weight_params.update(qt.lora_slot_params(bundle, adapters, lora_bits))
-    profile.act_params = qt.finalize_act_params(observers, policy)
-    return profile
+    return qt.build_profile(bundle, data, policy, adapters, lora_bits, seed)
 
 
 @dataclass

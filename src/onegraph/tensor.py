@@ -122,18 +122,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc if wide else acc.T.copy()
 
 
-def elementwise(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Per-element add or mul over identically shaped fp32 tensors."""
-    _require_fp32(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"elementwise shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     pos = x >= 0
     out = np.empty_like(x)
@@ -151,36 +139,6 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "silu":
         return (x * sigmoid(x)).astype(np.float32)
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def conv2d(x: np.ndarray, w: np.ndarray, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
-    """NCHW convolution, zero padding, no dilation.
-
-    Accumulation order per output element: input channel, then kernel
-    row, then kernel column; sequential like the matmul kernel.
-    """
-    _require_fp32(x, w)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d needs 4-D operands, got {x.shape} and {w.shape}")
-    n, cin, h, wid = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    sh, sw = stride
-    ph, pw = padding
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (wid + 2 * pw - kw) // sw + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError("conv2d output would be empty")
-    xp = np.zeros((n, cin, h + 2 * ph, wid + 2 * pw), dtype=np.float32)
-    xp[:, :, ph:ph + h, pw:pw + wid] = x
-    out = np.zeros((n, cout, oh, ow), dtype=np.float32)
-    for ci in range(cin):
-        for r in range(kh):
-            for c in range(kw):
-                patch = xp[:, ci, r:r + sh * oh:sh, c:c + sw * ow:sw]
-                out += w[None, :, ci, r, c, None, None] * patch[:, None, :, :]
-    return out
 
 
 @dataclass
@@ -205,20 +163,6 @@ def histogram(x: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:
     clipped = np.clip(x.reshape(-1).astype(np.float64), lo, hi)
     counts, _ = np.histogram(clipped, bins=bins, range=(lo, hi))
     return Histogram(bins, float(lo), float(hi), counts.astype(np.int64))
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """dot(a, b) / (|a| |b|) over flattened tensors."""
-    _require_fp32(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine shape mismatch: {a.shape} vs {b.shape}")
-    af = a.reshape(-1).astype(np.float64)
-    bf = b.reshape(-1).astype(np.float64)
-    na = np.linalg.norm(af)
-    nb = np.linalg.norm(bf)
-    if na == 0.0 or nb == 0.0:
-        raise RangeError("cosine similarity undefined for zero-norm input")
-    return float(np.clip(np.dot(af, bf) / (na * nb), -1.0, 1.0))
 
 
 def psnr(ref: np.ndarray, test: np.ndarray, peak: float) -> float:

@@ -25,13 +25,19 @@ from onegraph.errors import BindError, FormatError
 TRIALS = 200
 
 
+def reseal(data: bytes, payload: bytes) -> bytes:
+    """``data``'s header with the crc32 of ``payload``, then ``payload``."""
+    head = bytearray(data[:20])
+    struct.pack_into("<I", head, 8, zlib.crc32(payload) & 0xFFFFFFFF)
+    return bytes(head) + payload
+
+
 def mutate(data: bytes, rng: random.Random) -> bytes:
     """Change one payload byte and rewrite the header's crc32."""
-    head, payload = bytearray(data[:20]), bytearray(data[20:])
+    payload = bytearray(data[20:])
     i = rng.randrange(len(payload))
     payload[i] = (payload[i] + rng.randrange(1, 256)) % 256
-    struct.pack_into("<I", head, 8, zlib.crc32(payload) & 0xFFFFFFFF)
-    return bytes(head + payload)
+    return reseal(data, bytes(payload))
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +106,14 @@ def test_quant_node_without_its_attribute(toy_bundle, toy_profile, kind, key):
         cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
 
 
+def test_qlinear_with_a_flat_weight_is_a_format_error(toy_bundle, toy_profile):
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    g, node = next((g, n) for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
+    g.constants[node.inputs[0]] = g.constants[node.inputs[0]].reshape(-1)
+    with pytest.raises(FormatError, match=f"ShapeError: node {node.id}: qlinear shapes"):
+        cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+
+
 def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     data = cp.freeze(dataclasses.replace(frozen, steps=0), toy_profile, descriptors, name="toy")
@@ -113,3 +127,41 @@ def test_extents_whose_product_overflows_int64():
     assert len(data) == 36
     with pytest.raises(FormatError, match="truncated QTNS payload"):
         tz.qtns_from_bytes(data)
+
+
+def test_kind_codes_are_pinned():
+    """The node kind codes of the format; 1 and 3 are retired and stay unassigned."""
+    assert cp._KIND_CODES == {"matmul": 0, "add": 2, "scale": 4, "concat": 5, "activation": 6,
+                              "lora_matmul": 7, "quantize": 8, "dequantize": 9, "qlinear": 10}
+    assert (cp._ATTR_INT, cp._ATTR_STR, cp._ATTR_QPARAMS) == (0, 2, 3)
+
+
+def qlinear_record(toy_bundle, toy_profile):
+    """The toy model's bytes and the serialized head and attributes of one qlinear node."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    node = next(n for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
+    head = struct.pack(f"<IBB{len(node.inputs)}II", node.id, cp._KIND_CODES["qlinear"],
+                       len(node.inputs), *node.inputs, node.output)
+    record = head + cp._pack_attrs(node.attrs)
+    assert model[20:].count(record) == 1
+    return model, record
+
+
+@pytest.mark.parametrize("code", (1, 3))
+def test_retired_kind_code_is_a_format_error(toy_bundle, toy_profile, code):
+    model, record = qlinear_record(toy_bundle, toy_profile)
+    changed = bytearray(record)
+    changed[4] = code
+    with pytest.raises(FormatError, match="KeyError"):
+        cp.load_compiled(reseal(model, model[20:].replace(record, bytes(changed))))
+
+
+@pytest.mark.parametrize("tag", (1, 4))
+def test_retired_attr_tag_is_a_format_error(toy_bundle, toy_profile, tag):
+    model, record = qlinear_record(toy_bundle, toy_profile)
+    op = cp._pack_str("op") + struct.pack("<B", cp._ATTR_STR) + cp._pack_str("matmul")
+    assert record.count(op) == 1
+    changed = record.replace(op, cp._pack_str("op") + struct.pack("<B", tag) + cp._pack_str("matmul"))
+    with pytest.raises(FormatError, match=f"unknown attr tag {tag}"):
+        cp.load_compiled(reseal(model, model[20:].replace(record, changed)))

@@ -148,31 +148,6 @@ class TestMatmul:
             og.matmul(a, a.astype(np.float32))
 
 
-class TestElementwise:
-    def test_additive_identity(self):
-        x = Rng(3).uniform((4, 5), -1, 1)
-        assert np.array_equal(og.elementwise(x, np.zeros_like(x), "add"), x)
-
-    def test_multiplicative_identity(self):
-        x = Rng(4).uniform((4, 5), -1, 1)
-        assert np.array_equal(og.elementwise(x, np.ones_like(x), "mul"), x)
-
-    def test_add_values(self):
-        a = np.array([1.0, 2.0], dtype=np.float32)
-        b = np.array([3.0, 4.0], dtype=np.float32)
-        assert np.array_equal(og.elementwise(a, b, "add"), np.array([4.0, 6.0], dtype=np.float32))
-
-    def test_commutative_bitwise(self):
-        rng = Rng(5)
-        a = rng.uniform((8, 8), -10, 10)
-        b = rng.uniform((8, 8), -10, 10)
-        assert np.array_equal(og.elementwise(a, b, "add"), og.elementwise(b, a, "add"))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            og.elementwise(np.zeros((2,), np.float32), np.zeros((3,), np.float32), "add")
-
-
 class TestActivation:
     def test_relu(self):
         x = np.array([-1.0, 2.0], dtype=np.float32)
@@ -186,28 +161,6 @@ class TestActivation:
         x = Rng(6).uniform((100,), -4, 4)
         expected = (x * (1.0 / (1.0 + np.exp(-x.astype(np.float64))))).astype(np.float32)
         assert np.allclose(og.activation(x, "silu"), expected, atol=1e-6)
-
-
-class TestConv2d:
-    def test_matches_direct_loops(self):
-        rng = Rng(7)
-        x = rng.uniform((1, 2, 5, 5), -1, 1)
-        w = rng.uniform((3, 2, 3, 3), -1, 1)
-        out = og.conv2d(x, w, stride=(2, 2), padding=(1, 1))
-        # dumb reference: pad, then explicit dot per output pixel
-        xp = np.zeros((1, 2, 7, 7), dtype=np.float32)
-        xp[:, :, 1:6, 1:6] = x
-        ref = np.zeros_like(out)
-        for co in range(3):
-            for oy in range(out.shape[2]):
-                for ox in range(out.shape[3]):
-                    patch = xp[0, :, 2 * oy:2 * oy + 3, 2 * ox:2 * ox + 3].astype(np.float64)
-                    ref[0, co, oy, ox] = np.sum(patch * w[co].astype(np.float64))
-        assert np.allclose(out, ref, atol=1e-5)
-
-    def test_channel_mismatch(self):
-        with pytest.raises(ShapeError):
-            og.conv2d(np.zeros((1, 2, 4, 4), np.float32), np.zeros((1, 3, 3, 3), np.float32))
 
 
 class TestHistogram:
@@ -246,26 +199,6 @@ class TestHistogram:
     def test_too_few_bins(self):
         with pytest.raises(RangeError):
             og.histogram(np.zeros((3,), np.float32), 1, 0.0, 1.0)
-
-
-class TestCosine:
-    def test_self_similarity(self):
-        v = Rng(8).uniform((32,), -1, 1)
-        assert og.cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-6)
-
-    def test_antiparallel(self):
-        v = Rng(9).uniform((32,), -1, 1)
-        assert og.cosine_similarity(v, -v) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_orthogonal(self):
-        a = np.array([1.0, 0.0], dtype=np.float32)
-        b = np.array([0.0, 1.0], dtype=np.float32)
-        assert og.cosine_similarity(a, b) == 0.0
-
-    def test_zero_norm_error(self):
-        z = np.zeros((4,), dtype=np.float32)
-        with pytest.raises(RangeError):
-            og.cosine_similarity(z, z)
 
 
 class TestPsnr:
