@@ -69,10 +69,10 @@ def _settle_globals(args):
     casts = {"seed": int, "policy": str, "lora_bits": int, "tie_eps": float}
     for key, cast in casts.items():
         if getattr(args, key) is None:
-            if key in cfg:
-                setattr(args, key, cast(cfg[key]))
-            else:
-                setattr(args, key, _DEFAULTS[key])
+            try:
+                setattr(args, key, cast(cfg[key]) if key in cfg else _DEFAULTS[key])
+            except ValueError as exc:
+                raise UsageError(f"--config: {key} = {cfg[key]!r} is not {cast.__name__}") from exc
     try:
         args.policy_obj = qt.Policy.parse(args.policy)
     except ValueError as exc:

@@ -53,19 +53,10 @@ class Node:
 
 @dataclass
 class GraphInput:
-    """One named input of a graph.
-
-    ``bound`` marks an input that a runtime session reads in place from
-    where it was bound (an adapter slot's A, B or alpha), so its memory
-    plan holds no bytes for it.  Only ``runtime.Session`` sets it, and no
-    artifact stores it.
-    """
-
     name: str
     tid: int
     shape: tuple
     dtype: str = "fp32"
-    bound: bool = False
 
 
 @dataclass
@@ -93,7 +84,7 @@ class Graph:
     def copy(self) -> "Graph":
         return Graph(
             nodes=[Node(n.id, n.kind, list(n.inputs), n.output, dict(n.attrs)) for n in self.nodes],
-            inputs=[GraphInput(gi.name, gi.tid, gi.shape, gi.dtype, gi.bound) for gi in self.inputs],
+            inputs=[GraphInput(gi.name, gi.tid, gi.shape, gi.dtype) for gi in self.inputs],
             outputs=list(self.outputs),
             constants=dict(self.constants),
         )
@@ -136,6 +127,10 @@ def _qparams(n, key):
     if not isinstance(p, qp.QuantParams):
         raise GraphError(f"node {n.id}: {n.kind} lacks {key}")
     return p
+
+
+def storage_name(p: qp.QuantParams) -> str:
+    return tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed)))
 
 
 def infer_shapes(g: Graph) -> dict:
@@ -203,7 +198,7 @@ def infer_shapes(g: Graph) -> dict:
             if dx != "fp32":
                 raise ShapeError(f"node {n.id}: quantize needs fp32 input")
             p = _qparams(n, "qparams")
-            out = (sx, tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
+            out = (sx, storage_name(p))
         elif n.kind == "dequantize":
             sx, _ = get(n.inputs[0])
             _qparams(n, "qparams")
@@ -220,7 +215,7 @@ def infer_shapes(g: Graph) -> dict:
             if len(sw) != 2 or len(sx) != 2 or sw[1] != sx[0]:
                 raise ShapeError(f"node {n.id}: qlinear shapes {sw} x {sx}")
             p = _qparams(n, "out_qparams")
-            out = ((sw[0], sx[1]), tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed))))
+            out = ((sw[0], sx[1]), storage_name(p))
         elif n.kind == "qlora":
             (sw, _), (sx, _), (sb, _), (sa, _), (sal, dal) = (get(t) for t in n.inputs)
             for key in ("w_qparams", "in_qparams", "b_qparams", "a_qparams"):
@@ -261,7 +256,10 @@ def validate(g: Graph) -> dict:
         if n.output in n.inputs:
             raise CycleError(f"node {n.id} consumes its own output")
 
-    known = {gi.tid for gi in g.inputs} | set(g.constants) | {n.output for n in g.nodes}
+    known = {gi.tid for gi in g.inputs}
+    if known & g.constants.keys():
+        raise GraphError(f"tensors {sorted(known & g.constants.keys())} are both inputs and constants")
+    known |= set(g.constants) | {n.output for n in g.nodes}
     for n in g.nodes:
         for t in n.inputs:
             if t not in known:
@@ -543,9 +541,10 @@ def validate_bundle(bundle: ModelBundle, descriptors=()) -> dict:
     holds ``lora_matmul`` nodes.  The step count is positive.  The
     encoder and decoder take one input; the backbone takes the latent,
     the conditioning and three inputs (A, B, alpha) per slot
-    descriptor, each the input its descriptor names.  The latent passes
-    unchanged in shape and dtype from the encoder through the backbone
-    to the decoder.  A built bundle has no descriptors yet.
+    descriptor, each the input its descriptor names: A and B in the
+    storage dtype of the descriptor's parameters, alpha fp32.  The
+    latent passes unchanged in shape and dtype from the encoder through
+    the backbone to the decoder.  A built bundle has no descriptors yet.
     """
     info = {}
     for role, g in bundle.graphs():
@@ -566,20 +565,18 @@ def validate_bundle(bundle: ModelBundle, descriptors=()) -> dict:
         raise GraphError(f"latent shapes and dtypes differ along the pipeline: {chain}")
     inputs = {gi.tid: gi for gi in bb.inputs}
     for d in descriptors:
-        for tid, name, shape in ((d.a_tid, d.a_name, d.a_shape), (d.b_tid, d.b_name, d.b_shape),
-                                 (d.alpha_tid, d.alpha_name, (1,))):
+        for tid, name, shape, dtype in ((d.a_tid, d.a_name, d.a_shape, storage_name(d.a_params)),
+                                        (d.b_tid, d.b_name, d.b_shape, storage_name(d.b_params)),
+                                        (d.alpha_tid, d.alpha_name, (1,), "fp32")):
             gi = inputs.get(tid)
-            if gi is None or gi.name != name or tuple(gi.shape) != shape:
-                raise GraphError(f"slot {d.slot_id}: no backbone input {name} {shape} at tensor {tid}")
+            if gi is None or (gi.name, tuple(gi.shape), gi.dtype) != (name, shape, dtype):
+                raise GraphError(f"slot {d.slot_id}: no backbone input {name} {shape} {dtype} at tensor {tid}")
     return info
 
 
 def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
-               hooks=NULL_HOOKS, tape=None, backbone_feeds=None) -> np.ndarray:
-    """Encoder -> seeded noise -> `steps` backbone passes -> decoder.
-
-    ``backbone_feeds`` (a compiled model's slot buffers) join every backbone step.
-    """
+               hooks=NULL_HOOKS, tape=None) -> np.ndarray:
+    """Encoder -> seeded noise -> `steps` backbone passes -> decoder."""
     enc = run_graph(bundle.encoder, {bundle.encoder.inputs[0].name: x},
                     role="encoder", hooks=hooks, tape=tape)
     z = next(iter(enc.values()))
@@ -588,7 +585,7 @@ def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
     z_name = bundle.backbone.inputs[0].name
     c_name = bundle.backbone.inputs[1].name
     for _ in range(bundle.steps):
-        out = run_graph(bundle.backbone, {z_name: z, c_name: cond, **(backbone_feeds or {})},
+        out = run_graph(bundle.backbone, {z_name: z, c_name: cond},
                         role="backbone", adapter=adapter, hooks=hooks, tape=tape)
         z = next(iter(out.values()))
     dec = run_graph(bundle.decoder, {bundle.decoder.inputs[0].name: z},

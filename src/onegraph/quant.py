@@ -31,7 +31,7 @@ import numpy as np
 
 from . import graph as gr
 from . import qparams as qp
-from .errors import CalibrationError, CoverageError
+from .errors import CalibrationError, CoverageError, FormatError
 from .qparams import QuantParams, compute_quant_params
 
 WEIGHT_BITS = 8
@@ -366,31 +366,35 @@ def profile_to_text(profile: QuantProfile) -> str:
 
 
 def profile_from_text(text: str) -> QuantProfile:
+    """Parse ``profile_to_text``'s format; a line that does not parse is a FormatError."""
     policy = None
     lora_bits = 16
     weight_params = {}
     act_params = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("policy "):
-            policy = Policy.parse(line.split(None, 1)[1])
-            continue
-        if line.startswith("lora_bits "):
-            lora_bits = int(line.split(None, 1)[1])
-            continue
-        key, body = line.split(":", 1)
-        fields = {}
-        for part in body.strip().strip("{}").split(","):
-            name, value = part.split(":")
-            fields[name.strip()] = value.strip()
-        p = QuantParams(
-            scale=float(fields["scale"]),
-            zero_point=int(fields["zero_point"]),
-            bits=int(fields["bits"]),
-            signed=bool(int(fields["signed"])),
-        )
+        try:
+            if line.startswith("policy "):
+                policy = Policy.parse(line.split(None, 1)[1])
+                continue
+            if line.startswith("lora_bits "):
+                lora_bits = int(line.split(None, 1)[1])
+                continue
+            key, body = line.split(":", 1)
+            fields = {}
+            for part in body.strip().strip("{}").split(","):
+                name, value = part.split(":")
+                fields[name.strip()] = value.strip()
+            p = QuantParams(
+                scale=float(fields["scale"]),
+                zero_point=int(fields["zero_point"]),
+                bits=int(fields["bits"]),
+                signed=bool(int(fields["signed"])),
+            )
+        except (ValueError, KeyError) as exc:
+            raise FormatError(f"profile line {lineno}: {line!r}: {type(exc).__name__}: {exc}") from exc
         key = key.strip()
         if ".a." in key:
             act_params[key] = p

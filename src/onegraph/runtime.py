@@ -2,24 +2,23 @@
 
 A session materializes a compiled model, plans one reusable byte arena
 for the tensors a run produces, and binds adapter packs into the
-designated input slots without touching the base graph or weights.
-``infer`` is ``graph.run_bundle`` with arena hooks and the slot buffers
-as extra backbone feeds.
+designated slots without touching the base graph or weights.
+``infer`` is ``graph.run_bundle`` with arena hooks.
 
-The arena holds every node output of the three graphs and the inputs
-that change within a run: the encoder's ``x``, the backbone's latent
-``z`` and conditioning, and the decoder's latent.  ``z`` and the
-decoder input arrive as arena views of the previous graph's output,
-whose bytes the next graph's nodes reuse, so each is copied into its
-own planned bytes before the graph runs.  The adapter slots, each
-descriptor's A, B and alpha, change only at bind: the session marks
-them ``bound`` on its backbone, ``lifetime_items`` leaves them out of
-the plan, and every step reads the arrays ``bind_lora`` decoded, in
-place, with no copy.  Each planned tensor has one ndarray view over the
-arena, made at load from the load shapes, and the hooks store a value
-with one assignment into its view.  The kernels still allocate their
-results; the arena is where a run's tensors are kept, not where they
-are computed.
+The arena holds every node output of the three graphs and every graph
+input: the encoder's ``x``, the backbone's latent ``z`` and
+conditioning, and the decoder's latent.  ``z`` and the decoder input
+arrive as arena views of the previous graph's output, whose bytes the
+next graph's nodes reuse, so each is copied into its own planned bytes
+before the graph runs.  The adapter slots, each descriptor's A, B and
+alpha, change only at bind, so the session's backbone holds them as
+constants, not inputs: ``bind_lora`` writes the arrays it decoded into
+the backbone's own constants, every step reads them in place, and a
+step is fed ``z`` and the conditioning only.  Constants are not planned.
+Each planned tensor has one ndarray view over the arena, made at load
+from the load shapes, and the hooks store a value with one assignment
+into its view.  The kernels still allocate their results; the arena is
+where a run's tensors are kept, not where they are computed.
 
 At load the session fuses the frozen graphs (``lower_products``).  Each
 adapter layer, the ``add`` of W x and alpha * A (B x) with W, x, B and A
@@ -65,6 +64,7 @@ import numpy as np
 
 from . import compiler as cp
 from . import graph as gr
+from . import qparams as qp
 from . import tensor as tz
 from .errors import BindError, RangeError
 
@@ -86,12 +86,11 @@ class MemoryPlan:
 def lifetime_items(g: gr.Graph, shapes=None) -> list:
     """Byte sizes and lifetimes for every planned tensor of a graph.
 
-    Graph inputs are planned (they are copied into the arena), except
-    the ``bound`` ones, which are read in place from where they were
-    bound; constants live in the model image and are excluded.  Outputs
-    stay live until the end of the graph.  ``shapes`` (tid -> (shape,
-    dtype)) defaults to ``infer_shapes(g)``; a caller that already holds
-    a map covering every tensor of ``g`` passes it instead.
+    Graph inputs are planned (they are copied into the arena); constants,
+    the base weights and a session's bound slots, are read in place and
+    excluded.  Outputs stay live until the end of the graph.  ``shapes``
+    (tid -> (shape, dtype)) defaults to ``infer_shapes(g)``; a caller
+    already holding a map of every tensor of ``g`` passes it instead.
     """
     info = gr.infer_shapes(g) if shapes is None else shapes
     last_use = {}
@@ -106,7 +105,7 @@ def lifetime_items(g: gr.Graph, shapes=None) -> list:
         return int(math.prod(shape)) * tz.itemsize(dtype)
 
     items = [PlanItem(gi.tid, nbytes(gi.tid), -1, last_use.get(gi.tid, -1))
-             for gi in g.inputs if not gi.bound]
+             for gi in g.inputs]
     for idx, n in enumerate(g.nodes):
         items.append(PlanItem(n.output, nbytes(n.output), idx, last_use.get(n.output, idx)))
     return items
@@ -332,48 +331,42 @@ def _arena_views(arena: bytearray, plans: dict, shapes: dict) -> dict:
 
 
 class _ArenaHooks(gr._NullHooks):
-    """Store every planned tensor in its arena view during execution.
-
-    A feed with no view, a bound slot, passes unchanged.
-    """
+    """Store every planned tensor in its arena view during execution."""
 
     def __init__(self, views: dict):
         self.views = views   # role -> tid -> ndarray over the arena
 
     def input_value(self, role, tid, value, tape):
-        view = self.views[role].get(tid)
-        if view is None:
-            return value
+        view = self.views[role][tid]
         view[...] = value
         return view
 
     def node_output(self, role, node, value, tape):
-        view = self.views[role][node.output]
-        view[...] = value
-        return view
+        return self.input_value(role, node.output, value, tape)
 
 
 class Session:
     """One loaded model with at most one bound adapter.
 
     Base weights never change after load; binding only replaces the
-    slot input buffers, which the session's graphs mark ``bound``.
-    Confine a session to one thread at a time.
+    slot constants of the session's own backbone.  Confine a session to
+    one thread at a time.
     """
 
     def __init__(self, model: cp.CompiledModel, model_bytes: bytes):
         t0 = time.perf_counter()
         graphs = {role: lower_products(g) for role, g in model.graphs.items()}
-        # Marked after lowering, which is the peak of a load: the slot set
-        # and the marked inputs then do not add to it.
+        # After lowering, the peak of a load.  The slot constants go into a
+        # dict of the session's own, so a bind never writes into ``model``.
         slots = {t for d in model.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
-        graphs = {role: _mark_bound(g, slots) for role, g in graphs.items()}
+        bb = graphs["backbone"]
+        graphs["backbone"] = replace(bb, inputs=[gi for gi in bb.inputs if gi.tid not in slots],
+                                     constants=dict(bb.constants))
         # The session's copy does not keep the shape maps: they would stay
         # live through every infer (219 KB for the w32/d128 benchmark model).
         self.model = replace(model, graphs=graphs, shapes=None)
         self.model_bytes = model_bytes
         self.bound_adapter = None
-        self._slot_feeds = {}
         self.bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"],
                                      model.steps)
         self.plans = {role: plan_memory(g, model.shapes[role]) for role, g in self.bundle.graphs()}
@@ -383,12 +376,10 @@ class Session:
 
     @property
     def adapter_buffer_bytes(self) -> int:
-        return sum(int(v.nbytes) for v in self._slot_feeds.values())
-
-
-def _mark_bound(g: gr.Graph, tids: set) -> gr.Graph:
-    """``g`` with its inputs among ``tids`` marked ``bound``."""
-    return replace(g, inputs=[replace(gi, bound=gi.tid in tids) for gi in g.inputs])
+        """Bytes of the bound slot constants; 0 before the first bind."""
+        c = self.bundle.backbone.constants
+        return sum(int(c[t].nbytes) for d in self.model.descriptors
+                   for t in (d.a_tid, d.b_tid, d.alpha_tid) if t in c)
 
 
 def load_model(data: bytes) -> Session:
@@ -397,20 +388,19 @@ def load_model(data: bytes) -> Session:
 
 
 def bind_lora(session: Session, pack_bytes: bytes):
-    """Decode a pack's payloads into the slot buffers.
+    """Decode a pack's payloads into the session backbone's slot constants.
 
-    The decoded arrays become the slot buffers, and every denoising step
-    reads them in place.  So each payload byte is copied twice per bind,
-    once in the payload slice that the checksum reads and once in the
-    decode, and never in ``infer``.  Every check (the slot set, shapes,
-    storage dtypes, quantization parameters, rank) runs before any
-    session state changes, so a failed bind leaves the previous binding
-    intact.  No graph rebuild, no base-weight change; a rebind always
-    decodes the full pack.
+    The decoded arrays become the constants at the descriptors' tensor
+    ids, and every denoising step reads them in place.  So each payload
+    byte is copied twice per bind, once in the payload slice that the
+    checksum reads and once in the decode, and never in ``infer``.
+    Every check (the slot set, shapes, storage dtypes, quantization
+    parameters, rank) runs before any session state changes, so a failed
+    bind leaves the previous binding intact.  No graph rebuild, no
+    base-weight change; a rebind always decodes the full pack.
     """
     pack = cp.unpack_lora(pack_bytes)
     descs = {d.slot_id: d for d in session.model.descriptors}
-    dtypes = {gi.name: gi.dtype for gi in session.model.graphs["backbone"].inputs}
     if set(pack.slots) != set(descs):
         raise BindError(f"pack slots {sorted(pack.slots)} do not match model slots {sorted(descs)}")
     staged = {}
@@ -419,18 +409,17 @@ def bind_lora(session: Session, pack_bytes: bytes):
         if s.a_q.shape != d.a_shape or s.b_q.shape != d.b_shape:
             raise BindError(f"slot {slot_id}: payload shapes {s.a_q.shape}/{s.b_q.shape} "
                             f"do not match descriptors {d.a_shape}/{d.b_shape}")
-        for name, q in ((d.a_name, s.a_q), (d.b_name, s.b_q)):
-            if tz.dtype_name(q) != dtypes[name]:
+        for name, q, p in ((d.a_name, s.a_q, d.a_params), (d.b_name, s.b_q, d.b_params)):
+            if q.dtype != qp.storage_dtype(p.bits, p.signed):
                 raise BindError(f"slot {slot_id}: payload {name} is {tz.dtype_name(q)}, "
-                                f"the slot stores {dtypes[name]}")
+                                f"the slot stores {gr.storage_name(p)}")
         if s.a_params != d.a_params or s.b_params != d.b_params:
             raise BindError(f"slot {slot_id}: pack quantization parameters do not match the model")
         if s.rank > d.r_max:
             raise BindError(f"slot {slot_id}: rank {s.rank} exceeds {d.r_max}")
-        staged[d.a_name] = s.a_q
-        staged[d.b_name] = s.b_q
-        staged[d.alpha_name] = np.full((1,), s.alpha, dtype=np.float32)
-    session._slot_feeds = staged
+        staged.update({d.a_tid: s.a_q, d.b_tid: s.b_q,
+                       d.alpha_tid: np.full((1,), s.alpha, dtype=np.float32)})
+    session.bundle.backbone.constants.update(staged)
     session.bound_adapter = pack.adapter_id
 
 
@@ -447,8 +436,7 @@ def infer(session: Session, x, cond, seed: int = 0) -> np.ndarray:
         if np.isnan(value).any():
             raise RangeError(f"{name} holds a NaN, which has no quantization level")
     # the decoder output is a view into the arena, which the next call reuses
-    return gr.run_bundle(session.bundle, x, cond, noise_seed=seed, hooks=session._hooks,
-                         backbone_feeds=session._slot_feeds).copy()
+    return gr.run_bundle(session.bundle, x, cond, noise_seed=seed, hooks=session._hooks).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A bind that fails leaves the previous binding as it was, so the next
 infer serves the same bits.  Neither a bind, failed or not, nor an
-infer changes a byte of the model's constants: binding only replaces
-the slot input buffers.  Those buffers are the arrays the bind decoded,
-and every step of ``infer`` reads them in place.
+infer changes a byte of the loaded model's constants: binding only
+writes the slot constants of the session's own backbone.  Those are the
+arrays the bind decoded, and every step of ``infer`` reads them in
+place; a step is fed the latent and the conditioning only.
 """
 
 import dataclasses
@@ -42,18 +43,19 @@ def bad_pack(defect, descriptors, adapter, profile):
     return cp.pack_lora(adapter, coarser, profile)
 
 
-def constant_bytes(session):
+def constant_bytes(model):
     return {(role, tid): arr.tobytes()
-            for role, g in session.model.graphs.items() for tid, arr in g.constants.items()}
+            for role, g in model.graphs.items() for tid, arr in g.constants.items()}
 
 
 @pytest.mark.parametrize("defect, message", (("slots", "do not match model slots"),
                                              ("params", "quantization parameters"),
                                              ("dtype", "is i32, the slot stores i16")))
 def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
-    model, descriptors, (_, adapters, samples, profile) = served
-    session = rt.load_model(model)
-    base = constant_bytes(session)
+    model_bytes, descriptors, (_, adapters, samples, profile) = served
+    model = cp.load_compiled(model_bytes)
+    session = rt.Session(model, model_bytes)
+    base = constant_bytes(model)
     rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
     x, cond = samples[0]
     first = rt.infer(session, x, cond, seed=3)
@@ -64,7 +66,7 @@ def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     assert session.bound_adapter == adapters[0].adapter_id
     again = rt.infer(session, x, cond, seed=3)
     assert again.dtype == first.dtype and again.tobytes() == first.tobytes()
-    assert constant_bytes(session) == base
+    assert constant_bytes(model) == base
 
 
 @pytest.fixture
@@ -84,17 +86,18 @@ def test_bind_keeps_the_decoded_arrays(served, monkeypatch):
     monkeypatch.setattr(cp, "unpack_lora", lambda data: decoded.append(unpack(data)) or decoded[-1])
     rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
     (pack,) = decoded
+    constants = session.model.graphs["backbone"].constants
     for d in descriptors:
         s = pack.slots[d.slot_id]
-        assert session._slot_feeds[d.a_name] is s.a_q and session._slot_feeds[d.b_name] is s.b_q
+        assert constants[d.a_tid] is s.a_q and constants[d.b_tid] is s.b_q
         assert s.a_q.flags.owndata and s.b_q.flags.owndata
 
 
 def test_every_qlora_reads_the_slot_arrays_in_place(bound, monkeypatch):
     session, (x, cond) = bound
-    feeds = session._slot_feeds
-    by_tids = {(d.b_tid, d.a_tid, d.alpha_tid): [feeds[n] for n in (d.b_name, d.a_name, d.alpha_name)]
-               for d in session.model.descriptors}
+    constants = session.model.graphs["backbone"].constants
+    by_tids = {tids: [constants[t] for t in tids]
+               for tids in ((d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors)}
     seen = []
     run = gr._run_qlora
     monkeypatch.setattr(gr, "_run_qlora", lambda n, ins: seen.append((n, ins[2:])) or run(n, ins))
@@ -114,3 +117,18 @@ def test_infer_makes_no_buffer_views(bound, monkeypatch):
     again = rt.infer(session, x, cond, seed=3)
     assert calls == []
     assert again.tobytes() == first.tobytes()
+
+
+def test_a_step_is_fed_the_latent_and_the_conditioning_only(bound, monkeypatch):
+    session, (x, cond) = bound
+    fed = []
+    run = gr.run_graph
+
+    def spy(g, feeds, **kwargs):
+        if kwargs["role"] == "backbone":
+            fed.append(sorted(feeds))
+        return run(g, feeds, **kwargs)
+
+    monkeypatch.setattr(gr, "run_graph", spy)
+    rt.infer(session, x, cond, seed=3)
+    assert fed == [["cond", "z"]] * session.model.steps

@@ -186,3 +186,41 @@ def test_stepless_model_is_a_usage_error(tmp_path, toy_bundle, toy_profile, caps
     path.write_bytes(cp.freeze(dataclasses.replace(frozen, steps=0), toy_profile, descriptors,
                                name="toy"))
     assert "step count" in usage_error(["inspect", str(path)], capsys)
+
+
+def test_config_fills_what_the_flags_leave_unset(files):
+    """Flags win over the config file, and the file wins over the defaults."""
+    config = files("og.cfg", "seed = 5\ntie-eps = 0.25\npolicy = w8a8\n")
+    args = cli.build_parser().parse_args(["--config", config, "--seed", "9", "inspect", config])
+    cli._settle_globals(args)
+    assert (args.seed, args.tie_eps, args.policy, args.lora_bits) == (9, 0.25, "w8a8", 16)
+
+
+@pytest.mark.parametrize("line", ("seed = abc", "tie_eps = x", "lora_bits = 1.5"))
+def test_a_config_value_that_does_not_cast_is_a_usage_error(line, files, capsys):
+    config = files("og.cfg", line + "\n")
+    err = usage_error(["--config", config, "inspect", config], capsys)
+    assert line.split()[0] in err
+
+
+@pytest.mark.parametrize("command", ("compile", "pack-lora"))
+@pytest.mark.parametrize("lineno, bad", ((1, "policy w4a4"), (3, "backbone.w.3 {scale 0.1}")))
+def test_a_malformed_profile_line_is_a_usage_error(command, lineno, bad, files, tmp_path,
+                                                   toy_bundle, toy_profile, monkeypatch, capsys):
+    lines = qt.profile_to_text(toy_profile).splitlines()
+    lines[lineno - 1] = bad
+    text = "\n".join(lines) + "\n"
+    if command == "compile":
+        argv = ["compile", "--model", files("toy.spec", TOY_MODEL),
+                "--profile", files("profile.txt", text), "--out", str(tmp_path / "m.quadm")]
+    else:
+        # a model that embeds the malformed profile
+        frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+        with monkeypatch.context() as m:
+            m.setattr(qt, "profile_to_text", lambda profile: text)
+            model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+        (tmp_path / "m.quadm").write_bytes(model)
+        argv = ["pack-lora", "--model-bin", str(tmp_path / "m.quadm"), "--adapter", str(tmp_path),
+                "--out", str(tmp_path / "p.qlp")]
+    err = usage_error(argv, capsys)
+    assert f"profile line {lineno}: {bad!r}" in err

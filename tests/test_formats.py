@@ -95,6 +95,27 @@ def test_descriptors_must_name_the_slot_inputs(toy_bundle, toy_profile, defect):
         cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
 
 
+SLOT_DEFECTS = {
+    "i32 A": r"GraphError: slot 0: no backbone input lora\d+\.A \(\d+, \d+\) i16 at tensor",
+    "constant alpha": r"GraphError: tensors \[\d+\] are both inputs and constants",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SLOT_DEFECTS))
+def test_slot_inputs_keep_their_storage(toy_bundle, toy_profile, defect):
+    """Slot 0's A input stored wider than its descriptor's parameters
+    hold, or a constant at its alpha tid that a bind would overwrite."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    d = descriptors[0]
+    if defect == "i32 A":
+        assert (d.a_params.bits, d.a_params.signed) == (16, True)
+        next(gi for gi in frozen.backbone.inputs if gi.tid == d.a_tid).dtype = "i32"
+    else:
+        frozen.backbone.constants[d.alpha_tid] = np.ones((1,), np.float32)
+    with pytest.raises(FormatError, match=SLOT_DEFECTS[defect]):
+        cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+
+
 @pytest.mark.parametrize("kind, key", (("dequantize", "qparams"), ("quantize", "qparams"),
                                        ("qlinear", "w_qparams"), ("qlinear", "op")))
 def test_quant_node_without_its_attribute(toy_bundle, toy_profile, kind, key):

@@ -42,9 +42,12 @@ def compiled(request):
     return request.param, frozen, cp.freeze(frozen, profile, descriptors, name="pin")
 
 
-def test_no_dequantized_product_is_left(compiled):
-    _, _, model = compiled
+def test_no_dequantized_product_is_left(compiled, request):
+    name, _, model = compiled
+    _, adapters, _, profile = request.getfixturevalue(name)
     session = rt.load_model(model)
+    # a fresh plan derives the shapes from the graph, which holds the slots once bound
+    rt.bind_lora(session, cp.pack_lora(adapters[0], session.model.descriptors, profile))
     fused = 0
     for role, g in session.model.graphs.items():
         producer = g.producer_map()

@@ -8,6 +8,7 @@ here only as the oracle.
 
 import random
 
+import numpy as np
 import pytest
 
 from onegraph import compiler as cp
@@ -93,6 +94,7 @@ def test_deep_plans_have_no_overlaps(d48):
     bundle, adapters, samples, profile = d48
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
     session = rt.load_model(cp.freeze(frozen, profile, descriptors, name="plan"))
+    rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
     for role, plan in session.plans.items():
         items = rt.lifetime_items(session.model.graphs[role])
         assert rt.check_plan(items, plan) == [], role
@@ -100,10 +102,17 @@ def test_deep_plans_have_no_overlaps(d48):
 
 
 @pytest.fixture(params=("w64", "d48"))
-def model_bytes(request):
-    bundle, _, _, profile = request.getfixturevalue(request.param)
+def served(request):
+    """A frozen model and a pack for it."""
+    bundle, adapters, _, profile = request.getfixturevalue(request.param)
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
-    return cp.freeze(frozen, profile, descriptors, name="plan")
+    return (cp.freeze(frozen, profile, descriptors, name="plan"),
+            cp.pack_lora(adapters[0], descriptors, profile))
+
+
+@pytest.fixture
+def model_bytes(served):
+    return served[0]
 
 
 def test_load_derives_each_graphs_shapes_once(model_bytes, monkeypatch):
@@ -114,22 +123,43 @@ def test_load_derives_each_graphs_shapes_once(model_bytes, monkeypatch):
     assert len(calls) == 3
 
 
-def test_plans_from_the_load_shapes_are_the_fresh_plans(model_bytes):
-    """The session plans the lowered graphs from the shapes of the frozen ones."""
+def test_plans_from_the_load_shapes_are_the_fresh_plans(served):
+    """The session plans the lowered graphs from the shapes of the frozen ones.
+
+    A fresh plan derives the shapes from the graph, so the slot constants
+    must be bound first."""
+    model_bytes, pack = served
     session = rt.load_model(model_bytes)
+    rt.bind_lora(session, pack)
     for role, g in session.model.graphs.items():
         assert session.plans[role] == rt.assign_offsets(rt.lifetime_items(g)), role
 
 
-def test_bound_slots_are_not_planned(model_bytes):
-    """The session marks exactly the slot inputs bound; no plan holds one,
-    and the loaded model it was made from keeps its inputs unmarked."""
+def test_bound_slots_are_not_planned(served):
+    """The session's backbone takes the latent and the conditioning only;
+    a bind makes each slot tid a constant holding the decoded array, no
+    plan holds a slot, and the loaded model the session was made from
+    keeps its slot inputs and gains no slot constant."""
+    model_bytes, pack = served
     model = cp.load_compiled(model_bytes)
     session = rt.Session(model, model_bytes)
     slots = {t for d in session.model.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
     assert len(slots) == 3 * len(session.model.descriptors) > 0
-    bound = {role: {gi.tid for gi in g.inputs if gi.bound} for role, g in session.model.graphs.items()}
-    assert bound == {"encoder": set(), "backbone": slots, "decoder": set()}
+    backbone = session.model.graphs["backbone"]
+    assert [gi.name for gi in backbone.inputs] == ["z", "cond"]
+    assert not slots & backbone.constants.keys()
+    assert session.adapter_buffer_bytes == 0
+
+    decoded = cp.unpack_lora(pack)
+    rt.bind_lora(session, pack)
+    for d in session.model.descriptors:
+        s = decoded.slots[d.slot_id]
+        for tid, want in ((d.a_tid, s.a_q), (d.b_tid, s.b_q),
+                          (d.alpha_tid, np.full((1,), s.alpha, np.float32))):
+            got = backbone.constants[tid]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tid
+    assert session.adapter_buffer_bytes == sum(int(backbone.constants[t].nbytes) for t in slots)
     for role, plan in session.plans.items():
         assert not slots & plan.offsets.keys(), role
-    assert not any(gi.bound for g in model.graphs.values() for gi in g.inputs)
+    assert slots <= {gi.tid for gi in model.graphs["backbone"].inputs}
+    assert not slots & model.graphs["backbone"].constants.keys()

@@ -80,3 +80,11 @@ def test_defect_is_reported_with_its_error(case):
 
 def test_well_formed_graph_passes():
     gr.validate(graph([gr.Node(0, "matmul", [1, 0], 10), act(1, 10, 12)]))
+
+
+def test_an_input_that_is_also_a_constant():
+    g = graph([gr.Node(0, "matmul", [1, 0], 10), act(1, 10, 12)])
+    g.inputs.append(gr.GraphInput("w", 1, (3, 4)))
+    with pytest.raises(GraphError) as info:
+        gr.validate(g)
+    assert str(info.value) == "tensors [1] are both inputs and constants"
