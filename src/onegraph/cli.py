@@ -51,6 +51,7 @@ def _read_qtns(path):
 
 
 def _load_config(path):
+    """``key = value`` lines for the global flags; ``-`` in a key reads as ``_``."""
     cfg = {}
     for raw in _read(path).splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -58,8 +59,11 @@ def _load_config(path):
             continue
         if "=" not in line:
             raise UsageError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name not in _DEFAULTS:
+            raise UsageError(f"--config: unknown key {key!r}; the keys are {', '.join(_DEFAULTS)}")
+        cfg[name] = value
     return cfg
 
 

@@ -258,7 +258,7 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
     for gi in out.inputs:
         if gi.tid in slot_tids:
             p = slot_tids[gi.tid]
-            gi.dtype = tz.dtype_name(np.empty(0, storage_dtype(p.bits, p.signed)))
+            gi.dtype = gr.storage_name(p)
             slot_dqs.append(dequantize(gi.tid, p))
 
     # covered fp32 inputs and node outputs get a quantize/dequantize pair
@@ -398,16 +398,22 @@ def _pack_str(s: str) -> bytes:
 def _unpack_str(data, pos):
     (n,) = struct.unpack_from("<H", data, pos)
     pos += 2
-    return data[pos:pos + n].decode("utf-8"), pos + n
+    return str(data[pos:pos + n], "utf-8"), pos + n
 
 
 def _pack_qparams(p: QuantParams) -> bytes:
     return struct.pack("<fiBB", np.float32(p.scale), p.zero_point, p.bits, int(p.signed))
 
 
-def _unpack_qparams(data, pos):
-    scale, zp, bits, signed = struct.unpack_from("<fiBB", data, pos)
-    return QuantParams(float(np.float32(scale)), zp, bits, bool(signed)), pos + 10
+def _unpack_qparams(data, pos, memo):
+    """One parameter record; ``memo`` maps each record already decoded to
+    its ``QuantParams``, so equal records decode to one shared object."""
+    fields = struct.unpack_from("<fiBB", data, pos)
+    p = memo.get(fields)
+    if p is None:
+        scale, zp, bits, signed = fields
+        p = memo[fields] = QuantParams(float(np.float32(scale)), zp, bits, bool(signed))
+    return p, pos + 10
 
 
 # Attribute value tags.  Tags 1 (float) and 4 (int tuple) are retired:
@@ -434,7 +440,7 @@ def _pack_attrs(attrs: dict) -> bytes:
     return body
 
 
-def _unpack_attrs(data, pos):
+def _unpack_attrs(data, pos, memo):
     (count,) = struct.unpack_from("<B", data, pos)
     pos += 1
     attrs = {}
@@ -443,7 +449,7 @@ def _unpack_attrs(data, pos):
         (tag,) = struct.unpack_from("<B", data, pos)
         pos += 1
         if tag == _ATTR_QPARAMS:
-            attrs[key], pos = _unpack_qparams(data, pos)
+            attrs[key], pos = _unpack_qparams(data, pos, memo)
         elif tag == _ATTR_INT:
             (attrs[key],) = struct.unpack_from("<q", data, pos)
             pos += 8
@@ -476,7 +482,7 @@ def _pack_graph(g: gr.Graph) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_graph(data, pos):
+def _unpack_graph(data, pos, memo):
     (n_in,) = struct.unpack_from("<H", data, pos)
     pos += 2
     inputs = []
@@ -505,7 +511,7 @@ def _unpack_graph(data, pos):
         pos += 4 * n_ins
         (out_tid,) = struct.unpack_from("<I", data, pos)
         pos += 4
-        attrs, pos = _unpack_attrs(data, pos)
+        attrs, pos = _unpack_attrs(data, pos, memo)
         nodes.append(gr.Node(nid, _KIND_NAMES[kind], ins, out_tid, attrs))
     (n_const,) = struct.unpack_from("<I", data, pos)
     pos += 4
@@ -538,7 +544,14 @@ def _decoding(what: str):
         raise FormatError(f"malformed {what} payload: {type(exc).__name__}: {exc}") from exc
 
 
-def _open_payload(magic: bytes, data: bytes) -> bytes:
+def _open_payload(magic: bytes, data: bytes) -> memoryview:
+    """The checked payload of an artifact, a memoryview into ``data``.
+
+    A ``bytearray`` (or any other buffer) is copied into ``bytes`` once,
+    so the tensors read in place from the payload alias no memory the
+    caller can change.
+    """
+    data = bytes(data)
     if len(data) < 20:
         raise FormatError("file too short")
     if data[:4] != magic:
@@ -546,7 +559,7 @@ def _open_payload(magic: bytes, data: bytes) -> bytes:
     version, _flags, crc, length = struct.unpack_from("<HHIQ", data, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    payload = data[20:]
+    payload = memoryview(data)[20:]
     if len(payload) != length:
         raise FormatError(f"truncated payload: {len(payload)} of {length} bytes")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
@@ -576,7 +589,15 @@ def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
 
 
 def load_compiled(data: bytes) -> CompiledModel:
+    """Decode and check a ``.quadm``.
+
+    Every constant is a read-only view into the artifact's bytes
+    (``tensor.qtns_payload``), so a loaded model holds each base weight
+    once.  Equal quantization parameters decode to one shared
+    ``QuantParams``.
+    """
     payload = _open_payload(MODEL_MAGIC, data)
+    memo = {}
     with _decoding("model"):
         pos = 0
         (seed,) = struct.unpack_from("<Q", payload, pos)
@@ -591,7 +612,7 @@ def load_compiled(data: bytes) -> CompiledModel:
         for _ in range(n_graphs):
             (role_code,) = struct.unpack_from("<B", payload, pos)
             pos += 1
-            g, pos = _unpack_graph(payload, pos)
+            g, pos = _unpack_graph(payload, pos, memo)
             graphs[_ROLE_NAMES[role_code]] = g
         (n_desc,) = struct.unpack_from("<I", payload, pos)
         pos += 4
@@ -601,8 +622,8 @@ def load_compiled(data: bytes) -> CompiledModel:
             pos += 20
             d_out, d_in, r_max, bits = struct.unpack_from("<IIIB", payload, pos)
             pos += 13
-            a_params, pos = _unpack_qparams(payload, pos)
-            b_params, pos = _unpack_qparams(payload, pos)
+            a_params, pos = _unpack_qparams(payload, pos, memo)
+            b_params, pos = _unpack_qparams(payload, pos, memo)
             descriptors.append(LoRASlotDescriptor(slot_id, target, a_tid, b_tid, alpha_tid,
                                                   d_out, d_in, r_max, bits, a_params, b_params))
         if pos != len(payload):
@@ -664,8 +685,61 @@ class LoRAPack:
     slots: dict   # slot_id -> PackedSlot
 
 
-def unpack_lora(data: bytes) -> LoRAPack:
+def slot_layouts(descriptors) -> dict:
+    """slot_id -> (descriptor, front, A's dtype, B's header, B's dtype).
+
+    What every pack made for a model holds around each slot's two
+    payloads (``pack_lora``): ``front`` runs from the slot's parameter
+    records through the QTNS header of A.  ``read_pack`` compares a
+    pack's bytes with these instead of decoding them.  The descriptors
+    are a loaded model's, so their scales are the fp32 values a record
+    stores.
+    """
+    layouts = {}
+    for d in descriptors:
+        a, b = gr.storage_name(d.a_params), gr.storage_name(d.b_params)
+        front = _pack_qparams(d.a_params) + _pack_qparams(d.b_params) + tz.qtns_header(a, d.a_shape)
+        layouts[d.slot_id] = (d, front, a, tz.qtns_header(b, d.b_shape), b)
+    return layouts
+
+
+def _unpack_slot(payload, pos, layouts, memo):
+    """One slot record; returns ((slot_id, rank, alpha, a_params, b_params,
+    a_q, b_q), next offset), the factors read-only views into ``payload``.
+
+    Where the record holds exactly the bytes its slot's layout expects,
+    the parameters are the descriptor's own and the factors are viewed
+    at the offsets the layout gives; any other record is decoded field
+    by field, so it raises what ``unpack_lora`` raises for it.
+    """
+    slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
+    pos += 12
+    d, front, a_name, b_head, b_name = layouts.get(slot_id, (None, None, None, None, None))
+    if d is not None and payload[pos:pos + len(front)] == front:
+        a_params, b_params = d.a_params, d.b_params
+        a_q, pos = tz.qtns_payload(payload, pos + len(front), a_name, d.a_shape)
+    else:
+        a_params, pos = _unpack_qparams(payload, pos, memo)
+        b_params, pos = _unpack_qparams(payload, pos, memo)
+        a_q, pos = tz.qtns_from_bytes(payload, pos)
+    if d is not None and payload[pos:pos + len(b_head)] == b_head:
+        b_q, pos = tz.qtns_payload(payload, pos + len(b_head), b_name, d.b_shape)
+    else:
+        b_q, pos = tz.qtns_from_bytes(payload, pos)
+    return (slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q), pos
+
+
+def read_pack(data: bytes, layouts=None):
+    """A pack's adapter id, factor bit width and slot records, in file order.
+
+    Each record is (slot_id, rank, alpha, a_params, b_params, a_q, b_q),
+    with the factors read-only views into the pack's bytes; nothing is
+    copied.  ``layouts`` (``slot_layouts``) lets the records of a
+    model's slots be compared instead of decoded.
+    """
+    layouts = layouts or {}
     payload = _open_payload(PACK_MAGIC, data)
+    memo = {}
     with _decoding("pack"):
         pos = 0
         adapter_id, pos = _unpack_str(payload, pos)
@@ -673,15 +747,16 @@ def unpack_lora(data: bytes) -> LoRAPack:
         pos += 1
         (n_slots,) = struct.unpack_from("<I", payload, pos)
         pos += 4
-        slots = {}
+        records = []
         for _ in range(n_slots):
-            slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
-            pos += 12
-            a_params, pos = _unpack_qparams(payload, pos)
-            b_params, pos = _unpack_qparams(payload, pos)
-            a_q, pos = tz.qtns_from_bytes(payload, pos)
-            b_q, pos = tz.qtns_from_bytes(payload, pos)
-            slots[slot_id] = PackedSlot(slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q)
+            record, pos = _unpack_slot(payload, pos, layouts, memo)
+            records.append(record)
     if pos != len(payload):
         raise FormatError("trailing bytes in pack payload")
-    return LoRAPack(adapter_id, lora_bits, slots)
+    return adapter_id, lora_bits, records
+
+
+def unpack_lora(data: bytes) -> LoRAPack:
+    """Decode a ``.qlp``; the factors are read-only views into ``data``."""
+    adapter_id, lora_bits, records = read_pack(data)
+    return LoRAPack(adapter_id, lora_bits, {r[0]: PackedSlot(*r) for r in records})

@@ -12,9 +12,9 @@ kernels in :mod:`onegraph.tensor`, and a product whose two operands are
 quantized (a ``qlinear`` node, W x and B x inside the runtime's
 ``qlora``, or a product that QuantSim's ``product`` hook sees with both
 operands fake-quantized) goes through the exact integer kernel of
-:mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``), whose
-result no summation order changes.  Every product in the IR is a
-matrix product: ``qlinear`` has no other ``op``.
+:mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``,
+``scaled_matmul``), whose result no summation order changes.  Every
+product in the IR is a matrix product: ``qlinear`` has no other ``op``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .rng import Rng
 # The runtime kinds exist only in graphs a runtime session lowers at
 # load (``runtime.lower_products``), and have no kind code, so no
 # artifact can hold them: ``qlora`` is one adapter layer, W x + alpha *
-# A (B x) from the integer q_w, q_x, q_b and q_a, and ``requant`` one
-# quantize -> dequantize [-> activation] chain, fp32 in and out.
+# A (B x) from the integer q_w and q_x, B's centred levels (f64) and the
+# dequantized A, and ``requant`` one quantize -> dequantize [->
+# activation] chain, fp32 in and out.
 FP_KINDS = ("matmul", "add", "scale", "concat", "activation", "lora_matmul")
 QUANT_KINDS = ("quantize", "dequantize", "qlinear")
 RUNTIME_KINDS = ("qlora", "requant")
@@ -130,7 +131,7 @@ def _qparams(n, key):
 
 
 def storage_name(p: qp.QuantParams) -> str:
-    return tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed)))
+    return tz.name_of(qp.storage_dtype(p.bits, p.signed))
 
 
 def infer_shapes(g: Graph) -> dict:
@@ -217,9 +218,12 @@ def infer_shapes(g: Graph) -> dict:
             p = _qparams(n, "out_qparams")
             out = ((sw[0], sx[1]), storage_name(p))
         elif n.kind == "qlora":
-            (sw, _), (sx, _), (sb, _), (sa, _), (sal, dal) = (get(t) for t in n.inputs)
+            (sw, _), (sx, _), (sb, db), (sa, da), (sal, dal) = (get(t) for t in n.inputs)
             for key in ("w_qparams", "in_qparams", "b_qparams", "a_qparams"):
                 _qparams(n, key)
+            if db != "f64" or da != "fp32":
+                raise ShapeError(f"node {n.id}: qlora needs B centred in f64 and A in fp32, "
+                                 f"got {db} and {da}")
             if (len(sw) != 2 or len(sx) != 2 or len(sb) != 2 or len(sa) != 2 or sw[1] != sx[0]
                     or sb[1] != sx[0] or sa[1] != sb[0] or sa[0] != sw[0]):
                 raise ShapeError(f"node {n.id}: qlora shapes W{sw} x{sx} B{sb} A{sa}")
@@ -493,19 +497,20 @@ def _run_qlinear(n, ins):
 def _run_qlora(n, ins):
     """add(W x, scale(A (B x), alpha)), as the unfused adapter layer computes it.
 
-    W x and B x are the exact integer products of ``qparams.int_matmul``
-    on one centring of q_x; A is dequantized, A (B x) is the fp32
-    ``tensor.matmul``.  Each product checks its 2**53 bound before the
-    operands are widened.
+    B and A arrive in the form ``runtime.bind_lora`` prepares them once
+    per bind: B as its centred levels q_b - z_b in float64, A
+    dequantized to fp32.  So a step centres only q_w and q_x.  W x and
+    B x are the exact integer products of ``qparams.scaled_matmul`` on
+    one centring of q_x, and A (B x) is the fp32 ``tensor.matmul``.  The
+    2**53 bound of both products depends only on the shapes and the
+    parameters, so the session checks it once, at load, not here.
     """
-    q_w, q_x, q_b, q_a, alpha = ins
+    q_w, q_x, c_b, a, alpha = ins
     p_w, p_x, p_b = n.attrs["w_qparams"], n.attrs["in_qparams"], n.attrs["b_qparams"]
-    qp.check_exact(q_w.shape, p_w, q_x.shape, p_x)
-    qp.check_exact(q_b.shape, p_b, q_x.shape, p_x)
     c_x = qp.centered_levels(q_x, p_x)
-    out = qp.centered_matmul(qp.centered_levels(q_w, p_w), p_w, c_x, p_x)
-    bx = qp.centered_matmul(qp.centered_levels(q_b, p_b), p_b, c_x, p_x)
-    abx = tz.matmul(qp.dequantize_array(q_a, n.attrs["a_qparams"]), bx)
+    s_x = np.float64(p_x.scale)
+    out = qp.scaled_matmul(qp.centered_levels(q_w, p_w), c_x, np.float64(p_w.scale) * s_x)
+    abx = tz.matmul(a, qp.scaled_matmul(c_b, c_x, np.float64(p_b.scale) * s_x))
     abx *= alpha.reshape(())
     out += abx
     return out

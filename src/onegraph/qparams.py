@@ -20,7 +20,9 @@ the sum taken exactly, as integer-arithmetic-only inference does
 every partial sum is an integer below ``k * 2**bits_a * 2**bits_b`` in
 magnitude; while that bound stays below 2**53 a float64 holds each one
 exactly, so neither the summation order nor BLAS blocking or threads can
-change a bit.  The kernel checks the bound and raises past it.
+change a bit.  ``int_matmul`` and ``centered_matmul`` check the bound and
+raise past it; ``scaled_matmul`` leaves the check to a caller that made
+it once for all the products it takes with those shapes and parameters.
 """
 
 from __future__ import annotations
@@ -169,11 +171,21 @@ def centered_matmul(c_a: np.ndarray, p_a: QuantParams, c_b: np.ndarray, p_b: Qua
     round.
     """
     check_exact(c_a.shape, p_a, c_b.shape, p_b)
+    return scaled_matmul(c_a, c_b, np.float64(p_a.scale) * np.float64(p_b.scale))
+
+
+def scaled_matmul(c_a: np.ndarray, c_b: np.ndarray, scale) -> np.ndarray:
+    """fp32(float64(c_a @ c_b) * scale): ``centered_matmul`` past its bound check.
+
+    For a caller that checked the bound (``check_exact``) once for shapes
+    and parameters that many products share, as a runtime session does
+    for its ``qlora`` nodes at load.
+    """
     acc = np.matmul(c_a, c_b)
     # An exact zero may come out of the GEMM as -0.0, depending on where its
     # accumulator started; adding +0.0 makes it +0.0, as the integer sum is.
     acc += 0.0
-    acc *= np.float64(p_a.scale) * np.float64(p_b.scale)
+    acc *= scale
     return acc.astype(np.float32)
 
 

@@ -366,7 +366,8 @@ def profile_to_text(profile: QuantProfile) -> str:
 
 
 def profile_from_text(text: str) -> QuantProfile:
-    """Parse ``profile_to_text``'s format; a line that does not parse is a FormatError."""
+    """Parse ``profile_to_text``'s format; a line that does not parse, or a
+    text without a policy line, is a FormatError."""
     policy = None
     lora_bits = 16
     weight_params = {}
@@ -401,6 +402,6 @@ def profile_from_text(text: str) -> QuantProfile:
         else:
             weight_params[key] = p
     if policy is None:
-        raise CalibrationError("profile text lacks a policy line")
+        raise FormatError("profile text lacks a policy line")
     return QuantProfile(weight_params=weight_params, act_params=act_params,
                         policy=policy, lora_bits=lora_bits)

@@ -5,35 +5,51 @@ for the tensors a run produces, and binds adapter packs into the
 designated slots without touching the base graph or weights.
 ``infer`` is ``graph.run_bundle`` with arena hooks.
 
+Work is staged as TFLite Micro stages it (David et al. 2020,
+arXiv:2010.08678): what depends only on the artifact is resolved at
+load, what depends only on the bound adapter is prepared at bind, and a
+denoising step runs only the arithmetic that depends on its input.
+
+* **Load.**  The base weights are read-only views into the artifact's
+  bytes, which the session keeps (``compiler.load_compiled``), so each
+  is held once.  The session lowers the graphs (below), checks that each
+  slot feeds one ``qlora`` under the slot's parameters, and checks both
+  2**53 bounds of every ``qlora`` (``check_adapter_layers``).
+* **Bind.**  ``bind_lora`` walks the pack once and writes each slot
+  straight into the form its ``qlora`` multiplies (``slot_operands``):
+  B's centred levels in float64, A dequantized to fp32, alpha.  These
+  are constants of the session's own backbone, not inputs, and are not
+  planned.
+* **Step.**  A backbone step is fed ``z`` and the conditioning only; it
+  reads the weights and the prepared slots in place and centres only
+  q_w and q_x.
+
 The arena holds every node output of the three graphs and every graph
 input: the encoder's ``x``, the backbone's latent ``z`` and
 conditioning, and the decoder's latent.  ``z`` and the decoder input
 arrive as arena views of the previous graph's output, whose bytes the
 next graph's nodes reuse, so each is copied into its own planned bytes
-before the graph runs.  The adapter slots, each descriptor's A, B and
-alpha, change only at bind, so the session's backbone holds them as
-constants, not inputs: ``bind_lora`` writes the arrays it decoded into
-the backbone's own constants, every step reads them in place, and a
-step is fed ``z`` and the conditioning only.  Constants are not planned.
-Each planned tensor has one ndarray view over the arena, made at load
-from the load shapes, and the hooks store a value with one assignment
-into its view.  The kernels still allocate their results; the arena is
-where a run's tensors are kept, not where they are computed.
+before the graph runs.  Constants, the base weights and the prepared
+slots, are not planned.  Each planned tensor has one ndarray view over
+the arena, made at load from the load shapes, and the hooks store a
+value with one assignment into its view.  The kernels still allocate
+their results; the arena is where a run's tensors are kept, not where
+they are computed.
 
 At load the session fuses the frozen graphs (``lower_products``).  Each
 adapter layer, the ``add`` of W x and alpha * A (B x) with W, x, B and A
-dequantized from integers, becomes one ``qlora`` node on the integer
-q_w, q_x, q_b and q_a: it centres q_x once for the two exact integer
-products W x and B x (``qparams.int_matmul``), then runs the same fp32
-A (B x), scale and add.  Each ``quantize -> dequantize [-> activation]``
-chain whose links are read only by the next link becomes one
-``requant`` node running the same kernels in the same order.  So one
-layer of a denoising step is a ``qlora``, a ``requant`` and the
-``quantize`` of the next layer's input, no base weight is dequantized
-on a step, and the arena holds none of the chains' inner tensors.  The
-session plans and runs the fused graphs, which ``session.model``
-holds; the artifact and ``compiler.load_compiled`` keep the graphs as
-frozen.
+dequantized from integers, becomes one ``qlora`` node reading q_w, q_x
+and the slot's prepared B, A and alpha: it centres q_x once for the two
+exact integer products W x and B x (``qparams.scaled_matmul``), then
+runs the same fp32 A (B x), scale and add.  Each ``quantize ->
+dequantize [-> activation]`` chain whose links are read only by the
+next link becomes one ``requant`` node running the same kernels in the
+same order.  So one layer of a denoising step is a ``qlora``, a
+``requant`` and the ``quantize`` of the next layer's input, no base
+weight is dequantized on a step, and the arena holds none of the
+chains' inner tensors.  The session plans and runs the fused graphs,
+which ``session.model`` holds; the artifact and
+``compiler.load_compiled`` keep the graphs as frozen.
 
 Loading derives each graph's shapes once: ``load_compiled`` checks the
 bundle with ``graph.validate_bundle``, and the session plans from the
@@ -54,6 +70,7 @@ planner leaves no tuples on CPython's free lists behind it.
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import math
 import statistics
@@ -66,7 +83,7 @@ from . import compiler as cp
 from . import graph as gr
 from . import qparams as qp
 from . import tensor as tz
-from .errors import BindError, RangeError
+from .errors import BindError, FormatError, RangeError
 
 
 @dataclass
@@ -215,12 +232,13 @@ def _rebuild(g: gr.Graph, fused: dict, gone: set) -> gr.Graph:
 
 
 def _fuse_lora(g: gr.Graph) -> gr.Graph:
-    """Adapter layers -> ``qlora [q_w, q_x, q_b, q_a, alpha]``.
+    """Adapter layers -> ``qlora [q_w, q_x, B, A, alpha]``.
 
     The layer is ``add(matmul(dq(q_w), dq(q_x)), scale(matmul(dq(q_a),
     matmul(dq(q_b), dq(q_x))), alpha))``, where both x operands
     dequantize the same ``q_x`` with the same parameters, and W x, B x,
-    A (B x) and the scaled term are each read once, by the layer.
+    A (B x) and the scaled term are each read once, by the layer.  B and
+    A are the tensors of q_b and q_a, which a bind prepares.
     """
     producer = g.producer_map()
     users = _consumers(g)
@@ -293,7 +311,9 @@ def lower_products(g: gr.Graph) -> gr.Graph:
     topological and load's shape maps still fit.  It runs the chain's
     kernels in the chain's order (``graph.run_graph``); ``qlora``
     computes both exact integer products, W x and B x, on one centring
-    of ``q_x``.  Adapter layers are fused first: their ``q_x`` feeds two
+    of ``q_x``, and reads B and A in the form a bind prepares them
+    (``slot_operands``), so its slots must be bound before it runs.
+    Adapter layers are fused first: their ``q_x`` feeds two
     products and never starts a ``requant``.  A ``dequantize`` left
     without consumers, and not a graph output, is dropped.  A product of
     two dequantized tensors outside an adapter layer, which the compiler
@@ -302,6 +322,36 @@ def lower_products(g: gr.Graph) -> gr.Graph:
     unchanged nodes and the constants with ``g``.
     """
     return _fuse_requant(_fuse_lora(g))
+
+
+def check_adapter_layers(g: gr.Graph, descriptors, shapes: dict) -> None:
+    """Each slot is the B, A and alpha of one ``qlora``, which nothing
+    else reads, and both exact products of every ``qlora`` stay within
+    the 2**53 bound.
+
+    ``g`` is a session's lowered backbone and ``shapes`` the load shapes
+    of the frozen one.  A bind writes a slot in the form only its
+    ``qlora`` multiplies, prepared with the slot's parameters, so the
+    layer must hold those parameters too (``FormatError`` otherwise).
+    The bounds depend on the shapes and the parameters alone, which
+    ``bind_lora`` refuses to change, so they are checked here once
+    (``RangeError``), not on every step.
+    """
+    slots = {(d.b_tid, d.a_tid, d.alpha_tid): d for d in descriptors}
+    reads = collections.Counter(t for n in g.nodes for t in n.inputs)
+    reads.update(t for _, t in g.outputs)
+    for n in (n for n in g.nodes if n.kind == "qlora"):
+        d = slots.pop(tuple(n.inputs[2:]), None)
+        if (d is None or (n.attrs["b_qparams"], n.attrs["a_qparams"]) != (d.b_params, d.a_params)
+                or any(reads[t] != 1 for t in n.inputs[2:])):
+            raise FormatError(f"node {n.id}: an adapter layer must be the one reader of one slot, "
+                              "under the slot's parameters")
+        (w, _), (x, _), (b, _) = (shapes[t] for t in n.inputs[:3])
+        p_x = n.attrs["in_qparams"]
+        qp.check_exact(w, n.attrs["w_qparams"], x, p_x)
+        qp.check_exact(b, n.attrs["b_qparams"], x, p_x)
+    if slots:
+        raise FormatError(f"slots {sorted(d.slot_id for d in slots.values())} feed no adapter layer")
 
 
 def plan_memory(g: gr.Graph, shapes=None) -> MemoryPlan:
@@ -349,8 +399,10 @@ class Session:
     """One loaded model with at most one bound adapter.
 
     Base weights never change after load; binding only replaces the
-    slot constants of the session's own backbone.  Confine a session to
-    one thread at a time.
+    slot constants of the session's own backbone.  A model whose slots
+    are not each one ``qlora``'s operands raises ``FormatError``, and one
+    whose ``qlora`` products could pass 2**53 raises ``RangeError``.
+    Confine a session to one thread at a time.
     """
 
     def __init__(self, model: cp.CompiledModel, model_bytes: bytes):
@@ -362,6 +414,8 @@ class Session:
         bb = graphs["backbone"]
         graphs["backbone"] = replace(bb, inputs=[gi for gi in bb.inputs if gi.tid not in slots],
                                      constants=dict(bb.constants))
+        check_adapter_layers(graphs["backbone"], model.descriptors, model.shapes["backbone"])
+        self._layouts = cp.slot_layouts(model.descriptors)
         # The session's copy does not keep the shape maps: they would stay
         # live through every infer (219 KB for the w32/d128 benchmark model).
         self.model = replace(model, graphs=graphs, shapes=None)
@@ -376,51 +430,76 @@ class Session:
 
     @property
     def adapter_buffer_bytes(self) -> int:
-        """Bytes of the bound slot constants; 0 before the first bind."""
+        """Bytes of the prepared slot operands the session holds (B's
+        centred levels in float64, A in fp32, alpha); 0 before the first
+        bind."""
         c = self.bundle.backbone.constants
         return sum(int(c[t].nbytes) for d in self.model.descriptors
                    for t in (d.a_tid, d.b_tid, d.alpha_tid) if t in c)
 
 
 def load_model(data: bytes) -> Session:
-    """Parse and verify a compiled model; plans memory and times init."""
+    """Parse and verify a compiled model; plans memory and times init.
+
+    The session keeps ``data`` as ``bytes`` (a ``bytearray`` is copied
+    once), and its base weights are read-only views into them.
+    """
+    data = bytes(data)
     return Session(cp.load_compiled(data), data)
 
 
-def bind_lora(session: Session, pack_bytes: bytes):
-    """Decode a pack's payloads into the session backbone's slot constants.
+def slot_operands(q_b, p_b, q_a, p_a, alpha) -> tuple:
+    """A slot's B, A and alpha in the form a ``qlora`` multiplies them.
 
-    The decoded arrays become the constants at the descriptors' tensor
-    ids, and every denoising step reads them in place.  So each payload
-    byte is copied twice per bind, once in the payload slice that the
-    checksum reads and once in the decode, and never in ``infer``.
-    Every check (the slot set, shapes, storage dtypes, quantization
-    parameters, rank) runs before any session state changes, so a failed
-    bind leaves the previous binding intact.  No graph rebuild, no
-    base-weight change; a rebind always decodes the full pack.
+    B becomes its centred levels q_b - z_b in float64
+    (``qparams.centered_levels``), A its fp32 dequantized values
+    (``qparams.dequantize_array``), alpha a one-element fp32 array.
+    Both factors' levels are range-checked here, as those functions
+    check them; a level outside its range raises ``RangeError``.
     """
-    pack = cp.unpack_lora(pack_bytes)
-    descs = {d.slot_id: d for d in session.model.descriptors}
-    if set(pack.slots) != set(descs):
-        raise BindError(f"pack slots {sorted(pack.slots)} do not match model slots {sorted(descs)}")
-    staged = {}
-    for slot_id, d in descs.items():
-        s = pack.slots[slot_id]
-        if s.a_q.shape != d.a_shape or s.b_q.shape != d.b_shape:
-            raise BindError(f"slot {slot_id}: payload shapes {s.a_q.shape}/{s.b_q.shape} "
+    return (qp.centered_levels(q_b, p_b), qp.dequantize_array(q_a, p_a),
+            np.array((alpha,), dtype=np.float32))
+
+
+def bind_lora(session: Session, pack_bytes: bytes):
+    """Prepare a pack's factors as the session backbone's slot constants.
+
+    One walk of the pack (``compiler.read_pack``) compares each slot's
+    parameter records and QTNS headers with the model's and views its
+    payloads in place.  Each slot is then written straight into the form
+    its ``qlora`` multiplies (``slot_operands``): B's centred levels in
+    float64, A dequantized to fp32, and alpha as a one-element fp32
+    array.  Every step reads them in place.  Every check (the slot set, shapes,
+    storage dtypes, quantization parameters, rank, then the range of
+    every level) runs before any session state changes, so a failed bind
+    leaves the previous operands in place.  No graph rebuild, no
+    base-weight change; a rebind always prepares the full pack.
+    """
+    layouts = session._layouts
+    adapter_id, _, records = cp.read_pack(pack_bytes, layouts)
+    pack = {r[0]: r for r in records}
+    if set(pack) != set(layouts):
+        raise BindError(f"pack slots {sorted(pack)} do not match model slots {sorted(layouts)}")
+    for slot_id, (d, *_) in layouts.items():
+        _, rank, _, a_params, b_params, a_q, b_q = pack[slot_id]
+        if a_q.shape != d.a_shape or b_q.shape != d.b_shape:
+            raise BindError(f"slot {slot_id}: payload shapes {a_q.shape}/{b_q.shape} "
                             f"do not match descriptors {d.a_shape}/{d.b_shape}")
-        for name, q, p in ((d.a_name, s.a_q, d.a_params), (d.b_name, s.b_q, d.b_params)):
+        for name, q, p in ((d.a_name, a_q, d.a_params), (d.b_name, b_q, d.b_params)):
             if q.dtype != qp.storage_dtype(p.bits, p.signed):
                 raise BindError(f"slot {slot_id}: payload {name} is {tz.dtype_name(q)}, "
                                 f"the slot stores {gr.storage_name(p)}")
-        if s.a_params != d.a_params or s.b_params != d.b_params:
+        if a_params != d.a_params or b_params != d.b_params:
             raise BindError(f"slot {slot_id}: pack quantization parameters do not match the model")
-        if s.rank > d.r_max:
-            raise BindError(f"slot {slot_id}: rank {s.rank} exceeds {d.r_max}")
-        staged.update({d.a_tid: s.a_q, d.b_tid: s.b_q,
-                       d.alpha_tid: np.full((1,), s.alpha, dtype=np.float32)})
+        if rank > d.r_max:
+            raise BindError(f"slot {slot_id}: rank {rank} exceeds {d.r_max}")
+    staged = {}
+    for slot_id, (d, *_) in layouts.items():
+        _, _, alpha, _, _, a_q, b_q = pack[slot_id]
+        staged.update(zip((d.b_tid, d.a_tid, d.alpha_tid),
+                          slot_operands(b_q, d.b_params, a_q, d.a_params, alpha)))
     session.bundle.backbone.constants.update(staged)
-    session.bound_adapter = pack.adapter_id
+    session.bound_adapter = adapter_id
 
 
 def infer(session: Session, x, cond, seed: int = 0) -> np.ndarray:
@@ -490,8 +569,9 @@ def kpi(session: Session, packs: list, workload: list) -> KPIReport:
 
     ``packs`` are .qlp byte strings, ``workload`` is a list of (x, cond)
     pairs run under every pack.  ``peak_ram_bytes`` is the planned arena
-    plus the bound slot buffers, a plan rather than a measurement; the
-    arena holds no copy of the slots, so no slot byte is counted twice.
+    plus the prepared slot operands, a plan rather than a measurement;
+    the arena holds no copy of the slots, so no slot byte is counted
+    twice.
     """
     if not packs:
         raise ValueError("need at least one pack")

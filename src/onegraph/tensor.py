@@ -30,27 +30,37 @@ import numpy as np
 
 from .errors import FormatError, RangeError, ShapeError
 
+# f64 holds the centred levels a runtime session prepares at bind
+# (``runtime.bind_lora``).  It has no QTNS code, so no file holds it.
 DTYPES = {
     "fp32": np.float32,
     "i8": np.int8,
     "i16": np.int16,
     "i32": np.int32,
+    "f64": np.float64,
 }
 DTYPE_CODES = {"fp32": 0, "i8": 1, "i16": 2, "i32": 3}
 DTYPE_NAMES = {v: k for k, v in DTYPE_CODES.items()}
+_NAMES = {np.dtype(t): name for name, t in DTYPES.items()}
+_LITTLE = {name: np.dtype(t).newbyteorder("<") for name, t in DTYPES.items()}
 
 PSNR_CAP_DB = 99.0
 
 
 def dtype_name(arr: np.ndarray) -> str:
-    for name, np_dtype in DTYPES.items():
-        if arr.dtype == np_dtype:
-            return name
-    raise ShapeError(f"unsupported dtype {arr.dtype}")
+    return name_of(arr.dtype)
+
+
+def name_of(dtype) -> str:
+    """The name of a dtype (or scalar type) in ``DTYPES``."""
+    name = _NAMES.get(np.dtype(dtype))
+    if name is None:
+        raise ShapeError(f"unsupported dtype {np.dtype(dtype)}")
+    return name
 
 
 def itemsize(name: str) -> int:
-    return np.dtype(DTYPES[name]).itemsize
+    return _LITTLE[name].itemsize
 
 
 def _require_fp32(*arrays: np.ndarray) -> None:
@@ -186,25 +196,29 @@ QTNS_MAGIC = b"QTNS"
 QTNS_VERSION = 1
 
 
-def qtns_bytes(arr: np.ndarray) -> bytes:
-    name = dtype_name(arr)
-    if arr.ndim > 255:
+def qtns_header(name: str, shape) -> bytes:
+    """The header of a QTNS record holding a tensor of dtype ``name`` and ``shape``."""
+    if name not in DTYPE_CODES:
+        raise FormatError(f"QTNS has no code for dtype {name}")
+    if len(shape) > 255:
         raise FormatError("rank too large for QTNS")
-    head = QTNS_MAGIC + struct.pack("<HBB", QTNS_VERSION, DTYPE_CODES[name], arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return QTNS_MAGIC + struct.pack(f"<HBB{len(shape)}I", QTNS_VERSION, DTYPE_CODES[name], len(shape), *shape)
+
+
+def qtns_bytes(arr: np.ndarray) -> bytes:
     buf = np.ascontiguousarray(arr)
     if buf.dtype.byteorder == ">":
         buf = buf.astype(buf.dtype.newbyteorder("<"))
-    return head + dims + buf.tobytes()
+    return qtns_header(dtype_name(arr), arr.shape) + buf.tobytes()
 
 
-def qtns_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+def qtns_from_bytes(data, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one QTNS record; returns (tensor, next offset).
 
-    The payload is read in place from ``data`` and copied once, into a
-    native-order array that owns its bytes.  The element count is the
-    exact integer product of the extents, so extents whose product
-    exceeds any buffer are a truncated payload, not a wrapped count.
+    The tensor is ``qtns_payload``'s view of the payload.  The element
+    count is the exact integer product of the extents, so extents whose
+    product exceeds any buffer are a truncated payload, not a wrapped
+    count.
     """
     if data[offset:offset + 4] != QTNS_MAGIC:
         raise FormatError("bad QTNS magic")
@@ -219,15 +233,24 @@ def qtns_from_bytes(data: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if len(data) < pos + 4 * rank:
         raise FormatError("truncated QTNS header")
     shape = struct.unpack_from(f"<{rank}I", data, pos)
-    pos += 4 * rank
-    name = DTYPE_NAMES[code]
-    count = math.prod(shape)
-    nbytes = count * itemsize(name)
+    return qtns_payload(data, pos + 4 * rank, DTYPE_NAMES[code], shape)
+
+
+def qtns_payload(data, pos: int, name: str, shape) -> tuple[np.ndarray, int]:
+    """The payload at ``pos`` of a QTNS record whose header reads (``name``,
+    ``shape``); returns (tensor, next offset).
+
+    The tensor is a view of ``data`` (``bytes`` or a memoryview of
+    them), not a copy: read-only, and keeping ``data`` alive.  numpy
+    reads unaligned 2- and 4-byte payloads as they lie; only a
+    big-endian host copies them, into native order.
+    """
+    dtype = _LITTLE[name]
+    nbytes = math.prod(shape) * dtype.itemsize
     if len(data) < pos + nbytes:
         raise FormatError("truncated QTNS payload")
-    flat = np.frombuffer(data, dtype=np.dtype(DTYPES[name]).newbyteorder("<"), count=count, offset=pos)
-    arr = flat.reshape(shape).astype(DTYPES[name])
-    return arr, pos + nbytes
+    arr = np.ndarray(shape, dtype, buffer=data, offset=pos)
+    return (arr if dtype.isnative else arr.astype(DTYPES[name])), pos + nbytes
 
 
 def write_qtns(path, arr: np.ndarray) -> None:
@@ -236,6 +259,7 @@ def write_qtns(path, arr: np.ndarray) -> None:
 
 
 def read_qtns(path) -> np.ndarray:
+    """The tensor of a QTNS file, read-only (``qtns_from_bytes``)."""
     with open(path, "rb") as fh:
         data = fh.read()
     arr, end = qtns_from_bytes(data)

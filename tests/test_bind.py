@@ -1,23 +1,28 @@
 """Binding adapter packs into a loaded model.
 
-A bind that fails leaves the previous binding as it was, so the next
-infer serves the same bits.  Neither a bind, failed or not, nor an
-infer changes a byte of the loaded model's constants: binding only
-writes the slot constants of the session's own backbone.  Those are the
-arrays the bind decoded, and every step of ``infer`` reads them in
-place; a step is fed the latent and the conditioning only.
+A bind that fails leaves the previous binding as it was, the very
+arrays, so the next infer serves the same bits.  Neither a bind, failed
+or not, nor an infer changes a byte of the loaded model's constants:
+binding only writes the slot constants of the session's own backbone.
+Those are each slot's operands as its ``qlora`` multiplies them,
+prepared once per bind from the pack's payloads (B's centred levels in
+float64, A dequantized to fp32), and every step of ``infer`` reads them
+in place; a step is fed the latent and the conditioning only.
 """
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import qparams as qp
+from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
-from onegraph.errors import BindError
+from onegraph.errors import BindError, RangeError
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +35,14 @@ def served(w64):
 def bad_pack(defect, descriptors, adapter, profile):
     if defect == "slots":
         return cp.pack_lora(adapter, descriptors[1:], profile)
+    if defect == "rank":
+        # slot 0 claims one rank more than its slot holds
+        pack = cp.pack_lora(adapter, descriptors, profile)
+        d, alpha = descriptors[0], np.float32(adapter.entries[descriptors[0].target_node_id].alpha)
+        payload, old = pack[20:], struct.pack("<IIf", d.slot_id, d.r_max, alpha)
+        assert payload.count(old) == 1
+        return cp._wrap_payload(cp.PACK_MAGIC,
+                                payload.replace(old, struct.pack("<IIf", d.slot_id, d.r_max + 1, alpha)))
     if defect == "dtype":
         # slot 0's A stored as i32: the same levels under the same parameters
         pack = cp.pack_lora(adapter, descriptors, profile)
@@ -48,9 +61,15 @@ def constant_bytes(model):
             for role, g in model.graphs.items() for tid, arr in g.constants.items()}
 
 
+def slot_arrays(session):
+    return {t: session.bundle.backbone.constants[t]
+            for d in session.model.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
+
+
 @pytest.mark.parametrize("defect, message", (("slots", "do not match model slots"),
                                              ("params", "quantization parameters"),
-                                             ("dtype", "is i32, the slot stores i16")))
+                                             ("dtype", "is i32, the slot stores i16"),
+                                             ("rank", "rank 9 exceeds 8")))
 def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     model_bytes, descriptors, (_, adapters, samples, profile) = served
     model = cp.load_compiled(model_bytes)
@@ -59,11 +78,13 @@ def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
     x, cond = samples[0]
     first = rt.infer(session, x, cond, seed=3)
+    prepared = slot_arrays(session)
 
     with pytest.raises(BindError, match=message):
         rt.bind_lora(session, bad_pack(defect, descriptors, adapters[1], profile))
 
     assert session.bound_adapter == adapters[0].adapter_id
+    assert all(arr is prepared[t] for t, arr in slot_arrays(session).items())
     again = rt.infer(session, x, cond, seed=3)
     assert again.dtype == first.dtype and again.tobytes() == first.tobytes()
     assert constant_bytes(model) == base
@@ -78,19 +99,61 @@ def bound(served):
     return session, samples[0]
 
 
-def test_bind_keeps_the_decoded_arrays(served, monkeypatch):
-    model, descriptors, (_, adapters, _, profile) = served
+def test_bind_prepares_each_slot_from_the_payload(served, monkeypatch):
+    """B is ``centered_levels`` and A ``dequantize_array`` of the payload,
+    bit for bit, in arrays of the session's own: a bind walks the pack
+    once, without ``unpack_lora``, and the operands alias no byte of the
+    pack, which the caller may change afterwards."""
+    model, descriptors, (_, adapters, samples, profile) = served
+    pack = bytearray(cp.pack_lora(adapters[0], descriptors, profile))
+    decoded = cp.unpack_lora(bytes(pack))
     session = rt.load_model(model)
-    decoded = []
-    unpack = cp.unpack_lora
-    monkeypatch.setattr(cp, "unpack_lora", lambda data: decoded.append(unpack(data)) or decoded[-1])
-    rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
-    (pack,) = decoded
-    constants = session.model.graphs["backbone"].constants
+    monkeypatch.setattr(cp, "unpack_lora", None)
+    rt.bind_lora(session, pack)
+    x, cond = samples[0]
+    first = rt.infer(session, x, cond, seed=3)
+    pack[20:] = bytes(len(pack) - 20)
+    constants = session.bundle.backbone.constants
     for d in descriptors:
-        s = pack.slots[d.slot_id]
-        assert constants[d.a_tid] is s.a_q and constants[d.b_tid] is s.b_q
-        assert s.a_q.flags.owndata and s.b_q.flags.owndata
+        s = decoded.slots[d.slot_id]
+        for tid, want in ((d.b_tid, qp.centered_levels(s.b_q, d.b_params)),
+                          (d.a_tid, qp.dequantize_array(s.a_q, d.a_params)),
+                          (d.alpha_tid, np.array([s.alpha], np.float32))):
+            got = constants[tid]
+            assert got.dtype == want.dtype and got.shape == want.shape, tid
+            assert got.tobytes() == want.tobytes() and got.flags.owndata, tid
+    assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
+
+
+def test_a_level_out_of_range_fails_the_bind(toy_bundle, toy_adapter, toy_profile, toy_samples):
+    """Unsigned 8-bit slots are stored in int16, which holds levels past
+    255.  Such a level is refused when the bind prepares the slot, before
+    any session state changes, as the step that read it refused it
+    before."""
+    unsigned = qt.QuantProfile(policy=toy_profile.policy, lora_bits=8,
+                               weight_params=dict(toy_profile.weight_params),
+                               act_params=dict(toy_profile.act_params))
+    for key, p in toy_profile.weight_params.items():
+        if ".lora." in key:
+            unsigned.weight_params[key] = qp.compute_quant_params(p.repr_lo, p.repr_hi, 8, signed=False)
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, unsigned)
+    session = rt.load_model(cp.freeze(frozen, unsigned, descriptors, name="unsigned"))
+    good = cp.pack_lora(toy_adapter, descriptors, unsigned)
+    rt.bind_lora(session, good)
+    x, cond = toy_samples[0]
+    first = rt.infer(session, x, cond, seed=3)
+    prepared = slot_arrays(session)
+
+    b_q = cp.unpack_lora(good).slots[1].b_q
+    assert b_q.dtype == np.int16
+    past = b_q.copy()
+    past[0, 0] = 256
+    payload, old = good[20:], tz.qtns_bytes(b_q)
+    assert payload.count(old) == 1
+    with pytest.raises(RangeError, match="outside"):
+        rt.bind_lora(session, cp._wrap_payload(cp.PACK_MAGIC, payload.replace(old, tz.qtns_bytes(past))))
+    assert all(arr is prepared[t] for t, arr in slot_arrays(session).items())
+    assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
 
 
 def test_every_qlora_reads_the_slot_arrays_in_place(bound, monkeypatch):

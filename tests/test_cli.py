@@ -203,6 +203,28 @@ def test_a_config_value_that_does_not_cast_is_a_usage_error(line, files, capsys)
     assert line.split()[0] in err
 
 
+@pytest.mark.parametrize("key", ("seeed", "lora-bit"))
+def test_an_unknown_config_key_is_a_usage_error(key, files, capsys):
+    """A misspelt key is named, not dropped in favour of the default."""
+    config = files("og.cfg", f"{key} = 3\n")
+    err = usage_error(["--config", config, "inspect", config], capsys)
+    assert f"unknown key {key!r}" in err
+
+
+def test_a_profile_without_a_policy_line_is_a_usage_error(files, tmp_path, toy_bundle, toy_profile,
+                                                          monkeypatch, capsys):
+    """``pack-lora`` on a model whose embedded profile has no policy line."""
+    text = "".join(line + "\n" for line in qt.profile_to_text(toy_profile).splitlines()
+                   if not line.startswith("policy "))
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    with monkeypatch.context() as m:
+        m.setattr(qt, "profile_to_text", lambda profile: text)
+        (tmp_path / "m.quadm").write_bytes(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+    argv = ["pack-lora", "--model-bin", str(tmp_path / "m.quadm"), "--adapter", str(tmp_path),
+            "--out", str(tmp_path / "p.qlp")]
+    assert "lacks a policy line" in usage_error(argv, capsys)
+
+
 @pytest.mark.parametrize("command", ("compile", "pack-lora"))
 @pytest.mark.parametrize("lineno, bad", ((1, "policy w4a4"), (3, "backbone.w.3 {scale 0.1}")))
 def test_a_malformed_profile_line_is_a_usage_error(command, lineno, bad, files, tmp_path,

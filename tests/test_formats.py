@@ -6,7 +6,11 @@ mutant may still load (a changed weight value is a valid model); what
 it may not do is escape as struct.error, KeyError, UnicodeDecodeError
 or a RangeError from the quantization parameters.  A model mutant that
 loads must also serve: the structural checks at load leave binding a
-pack that no longer fits as the only failure after it.
+pack that no longer fits as the only failure after it.  A bind, which
+compares a pack's records with the model's and decodes only those that
+differ, fails on a pack mutant exactly as ``unpack_lora`` does.
+
+A loaded model reads its constants in place from the artifact's bytes.
 """
 
 import dataclasses
@@ -21,6 +25,7 @@ from onegraph import compiler as cp
 from onegraph import runtime as rt
 from onegraph import tensor as tz
 from onegraph.errors import BindError, FormatError
+from onegraph.qparams import QuantParams
 
 TRIALS = 200
 
@@ -79,6 +84,81 @@ def test_one_byte_corruption_is_a_format_error(toy_artifacts, kind):
         except Exception as exc:  # noqa: BLE001 - the test reports what escaped
             pytest.fail(f"trial {trial}: {type(exc).__name__}: {exc}")
     assert rejected > 0
+
+
+def test_bind_fails_on_a_pack_as_unpack_lora_does(toy_artifacts):
+    """Every one-byte pack mutant that ``unpack_lora`` refuses fails a bind
+    with the same FormatError; one that it decodes either fails the
+    bind's checks or binds the operands its decoded factors give."""
+    model, pack = toy_artifacts
+    session = rt.load_model(model)
+    rng = random.Random("bind")
+    bound = 0
+    for trial in range(TRIALS):
+        mutant = mutate(pack, rng)
+        try:
+            decoded = cp.unpack_lora(mutant)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as caught:
+                rt.bind_lora(session, mutant)
+            assert str(caught.value) == str(exc), trial
+            continue
+        try:
+            rt.bind_lora(session, mutant)
+        except BindError:
+            continue
+        bound += 1
+        constants = session.bundle.backbone.constants
+        for d in session.model.descriptors:
+            s = decoded.slots[d.slot_id]
+            want = rt.slot_operands(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)
+            for tid, arr in zip((d.b_tid, d.a_tid, d.alpha_tid), want):
+                assert constants[tid].tobytes() == arr.tobytes(), trial
+    assert bound > 0
+
+
+@pytest.mark.parametrize("buffer", (bytes, bytearray))
+def test_constants_are_read_only_views_of_the_artifact(toy_artifacts, buffer):
+    """Views into the artifact's bytes; a bytearray is first copied into
+    bytes, once, so no constant aliases memory the caller can change."""
+    model = buffer(toy_artifacts[0])
+    whole = np.frombuffer(model, np.uint8)
+    loaded = cp.load_compiled(model)
+    for role, g in loaded.graphs.items():
+        for tid, arr in g.constants.items():
+            assert not arr.flags.owndata, (role, tid)
+            assert np.shares_memory(arr, whole) == (buffer is bytes), (role, tid)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+
+def test_a_session_keeps_serving_without_the_callers_bytes(toy_artifacts, toy_samples):
+    """Loaded from a bytearray that the caller then clears, or from bytes
+    that the caller drops, a session serves the same bits."""
+    model, pack = toy_artifacts
+    x, cond = toy_samples[0]
+    reference = rt.load_model(model)
+    rt.bind_lora(reference, pack)
+    want = rt.infer(reference, x, cond, seed=5).tobytes()
+
+    mutable = bytearray(model)
+    from_bytearray = rt.load_model(mutable)
+    mutable[:] = bytes(len(mutable))
+    dropped = bytes(bytearray(model))
+    from_bytes = rt.load_model(dropped)
+    del dropped
+    for session in (from_bytearray, from_bytes):
+        assert type(session.model_bytes) is bytes and session.model_bytes == model
+        rt.bind_lora(session, pack)
+        assert rt.infer(session, x, cond, seed=5).tobytes() == want
+
+
+def test_equal_parameters_decode_to_one_object(toy_artifacts):
+    loaded = cp.load_compiled(toy_artifacts[0])
+    params = [v for g in loaded.graphs.values() for n in g.nodes for v in n.attrs.values()
+              if isinstance(v, QuantParams)]
+    params += [p for d in loaded.descriptors for p in (d.a_params, d.b_params)]
+    assert len({id(p) for p in params}) == len(set(params)) < len(params)
 
 
 @pytest.mark.parametrize("defect", ("swapped slot tids", "wider slot", "missing descriptor"))

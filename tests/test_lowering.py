@@ -11,8 +11,11 @@ A fused node must give the bits of its unfused chain.  The chain's
 reference here runs the chain's own nodes through ``graph.run_graph``,
 with each product of two dequantized tensors taken as QuantSim takes
 it: the exact product of the levels it recovers from the fp32 values.
+A ``qlora`` reads its B, A and alpha as a session holds them once a
+bind has prepared them (``runtime.slot_operands``), as constants.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
@@ -98,6 +101,74 @@ def test_inspect_prints_what_it_printed(compiled, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == INSPECT_SHA256[name]
 
 
+def test_the_qlora_bounds_are_checked_at_load(compiled, monkeypatch):
+    """Both exact products of every ``qlora``, W x and B x, are checked
+    against the 2**53 bound once, when the session is made: with the
+    limit at the largest of those bounds the load fails, one above it the
+    load succeeds."""
+    _, _, model = compiled
+    loaded = cp.load_compiled(model)
+    backbone = loaded.graphs["backbone"]
+    widest = 0
+    for n in rt.lower_products(backbone).nodes:
+        if n.kind == "qlora":
+            k = backbone.constants[n.inputs[0]].shape[1]
+            bits_x = n.attrs["in_qparams"].bits
+            widest = max(widest, k << (n.attrs["w_qparams"].bits + bits_x),
+                         k << (n.attrs["b_qparams"].bits + bits_x))
+    assert widest > 0
+    monkeypatch.setattr(qp, "EXACT_INT_LIMIT", widest)
+    with pytest.raises(RangeError, match="2\\*\\*53"):
+        rt.load_model(model)
+    monkeypatch.setattr(qp, "EXACT_INT_LIMIT", widest + 1)
+    rt.load_model(model)
+
+
+def test_a_slot_outside_an_adapter_layer_does_not_load(toy_bundle, toy_profile):
+    """A bind prepares a slot for its ``qlora`` only.  Here slot 0's B x
+    reads x under other parameters than W x, so its layer does not fuse,
+    the slot feeds a plain ``dequantize``, and the model does not load."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    backbone = frozen.backbone
+    producer = backbone.producer_map()
+    d = descriptors[0]
+    bx = next(n for n in backbone.nodes
+              if n.kind == "matmul" and producer[n.inputs[0]].inputs == [d.b_tid])
+    dq_x = producer[bx.inputs[1]]
+    p = dq_x.attrs["qparams"]
+    twin = gr.Node(backbone.next_node_id(), "dequantize", list(dq_x.inputs), backbone.next_tid(),
+                   {"qparams": dataclasses.replace(p, scale=2 * p.scale)})
+    backbone.nodes.insert(backbone.nodes.index(bx), twin)
+    bx.inputs[1] = twin.output
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    cp.load_compiled(model)
+    with pytest.raises(FormatError, match="slots \\[0\\] feed no adapter layer"):
+        rt.load_model(model)
+
+
+@pytest.mark.parametrize("defect", (None, "read twice", "other parameters"))
+def test_a_slot_is_read_by_its_layer_alone(defect):
+    """A bind writes B, A and alpha in the form only their ``qlora``
+    multiplies, under the slot's parameters."""
+    p8, p16 = qp.QuantParams(0.01, 0, 8), qp.QuantParams(1e-4, 3, 16)
+    ops = [np.zeros(shape, dtype) for shape, dtype in
+           (((3, 4), np.int8), ((4, 2), np.int16), ((2, 4), np.int16), ((3, 2), np.int16))]
+    g = _qlora_graph(_qlora_node(p8, p16, p16, p16), *ops)
+    slot = cp.LoRASlotDescriptor(0, 0, a_tid=3, b_tid=2, alpha_tid=4, d_out=3, d_in=4, r_max=2,
+                                 bits=16, a_params=p16, b_params=p16)
+    if defect == "read twice":
+        g.nodes.append(gr.Node(1, "dequantize", [2], 6, {"qparams": p16}))
+        g.outputs.append(("b", 6))
+    elif defect == "other parameters":
+        slot = dataclasses.replace(slot, b_params=p8)
+    shapes = {t: (v.shape, tz.dtype_name(v)) for t, v in enumerate(ops)}
+    if defect is None:
+        rt.check_adapter_layers(g, [slot], shapes)
+        return
+    with pytest.raises(FormatError, match="node 0: an adapter layer must be the one reader"):
+        rt.check_adapter_layers(g, [slot], shapes)
+
+
 @pytest.mark.parametrize("kind", gr.RUNTIME_KINDS)
 def test_no_artifact_holds_a_runtime_kind(kind, toy_bundle, toy_profile, monkeypatch):
     """A node of the first unused kind code, which a runtime kind would take, does not load."""
@@ -131,11 +202,31 @@ class _LevelProducts(gr._NullHooks):
         return qp.centered_matmul(qp.fake_quant_levels(a, p_a), p_a, qp.fake_quant_levels(b, p_b), p_b)
 
 
+def _as_bound(g):
+    """A lowered graph as a session holds it: each ``qlora``'s B, A and
+    alpha inputs become the constants a bind prepares from their feeds."""
+    layers = [n for n in g.nodes if n.kind == "qlora"]
+    slots = {t for n in layers for t in n.inputs[2:]}
+    inputs = [gi for gi in g.inputs if gi.tid not in slots]
+    by_tid = {gi.tid: gi.name for gi in g.inputs}
+
+    def run(feeds):
+        constants = dict(g.constants)
+        for n in layers:
+            b, a, alpha = (feeds[by_tid[t]] for t in n.inputs[2:])
+            constants.update(zip(n.inputs[2:], rt.slot_operands(
+                b, n.attrs["b_qparams"], a, n.attrs["a_qparams"], alpha.reshape(())[()])))
+        bound = gr.Graph(g.nodes, inputs, g.outputs, constants)
+        gr.validate(bound)
+        return gr.run_graph(bound, {gi.name: feeds[gi.name] for gi in inputs})
+
+    return run
+
+
 def _fused_and_chain(g, feeds, kind):
     lowered = rt.lower_products(g)
     assert [n.kind for n in lowered.nodes] == [kind]
-    gr.validate(lowered)
-    fused = gr.run_graph(lowered, feeds)["y"]
+    fused = _as_bound(lowered)(feeds)["y"]
     chain = gr.run_graph(g, feeds, hooks=_LevelProducts(g))["y"]
     assert fused.dtype == chain.dtype == np.float32 and fused.shape == chain.shape
     return fused, chain
@@ -229,17 +320,22 @@ def _qlora_node(p_w, p_x, p_b, p_a):
                    {"w_qparams": p_w, "in_qparams": p_x, "b_qparams": p_b, "a_qparams": p_a})
 
 
-def _run_qlora(node, q_w, q_x, q_b, q_a):
+def _qlora_graph(node, q_w, q_x, q_b, q_a):
     inputs = [gr.GraphInput(name, tid, v.shape, tz.dtype_name(v))
               for name, tid, v in (("x", 1, q_x), ("B", 2, q_b), ("A", 3, q_a))]
     inputs.append(gr.GraphInput("alpha", 4, (1,)))
-    g = gr.Graph([node], inputs, [("y", 5)], {0: q_w})
-    return gr.run_graph(g, {"x": q_x, "B": q_b, "A": q_a, "alpha": np.ones(1, np.float32)})
+    return gr.Graph([node], inputs, [("y", 5)], {0: q_w})
+
+
+def _run_qlora(node, q_w, q_x, q_b, q_a):
+    g = _qlora_graph(node, q_w, q_x, q_b, q_a)
+    return _as_bound(g)({"x": q_x, "B": q_b, "A": q_a, "alpha": np.ones(1, np.float32)})
 
 
 @pytest.mark.parametrize("operand", ("w", "x", "b", "a"))
 def test_qlora_rejects_a_level_out_of_range(operand):
-    """8-bit levels held in int16 are scanned, as ``dequantize_array`` scans them."""
+    """8-bit levels held in int16 are scanned, as ``dequantize_array`` scans them:
+    W's and x's on every step, B's and A's once, when a bind prepares them."""
     p = qp.QuantParams(0.01, 0, 8)
     ops = {name: np.zeros(shape, np.int16) for name, shape in
            (("w", (3, 4)), ("x", (4, 2)), ("b", (2, 4)), ("a", (3, 2)))}
@@ -249,18 +345,25 @@ def test_qlora_rejects_a_level_out_of_range(operand):
 
 
 def test_qlora_checks_the_2_53_bound_before_widening():
-    """B x at 16x16 bits over k = 2**21 reaches 2**53; zero-stride operands
-    show any float64 copy as megabytes in the traced peak."""
+    """B x at 16x16 bits over k = 2**21 reaches 2**53.  A session checks
+    both bounds of every ``qlora`` once, when it is made, from the shapes
+    and the parameters, before a bind prepares or a step widens anything;
+    zero-stride operands show any float64 copy as megabytes in the traced
+    peak."""
     k = 1 << 21
     p8, p16 = qp.QuantParams(1.0, 0, 8), qp.QuantParams(1.0, 0, 16)
     q_w = np.broadcast_to(np.int8(0), (1, k))
     q_x = np.broadcast_to(np.int16(0), (k, 1))
     q_b = np.broadcast_to(np.int16(0), (1, k))
     q_a = np.zeros((1, 1), np.int16)
+    g = _qlora_graph(_qlora_node(p8, p16, p16, p16), q_w, q_x, q_b, q_a)
+    slot = cp.LoRASlotDescriptor(0, 0, a_tid=3, b_tid=2, alpha_tid=4, d_out=1, d_in=k, r_max=1,
+                                 bits=16, a_params=p16, b_params=p16)
     tracemalloc.start()
     try:
         with pytest.raises(RangeError, match="2\\*\\*53"):
-            _run_qlora(_qlora_node(p8, p16, p16, p16), q_w, q_x, q_b, q_a)
+            rt.check_adapter_layers(g, [slot], {t: (v.shape, tz.dtype_name(v)) for t, v in
+                                                enumerate((q_w, q_x, q_b, q_a))})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

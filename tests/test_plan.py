@@ -137,9 +137,10 @@ def test_plans_from_the_load_shapes_are_the_fresh_plans(served):
 
 def test_bound_slots_are_not_planned(served):
     """The session's backbone takes the latent and the conditioning only;
-    a bind makes each slot tid a constant holding the decoded array, no
-    plan holds a slot, and the loaded model the session was made from
-    keeps its slot inputs and gains no slot constant."""
+    a bind makes each slot tid a constant holding its prepared operand
+    (``runtime.slot_operands`` of the payload), no plan holds a slot, and
+    the loaded model the session was made from keeps its slot inputs and
+    gains no slot constant."""
     model_bytes, pack = served
     model = cp.load_compiled(model_bytes)
     session = rt.Session(model, model_bytes)
@@ -154,8 +155,8 @@ def test_bound_slots_are_not_planned(served):
     rt.bind_lora(session, pack)
     for d in session.model.descriptors:
         s = decoded.slots[d.slot_id]
-        for tid, want in ((d.a_tid, s.a_q), (d.b_tid, s.b_q),
-                          (d.alpha_tid, np.full((1,), s.alpha, np.float32))):
+        for tid, want in zip((d.b_tid, d.a_tid, d.alpha_tid),
+                             rt.slot_operands(s.b_q, s.b_params, s.a_q, s.a_params, s.alpha)):
             got = backbone.constants[tid]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tid
     assert session.adapter_buffer_bytes == sum(int(backbone.constants[t].nbytes) for t in slots)
