@@ -407,12 +407,14 @@ def _pack_qparams(p: QuantParams) -> bytes:
 
 def _unpack_qparams(data, pos, memo):
     """One parameter record; ``memo`` maps each record already decoded to
-    its ``QuantParams``, so equal records decode to one shared object."""
+    its ``QuantParams``, so equal records decode to one shared object.
+    A record's scale is an fp32 value, which the float it unpacks to
+    holds exactly."""
     fields = struct.unpack_from("<fiBB", data, pos)
     p = memo.get(fields)
     if p is None:
         scale, zp, bits, signed = fields
-        p = memo[fields] = QuantParams(float(np.float32(scale)), zp, bits, bool(signed))
+        p = memo[fields] = QuantParams(scale, zp, bits, bool(signed))
     return p, pos + 10
 
 
@@ -592,7 +594,7 @@ def load_compiled(data: bytes) -> CompiledModel:
     """Decode and check a ``.quadm``.
 
     Every constant is a read-only view into the artifact's bytes
-    (``tensor.qtns_payload``), so a loaded model holds each base weight
+    (``tensor.qtns_from_bytes``), so a loaded model holds each base weight
     once.  Equal quantization parameters decode to one shared
     ``QuantParams``.
     """
@@ -685,61 +687,24 @@ class LoRAPack:
     slots: dict   # slot_id -> PackedSlot
 
 
-def slot_layouts(descriptors) -> dict:
-    """slot_id -> (descriptor, front, A's dtype, B's header, B's dtype).
-
-    What every pack made for a model holds around each slot's two
-    payloads (``pack_lora``): ``front`` runs from the slot's parameter
-    records through the QTNS header of A.  ``read_pack`` compares a
-    pack's bytes with these instead of decoding them.  The descriptors
-    are a loaded model's, so their scales are the fp32 values a record
-    stores.
-    """
-    layouts = {}
-    for d in descriptors:
-        a, b = gr.storage_name(d.a_params), gr.storage_name(d.b_params)
-        front = _pack_qparams(d.a_params) + _pack_qparams(d.b_params) + tz.qtns_header(a, d.a_shape)
-        layouts[d.slot_id] = (d, front, a, tz.qtns_header(b, d.b_shape), b)
-    return layouts
-
-
-def _unpack_slot(payload, pos, layouts, memo):
-    """One slot record; returns ((slot_id, rank, alpha, a_params, b_params,
-    a_q, b_q), next offset), the factors read-only views into ``payload``.
-
-    Where the record holds exactly the bytes its slot's layout expects,
-    the parameters are the descriptor's own and the factors are viewed
-    at the offsets the layout gives; any other record is decoded field
-    by field, so it raises what ``unpack_lora`` raises for it.
-    """
-    slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
-    pos += 12
-    d, front, a_name, b_head, b_name = layouts.get(slot_id, (None, None, None, None, None))
-    if d is not None and payload[pos:pos + len(front)] == front:
-        a_params, b_params = d.a_params, d.b_params
-        a_q, pos = tz.qtns_payload(payload, pos + len(front), a_name, d.a_shape)
-    else:
-        a_params, pos = _unpack_qparams(payload, pos, memo)
-        b_params, pos = _unpack_qparams(payload, pos, memo)
-        a_q, pos = tz.qtns_from_bytes(payload, pos)
-    if d is not None and payload[pos:pos + len(b_head)] == b_head:
-        b_q, pos = tz.qtns_payload(payload, pos + len(b_head), b_name, d.b_shape)
-    else:
-        b_q, pos = tz.qtns_from_bytes(payload, pos)
-    return (slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q), pos
-
-
-def read_pack(data: bytes, layouts=None):
-    """A pack's adapter id, factor bit width and slot records, in file order.
-
-    Each record is (slot_id, rank, alpha, a_params, b_params, a_q, b_q),
-    with the factors read-only views into the pack's bytes; nothing is
-    copied.  ``layouts`` (``slot_layouts``) lets the records of a
-    model's slots be compared instead of decoded.
-    """
-    layouts = layouts or {}
-    payload = _open_payload(PACK_MAGIC, data)
+def qparams_memo(params) -> dict:
+    """A decode memo for ``unpack_lora`` holding ``params``: each under the
+    record it packs to, where that record holds it exactly, so such a
+    record decodes to that very object."""
     memo = {}
+    for p in params:
+        fields = struct.unpack("<fiBB", _pack_qparams(p))
+        if fields[0] == p.scale:
+            memo[fields] = p
+    return memo
+
+
+def unpack_lora(data: bytes, memo=None) -> LoRAPack:
+    """Decode a ``.qlp``; the factors are read-only views into ``data``,
+    not copies (``tensor.qtns_from_bytes``).  A parameter record found
+    in ``memo`` (``qparams_memo``) decodes to the object it holds."""
+    payload = _open_payload(PACK_MAGIC, data)
+    memo = dict(memo or ())
     with _decoding("pack"):
         pos = 0
         adapter_id, pos = _unpack_str(payload, pos)
@@ -747,16 +712,15 @@ def read_pack(data: bytes, layouts=None):
         pos += 1
         (n_slots,) = struct.unpack_from("<I", payload, pos)
         pos += 4
-        records = []
+        slots = {}
         for _ in range(n_slots):
-            record, pos = _unpack_slot(payload, pos, layouts, memo)
-            records.append(record)
+            slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
+            pos += 12
+            a_params, pos = _unpack_qparams(payload, pos, memo)
+            b_params, pos = _unpack_qparams(payload, pos, memo)
+            a_q, pos = tz.qtns_from_bytes(payload, pos)
+            b_q, pos = tz.qtns_from_bytes(payload, pos)
+            slots[slot_id] = PackedSlot(slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q)
     if pos != len(payload):
         raise FormatError("trailing bytes in pack payload")
-    return adapter_id, lora_bits, records
-
-
-def unpack_lora(data: bytes) -> LoRAPack:
-    """Decode a ``.qlp``; the factors are read-only views into ``data``."""
-    adapter_id, lora_bits, records = read_pack(data)
-    return LoRAPack(adapter_id, lora_bits, {r[0]: PackedSlot(*r) for r in records})
+    return LoRAPack(adapter_id, lora_bits, slots)

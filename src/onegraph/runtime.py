@@ -15,8 +15,9 @@ denoising step runs only the arithmetic that depends on its input.
   is held once.  The session lowers the graphs (below), checks that each
   slot feeds one ``qlora`` under the slot's parameters, and checks both
   2**53 bounds of every ``qlora`` (``check_adapter_layers``).
-* **Bind.**  ``bind_lora`` walks the pack once and writes each slot
-  straight into the form its ``qlora`` multiplies (``slot_operands``):
+* **Bind.**  ``bind_lora`` decodes the pack into views of its bytes
+  (``compiler.unpack_lora``) and writes each slot straight from them
+  into the form its ``qlora`` multiplies (``slot_operands``):
   B's centred levels in float64, A dequantized to fp32, alpha.  These
   are constants of the session's own backbone, not inputs, and are not
   planned.
@@ -415,7 +416,8 @@ class Session:
         graphs["backbone"] = replace(bb, inputs=[gi for gi in bb.inputs if gi.tid not in slots],
                                      constants=dict(bb.constants))
         check_adapter_layers(graphs["backbone"], model.descriptors, model.shapes["backbone"])
-        self._layouts = cp.slot_layouts(model.descriptors)
+        # A bind decodes the pack's parameter records to these very objects.
+        self._slot_params = cp.qparams_memo(p for d in model.descriptors for p in (d.a_params, d.b_params))
         # The session's copy does not keep the shape maps: they would stay
         # live through every infer (219 KB for the w32/d128 benchmark model).
         self.model = replace(model, graphs=graphs, shapes=None)
@@ -464,42 +466,41 @@ def slot_operands(q_b, p_b, q_a, p_a, alpha) -> tuple:
 def bind_lora(session: Session, pack_bytes: bytes):
     """Prepare a pack's factors as the session backbone's slot constants.
 
-    One walk of the pack (``compiler.read_pack``) compares each slot's
-    parameter records and QTNS headers with the model's and views its
-    payloads in place.  Each slot is then written straight into the form
-    its ``qlora`` multiplies (``slot_operands``): B's centred levels in
+    ``compiler.unpack_lora`` decodes the pack into views of its bytes,
+    and each slot is written straight from them into the form its
+    ``qlora`` multiplies (``slot_operands``): B's centred levels in
     float64, A dequantized to fp32, and alpha as a one-element fp32
-    array.  Every step reads them in place.  Every check (the slot set, shapes,
-    storage dtypes, quantization parameters, rank, then the range of
-    every level) runs before any session state changes, so a failed bind
-    leaves the previous operands in place.  No graph rebuild, no
-    base-weight change; a rebind always prepares the full pack.
+    array.  Every step reads them in place.  Every check (the slot set,
+    shapes, storage dtypes, quantization parameters, rank, then the
+    range of every level) runs before any session state changes, so a
+    failed bind leaves the previous operands in place.  No graph
+    rebuild, no base-weight change; a rebind always prepares the full
+    pack.
     """
-    layouts = session._layouts
-    adapter_id, _, records = cp.read_pack(pack_bytes, layouts)
-    pack = {r[0]: r for r in records}
-    if set(pack) != set(layouts):
-        raise BindError(f"pack slots {sorted(pack)} do not match model slots {sorted(layouts)}")
-    for slot_id, (d, *_) in layouts.items():
-        _, rank, _, a_params, b_params, a_q, b_q = pack[slot_id]
-        if a_q.shape != d.a_shape or b_q.shape != d.b_shape:
-            raise BindError(f"slot {slot_id}: payload shapes {a_q.shape}/{b_q.shape} "
+    pack = cp.unpack_lora(pack_bytes, session._slot_params)
+    descs = {d.slot_id: d for d in session.model.descriptors}
+    if set(pack.slots) != set(descs):
+        raise BindError(f"pack slots {sorted(pack.slots)} do not match model slots {sorted(descs)}")
+    for slot_id, d in descs.items():
+        s = pack.slots[slot_id]
+        if s.a_q.shape != d.a_shape or s.b_q.shape != d.b_shape:
+            raise BindError(f"slot {slot_id}: payload shapes {s.a_q.shape}/{s.b_q.shape} "
                             f"do not match descriptors {d.a_shape}/{d.b_shape}")
-        for name, q, p in ((d.a_name, a_q, d.a_params), (d.b_name, b_q, d.b_params)):
+        for name, q, p in ((d.a_name, s.a_q, d.a_params), (d.b_name, s.b_q, d.b_params)):
             if q.dtype != qp.storage_dtype(p.bits, p.signed):
                 raise BindError(f"slot {slot_id}: payload {name} is {tz.dtype_name(q)}, "
                                 f"the slot stores {gr.storage_name(p)}")
-        if a_params != d.a_params or b_params != d.b_params:
+        if s.a_params != d.a_params or s.b_params != d.b_params:
             raise BindError(f"slot {slot_id}: pack quantization parameters do not match the model")
-        if rank > d.r_max:
-            raise BindError(f"slot {slot_id}: rank {rank} exceeds {d.r_max}")
+        if s.rank > d.r_max:
+            raise BindError(f"slot {slot_id}: rank {s.rank} exceeds {d.r_max}")
     staged = {}
-    for slot_id, (d, *_) in layouts.items():
-        _, _, alpha, _, _, a_q, b_q = pack[slot_id]
+    for slot_id, d in descs.items():
+        s = pack.slots[slot_id]
         staged.update(zip((d.b_tid, d.a_tid, d.alpha_tid),
-                          slot_operands(b_q, d.b_params, a_q, d.a_params, alpha)))
+                          slot_operands(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)))
     session.bundle.backbone.constants.update(staged)
-    session.bound_adapter = adapter_id
+    session.bound_adapter = pack.adapter_id
 
 
 def infer(session: Session, x, cond, seed: int = 0) -> np.ndarray:

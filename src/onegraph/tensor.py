@@ -196,27 +196,28 @@ QTNS_MAGIC = b"QTNS"
 QTNS_VERSION = 1
 
 
-def qtns_header(name: str, shape) -> bytes:
-    """The header of a QTNS record holding a tensor of dtype ``name`` and ``shape``."""
+def qtns_bytes(arr: np.ndarray) -> bytes:
+    name = dtype_name(arr)
     if name not in DTYPE_CODES:
         raise FormatError(f"QTNS has no code for dtype {name}")
-    if len(shape) > 255:
+    if arr.ndim > 255:
         raise FormatError("rank too large for QTNS")
-    return QTNS_MAGIC + struct.pack(f"<HBB{len(shape)}I", QTNS_VERSION, DTYPE_CODES[name], len(shape), *shape)
-
-
-def qtns_bytes(arr: np.ndarray) -> bytes:
+    head = QTNS_MAGIC + struct.pack("<HBB", QTNS_VERSION, DTYPE_CODES[name], arr.ndim)
+    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
     buf = np.ascontiguousarray(arr)
     if buf.dtype.byteorder == ">":
         buf = buf.astype(buf.dtype.newbyteorder("<"))
-    return qtns_header(dtype_name(arr), arr.shape) + buf.tobytes()
+    return head + dims + buf.tobytes()
 
 
 def qtns_from_bytes(data, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one QTNS record; returns (tensor, next offset).
 
-    The tensor is ``qtns_payload``'s view of the payload.  The element
-    count is the exact integer product of the extents, so extents whose
+    The tensor is a view of ``data`` (``bytes`` or a memoryview of
+    them), not a copy: read-only, and keeping ``data`` alive.  numpy
+    reads unaligned 2- and 4-byte payloads as they lie; only a
+    big-endian host copies them, into native order.  The element count
+    is the exact integer product of the extents, so extents whose
     product exceeds any buffer are a truncated payload, not a wrapped
     count.
     """
@@ -233,18 +234,8 @@ def qtns_from_bytes(data, offset: int = 0) -> tuple[np.ndarray, int]:
     if len(data) < pos + 4 * rank:
         raise FormatError("truncated QTNS header")
     shape = struct.unpack_from(f"<{rank}I", data, pos)
-    return qtns_payload(data, pos + 4 * rank, DTYPE_NAMES[code], shape)
-
-
-def qtns_payload(data, pos: int, name: str, shape) -> tuple[np.ndarray, int]:
-    """The payload at ``pos`` of a QTNS record whose header reads (``name``,
-    ``shape``); returns (tensor, next offset).
-
-    The tensor is a view of ``data`` (``bytes`` or a memoryview of
-    them), not a copy: read-only, and keeping ``data`` alive.  numpy
-    reads unaligned 2- and 4-byte payloads as they lie; only a
-    big-endian host copies them, into native order.
-    """
+    pos += 4 * rank
+    name = DTYPE_NAMES[code]
     dtype = _LITTLE[name]
     nbytes = math.prod(shape) * dtype.itemsize
     if len(data) < pos + nbytes:

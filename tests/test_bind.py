@@ -99,16 +99,14 @@ def bound(served):
     return session, samples[0]
 
 
-def test_bind_prepares_each_slot_from_the_payload(served, monkeypatch):
+def test_bind_prepares_each_slot_from_the_payload(served):
     """B is ``centered_levels`` and A ``dequantize_array`` of the payload,
-    bit for bit, in arrays of the session's own: a bind walks the pack
-    once, without ``unpack_lora``, and the operands alias no byte of the
-    pack, which the caller may change afterwards."""
+    bit for bit, in arrays of the session's own: the operands alias no
+    byte of the pack, which the caller may change afterwards."""
     model, descriptors, (_, adapters, samples, profile) = served
     pack = bytearray(cp.pack_lora(adapters[0], descriptors, profile))
     decoded = cp.unpack_lora(bytes(pack))
     session = rt.load_model(model)
-    monkeypatch.setattr(cp, "unpack_lora", None)
     rt.bind_lora(session, pack)
     x, cond = samples[0]
     first = rt.infer(session, x, cond, seed=3)

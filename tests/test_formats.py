@@ -6,9 +6,7 @@ mutant may still load (a changed weight value is a valid model); what
 it may not do is escape as struct.error, KeyError, UnicodeDecodeError
 or a RangeError from the quantization parameters.  A model mutant that
 loads must also serve: the structural checks at load leave binding a
-pack that no longer fits as the only failure after it.  A bind, which
-compares a pack's records with the model's and decodes only those that
-differ, fails on a pack mutant exactly as ``unpack_lora`` does.
+pack that no longer fits as the only failure after it.
 
 A loaded model reads its constants in place from the artifact's bytes.
 """
@@ -86,37 +84,6 @@ def test_one_byte_corruption_is_a_format_error(toy_artifacts, kind):
     assert rejected > 0
 
 
-def test_bind_fails_on_a_pack_as_unpack_lora_does(toy_artifacts):
-    """Every one-byte pack mutant that ``unpack_lora`` refuses fails a bind
-    with the same FormatError; one that it decodes either fails the
-    bind's checks or binds the operands its decoded factors give."""
-    model, pack = toy_artifacts
-    session = rt.load_model(model)
-    rng = random.Random("bind")
-    bound = 0
-    for trial in range(TRIALS):
-        mutant = mutate(pack, rng)
-        try:
-            decoded = cp.unpack_lora(mutant)
-        except FormatError as exc:
-            with pytest.raises(FormatError) as caught:
-                rt.bind_lora(session, mutant)
-            assert str(caught.value) == str(exc), trial
-            continue
-        try:
-            rt.bind_lora(session, mutant)
-        except BindError:
-            continue
-        bound += 1
-        constants = session.bundle.backbone.constants
-        for d in session.model.descriptors:
-            s = decoded.slots[d.slot_id]
-            want = rt.slot_operands(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)
-            for tid, arr in zip((d.b_tid, d.a_tid, d.alpha_tid), want):
-                assert constants[tid].tobytes() == arr.tobytes(), trial
-    assert bound > 0
-
-
 @pytest.mark.parametrize("buffer", (bytes, bytearray))
 def test_constants_are_read_only_views_of_the_artifact(toy_artifacts, buffer):
     """Views into the artifact's bytes; a bytearray is first copied into
@@ -159,6 +126,23 @@ def test_equal_parameters_decode_to_one_object(toy_artifacts):
               if isinstance(v, QuantParams)]
     params += [p for d in loaded.descriptors for p in (d.a_params, d.b_params)]
     assert len({id(p) for p in params}) == len(set(params)) < len(params)
+
+
+def test_a_decode_memo_holds_only_what_its_records_decode_to(toy_artifacts):
+    """A pack decoded with its model's ``qparams_memo`` decodes each slot
+    record to the model's own object, equal to what it decodes to alone,
+    and leaves the memo as it was.  A value that its record would round
+    (0.1 is no fp32 value) is left out."""
+    loaded = cp.load_compiled(toy_artifacts[0])
+    memo = cp.qparams_memo(p for d in loaded.descriptors for p in (d.a_params, d.b_params))
+    before = dict(memo)
+    shared, alone = cp.unpack_lora(toy_artifacts[1], memo), cp.unpack_lora(toy_artifacts[1])
+    for d in loaded.descriptors:
+        s, t = shared.slots[d.slot_id], alone.slots[d.slot_id]
+        assert s.a_params is d.a_params and s.b_params is d.b_params
+        assert (s.a_params, s.b_params) == (t.a_params, t.b_params)
+    assert memo == before
+    assert cp.qparams_memo([QuantParams(0.1, 0, 8)]) == {}
 
 
 @pytest.mark.parametrize("defect", ("swapped slot tids", "wider slot", "missing descriptor"))
