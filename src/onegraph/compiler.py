@@ -16,6 +16,7 @@ Both formats are little-endian with a crc32 over the payload.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import zlib
 from contextlib import contextmanager
@@ -41,6 +42,7 @@ _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 _KIND_CODES = {"matmul": 0, "add": 2, "scale": 4, "concat": 5, "activation": 6, "lora_matmul": 7,
                "quantize": 8, "dequantize": 9, "qlinear": 10}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_FP32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -294,50 +296,34 @@ def scale_fold(g: gr.Graph) -> gr.Graph:
     the unfused nodes, the exact integer product of the two operands'
     levels, so integer results are preserved bit-for-bit.  Patterns
     that do not match (for example the runtime adapter path, which has
-    no output quantizer) are left untouched.
+    no output quantizer) are left untouched.  Each ``qlinear`` takes its
+    ``matmul``'s id and place; the unchanged nodes are shared with ``g``.
     """
-    out = g.copy()
-    output_tids = {t for _, t in out.outputs}
-    producer = out.producer_map()
-    consumers = {}   # tid -> {node id: node}, each consuming node once
-    for n in out.nodes:
-        for t in n.inputs:
-            consumers.setdefault(t, {})[n.id] = n
+    dequantized = {n.output: n for n in g.nodes if n.kind == "dequantize"}.get
+    users = g.consumers()
 
-    def unlink(n):
-        for t in n.inputs:
-            consumers[t].pop(n.id, None)
+    def sole(tid):
+        """The one reader of ``tid``, when no other node or graph output reads it."""
+        u = users.get(tid, ())
+        return u[0] if len(u) == 1 else None
 
-    replaced = {}   # id(matmul node) -> fused node
-    removed = set()   # id() of nodes fused away
-    for node in out.nodes:
+    fused, gone = {}, set()
+    for node in g.nodes:
         if node.kind != "matmul":
             continue
-        dq_w, dq_x = (producer.get(t) for t in node.inputs)
-        if not (dq_w is not None and dq_w.kind == "dequantize"
-                and dq_x is not None and dq_x.kind == "dequantize"):
+        dq_w, dq_x = (dequantized(t) for t in node.inputs)
+        tail = sole(node.output)
+        if dq_w is None or dq_x is None or tail is None:
             continue
-        if node.output in output_tids:
+        chain, bias_dq = [tail], None
+        if tail.kind == "add":
+            bias_dq = dequantized(tail.inputs[0] if tail.inputs[1] == node.output else tail.inputs[1])
+            if bias_dq is None or bias_dq.inputs[0] not in g.constants:
+                continue
+            tail = sole(tail.output)
+            chain.append(tail)
+        if tail is None or tail.kind != "quantize":
             continue
-        next_nodes = consumers.get(node.output, {})
-        if len(next_nodes) != 1:
-            continue
-        tail = next(iter(next_nodes.values()))
-
-        bias_node = None
-        bias_dq = None
-        if tail.kind == "add" and tail.output not in output_tids:
-            other = tail.inputs[0] if tail.inputs[1] == node.output else tail.inputs[1]
-            cand = producer.get(other)
-            if cand is not None and cand.kind == "dequantize" and cand.inputs[0] in out.constants:
-                after = consumers.get(tail.output, {})
-                if len(after) == 1:
-                    quant = next(iter(after.values()))
-                    if quant.kind == "quantize":
-                        bias_node, bias_dq, tail = tail, cand, quant
-        if tail.kind != "quantize":
-            continue
-
         attrs = {
             "op": "matmul",
             "w_qparams": dq_w.attrs["qparams"],
@@ -345,26 +331,12 @@ def scale_fold(g: gr.Graph) -> gr.Graph:
             "out_qparams": tail.attrs["qparams"],
         }
         inputs = [dq_w.inputs[0], dq_x.inputs[0]]
-        if bias_node is not None:
+        if bias_dq is not None:
             attrs["bias_qparams"] = bias_dq.attrs["qparams"]
             inputs.append(bias_dq.inputs[0])
-
-        fused = gr.Node(node.id, "qlinear", inputs, tail.output, attrs)
-        replaced[id(node)] = fused
-        producer[fused.output] = fused
-        unlink(node)
-        for t in inputs:
-            consumers.setdefault(t, {})[fused.id] = fused
-        for n in (tail, bias_node):
-            if n is not None:
-                unlink(n)
-                removed.add(id(n))
-        for dq in (dq_w, dq_x, bias_dq):
-            if (dq is not None and id(dq) not in removed and not consumers[dq.output]
-                    and dq.output not in output_tids):
-                unlink(dq)
-                removed.add(id(dq))
-    out.nodes = [replaced.get(id(n), n) for n in out.nodes if id(n) not in removed]
+        fused[id(node)] = gr.Node(node.id, "qlinear", inputs, tail.output, attrs)
+        gone.update(id(n) for n in chain)
+    out = gr.rebuild(g, fused, gone)
     gr.validate(out)
     return out
 
@@ -645,7 +617,8 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared: qt.QuantProfile) -> 
     """Quantize adapter factors under the shared slot params and serialize.
 
     Factors are zero-padded to the slot rank in the quantized domain
-    (pad value = zero point, which dequantizes to exactly 0).
+    (pad value = zero point, which dequantizes to exactly 0).  A NaN
+    factor entry has no level, and alpha must lie in fp32's finite range.
     """
     parts = [_pack_str(adapter.adapter_id), struct.pack("<B", shared.lora_bits),
              struct.pack("<I", len(descriptors))]
@@ -659,6 +632,10 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared: qt.QuantProfile) -> 
         if entry.A.shape != (d.d_out, r) or entry.B.shape != (r, d.d_in):
             raise PackError(f"adapter factors {entry.A.shape}/{entry.B.shape} do not fit slot "
                             f"{d.a_shape}/{d.b_shape}")
+        if math.isnan(entry.A.max(initial=0)) or math.isnan(entry.B.max(initial=0)):
+            raise PackError(f"lora node {d.target_node_id}: a factor holds a NaN, which has no level")
+        if not abs(entry.alpha) <= _FP32_MAX:
+            raise PackError(f"lora node {d.target_node_id}: alpha {entry.alpha} is not finite in fp32")
         a_q = np.full(d.a_shape, d.a_params.zero_point, dtype=storage_dtype(d.a_params.bits, d.a_params.signed))
         b_q = np.full(d.b_shape, d.b_params.zero_point, dtype=storage_dtype(d.b_params.bits, d.b_params.signed))
         a_q[:, :r] = quantize_array(entry.A, d.a_params)

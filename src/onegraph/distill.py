@@ -228,17 +228,14 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
 
 
 def align_adapters(bundle, adapters, shared, data, cfg: DistillConfig, exclude=()):
-    """Finetune each adapter independently; excluded ids pass through.
-
-    ``data`` may be one sample list shared by all adapters or a dict
-    keyed by adapter id.  Results are order-independent since every
-    adapter owns private state.
+    """Finetune each adapter independently on the one sample list ``data``;
+    excluded ids pass through.  Results are order-independent since
+    every adapter owns private state.
     """
     results = []
     for a in adapters:
         if a.adapter_id in exclude:
             results.append((a, None))
             continue
-        samples = data[a.adapter_id] if isinstance(data, dict) else data
-        results.append(finetune_adapter(bundle, a, shared, samples, cfg))
+        results.append(finetune_adapter(bundle, a, shared, data, cfg))
     return results

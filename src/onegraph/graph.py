@@ -15,6 +15,9 @@ operands fake-quantized) goes through the exact integer kernel of
 :mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``,
 ``scaled_matmul``), whose result no summation order changes.  Every
 product in the IR is a matrix product: ``qlinear`` has no other ``op``.
+
+The fusion passes, ``compiler.scale_fold`` and ``runtime.lower_products``,
+share one use map (``Graph.consumers``) and one ``rebuild``.
 """
 
 from __future__ import annotations
@@ -69,6 +72,16 @@ class Graph:
 
     def producer_map(self) -> dict:
         return {n.output: n for n in self.nodes}
+
+    def consumers(self) -> dict:
+        """tid -> the nodes that read it, once per read; a graph output adds ``None``."""
+        users = {}
+        for n in self.nodes:
+            for t in n.inputs:
+                users.setdefault(t, []).append(n)
+        for _, t in self.outputs:
+            users.setdefault(t, []).append(None)
+        return users
 
     def next_node_id(self) -> int:
         return max((n.id for n in self.nodes), default=-1) + 1
@@ -319,6 +332,18 @@ def sort_nodes(g: Graph) -> Graph:
     by_id = {n.id: n for n in out.nodes}
     out.nodes = [by_id[nid] for nid in order]
     return out
+
+
+def rebuild(g: Graph, fused: dict, gone: set) -> Graph:
+    """``g`` with each node keyed (by ``id``) in ``fused`` replaced where it
+    stood, each in ``gone`` dropped, and each ``dequantize`` whose readers
+    were all fused away dropped too; one that nothing read before stays."""
+    nodes = [fused.get(id(n), n) for n in g.nodes if id(n) not in gone]
+    read = {t for n in nodes for t in n.inputs}
+    read.update(t for _, t in g.outputs)
+    freed = {t for n in g.nodes for t in n.inputs if t not in read}
+    nodes = [n for n in nodes if n.kind != "dequantize" or n.output not in freed]
+    return Graph(nodes, g.inputs, g.outputs, g.constants)
 
 
 def dump_graph(g: Graph) -> str:

@@ -48,9 +48,11 @@ next link becomes one ``requant`` node running the same kernels in the
 same order.  So one layer of a denoising step is a ``qlora``, a
 ``requant`` and the ``quantize`` of the next layer's input, no base
 weight is dequantized on a step, and the arena holds none of the
-chains' inner tensors.  The session plans and runs the fused graphs,
-which ``session.model`` holds; the artifact and
-``compiler.load_compiled`` keep the graphs as frozen.
+chains' inner tensors.  The fusions share one use map and one rebuild
+with ``compiler.scale_fold`` (``graph.Graph.consumers``,
+``graph.rebuild``).  The session plans and runs the fused graphs, which
+``session.model`` holds; the artifact and ``compiler.load_compiled``
+keep the graphs as frozen.
 
 Loading derives each graph's shapes once: ``load_compiled`` checks the
 bundle with ``graph.validate_bundle``, and the session plans from the
@@ -71,7 +73,6 @@ planner leaves no tuples on CPython's free lists behind it.
 from __future__ import annotations
 
 import bisect
-import collections
 import heapq
 import math
 import statistics
@@ -211,27 +212,6 @@ def assign_offsets(items) -> MemoryPlan:
     return MemoryPlan(offsets, arena)
 
 
-def _consumers(g: gr.Graph) -> dict:
-    """tid -> the nodes that read it, once per read; a graph output adds ``None``."""
-    users = {}
-    for n in g.nodes:
-        for t in n.inputs:
-            users.setdefault(t, []).append(n)
-    for _, t in g.outputs:
-        users.setdefault(t, []).append(None)
-    return users
-
-
-def _rebuild(g: gr.Graph, fused: dict, gone: set) -> gr.Graph:
-    """``g`` with each chain's last node replaced by its fused node, the
-    chain's other nodes (``gone``, by ``id``) dropped, and every
-    ``dequantize`` left without consumers dropped too."""
-    nodes = [fused.get(id(n), n) for n in g.nodes if id(n) not in gone]
-    used = {t for n in nodes for t in n.inputs} | {t for _, t in g.outputs}
-    nodes = [n for n in nodes if n.kind != "dequantize" or n.output in used]
-    return gr.Graph(nodes, g.inputs, g.outputs, g.constants)
-
-
 def _fuse_lora(g: gr.Graph) -> gr.Graph:
     """Adapter layers -> ``qlora [q_w, q_x, B, A, alpha]``.
 
@@ -242,7 +222,7 @@ def _fuse_lora(g: gr.Graph) -> gr.Graph:
     A are the tensors of q_b and q_a, which a bind prepares.
     """
     producer = g.producer_map()
-    users = _consumers(g)
+    users = g.consumers()
 
     def inner(tid, kind):
         """The producer of ``tid`` if it has this kind and ``tid`` is read once."""
@@ -270,7 +250,7 @@ def _fuse_lora(g: gr.Graph) -> gr.Graph:
             n.output, {"w_qparams": dq_w.attrs["qparams"], "in_qparams": p_x,
                        "b_qparams": dq_b.attrs["qparams"], "a_qparams": dq_a.attrs["qparams"]})
         gone.update((id(wx), id(sc), id(abx), id(bx)))
-    return _rebuild(g, fused, gone)
+    return gr.rebuild(g, fused, gone)
 
 
 def _fuse_requant(g: gr.Graph) -> gr.Graph:
@@ -279,7 +259,7 @@ def _fuse_requant(g: gr.Graph) -> gr.Graph:
     Each link's output is read once, by the next link, and both ends of
     the pair hold the same parameters.
     """
-    users = _consumers(g)
+    users = g.consumers()
 
     def sole(tid, kind):
         u = users.get(tid, ())
@@ -300,7 +280,7 @@ def _fuse_requant(g: gr.Graph) -> gr.Graph:
             gone.add(id(dq))
         fused[id(last)] = gr.Node(last.id, "requant", [n.inputs[0]], last.output, attrs)
         gone.add(id(n))
-    return _rebuild(g, fused, gone)
+    return gr.rebuild(g, fused, gone)
 
 
 def lower_products(g: gr.Graph) -> gr.Graph:
@@ -315,8 +295,8 @@ def lower_products(g: gr.Graph) -> gr.Graph:
     of ``q_x``, and reads B and A in the form a bind prepares them
     (``slot_operands``), so its slots must be bound before it runs.
     Adapter layers are fused first: their ``q_x`` feeds two
-    products and never starts a ``requant``.  A ``dequantize`` left
-    without consumers, and not a graph output, is dropped.  A product of
+    products and never starts a ``requant``.  ``graph.rebuild`` drops
+    each ``dequantize`` whose readers were all fused away.  A product of
     two dequantized tensors outside an adapter layer, which the compiler
     never emits (``scale_fold`` makes each a ``qlinear``), stays the fp32
     ``matmul`` its graph names.  Returns a new graph that shares the
@@ -339,12 +319,11 @@ def check_adapter_layers(g: gr.Graph, descriptors, shapes: dict) -> None:
     (``RangeError``), not on every step.
     """
     slots = {(d.b_tid, d.a_tid, d.alpha_tid): d for d in descriptors}
-    reads = collections.Counter(t for n in g.nodes for t in n.inputs)
-    reads.update(t for _, t in g.outputs)
+    users = g.consumers()
     for n in (n for n in g.nodes if n.kind == "qlora"):
         d = slots.pop(tuple(n.inputs[2:]), None)
         if (d is None or (n.attrs["b_qparams"], n.attrs["a_qparams"]) != (d.b_params, d.a_params)
-                or any(reads[t] != 1 for t in n.inputs[2:])):
+                or any(len(users[t]) != 1 for t in n.inputs[2:])):
             raise FormatError(f"node {n.id}: an adapter layer must be the one reader of one slot, "
                               "under the slot's parameters")
         (w, _), (x, _), (b, _) = (shapes[t] for t in n.inputs[:3])
@@ -471,11 +450,11 @@ def bind_lora(session: Session, pack_bytes: bytes):
     ``qlora`` multiplies (``slot_operands``): B's centred levels in
     float64, A dequantized to fp32, and alpha as a one-element fp32
     array.  Every step reads them in place.  Every check (the slot set,
-    shapes, storage dtypes, quantization parameters, rank, then the
-    range of every level) runs before any session state changes, so a
-    failed bind leaves the previous operands in place.  No graph
-    rebuild, no base-weight change; a rebind always prepares the full
-    pack.
+    shapes, storage dtypes, quantization parameters, rank, a finite
+    alpha, then the range of every level) runs before any session state
+    changes, so a failed bind leaves the previous operands in place.  No
+    graph rebuild, no base-weight change; a rebind always prepares the
+    full pack.
     """
     pack = cp.unpack_lora(pack_bytes, session._slot_params)
     descs = {d.slot_id: d for d in session.model.descriptors}
@@ -494,6 +473,8 @@ def bind_lora(session: Session, pack_bytes: bytes):
             raise BindError(f"slot {slot_id}: pack quantization parameters do not match the model")
         if s.rank > d.r_max:
             raise BindError(f"slot {slot_id}: rank {s.rank} exceeds {d.r_max}")
+        if not math.isfinite(s.alpha):
+            raise BindError(f"slot {slot_id}: alpha {s.alpha} is not finite")
     staged = {}
     for slot_id, d in descs.items():
         s = pack.slots[slot_id]

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import copy_adapter
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
@@ -22,7 +23,7 @@ from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
-from onegraph.errors import BindError, RangeError
+from onegraph.errors import BindError, PackError, RangeError
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +36,14 @@ def served(w64):
 def bad_pack(defect, descriptors, adapter, profile):
     if defect == "slots":
         return cp.pack_lora(adapter, descriptors[1:], profile)
-    if defect == "rank":
-        # slot 0 claims one rank more than its slot holds
+    if defect in ("rank", "alpha"):
+        # slot 0 claims one rank more than its slot holds, or a NaN alpha
         pack = cp.pack_lora(adapter, descriptors, profile)
         d, alpha = descriptors[0], np.float32(adapter.entries[descriptors[0].target_node_id].alpha)
         payload, old = pack[20:], struct.pack("<IIf", d.slot_id, d.r_max, alpha)
         assert payload.count(old) == 1
-        return cp._wrap_payload(cp.PACK_MAGIC,
-                                payload.replace(old, struct.pack("<IIf", d.slot_id, d.r_max + 1, alpha)))
+        new = (d.slot_id, d.r_max + 1, alpha) if defect == "rank" else (d.slot_id, d.r_max, np.nan)
+        return cp._wrap_payload(cp.PACK_MAGIC, payload.replace(old, struct.pack("<IIf", *new)))
     if defect == "dtype":
         # slot 0's A stored as i32: the same levels under the same parameters
         pack = cp.pack_lora(adapter, descriptors, profile)
@@ -69,7 +70,8 @@ def slot_arrays(session):
 @pytest.mark.parametrize("defect, message", (("slots", "do not match model slots"),
                                              ("params", "quantization parameters"),
                                              ("dtype", "is i32, the slot stores i16"),
-                                             ("rank", "rank 9 exceeds 8")))
+                                             ("rank", "rank 9 exceeds 8"),
+                                             ("alpha", "slot 0: alpha nan is not finite")))
 def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     model_bytes, descriptors, (_, adapters, samples, profile) = served
     model = cp.load_compiled(model_bytes)
@@ -88,6 +90,23 @@ def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     again = rt.infer(session, x, cond, seed=3)
     assert again.dtype == first.dtype and again.tobytes() == first.tobytes()
     assert constant_bytes(model) == base
+
+
+@pytest.mark.parametrize("defect", ("A", "B", "nan alpha", "inf alpha", "alpha past fp32"))
+def test_a_nan_factor_or_a_non_finite_alpha_does_not_pack(toy_bundle, toy_adapter, toy_profile,
+                                                         defect):
+    """A NaN factor entry has no level, and ``requant``'s int cast would
+    hide a NaN alpha from every output, so neither reaches a pack."""
+    _, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    adapter = copy_adapter(toy_adapter)
+    nid = descriptors[1].target_node_id
+    entry = adapter.entries[nid]
+    if defect in ("A", "B"):
+        getattr(entry, defect)[-1, 0] = np.nan
+    else:
+        entry.alpha = {"nan alpha": np.nan, "inf alpha": -np.inf, "alpha past fp32": 1e39}[defect]
+    with pytest.raises(PackError, match=f"lora node {nid}: "):
+        cp.pack_lora(adapter, descriptors, toy_profile)
 
 
 @pytest.fixture

@@ -9,10 +9,11 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import TOY_MODEL
+from conftest import TOY_MODEL, copy_adapter
 
 from onegraph import cli
 from onegraph import compiler as cp
+from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import tensor as tz
@@ -178,6 +179,24 @@ def test_a_nan_input_is_a_stage_error(toy_files, tmp_path, toy_samples, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "NaN" in err and "Traceback" not in err
     assert not (tmp_path / "y.qtns").exists()
+
+
+@pytest.mark.parametrize("defect", ("factor", "alpha"))
+def test_a_nan_adapter_is_a_stage_error(defect, toy_files, toy_adapter, tmp_path, capsys):
+    adapter = copy_adapter(toy_adapter)
+    entry = next(iter(adapter.entries.values()))
+    if defect == "factor":
+        entry.B[0, 0] = np.nan
+    else:
+        entry.alpha = np.nan
+    ms.save_adapter_dir(adapter, str(tmp_path / "nan"))
+    argv = ["pack-lora", "--model-bin", toy_files["model.quadm"], "--adapter", str(tmp_path / "nan"),
+            "--out", str(tmp_path / "nan.qlp")]
+    assert cli.main(argv) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("NaN" if defect == "factor" else "alpha nan") in err
+    assert not (tmp_path / "nan.qlp").exists()
 
 
 def test_stepless_model_is_a_usage_error(tmp_path, toy_bundle, toy_profile, capsys):

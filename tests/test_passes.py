@@ -6,6 +6,8 @@ node order, the tensor and node ids and the fusions must stay those
 passes'.  The hand-built graph has what the model specs do not build: a
 bias add after a matmul, a weight shared by two matmuls, a graph output
 in the middle of the graph and a node output that is left unquantized.
+The hand-built bundle has a covered input that nothing reads, whose
+``quantize -> dequantize`` pair the passes keep.
 """
 
 import hashlib
@@ -19,6 +21,8 @@ from onegraph import quant as qt
 
 PINNED = "964fc277eb70396c54a64740333178b9fc2e733db41a4f97f0209daf0bacc8d9"
 PINNED_TOY = "8754f11cb46e94f4cb5044a53ab095c7f59e3c076ef37086fd47c4363b853540"
+PINNED_UNREAD = "89850afc89c35bc2566fc1b80a013ab235805db4bd68e19ca4d0c4fe6fafc865"
+PINNED_UNREAD_MODEL = "bd4d7428d8e9d0a2c123a5831aa55cd78218086f83ac1f389803201a7d067521"
 
 
 def hand_graph():
@@ -61,3 +65,43 @@ def test_toy_backbone_passes_pinned(toy_bundle, toy_profile):
     text = "".join(f"{gr.dump_graph(x)}{x.outputs}{[(i.name, i.tid, i.dtype) for i in x.inputs]}\n"
                    for x in (rewritten, materialized, folded))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TOY
+
+
+def unread_input_bundle():
+    """A bundle whose backbone never reads its conditioning input."""
+    rng = np.random.default_rng(1)
+
+    def const(*shape):
+        return rng.uniform(-1, 1, shape).astype(np.float32)
+
+    enc = gr.Graph([gr.Node(0, "matmul", [1, 0], 2)], [gr.GraphInput("x", 0, (3, 2))], [("z", 2)],
+                   {1: const(4, 3)})
+    bb = gr.Graph([gr.Node(0, "matmul", [2, 0], 3), gr.Node(1, "activation", [3], 4, {"kind": "relu"})],
+                  [gr.GraphInput("z", 0, (4, 2)), gr.GraphInput("cond", 1, (2, 2))], [("z", 4)],
+                  {2: const(4, 4)})
+    dec = gr.Graph([gr.Node(0, "matmul", [1, 0], 2)], [gr.GraphInput("z", 0, (4, 2))], [("y", 2)],
+                   {1: const(3, 4)})
+    bundle = gr.ModelBundle(enc, bb, dec, 2)
+    profile = qt.QuantProfile(policy=qt.Policy("w8a16"), lora_bits=16)
+    for key in qt.required_keys(bundle):
+        if ".a." in key:
+            profile.act_params[key] = qp.compute_quant_params(-4.0, 4.0, 16)
+        else:
+            profile.weight_params[key] = qp.compute_quant_params(-1.0, 1.0, 8)
+    return bundle, profile
+
+
+def test_an_unread_input_keeps_its_pair():
+    """``scale_fold`` drops the dequantizes its fusions leave unread, and
+    no other: the pair of the input nothing reads stays in the graph and
+    in the artifact."""
+    bundle, profile = unread_input_bundle()
+    materialized = cp.materialize_quantsim(bundle.backbone, profile, "backbone")
+    folded = cp.scale_fold(materialized)
+    q = next(n for n in folded.nodes if n.kind == "quantize" and n.inputs == [1])
+    assert [n.kind for n in folded.nodes if q.output in n.inputs] == ["dequantize"]
+    text = "".join(f"{gr.dump_graph(x)}{x.outputs}\n" for x in (materialized, folded))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_UNREAD
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    model = cp.freeze(frozen, profile, descriptors, name="unread")
+    assert hashlib.sha256(model).hexdigest() == PINNED_UNREAD_MODEL
