@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -415,11 +416,15 @@ def _pack_attrs(attrs: dict) -> bytes:
 
 
 def _unpack_attrs(data, pos, memo):
+    """One node's attributes.  The keys and string values are interned: a
+    model repeats a few of them on every node, and each would otherwise
+    be a string of its own for as long as the graph lives."""
     (count,) = struct.unpack_from("<B", data, pos)
     pos += 1
     attrs = {}
     for _ in range(count):
         key, pos = _unpack_str(data, pos)
+        key = sys.intern(key)
         (tag,) = struct.unpack_from("<B", data, pos)
         pos += 1
         if tag == _ATTR_QPARAMS:
@@ -428,7 +433,8 @@ def _unpack_attrs(data, pos, memo):
             (attrs[key],) = struct.unpack_from("<q", data, pos)
             pos += 8
         elif tag == _ATTR_STR:
-            attrs[key], pos = _unpack_str(data, pos)
+            value, pos = _unpack_str(data, pos)
+            attrs[key] = sys.intern(value)
         else:
             raise FormatError(f"unknown attr tag {tag}")
     return attrs, pos

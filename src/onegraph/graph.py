@@ -13,8 +13,9 @@ quantized (a ``qlinear`` node, W x and B x inside the runtime's
 ``qlora``, or a product that QuantSim's ``product`` hook sees with both
 operands fake-quantized) goes through the exact integer kernel of
 :mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``,
-``scaled_matmul``), whose result no summation order changes.  Every
-product in the IR is a matrix product: ``qlinear`` has no other ``op``.
+``scaled_matmul``, ``tiled_matmul``), whose result no summation order
+or row tiling changes.  Every product in the IR is a matrix product:
+``qlinear`` has no other ``op``.
 
 The fusion passes, ``compiler.scale_fold`` and ``runtime.lower_products``,
 share one use map (``Graph.consumers``) and one ``rebuild``.
@@ -46,7 +47,7 @@ RUNTIME_KINDS = ("qlora", "requant")
 ALL_KINDS = FP_KINDS + QUANT_KINDS + RUNTIME_KINDS
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     id: int
     kind: str
@@ -502,7 +503,7 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
         elif n.kind == "qlora":
             out = _run_qlora(n, ins)
         elif n.kind == "requant":
-            out = qp.dequantize_array(qp.quantize_array(ins[0], n.attrs["qparams"]), n.attrs["qparams"])
+            out = qp.fake_quant(ins[0], n.attrs["qparams"])
             if "activation" in n.attrs:
                 out = tz.activation(out, n.attrs["activation"])
         else:
@@ -524,17 +525,18 @@ def _run_qlora(n, ins):
 
     B and A arrive in the form ``runtime.bind_lora`` prepares them once
     per bind: B as its centred levels q_b - z_b in float64, A
-    dequantized to fp32.  So a step centres only q_w and q_x.  W x and
-    B x are the exact integer products of ``qparams.scaled_matmul`` on
-    one centring of q_x, and A (B x) is the fp32 ``tensor.matmul``.  The
-    2**53 bound of both products depends only on the shapes and the
-    parameters, so the session checks it once, at load, not here.
+    dequantized to fp32.  So a step centres only q_x and, one row tile
+    at a time, q_w.  W x and B x are exact integer products on one
+    centring of q_x (``qparams.tiled_matmul`` and ``scaled_matmul``),
+    and A (B x) is the fp32 ``tensor.matmul``.  The 2**53 bound of both
+    products depends only on the shapes and the parameters, so the
+    session checks it once, at load, not here.
     """
     q_w, q_x, c_b, a, alpha = ins
     p_w, p_x, p_b = n.attrs["w_qparams"], n.attrs["in_qparams"], n.attrs["b_qparams"]
     c_x = qp.centered_levels(q_x, p_x)
     s_x = np.float64(p_x.scale)
-    out = qp.scaled_matmul(qp.centered_levels(q_w, p_w), c_x, np.float64(p_w.scale) * s_x)
+    out = qp.tiled_matmul(q_w, p_w, c_x, np.float64(p_w.scale) * s_x)
     abx = tz.matmul(a, qp.scaled_matmul(c_b, c_x, np.float64(p_b.scale) * s_x))
     abx *= alpha.reshape(())
     out += abx

@@ -16,13 +16,24 @@ A product of two quantized tensors is computed on their integers
 (``int_matmul`` for stored levels, ``centered_matmul`` for levels already
 centred): fp32(float64(sum_k (q_a - z_a)(q_b - z_b)) * s_a * s_b), with
 the sum taken exactly, as integer-arithmetic-only inference does
-(Jacob et al. 2018, arXiv:1712.05877).  The sum is one float64 GEMM.  Its
-every partial sum is an integer below ``k * 2**bits_a * 2**bits_b`` in
+(Jacob et al. 2018, arXiv:1712.05877), by float64 GEMMs.  Its every
+partial sum is an integer below ``k * 2**bits_a * 2**bits_b`` in
 magnitude; while that bound stays below 2**53 a float64 holds each one
 exactly, so neither the summation order nor BLAS blocking or threads can
 change a bit.  ``int_matmul`` and ``centered_matmul`` check the bound and
-raise past it; ``scaled_matmul`` leaves the check to a caller that made
-it once for all the products it takes with those shapes and parameters.
+raise past it; ``scaled_matmul`` and ``tiled_matmul`` leave the check to
+a caller that made it once for all the products it takes with those
+shapes and parameters.
+
+``int_matmul``, which runs every ``qlinear``, and a runtime ``qlora``
+widen their stored left operand, a base weight held as int8, to float64
+one row tile at a time (``tiled_matmul``), never whole, which would cost
+8x its bytes.  A tile is the most consecutive rows whose
+centred float64 levels fit ``tensor.MATMUL_BLOCK_BYTES``, at least one:
+64 rows at k = 256.  Each tile's GEMM writes that tile's rows of one
+float64 accumulator.  An output element is one exact integer sum
+whichever tile computes it, so tiling changes no bit.  An operand of at
+most one tile's rows is widened whole, in one GEMM, as without tiling.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, ShapeError
+from .tensor import MATMUL_BLOCK_BYTES
 
 SUPPORTED_BITS = (8, 16)
 MIN_SCALE = float(np.finfo(np.float32).tiny)
@@ -45,6 +57,11 @@ def int_bounds(bits: int, signed: bool) -> tuple[int, int]:
     if signed:
         return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     return 0, (1 << bits) - 1
+
+
+# (bits, signed) -> (q_min, q_max), so a level bound is one lookup.
+_BOUNDS = {(bits, signed): int_bounds(bits, signed)
+           for bits in SUPPORTED_BITS for signed in (True, False)}
 
 
 def storage_dtype(bits: int, signed: bool):
@@ -70,11 +87,11 @@ class QuantParams:
 
     @property
     def q_min(self) -> int:
-        return int_bounds(self.bits, self.signed)[0]
+        return _BOUNDS[self.bits, self.signed][0]
 
     @property
     def q_max(self) -> int:
-        return int_bounds(self.bits, self.signed)[1]
+        return _BOUNDS[self.bits, self.signed][1]
 
     @property
     def repr_lo(self) -> float:
@@ -181,7 +198,34 @@ def scaled_matmul(c_a: np.ndarray, c_b: np.ndarray, scale) -> np.ndarray:
     and parameters that many products share, as a runtime session does
     for its ``qlora`` nodes at load.
     """
-    acc = np.matmul(c_a, c_b)
+    return _scaled(np.matmul(c_a, c_b), scale)
+
+
+def tiled_matmul(q_a: np.ndarray, p_a: QuantParams, c_b: np.ndarray, scale) -> np.ndarray:
+    """``scaled_matmul(centered_levels(q_a, p_a), c_b, scale)``, widening q_a one row tile at a time.
+
+    q_a holds stored levels in any numeric dtype, c_b the right operand's
+    centred levels in float64.  A tile is the most consecutive rows of
+    q_a whose centred float64 levels fit ``tensor.MATMUL_BLOCK_BYTES``,
+    at least one.  Each tile is centred (``centered_levels``, so a level
+    outside its range raises ``RangeError``) and multiplied by c_b into
+    its rows of one float64 accumulator, and is freed before the next,
+    so the scratch never exceeds one tile.  A q_a that fits one tile is
+    centred whole and multiplied in one GEMM.  Like ``scaled_matmul``,
+    this leaves the 2**53 bound to the caller.
+    """
+    m, k = q_a.shape
+    rows = max(1, MATMUL_BLOCK_BYTES // (8 * max(k, 1)))
+    if m <= rows:
+        return scaled_matmul(centered_levels(q_a, p_a), c_b, scale)
+    acc = np.empty((m, c_b.shape[1]), dtype=np.float64)
+    for r0 in range(0, m, rows):
+        np.matmul(centered_levels(q_a[r0:r0 + rows], p_a), c_b, out=acc[r0:r0 + rows])
+    return _scaled(acc, scale)
+
+
+def _scaled(acc: np.ndarray, scale) -> np.ndarray:
+    """fp32(acc * scale) for a float64 accumulator of exact integer sums."""
     # An exact zero may come out of the GEMM as -0.0, depending on where its
     # accumulator started; adding +0.0 makes it +0.0, as the integer sum is.
     acc += 0.0
@@ -197,10 +241,12 @@ def int_matmul(q_a: np.ndarray, p_a: QuantParams, q_b: np.ndarray, p_b: QuantPar
     hold integer levels in any numeric dtype; an element outside its
     [q_min, q_max] raises ``RangeError``, as in ``dequantize_array``.  A
     shape whose bound reaches 2**53 raises ``RangeError`` before anything
-    is allocated.  The widened operands live only for the call.
+    is allocated.  q_b is widened whole and q_a one row tile at a time
+    (``tiled_matmul``); neither widened copy outlives the call.
     """
     check_exact(q_a.shape, p_a, q_b.shape, p_b)
-    return centered_matmul(centered_levels(q_a, p_a), p_a, centered_levels(q_b, p_b), p_b)
+    scale = np.float64(p_a.scale) * np.float64(p_b.scale)
+    return tiled_matmul(q_a, p_a, centered_levels(q_b, p_b), scale)
 
 
 def fake_quant(t: np.ndarray, p: QuantParams) -> np.ndarray:

@@ -23,7 +23,7 @@ denoising step runs only the arithmetic that depends on its input.
   planned.
 * **Step.**  A backbone step is fed ``z`` and the conditioning only; it
   reads the weights and the prepared slots in place and centres only
-  q_w and q_x.
+  q_x and, one row tile at a time, q_w (``qparams.tiled_matmul``).
 
 The arena holds every node output of the three graphs and every graph
 input: the encoder's ``x``, the backbone's latent ``z`` and
@@ -33,22 +33,29 @@ next graph's nodes reuse, so each is copied into its own planned bytes
 before the graph runs.  Constants, the base weights and the prepared
 slots, are not planned.  Each planned tensor has one ndarray view over
 the arena, made at load from the load shapes, and the hooks store a
-value with one assignment into its view.  The kernels still allocate
-their results; the arena is where a run's tensors are kept, not where
-they are computed.
+value with one assignment into its view.  The kernels allocate their
+results, which the hooks copy into the arena, and a bounded scratch: an
+exact product widens a weight's int8 levels to float64 one row tile at a
+time, a tile being the most rows that fit ``tensor.MATMUL_BLOCK_BYTES``
+(128 KB: 64 rows of a 256-wide weight), and ``tensor.matmul`` blocks
+its k within the same budget.  So no step holds a float64 copy of a
+whole base weight, which would be 8x its int8 bytes.
 
 At load the session fuses the frozen graphs (``lower_products``).  Each
 adapter layer, the ``add`` of W x and alpha * A (B x) with W, x, B and A
 dequantized from integers, becomes one ``qlora`` node reading q_w, q_x
 and the slot's prepared B, A and alpha: it centres q_x once for the two
-exact integer products W x and B x (``qparams.scaled_matmul``), then
-runs the same fp32 A (B x), scale and add.  Each ``quantize ->
-dequantize [-> activation]`` chain whose links are read only by the
-next link becomes one ``requant`` node running the same kernels in the
-same order.  So one layer of a denoising step is a ``qlora``, a
-``requant`` and the ``quantize`` of the next layer's input, no base
-weight is dequantized on a step, and the arena holds none of the
-chains' inner tensors.  The fusions share one use map and one rebuild
+exact integer products W x and B x (``qparams.tiled_matmul`` and
+``scaled_matmul``), then runs the same fp32 A (B x), scale and add.
+Each ``quantize -> dequantize [-> activation]`` chain whose links are
+read only by the next link becomes one ``requant`` node: one
+``qparams.fake_quant``, which gives the pair's bits for every input but
+a NaN, then the same activation.  A NaN, which no ``infer`` input may
+hold, stays NaN, as in QuantSim, where the pair's cast to the integer
+storage would make up a level.  So one layer of a denoising step is a
+``qlora``, a ``requant`` and the ``quantize`` of the next layer's input,
+no base weight is dequantized on a step, and the arena holds none of
+the chains' inner tensors.  The fusions share one use map and one rebuild
 with ``compiler.scale_fold`` (``graph.Graph.consumers``,
 ``graph.rebuild``).  The session plans and runs the fused graphs, which
 ``session.model`` holds; the artifact and ``compiler.load_compiled``
@@ -289,11 +296,12 @@ def lower_products(g: gr.Graph) -> gr.Graph:
 
     A fused node takes the id and the output tensor of its chain's last
     node and stands where that node stood, so the order stays
-    topological and load's shape maps still fit.  It runs the chain's
-    kernels in the chain's order (``graph.run_graph``); ``qlora``
-    computes both exact integer products, W x and B x, on one centring
-    of ``q_x``, and reads B and A in the form a bind prepares them
-    (``slot_operands``), so its slots must be bound before it runs.
+    topological and load's shape maps still fit.  It gives the bits of
+    its chain (``graph.run_graph``): ``requant`` as one
+    ``qparams.fake_quant``; ``qlora`` computes both exact integer
+    products, W x and B x, on one centring of ``q_x``, and reads B and
+    A in the form a bind prepares them (``slot_operands``), so its
+    slots must be bound before it runs.
     Adapter layers are fused first: their ``q_x`` feeds two
     products and never starts a ``requant``.  ``graph.rebuild`` drops
     each ``dequantize`` whose readers were all fused away.  A product of
@@ -589,10 +597,12 @@ def kpi(session: Session, packs: list, workload: list) -> KPIReport:
 
 
 def swap_benchmark(session: Session, pack_a: bytes, pack_b: bytes, reps: int):
-    """Median adapter-swap time vs median full model reload time.
+    """Median adapter-swap time and median full model reload time, in ms.
 
-    Requires reps >= 3 and asserts that swapping beats reloading, the
-    relational property that motivates runtime-bound adapters.
+    Requires reps >= 3.  A swap is expected to beat a reload, which is
+    what runtime-bound adapters are for, but both are wall-clock medians
+    on whatever else the host is running, so the two are reported, not
+    compared.
     """
     if reps < 3:
         raise ValueError("swap benchmark needs at least 3 reps")
@@ -608,8 +618,4 @@ def swap_benchmark(session: Session, pack_a: bytes, pack_b: bytes, reps: int):
         fresh = load_model(session.model_bytes)
         bind_lora(fresh, pack_a if i % 2 == 0 else pack_b)
         reload_times.append((time.perf_counter() - t0) * 1000.0)
-    swap_ms = statistics.median(swap_times)
-    reload_ms = statistics.median(reload_times)
-    if not swap_ms < reload_ms:
-        raise RuntimeError(f"adapter swap ({swap_ms:.3f} ms) not faster than reload ({reload_ms:.3f} ms)")
-    return swap_ms, reload_ms
+    return statistics.median(swap_times), statistics.median(reload_times)

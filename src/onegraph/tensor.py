@@ -17,7 +17,8 @@ These fp32 kernels serve the full-precision paths (``execute_fp``,
 calibration, the distillation gradients) and every product that has an
 fp32 operand, such as an adapter's A (B x).  A product of two quantized
 tensors is not computed here: ``qparams.int_matmul`` takes it on their
-integers, exactly, in one float64 GEMM.
+integers, exactly, in float64 GEMMs, one per row tile of the left
+operand.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ def _require_fp32(*arrays: np.ndarray) -> None:
 
 
 # Bytes of scratch one matmul call may hold for a block of k: the product
-# slices with the running sum, plus the transposed block of ``a``.
+# slices with the running sum, plus the transposed block of ``a``.  The
+# exact products (``qparams.tiled_matmul``) widen their left operand in
+# row tiles of at most this many bytes.
 MATMUL_BLOCK_BYTES = 128 * 1024
 _BLOCK_FLOATS = MATMUL_BLOCK_BYTES // np.dtype(np.float32).itemsize
 

@@ -6,6 +6,7 @@ escapes as a traceback fails the test instead of printing it.
 
 import dataclasses
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from onegraph import compiler as cp
 from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
+from onegraph import runtime as rt
 from onegraph import tensor as tz
 
 # Activations vanish through 64 layers at amplitude 0.05, so calibration
@@ -265,3 +267,26 @@ def test_a_malformed_profile_line_is_a_usage_error(command, lineno, bad, files, 
                 "--out", str(tmp_path / "p.qlp")]
     err = usage_error(argv, capsys)
     assert f"profile line {lineno}: {bad!r}" in err
+
+
+def test_bench_reports_a_swap_slower_than_a_reload(toy_files, monkeypatch, capsys):
+    """The swap and reload medians are wall-clock times on a shared host, so
+    ``bench`` prints them as measured: a swap slower than a reload (here
+    every bind into the command's own session sleeps 10 ms) is a result,
+    not a failure."""
+    bind, sessions = rt.bind_lora, []
+
+    def slow_in_the_first_session(session, pack):
+        sessions.append(session)
+        if session is sessions[0]:
+            time.sleep(0.01)
+        bind(session, pack)
+
+    monkeypatch.setattr(rt, "bind_lora", slow_in_the_first_session)
+    pack = toy_files["style.qlp"]
+    argv = ["bench", "--model", toy_files["model.quadm"], "--packs", pack, pack, "--reps", "3"]
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    medians = dict(line.split() for line in out.splitlines() if line.startswith(("swap_ms", "reload_ms")))
+    assert float(medians["swap_ms"]) > float(medians["reload_ms"])
+    assert "Traceback" not in err

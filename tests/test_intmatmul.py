@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from onegraph import qparams as qp
+from onegraph import tensor as tz
 from onegraph.errors import RangeError, ShapeError
 
 KS = (1, 2, 33, 256, 272)
@@ -152,3 +153,32 @@ def test_the_largest_k_inside_the_bound_is_exact():
     q_b = np.broadcast_to(np.int16(32767), (k, 1))
     out = qp.int_matmul(q_a, p, q_b, p)
     assert_bits(out, oracle(q_a, p, q_b, p))
+
+
+@pytest.mark.parametrize("m, k", ((209, 256), (150, 272), (3, 20000)))
+@pytest.mark.parametrize("signed", (True, False))
+def test_row_tiles_equal_the_oracle(m, k, signed):
+    """A left operand taller than one tile of ``tensor.MATMUL_BLOCK_BYTES``:
+    four tiles of 64 rows with a ragged last one, three of 60, and a k so
+    long that a tile is one row.  8-bit levels held in int16, so every tile
+    is scanned, at both ends of the range and at random."""
+    rows = max(1, tz.MATMUL_BLOCK_BYTES // (8 * k))
+    assert m > rows
+    rng = np.random.default_rng(m + k + signed)
+    p_a = params(8, "mid", signed=signed, scale=0.0213)
+    p_b = params(16, "low", scale=3.7e-5)
+    q_a = levels(rng, (m, k), p_a, "random").astype(np.int16)
+    q_a[0, 0], q_a[-1, -1] = p_a.q_min, p_a.q_max
+    q_b = levels(rng, (k, 5), p_b, "random")
+    want = oracle(q_a, p_a, q_b, p_b)
+    assert_bits(qp.int_matmul(q_a, p_a, q_b, p_b), want)
+    c_b = qp.centered_levels(q_b, p_b)
+    assert_bits(qp.tiled_matmul(q_a, p_a, c_b, np.float64(p_a.scale) * np.float64(p_b.scale)), want)
+
+
+def test_a_level_out_of_range_in_the_last_tile_raises():
+    p = qp.QuantParams(0.1, 0, 8)
+    q_a = np.zeros((209, 256), dtype=np.int16)
+    q_a[-1, 3] = 128
+    with pytest.raises(RangeError, match="outside"):
+        qp.tiled_matmul(q_a, p, np.zeros((256, 2)), 1.0)

@@ -13,6 +13,11 @@ with each product of two dequantized tensors taken as QuantSim takes
 it: the exact product of the levels it recovers from the fp32 values.
 A ``qlora`` reads its B, A and alpha as a session holds them once a
 bind has prepared them (``runtime.slot_operands``), as constants.
+
+A step widens a base weight taller than one row tile
+(``qparams.tiled_matmul``) tile by tile: a model of such weights still
+serves QuantSim's bits, the ones it served when each weight was widened
+whole, and a step's traced peak holds one tile, not the whole weight.
 """
 
 import dataclasses
@@ -23,14 +28,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_bitpin import serve, sha
+
 from onegraph import cli
 from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
+from onegraph import sensitivity as sv
 from onegraph import tensor as tz
 from onegraph.errors import FormatError, RangeError
+
+# SHA-256 of the served outputs of W256_MODEL (below), one per adapter,
+# recorded when every base weight was widened whole to float64.
+PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140",
+               "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
 
 INSPECT_SHA256 = {
     "w64": "5fef9cd6e15be4c3a54d09df19d6a382918814f870a329bac9c6f143ae052230",
@@ -368,3 +382,64 @@ def test_qlora_checks_the_2_53_bound_before_widening():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# Base weights taller than one row tile (``qparams.tiled_matmul``)
+
+# Every weight, the encoder's and the decoder's ``qlinear`` and both
+# ``qlora``, is 256 x 256: four row tiles.
+W256_MODEL = "\n".join(
+    ["name w256", "steps 2", "seed 3", "batch 4", "input 256", "cond 4", "latent 256",
+     "section encoder", "dense 256 relu", "section backbone", "lora 256 relu rank=8",
+     "lora 256 none rank=8", "section decoder", "dense 256 none"]) + "\n"
+
+
+def test_a_model_that_tiles_serves_quantsim_bits():
+    """Runtime == QuantSim, bit for bit, on weights taller than a tile, and
+    the served outputs are the ones recorded before weights were tiled."""
+    bundle = ms.build_bundle(ms.parse_model_spec(W256_MODEL))
+    heights = [g.constants[n.inputs[0]].shape[0] for _, g in bundle.graphs() for n in g.nodes
+               if n.kind in ("matmul", "lora_matmul")]
+    assert len(heights) == 4 and min(heights) > tz.MATMUL_BLOCK_BYTES // (8 * 256)
+    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=60 + i, rank=8,
+                                                        amplitude=0.1))
+                for i in range(2)]
+    samples = ms.make_samples(bundle, 2, 61)
+    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=3)
+    x, cond = samples[1]
+    _, _, outputs = serve(bundle, profile, adapters, x, cond, seed=7)
+    assert all(np.isfinite(o).all() for o in outputs)
+    assert [sha(o.tobytes()) for o in outputs] == PINNED_W256
+
+
+@pytest.mark.parametrize("kind", ("qlinear", "qlora"))
+def test_a_step_widens_one_tile_of_the_weight(kind):
+    """A step on a 1024 x 256 int8 weight holds at most one row tile of its
+    float64 levels at a time, 128 KB against 2 MB for the whole weight: its
+    traced peak stays below one tile plus four float64 copies of its
+    activations (x, and the output with each of its intermediates)."""
+    m, k, batch, r = 1024, 256, 4, 8
+    rng = np.random.default_rng(5)
+    p_w, p_x, p16 = qp.QuantParams(0.004, 0, 8), qp.QuantParams(1e-4, 3, 16), qp.QuantParams(1e-5, 0, 16)
+    q_w = rng.integers(-128, 127, (m, k), endpoint=True).astype(np.int8)
+    q_x = rng.integers(-3000, 3000, (k, batch)).astype(np.int16)
+    if kind == "qlinear":
+        node = gr.Node(0, "qlinear", [0, 1], 5, {"w_qparams": p_w, "in_qparams": p_x,
+                                                "out_qparams": p16, "op": "matmul"})
+        g = gr.Graph([node], [gr.GraphInput("x", 1, q_x.shape, "i16")], [("y", 5)], {0: q_w})
+    else:
+        q_b = rng.integers(-3000, 3000, (r, k)).astype(np.int16)
+        q_a = rng.integers(-3000, 3000, (m, r)).astype(np.int16)
+        g = _qlora_graph(_qlora_node(p_w, p_x, p16, p16), q_w, q_x, q_b, q_a)
+        g = gr.Graph(g.nodes, g.inputs[:1], g.outputs, {
+            **g.constants, **dict(zip((2, 3, 4), rt.slot_operands(q_b, p16, q_a, p16, 1.0)))})
+    gr.validate(g)
+    gr.run_graph(g, {"x": q_x})
+    tracemalloc.start()
+    try:
+        gr.run_graph(g, {"x": q_x})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tz.MATMUL_BLOCK_BYTES + 4 * 8 * (m + k) * batch
