@@ -503,7 +503,7 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
         elif n.kind == "qlora":
             out = _run_qlora(n, ins)
         elif n.kind == "requant":
-            out = qp.fake_quant(ins[0], n.attrs["qparams"])
+            out = qp.dequantize_array(qp.quantize_array(ins[0], n.attrs["qparams"]), n.attrs["qparams"])
             if "activation" in n.attrs:
                 out = tz.activation(out, n.attrs["activation"])
         else:

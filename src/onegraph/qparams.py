@@ -33,7 +33,7 @@ centred float64 levels fit ``tensor.MATMUL_BLOCK_BYTES``, at least one:
 64 rows at k = 256.  Each tile's GEMM writes that tile's rows of one
 float64 accumulator.  An output element is one exact integer sum
 whichever tile computes it, so tiling changes no bit.  An operand of at
-most one tile's rows is widened whole, in one GEMM, as without tiling.
+most one tile's rows is one tile.
 """
 
 from __future__ import annotations
@@ -210,14 +210,11 @@ def tiled_matmul(q_a: np.ndarray, p_a: QuantParams, c_b: np.ndarray, scale) -> n
     at least one.  Each tile is centred (``centered_levels``, so a level
     outside its range raises ``RangeError``) and multiplied by c_b into
     its rows of one float64 accumulator, and is freed before the next,
-    so the scratch never exceeds one tile.  A q_a that fits one tile is
-    centred whole and multiplied in one GEMM.  Like ``scaled_matmul``,
-    this leaves the 2**53 bound to the caller.
+    so the scratch never exceeds one tile.  Like ``scaled_matmul``, this
+    leaves the 2**53 bound to the caller.
     """
     m, k = q_a.shape
     rows = max(1, MATMUL_BLOCK_BYTES // (8 * max(k, 1)))
-    if m <= rows:
-        return scaled_matmul(centered_levels(q_a, p_a), c_b, scale)
     acc = np.empty((m, c_b.shape[1]), dtype=np.float64)
     for r0 in range(0, m, rows):
         np.matmul(centered_levels(q_a[r0:r0 + rows], p_a), c_b, out=acc[r0:r0 + rows])

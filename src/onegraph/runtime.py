@@ -48,11 +48,8 @@ and the slot's prepared B, A and alpha: it centres q_x once for the two
 exact integer products W x and B x (``qparams.tiled_matmul`` and
 ``scaled_matmul``), then runs the same fp32 A (B x), scale and add.
 Each ``quantize -> dequantize [-> activation]`` chain whose links are
-read only by the next link becomes one ``requant`` node: one
-``qparams.fake_quant``, which gives the pair's bits for every input but
-a NaN, then the same activation.  A NaN, which no ``infer`` input may
-hold, stays NaN, as in QuantSim, where the pair's cast to the integer
-storage would make up a level.  So one layer of a denoising step is a
+read only by the next link becomes one ``requant`` node running the
+same kernels in the same order.  So one layer of a denoising step is a
 ``qlora``, a ``requant`` and the ``quantize`` of the next layer's input,
 no base weight is dequantized on a step, and the arena holds none of
 the chains' inner tensors.  The fusions share one use map and one rebuild
@@ -296,12 +293,11 @@ def lower_products(g: gr.Graph) -> gr.Graph:
 
     A fused node takes the id and the output tensor of its chain's last
     node and stands where that node stood, so the order stays
-    topological and load's shape maps still fit.  It gives the bits of
-    its chain (``graph.run_graph``): ``requant`` as one
-    ``qparams.fake_quant``; ``qlora`` computes both exact integer
-    products, W x and B x, on one centring of ``q_x``, and reads B and
-    A in the form a bind prepares them (``slot_operands``), so its
-    slots must be bound before it runs.
+    topological and load's shape maps still fit.  It runs the chain's
+    kernels in the chain's order (``graph.run_graph``); ``qlora``
+    computes both exact integer products, W x and B x, on one centring
+    of ``q_x``, and reads B and A in the form a bind prepares them
+    (``slot_operands``), so its slots must be bound before it runs.
     Adapter layers are fused first: their ``q_x`` feeds two
     products and never starts a ``requant``.  ``graph.rebuild`` drops
     each ``dequantize`` whose readers were all fused away.  A product of
