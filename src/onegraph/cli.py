@@ -271,7 +271,7 @@ def cmd_inspect(args):
                 print(gr.dump_graph(model.graphs[role]), end="")
     elif data[:4] == cp.PACK_MAGIC:
         pack = cp.unpack_lora(data)
-        print(f"magic QLPK version {cp.FORMAT_VERSION}")
+        print(f"magic QLPK version {cp.FORMAT_VERSIONS[cp.PACK_MAGIC]}")
         print(f"adapter_id {pack.adapter_id}")
         print(f"lora_bits {pack.lora_bits}")
         print(f"file_bytes {len(data)}")

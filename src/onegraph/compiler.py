@@ -4,7 +4,10 @@ The deployment flow turns a bundle with adapter-capable layers into one
 immutable artifact plus small per-task archives:
 
     rewrite_lora_as_input -> constant_fold -> dead_code_eliminate
-        -> materialize_quantsim -> scale_fold -> freeze (.quadm)
+        -> materialize_quantsim -> scale_fold -> _fuse_lora -> _fuse_requant
+        -> dead_code_eliminate -> freeze (.quadm)
+
+The artifact holds the graphs a runtime session runs, node for node.
 
 Adapters are packed separately (.qlp) with their factors quantized at
 the boundary under the shared slot parameters, so any pack can be bound
@@ -33,15 +36,16 @@ from .qparams import QuantParams, quantize_array, storage_dtype
 
 MODEL_MAGIC = b"QADM"
 PACK_MAGIC = b"QLPK"
-FORMAT_VERSION = 1
+# One format version per magic.  Model version 1 held the graphs before
+# the fusions of ``optimize_for_freeze``.
+FORMAT_VERSIONS = {MODEL_MAGIC: 2, PACK_MAGIC: 1}
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 # The node kinds an artifact can hold.  Codes 1 and 3 belonged to the
-# retired conv2d and mul kinds and stay unassigned; the runtime kinds
-# (graph.RUNTIME_KINDS) have no code, so no artifact can hold them.
+# retired conv2d and mul kinds and stay unassigned.
 _KIND_CODES = {"matmul": 0, "add": 2, "scale": 4, "concat": 5, "activation": 6, "lora_matmul": 7,
-               "quantize": 8, "dequantize": 9, "qlinear": 10}
+               "quantize": 8, "dequantize": 9, "qlinear": 10, "qlora": 11, "requant": 12}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _FP32_MAX = float(np.finfo(np.float32).max)
 
@@ -204,9 +208,8 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
     Weight constants become integer payloads behind dequantize nodes;
     slot inputs become integer inputs (packs deliver them quantized);
     activations with profile entries get a quantize/dequantize pair.
-    Lowered as a runtime session lowers it at load
-    (``runtime.lower_products``), the result computes bit-identically to
-    hook-based quantsim.
+    Fused as ``optimize_for_freeze`` fuses it, the result computes
+    bit-identically to hook-based quantsim.
 
     Node order: the pairs of the covered inputs (last input first), then
     the slot dequantizes and the weight dequantizes (each last first),
@@ -342,8 +345,89 @@ def scale_fold(g: gr.Graph) -> gr.Graph:
     return out
 
 
+def _fuse_lora(g: gr.Graph) -> gr.Graph:
+    """Adapter layers -> ``qlora [q_w, q_x, B, A, alpha]``.
+
+    The layer is ``add(matmul(dq(q_w), dq(q_x)), scale(matmul(dq(q_a),
+    matmul(dq(q_b), dq(q_x))), alpha))``, where both x operands
+    dequantize the same ``q_x`` with the same parameters, and W x, B x,
+    A (B x) and the scaled term are each read once, by the layer.  B and
+    A are the slot inputs q_b and q_a, which a session's bind prepares.
+    """
+    producer = g.producer_map()
+    users = g.consumers()
+
+    def inner(tid, kind):
+        """The producer of ``tid`` if it has this kind and ``tid`` is read once."""
+        n = producer.get(tid)
+        return n if n is not None and n.kind == kind and len(users[tid]) == 1 else None
+
+    fused, gone = {}, set()
+    for n in g.nodes:
+        if n.kind != "add":
+            continue
+        wx, sc = inner(n.inputs[0], "matmul"), inner(n.inputs[1], "scale")
+        abx = sc and inner(sc.inputs[0], "matmul")
+        bx = abx and inner(abx.inputs[1], "matmul")
+        if wx is None or bx is None:
+            continue
+        dq_w, dq_x, dq_b, dq_x2, dq_a = (
+            producer.get(t) for t in (*wx.inputs, *bx.inputs, abx.inputs[0]))
+        if not all(d is not None and d.kind == "dequantize" for d in (dq_w, dq_x, dq_b, dq_x2, dq_a)):
+            continue
+        p_x = dq_x.attrs["qparams"]
+        if dq_x2.inputs[0] != dq_x.inputs[0] or dq_x2.attrs["qparams"] != p_x:
+            continue
+        fused[id(n)] = gr.Node(
+            n.id, "qlora", [dq_w.inputs[0], dq_x.inputs[0], dq_b.inputs[0], dq_a.inputs[0], sc.inputs[1]],
+            n.output, {"w_qparams": dq_w.attrs["qparams"], "in_qparams": p_x,
+                       "b_qparams": dq_b.attrs["qparams"], "a_qparams": dq_a.attrs["qparams"]})
+        gone.update((id(wx), id(sc), id(abx), id(bx)))
+    return gr.rebuild(g, fused, gone)
+
+
+def _fuse_requant(g: gr.Graph) -> gr.Graph:
+    """``quantize -> dequantize [-> activation]`` -> ``requant``.
+
+    Each link's output is read once, by the next link, and both ends of
+    the pair hold the same parameters.
+    """
+    users = g.consumers()
+
+    def sole(tid, kind):
+        u = users.get(tid, ())
+        return u[0] if len(u) == 1 and u[0] is not None and u[0].kind == kind else None
+
+    fused, gone = {}, set()
+    for n in g.nodes:
+        if n.kind != "quantize":
+            continue
+        dq = sole(n.output, "dequantize")
+        if dq is None or dq.attrs["qparams"] != n.attrs["qparams"]:
+            continue
+        act = sole(dq.output, "activation")
+        last = act or dq
+        attrs = {"qparams": n.attrs["qparams"]}
+        if act is not None:
+            attrs["activation"] = act.attrs["kind"]
+            gone.add(id(dq))
+        fused[id(last)] = gr.Node(last.id, "requant", [n.inputs[0]], last.output, attrs)
+        gone.add(id(n))
+    return gr.rebuild(g, fused, gone)
+
+
 def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
-    """Run the full pass pipeline; returns (frozen-form bundle, descriptors)."""
+    """Run the full pass pipeline; returns (frozen-form bundle, descriptors).
+
+    After ``scale_fold`` each adapter layer becomes one ``qlora`` and each
+    ``quantize -> dequantize [-> activation]`` chain one ``requant``, which
+    runs the chain's kernels in its order.  A fused node takes the id and
+    the output tensor of its chain's last node and stands where that node
+    stood, so the order stays topological.  Adapter layers are fused
+    first: their ``q_x`` feeds two products and never starts a
+    ``requant``.  The last ``dead_code_eliminate`` drops the ``requant``
+    of a covered input that nothing reads.
+    """
     qt.check_coverage(shared, bundle)
     rewritten, descriptors = rewrite_lora_as_input(bundle.backbone, shared)
     graphs = {}
@@ -354,7 +438,7 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
         g = dead_code_eliminate(g)
         g = materialize_quantsim(g, shared, role, descs)
         g = scale_fold(g)
-        graphs[role] = g
+        graphs[role] = dead_code_eliminate(_fuse_requant(_fuse_lora(g)))
     frozen = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], bundle.steps)
     return frozen, descriptors
 
@@ -441,7 +525,6 @@ def _unpack_attrs(data, pos, memo):
 
 
 def _pack_graph(g: gr.Graph) -> bytes:
-    g = gr.sort_nodes(g)
     parts = [struct.pack("<H", len(g.inputs))]
     for gi in g.inputs:
         parts += (_pack_str(gi.name),
@@ -505,7 +588,8 @@ def _unpack_graph(data, pos, memo):
 
 
 def _wrap_payload(magic: bytes, payload: bytes) -> bytes:
-    head = magic + struct.pack("<HHIQ", FORMAT_VERSION, 0, zlib.crc32(payload) & 0xFFFFFFFF, len(payload))
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    head = magic + struct.pack("<HHIQ", FORMAT_VERSIONS[magic], 0, crc, len(payload))
     return head + payload
 
 
@@ -516,11 +600,12 @@ def _decoding(what: str):
     Such a payload trips over a short read (struct.error), an unknown
     code (KeyError), bad UTF-8 or out-of-range parameters (ValueError,
     which covers the toolkit's RangeError and ShapeError).  A decoded
-    model that breaks ``graph.validate_bundle`` raises GraphError.
+    model that breaks ``graph.validate_bundle`` raises GraphError, or
+    IndexError where a node has fewer inputs than its kind reads.
     """
     try:
         yield
-    except (struct.error, KeyError, ValueError, GraphError) as exc:
+    except (struct.error, KeyError, IndexError, ValueError, GraphError) as exc:
         raise FormatError(f"malformed {what} payload: {type(exc).__name__}: {exc}") from exc
 
 
@@ -537,8 +622,9 @@ def _open_payload(magic: bytes, data: bytes) -> memoryview:
     if data[:4] != magic:
         raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
     version, _flags, crc, length = struct.unpack_from("<HHIQ", data, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
+    if version != FORMAT_VERSIONS[magic]:
+        raise FormatError(f"unsupported {magic.decode()} format version {version}, "
+                          f"expected {FORMAT_VERSIONS[magic]}")
     payload = memoryview(data)[20:]
     if len(payload) != length:
         raise FormatError(f"truncated payload: {len(payload)} of {length} bytes")
@@ -553,7 +639,18 @@ def _open_payload(magic: bytes, data: bytes) -> memoryview:
 
 def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
            *, name: str = "model", creation_seed: int = 0) -> bytes:
-    """Serialize an optimized bundle; byte-identical for identical inputs."""
+    """Serialize an optimized bundle; byte-identical for identical inputs.
+
+    Each graph is written in its own node order, which must be
+    topological: a node that reads a tensor which it or a later node
+    produces raises ``GraphError``.  Every other check is load's.
+    """
+    for role, g in bundle.graphs():
+        ahead = {n.output for n in g.nodes}
+        for n in g.nodes:
+            if ahead.intersection(n.inputs):
+                raise GraphError(f"{role} node {n.id}: nodes are not in topological order")
+            ahead.discard(n.output)
     parts = [struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF), _pack_str(name),
              struct.pack("<I", bundle.steps), _pack_str(qt.profile_to_text(shared)),
              struct.pack("<B", 3)]
@@ -612,7 +709,8 @@ def load_compiled(data: bytes) -> CompiledModel:
             raise FormatError("model must contain encoder, backbone, and decoder graphs")
         bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], steps)
         shapes = gr.validate_bundle(bundle, descriptors)
-    return CompiledModel(FORMAT_VERSION, name, seed, steps, profile_text, graphs, descriptors, shapes)
+    return CompiledModel(FORMAT_VERSIONS[MODEL_MAGIC], name, seed, steps, profile_text, graphs,
+                         descriptors, shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ Nodes are stored in topological order (validated), and activations are
 column-major feature matrices ``[features, batch]``.  Execution is
 deterministic bit-for-bit: fp32 arithmetic goes through the sequential
 kernels in :mod:`onegraph.tensor`, and a product whose two operands are
-quantized (a ``qlinear`` node, W x and B x inside the runtime's
-``qlora``, or a product that QuantSim's ``product`` hook sees with both
-operands fake-quantized) goes through the exact integer kernel of
+quantized (a ``qlinear`` node, W x and B x inside a ``qlora``, or a
+product that QuantSim's ``product`` hook sees with both operands
+fake-quantized) goes through the exact integer kernel of
 :mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``,
 ``scaled_matmul``, ``tiled_matmul``), whose result no summation order
 or row tiling changes.  Every product in the IR is a matrix product:
 ``qlinear`` has no other ``op``.
 
-The fusion passes, ``compiler.scale_fold`` and ``runtime.lower_products``,
-share one use map (``Graph.consumers``) and one ``rebuild``.
+The fusion passes of ``compiler.optimize_for_freeze`` (``scale_fold``,
+``_fuse_lora`` and ``_fuse_requant``) share one use map
+(``Graph.consumers``) and one ``rebuild``.
 """
 
 from __future__ import annotations
@@ -33,18 +34,15 @@ from . import tensor as tz
 from .errors import BindError, CycleError, GraphError, ShapeError
 from .rng import Rng
 
-# Kinds of the floating-point IR; quantize/dequantize/qlinear appear
-# only after quantization nodes are materialized for compilation.
-# The runtime kinds exist only in graphs a runtime session lowers at
-# load (``runtime.lower_products``), and have no kind code, so no
-# artifact can hold them: ``qlora`` is one adapter layer, W x + alpha *
-# A (B x) from the integer q_w and q_x, B's centred levels (f64) and the
-# dequantized A, and ``requant`` one quantize -> dequantize [->
-# activation] chain, fp32 in and out.
+# Kinds of the floating-point IR; the quantized kinds appear only after
+# quantization nodes are materialized for compilation, and the last three
+# only after the compiler's fusions: ``qlinear`` is one quantized linear
+# layer, ``qlora`` one adapter layer, W x + alpha * A (B x) from the
+# integer q_w and q_x and the slot's B and A, and ``requant`` one
+# quantize -> dequantize [-> activation] chain, fp32 in and out.
 FP_KINDS = ("matmul", "add", "scale", "concat", "activation", "lora_matmul")
-QUANT_KINDS = ("quantize", "dequantize", "qlinear")
-RUNTIME_KINDS = ("qlora", "requant")
-ALL_KINDS = FP_KINDS + QUANT_KINDS + RUNTIME_KINDS
+QUANT_KINDS = ("quantize", "dequantize", "qlinear", "qlora", "requant")
+ALL_KINDS = FP_KINDS + QUANT_KINDS
 
 
 @dataclass(slots=True)
@@ -233,11 +231,12 @@ def infer_shapes(g: Graph) -> dict:
             out = ((sw[0], sx[1]), storage_name(p))
         elif n.kind == "qlora":
             (sw, _), (sx, _), (sb, db), (sa, da), (sal, dal) = (get(t) for t in n.inputs)
-            for key in ("w_qparams", "in_qparams", "b_qparams", "a_qparams"):
+            for key in ("w_qparams", "in_qparams"):
                 _qparams(n, key)
-            if db != "f64" or da != "fp32":
-                raise ShapeError(f"node {n.id}: qlora needs B centred in f64 and A in fp32, "
-                                 f"got {db} and {da}")
+            stored = (storage_name(_qparams(n, "b_qparams")), storage_name(_qparams(n, "a_qparams")))
+            if (db, da) not in (stored, ("f64", "fp32")):
+                raise ShapeError(f"node {n.id}: qlora needs B and A as stored {stored} or as "
+                                 f"prepared (f64, fp32), got ({db}, {da})")
             if (len(sw) != 2 or len(sx) != 2 or len(sb) != 2 or len(sa) != 2 or sw[1] != sx[0]
                     or sb[1] != sx[0] or sa[1] != sb[0] or sa[0] != sw[0]):
                 raise ShapeError(f"node {n.id}: qlora shapes W{sw} x{sx} B{sb} A{sa}")
@@ -324,15 +323,6 @@ def topo_sort(g: Graph) -> list:
         stuck = sorted(set(by_id) - set(order))
         raise CycleError(f"cycle through nodes {stuck}")
     return order
-
-
-def sort_nodes(g: Graph) -> Graph:
-    """Copy of g with nodes reordered into canonical topological order."""
-    order = topo_sort(g)
-    out = g.copy()
-    by_id = {n.id: n for n in out.nodes}
-    out.nodes = [by_id[nid] for nid in order]
-    return out
 
 
 def rebuild(g: Graph, fused: dict, gone: set) -> Graph:
@@ -525,7 +515,8 @@ def _run_qlora(n, ins):
 
     B and A arrive in the form ``runtime.bind_lora`` prepares them once
     per bind: B as its centred levels q_b - z_b in float64, A
-    dequantized to fp32.  So a step centres only q_x and, one row tile
+    dequantized to fp32.  (As stored, a graph holds the slots' levels
+    instead, and running it raises ``ShapeError``.)  So a step centres only q_x and, one row tile
     at a time, q_w.  W x and B x are exact integer products on one
     centring of q_x (``qparams.tiled_matmul`` and ``scaled_matmul``),
     and A (B x) is the fp32 ``tensor.matmul``.  The 2**53 bound of both
@@ -570,19 +561,20 @@ def validate_bundle(bundle: ModelBundle, descriptors=()) -> dict:
     """The structural contract of a bundle, built or loaded; role -> ``validate(g)``.
 
     Each graph is valid with exactly one output, and only the backbone
-    holds ``lora_matmul`` nodes.  The step count is positive.  The
-    encoder and decoder take one input; the backbone takes the latent,
-    the conditioning and three inputs (A, B, alpha) per slot
-    descriptor, each the input its descriptor names: A and B in the
-    storage dtype of the descriptor's parameters, alpha fp32.  The
-    latent passes unchanged in shape and dtype from the encoder through
-    the backbone to the decoder.  A built bundle has no descriptors yet.
+    holds adapter layers (``lora_matmul`` or ``qlora`` nodes).  The step
+    count is positive.  The encoder and decoder take one input; the
+    backbone takes the latent, the conditioning and three inputs (A, B,
+    alpha) per slot descriptor, each the input its descriptor names: A
+    and B in the storage dtype of the descriptor's parameters, alpha
+    fp32.  The latent passes unchanged in shape and dtype from the
+    encoder through the backbone to the decoder.  A built bundle has no
+    descriptors yet.
     """
     info = {}
     for role, g in bundle.graphs():
         info[role] = validate(g)
-        if role != "backbone" and g.lora_nodes():
-            raise GraphError(f"{role} graph may not contain lora_matmul nodes")
+        if role != "backbone" and any(n.kind in ("lora_matmul", "qlora") for n in g.nodes):
+            raise GraphError(f"{role} graph may not contain adapter layers")
         if len(g.outputs) != 1:
             raise GraphError(f"{role} graph must have exactly one output")
     if bundle.steps < 1:

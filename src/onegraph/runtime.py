@@ -12,9 +12,11 @@ denoising step runs only the arithmetic that depends on its input.
 
 * **Load.**  The base weights are read-only views into the artifact's
   bytes, which the session keeps (``compiler.load_compiled``), so each
-  is held once.  The session lowers the graphs (below), checks that each
-  slot feeds one ``qlora`` under the slot's parameters, and checks both
-  2**53 bounds of every ``qlora`` (``check_adapter_layers``).
+  is held once.  The session plans and runs the graphs it decodes,
+  which the compiler fused (below).  It checks that each slot feeds one
+  ``qlora`` under the slot's parameters, and both 2**53 bounds of every
+  ``qlora`` (``check_adapter_layers``), since an artifact can be
+  hostile.
 * **Bind.**  ``bind_lora`` decodes the pack into views of its bytes
   (``compiler.unpack_lora``) and writes each slot straight from them
   into the form its ``qlora`` multiplies (``slot_operands``):
@@ -41,28 +43,21 @@ time, a tile being the most rows that fit ``tensor.MATMUL_BLOCK_BYTES``
 its k within the same budget.  So no step holds a float64 copy of a
 whole base weight, which would be 8x its int8 bytes.
 
-At load the session fuses the frozen graphs (``lower_products``).  Each
-adapter layer, the ``add`` of W x and alpha * A (B x) with W, x, B and A
-dequantized from integers, becomes one ``qlora`` node reading q_w, q_x
-and the slot's prepared B, A and alpha: it centres q_x once for the two
-exact integer products W x and B x (``qparams.tiled_matmul`` and
-``scaled_matmul``), then runs the same fp32 A (B x), scale and add.
-Each ``quantize -> dequantize [-> activation]`` chain whose links are
-read only by the next link becomes one ``requant`` node running the
-same kernels in the same order.  So one layer of a denoising step is a
-``qlora``, a ``requant`` and the ``quantize`` of the next layer's input,
-no base weight is dequantized on a step, and the arena holds none of
-the chains' inner tensors.  The fusions share one use map and one rebuild
-with ``compiler.scale_fold`` (``graph.Graph.consumers``,
-``graph.rebuild``).  The session plans and runs the fused graphs, which
-``session.model`` holds; the artifact and ``compiler.load_compiled``
-keep the graphs as frozen.
+The artifact holds the graphs ``compiler.optimize_for_freeze`` fused.
+Each adapter layer is one ``qlora`` node reading q_w, q_x and the
+slot's B, A and alpha: it centres q_x once for the two exact integer
+products W x and B x (``qparams.tiled_matmul`` and ``scaled_matmul``),
+then runs the fp32 A (B x), scale and add.  Each ``quantize ->
+dequantize [-> activation]`` chain is one ``requant`` node.  So one
+layer of a denoising step is a ``qlora``, a ``requant`` and the
+``quantize`` of the next layer's input, no base weight is dequantized
+on a step, and the arena holds none of the chains' inner tensors.  In
+the artifact a ``qlora``'s B and A are backbone inputs in their storage
+dtype; in a session they are the constants a bind prepares.
 
 Loading derives each graph's shapes once: ``load_compiled`` checks the
 bundle with ``graph.validate_bundle``, and the session plans from the
-shape maps that check returns.  Those maps fit the fused graphs too,
-since a fused node keeps the output tensor, and so the shape, of its
-chain's last node, and the chains' inner tensors are no longer planned.
+shape maps that check returns.
 
 The plan is a lifetime analysis (``lifetime_items``) followed by greedy
 best-fit offsets (``assign_offsets``): tensors are placed in production
@@ -216,106 +211,13 @@ def assign_offsets(items) -> MemoryPlan:
     return MemoryPlan(offsets, arena)
 
 
-def _fuse_lora(g: gr.Graph) -> gr.Graph:
-    """Adapter layers -> ``qlora [q_w, q_x, B, A, alpha]``.
-
-    The layer is ``add(matmul(dq(q_w), dq(q_x)), scale(matmul(dq(q_a),
-    matmul(dq(q_b), dq(q_x))), alpha))``, where both x operands
-    dequantize the same ``q_x`` with the same parameters, and W x, B x,
-    A (B x) and the scaled term are each read once, by the layer.  B and
-    A are the tensors of q_b and q_a, which a bind prepares.
-    """
-    producer = g.producer_map()
-    users = g.consumers()
-
-    def inner(tid, kind):
-        """The producer of ``tid`` if it has this kind and ``tid`` is read once."""
-        n = producer.get(tid)
-        return n if n is not None and n.kind == kind and len(users[tid]) == 1 else None
-
-    fused, gone = {}, set()
-    for n in g.nodes:
-        if n.kind != "add":
-            continue
-        wx, sc = inner(n.inputs[0], "matmul"), inner(n.inputs[1], "scale")
-        abx = sc and inner(sc.inputs[0], "matmul")
-        bx = abx and inner(abx.inputs[1], "matmul")
-        if wx is None or bx is None:
-            continue
-        dq_w, dq_x, dq_b, dq_x2, dq_a = (
-            producer.get(t) for t in (*wx.inputs, *bx.inputs, abx.inputs[0]))
-        if not all(d is not None and d.kind == "dequantize" for d in (dq_w, dq_x, dq_b, dq_x2, dq_a)):
-            continue
-        p_x = dq_x.attrs["qparams"]
-        if dq_x2.inputs[0] != dq_x.inputs[0] or dq_x2.attrs["qparams"] != p_x:
-            continue
-        fused[id(n)] = gr.Node(
-            n.id, "qlora", [dq_w.inputs[0], dq_x.inputs[0], dq_b.inputs[0], dq_a.inputs[0], sc.inputs[1]],
-            n.output, {"w_qparams": dq_w.attrs["qparams"], "in_qparams": p_x,
-                       "b_qparams": dq_b.attrs["qparams"], "a_qparams": dq_a.attrs["qparams"]})
-        gone.update((id(wx), id(sc), id(abx), id(bx)))
-    return gr.rebuild(g, fused, gone)
-
-
-def _fuse_requant(g: gr.Graph) -> gr.Graph:
-    """``quantize -> dequantize [-> activation]`` -> ``requant``.
-
-    Each link's output is read once, by the next link, and both ends of
-    the pair hold the same parameters.
-    """
-    users = g.consumers()
-
-    def sole(tid, kind):
-        u = users.get(tid, ())
-        return u[0] if len(u) == 1 and u[0] is not None and u[0].kind == kind else None
-
-    fused, gone = {}, set()
-    for n in g.nodes:
-        if n.kind != "quantize":
-            continue
-        dq = sole(n.output, "dequantize")
-        if dq is None or dq.attrs["qparams"] != n.attrs["qparams"]:
-            continue
-        act = sole(dq.output, "activation")
-        last = act or dq
-        attrs = {"qparams": n.attrs["qparams"]}
-        if act is not None:
-            attrs["activation"] = act.attrs["kind"]
-            gone.add(id(dq))
-        fused[id(last)] = gr.Node(last.id, "requant", [n.inputs[0]], last.output, attrs)
-        gone.add(id(n))
-    return gr.rebuild(g, fused, gone)
-
-
-def lower_products(g: gr.Graph) -> gr.Graph:
-    """A session's graph: each adapter layer one ``qlora``, each
-    ``quantize -> dequantize [-> activation]`` chain one ``requant``.
-
-    A fused node takes the id and the output tensor of its chain's last
-    node and stands where that node stood, so the order stays
-    topological and load's shape maps still fit.  It runs the chain's
-    kernels in the chain's order (``graph.run_graph``); ``qlora``
-    computes both exact integer products, W x and B x, on one centring
-    of ``q_x``, and reads B and A in the form a bind prepares them
-    (``slot_operands``), so its slots must be bound before it runs.
-    Adapter layers are fused first: their ``q_x`` feeds two
-    products and never starts a ``requant``.  ``graph.rebuild`` drops
-    each ``dequantize`` whose readers were all fused away.  A product of
-    two dequantized tensors outside an adapter layer, which the compiler
-    never emits (``scale_fold`` makes each a ``qlinear``), stays the fp32
-    ``matmul`` its graph names.  Returns a new graph that shares the
-    unchanged nodes and the constants with ``g``.
-    """
-    return _fuse_requant(_fuse_lora(g))
-
-
 def check_adapter_layers(g: gr.Graph, descriptors, shapes: dict) -> None:
     """Each slot is the B, A and alpha of one ``qlora``, which nothing
     else reads, and both exact products of every ``qlora`` stay within
     the 2**53 bound.
 
-    ``g`` is a session's lowered backbone and ``shapes`` the load shapes
-    of the frozen one.  A bind writes a slot in the form only its
+    ``g`` is a session's backbone and ``shapes`` the load shapes of the
+    backbone as stored.  A bind writes a slot in the form only its
     ``qlora`` multiplies, prepared with the slot's parameters, so the
     layer must hold those parameters too (``FormatError`` otherwise).
     The bounds depend on the shapes and the parameters alone, which
@@ -391,13 +293,12 @@ class Session:
 
     def __init__(self, model: cp.CompiledModel, model_bytes: bytes):
         t0 = time.perf_counter()
-        graphs = {role: lower_products(g) for role, g in model.graphs.items()}
-        # After lowering, the peak of a load.  The slot constants go into a
-        # dict of the session's own, so a bind never writes into ``model``.
+        # The slot inputs are dropped, and the slot constants go into a dict
+        # of the session's own, so a bind never writes into ``model``.
         slots = {t for d in model.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
-        bb = graphs["backbone"]
-        graphs["backbone"] = replace(bb, inputs=[gi for gi in bb.inputs if gi.tid not in slots],
-                                     constants=dict(bb.constants))
+        bb = model.graphs["backbone"]
+        graphs = {**model.graphs, "backbone": replace(
+            bb, inputs=[gi for gi in bb.inputs if gi.tid not in slots], constants=dict(bb.constants))}
         check_adapter_layers(graphs["backbone"], model.descriptors, model.shapes["backbone"])
         # A bind decodes the pack's parameter records to these very objects.
         self._slot_params = cp.qparams_memo(p for d in model.descriptors for p in (d.a_params, d.b_params))

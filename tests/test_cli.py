@@ -209,6 +209,26 @@ def test_stepless_model_is_a_usage_error(tmp_path, toy_bundle, toy_profile, caps
     assert "step count" in usage_error(["inspect", str(path)], capsys)
 
 
+@pytest.mark.parametrize("command", ("inspect", "run"))
+def test_a_version_1_model_is_a_usage_error(command, toy_files, tmp_path, capsys):
+    """Model format version 1 held the graphs before the compiler fused them."""
+    data = bytearray((tmp_path / "model.quadm").read_bytes())
+    struct.pack_into("<H", data, 4, 1)
+    path = tmp_path / "v1.quadm"
+    path.write_bytes(bytes(data))
+    argv = ["inspect", str(path)]
+    if command == "run":
+        argv = ["run", "--model-bin", str(path), "--x", toy_files["cond.qtns"],
+                "--cond", toy_files["cond.qtns"], "--out", str(tmp_path / "y.qtns")]
+    assert "unsupported QADM format version 1" in usage_error(argv, capsys)
+
+
+def test_inspect_prints_each_files_own_version(toy_files, capsys):
+    for name, head in (("model.quadm", "magic QADM version 2"), ("style.qlp", "magic QLPK version 1")):
+        assert cli.main(["inspect", toy_files[name]]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == head
+
+
 def test_config_fills_what_the_flags_leave_unset(files):
     """Flags win over the config file, and the file wins over the defaults."""
     config = files("og.cfg", "seed = 5\ntie-eps = 0.25\npolicy = w8a8\n")

@@ -22,7 +22,7 @@ import pytest
 from onegraph import compiler as cp
 from onegraph import runtime as rt
 from onegraph import tensor as tz
-from onegraph.errors import BindError, FormatError
+from onegraph.errors import BindError, FormatError, GraphError
 from onegraph.qparams import QuantParams
 
 TRIALS = 200
@@ -160,7 +160,8 @@ def test_descriptors_must_name_the_slot_inputs(toy_bundle, toy_profile, defect):
 
 
 SLOT_DEFECTS = {
-    "i32 A": r"GraphError: slot 0: no backbone input lora\d+\.A \(\d+, \d+\) i16 at tensor",
+    "i32 A": r"ShapeError: node \d+: qlora needs B and A as stored \('i16', 'i16'\) or as prepared "
+             r"\(f64, fp32\), got \(i16, i32\)",
     "constant alpha": r"GraphError: tensors \[\d+\] are both inputs and constants",
 }
 
@@ -191,6 +192,15 @@ def test_quant_node_without_its_attribute(toy_bundle, toy_profile, kind, key):
         cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
 
 
+@pytest.mark.parametrize("kind", ("quantize", "activation", "qlinear", "qlora", "requant"))
+def test_a_node_short_of_inputs_is_a_format_error(toy_bundle, toy_profile, kind):
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    node = next(n for _, g in frozen.graphs() for n in g.nodes if n.kind == kind)
+    node.inputs = node.inputs[:len(node.inputs) // 2]
+    with pytest.raises(FormatError, match="malformed model payload"):
+        cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+
+
 def test_qlinear_with_a_flat_weight_is_a_format_error(toy_bundle, toy_profile):
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     g, node = next((g, n) for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
@@ -199,11 +209,48 @@ def test_qlinear_with_a_flat_weight_is_a_format_error(toy_bundle, toy_profile):
         cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
 
 
+def test_an_adapter_layer_outside_the_backbone_is_a_format_error(toy_bundle, toy_profile):
+    """A session checks only the backbone's ``qlora`` nodes against their
+    slots and the 2**53 bound, so no other graph may hold one."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    data = cp.freeze(dataclasses.replace(frozen, decoder=frozen.backbone), toy_profile, descriptors,
+                     name="toy")
+    with pytest.raises(FormatError, match="GraphError: decoder graph may not contain adapter layers"):
+        cp.load_compiled(data)
+
+
 def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     data = cp.freeze(dataclasses.replace(frozen, steps=0), toy_profile, descriptors, name="toy")
     with pytest.raises(FormatError, match="GraphError: bundle step count must be positive"):
         cp.load_compiled(data)
+
+
+def test_each_magic_has_its_own_version(toy_artifacts):
+    """``.quadm`` is at version 2 and ``.qlp`` stays at 1; a version-1
+    ``.quadm``, which held the graphs before the fusions, is refused."""
+    model, pack = toy_artifacts
+    assert (model[4:6], pack[4:6]) == (b"\x02\x00", b"\x01\x00")
+    for data, loader, magic, old in ((model, cp.load_compiled, "QADM", 1),
+                                     (pack, cp.unpack_lora, "QLPK", 2)):
+        changed = bytearray(data)
+        struct.pack_into("<H", changed, 4, old)
+        with pytest.raises(FormatError, match=f"unsupported {magic} format version {old}"):
+            loader(bytes(changed))
+
+
+@pytest.mark.parametrize("defect", ("reversed", "cycle"))
+def test_freeze_refuses_nodes_out_of_topological_order(toy_bundle, toy_profile, defect):
+    """``freeze`` writes each graph in its own node order, so an order that
+    is not topological is refused, not sorted."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    nodes = frozen.backbone.nodes
+    if defect == "reversed":
+        nodes.reverse()
+    else:
+        nodes[0].inputs.append(nodes[-1].output)
+    with pytest.raises(GraphError, match="backbone node \\d+: nodes are not in topological order"):
+        cp.freeze(frozen, toy_profile, descriptors, name="toy")
 
 
 def test_extents_whose_product_overflows_int64():
@@ -217,7 +264,8 @@ def test_extents_whose_product_overflows_int64():
 def test_kind_codes_are_pinned():
     """The node kind codes of the format; 1 and 3 are retired and stay unassigned."""
     assert cp._KIND_CODES == {"matmul": 0, "add": 2, "scale": 4, "concat": 5, "activation": 6,
-                              "lora_matmul": 7, "quantize": 8, "dequantize": 9, "qlinear": 10}
+                              "lora_matmul": 7, "quantize": 8, "dequantize": 9, "qlinear": 10,
+                              "qlora": 11, "requant": 12}
     assert (cp._ATTR_INT, cp._ATTR_STR, cp._ATTR_QPARAMS) == (0, 2, 3)
 
 

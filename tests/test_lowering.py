@@ -1,11 +1,12 @@
-"""The load-time lowering of a session's graphs.
+"""The compiler's fusions, and the session that runs the fused graphs.
 
-``runtime.Session`` fuses each adapter layer into one ``qlora`` node and
-each ``quantize -> dequantize [-> activation]`` chain into one
-``requant`` node.  The artifact does not change: ``compiler.load_compiled``
-returns the graphs as frozen, they freeze back to the same bytes, and
-``onegraph inspect`` prints what it printed before the lowering existed
-(digests recorded then, with ``--dump``).
+``compiler.optimize_for_freeze`` fuses each adapter layer into one
+``qlora`` node and each ``quantize -> dequantize [-> activation]`` chain
+into one ``requant`` node, and the ``.quadm`` holds those graphs (kind
+codes 11 and 12).  ``compiler.load_compiled`` returns them as frozen,
+they freeze back to the same bytes, and ``runtime.Session`` plans and
+runs them node for node.  ``onegraph inspect --dump`` prints them
+(digests recorded at model format version 2).
 
 A fused node must give the bits of its unfused chain.  The chain's
 reference here runs the chain's own nodes through ``graph.run_graph``,
@@ -23,6 +24,7 @@ whole, and a step's traced peak holds one tile, not the whole weight.
 import dataclasses
 import hashlib
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -41,14 +43,16 @@ from onegraph import sensitivity as sv
 from onegraph import tensor as tz
 from onegraph.errors import FormatError, RangeError
 
+FUSED_KINDS = ("qlora", "requant")
+
 # SHA-256 of the served outputs of W256_MODEL (below), one per adapter,
 # recorded when every base weight was widened whole to float64.
 PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140",
                "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
 
 INSPECT_SHA256 = {
-    "w64": "5fef9cd6e15be4c3a54d09df19d6a382918814f870a329bac9c6f143ae052230",
-    "d48": "756d6a6ea1b41924f34d96b5cc4edc3c7c91b6cfbd2a5b065277cf1c4bd1b6df",
+    "w64": "9fe76ea879b0e33f7bdb0235aa2bc3ff44eb494b3c85f083980b417e14f6c2f0",
+    "d48": "2cbadab7e3d6f4fca1bf45b975c0a1f54cfcd9b7a67825ca5f251ebfd0321074",
 }
 
 
@@ -74,32 +78,67 @@ def test_no_dequantized_product_is_left(compiled, request):
             assert not (n.kind == "matmul" and "dequantize" in kinds), (role, n.id)
             assert not (n.kind == "dequantize" and kinds == ["quantize"]), (role, n.id)
             assert n.kind != "dequantize" or n.output in consumed, (role, n.id)
-            fused += n.kind in gr.RUNTIME_KINDS
+            fused += n.kind in FUSED_KINDS
         assert session.plans[role].offsets.keys() == {it.tid for it in rt.lifetime_items(g)}
     assert fused > 0
 
 
-def test_each_lora_layer_is_one_qlora(compiled):
-    """One ``qlora`` per slot, reading that slot's A, B and alpha, in place
-    of the frozen layer's ``add``; no adapter arithmetic is left over."""
+def test_each_lora_layer_is_one_qlora(compiled, request):
+    """One ``qlora`` per slot, reading that slot's A, B and alpha, with the
+    output tensor of the layer it replaces; no adapter arithmetic is left
+    over."""
     name, _, model = compiled
+    bundle = request.getfixturevalue(name)[0]
     session = rt.load_model(model)
     backbone = session.model.graphs["backbone"]
     qlora = [n for n in backbone.nodes if n.kind == "qlora"]
     slots = sorted((d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors)
     assert sorted(tuple(n.inputs[2:]) for n in qlora) == slots
     assert len(qlora) == {"w64": 4, "d48": 48}[name]
-    adds = {n.output for n in cp.load_compiled(model).graphs["backbone"].nodes if n.kind == "add"}
-    assert {n.output for n in qlora} == adds
+    assert {n.output for n in qlora} == {n.output for n in bundle.backbone.lora_nodes()}
     assert not [n for n in backbone.nodes if n.kind in ("matmul", "scale", "add", "dequantize")]
 
 
-def test_the_file_keeps_its_graphs(compiled):
-    _, frozen, model = compiled
+def test_the_session_runs_the_graphs_it_decodes(compiled):
+    """Node for node the decoded graphs, with the slots as the only change:
+    no slot is dequantized, and none is a backbone input of the session."""
+    _, _, model = compiled
+    session = rt.load_model(model)
+    loaded = cp.load_compiled(model)
+    for role, g in loaded.graphs.items():
+        ran = session.model.graphs[role]
+        assert [(n.id, n.kind) for n in ran.nodes] == [(n.id, n.kind) for n in g.nodes]
+        assert ran.outputs == g.outputs
+    slots = {t for d in loaded.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
+    backbone = session.model.graphs["backbone"]
+    assert not [n for n in backbone.nodes if n.kind == "dequantize" and n.inputs[0] in slots]
+    assert [gi.tid for gi in backbone.inputs] == [gi.tid for gi in loaded.graphs["backbone"].inputs[:2]]
+
+
+def test_a_load_peaks_near_what_it_keeps(d48):
+    """The load's traced peak is at most 1.5x the bytes still live after it.
+    It reads 1.29x; it read 3.04x when each session fused the graphs it
+    had loaded."""
+    bundle, _, _, profile = d48
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    model = cp.freeze(frozen, profile, descriptors, name="pin")
     rt.load_model(model)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        session = rt.load_model(model)
+        live, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert session.model.descriptors and peak <= 1.5 * live
+
+
+def test_the_file_keeps_its_graphs(compiled):
+    """The fused graphs in the passes' node order, and the same bytes again."""
+    _, frozen, model = compiled
     loaded = cp.load_compiled(model)
     for role, g in frozen.graphs():
-        assert gr.dump_graph(loaded.graphs[role]) == gr.dump_graph(gr.sort_nodes(g))
+        assert gr.dump_graph(loaded.graphs[role]) == gr.dump_graph(g)
     again = gr.ModelBundle(*(loaded.graphs[r] for r in ("encoder", "backbone", "decoder")),
                            loaded.steps)
     assert cp.freeze(again, qt.profile_from_text(loaded.profile_text), loaded.descriptors,
@@ -124,7 +163,7 @@ def test_the_qlora_bounds_are_checked_at_load(compiled, monkeypatch):
     loaded = cp.load_compiled(model)
     backbone = loaded.graphs["backbone"]
     widest = 0
-    for n in rt.lower_products(backbone).nodes:
+    for n in backbone.nodes:
         if n.kind == "qlora":
             k = backbone.constants[n.inputs[0]].shape[1]
             bits_x = n.attrs["in_qparams"].bits
@@ -138,22 +177,33 @@ def test_the_qlora_bounds_are_checked_at_load(compiled, monkeypatch):
     rt.load_model(model)
 
 
-def test_a_slot_outside_an_adapter_layer_does_not_load(toy_bundle, toy_profile):
+def test_a_slot_outside_an_adapter_layer_does_not_load(toy_bundle, toy_profile, monkeypatch):
     """A bind prepares a slot for its ``qlora`` only.  Here slot 0's B x
-    reads x under other parameters than W x, so its layer does not fuse,
-    the slot feeds a plain ``dequantize``, and the model does not load."""
+    reads x under other parameters than W x, so the compiler leaves its
+    layer unfused, the slot feeds a plain ``dequantize``, and the model
+    does not load."""
+    scale_fold = cp.scale_fold
+
+    def twin_after_scale_fold(g):
+        g = scale_fold(g)
+        b_tid = next((gi.tid for gi in g.inputs if gi.name.endswith(".B")), None)
+        if b_tid is None:
+            return g
+        producer = g.producer_map()
+        bx = next(n for n in g.nodes
+                  if n.kind == "matmul" and producer[n.inputs[0]].inputs == [b_tid])
+        dq_x = producer[bx.inputs[1]]
+        p = dq_x.attrs["qparams"]
+        twin = gr.Node(g.next_node_id(), "dequantize", list(dq_x.inputs), g.next_tid(),
+                       {"qparams": dataclasses.replace(p, scale=2 * p.scale)})
+        g.nodes.insert(g.nodes.index(bx), twin)
+        bx.inputs[1] = twin.output
+        return g
+
+    monkeypatch.setattr(cp, "scale_fold", twin_after_scale_fold)
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-    backbone = frozen.backbone
-    producer = backbone.producer_map()
-    d = descriptors[0]
-    bx = next(n for n in backbone.nodes
-              if n.kind == "matmul" and producer[n.inputs[0]].inputs == [d.b_tid])
-    dq_x = producer[bx.inputs[1]]
-    p = dq_x.attrs["qparams"]
-    twin = gr.Node(backbone.next_node_id(), "dequantize", list(dq_x.inputs), backbone.next_tid(),
-                   {"qparams": dataclasses.replace(p, scale=2 * p.scale)})
-    backbone.nodes.insert(backbone.nodes.index(bx), twin)
-    bx.inputs[1] = twin.output
+    monkeypatch.undo()
+    assert len([n for n in frozen.backbone.nodes if n.kind == "qlora"]) == len(descriptors) - 1
     model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
     cp.load_compiled(model)
     with pytest.raises(FormatError, match="slots \\[0\\] feed no adapter layer"):
@@ -183,19 +233,19 @@ def test_a_slot_is_read_by_its_layer_alone(defect):
         rt.check_adapter_layers(g, [slot], shapes)
 
 
-@pytest.mark.parametrize("kind", gr.RUNTIME_KINDS)
-def test_no_artifact_holds_a_runtime_kind(kind, toy_bundle, toy_profile, monkeypatch):
-    """A node of the first unused kind code, which a runtime kind would take, does not load."""
+@pytest.mark.parametrize("kind", FUSED_KINDS)
+def test_an_artifact_holds_each_fused_kind(kind, toy_bundle, toy_profile):
+    """A fused node is written under its kind code and loads back as it was
+    frozen; the ``requant`` checked is one that carries an activation."""
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-    node = next(n for n in frozen.backbone.nodes if n.kind == "matmul")
-    node.kind = kind
-    node.attrs = {}
-    codes = {**cp._KIND_CODES, kind: max(cp._KIND_CODES.values()) + 1}
-    monkeypatch.setattr(cp, "_KIND_CODES", codes)
-    data = cp.freeze(frozen, toy_profile, descriptors, name="toy")
-    monkeypatch.undo()
-    with pytest.raises(FormatError, match="KeyError"):
-        cp.load_compiled(data)
+    role, node = next((role, n) for role, g in frozen.graphs() for n in g.nodes
+                      if n.kind == kind and (kind == "qlora" or "activation" in n.attrs))
+    head = struct.pack(f"<IBB{len(node.inputs)}II", node.id, cp._KIND_CODES[kind], len(node.inputs),
+                       *node.inputs, node.output)
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    assert model[20:].count(head + cp._pack_attrs(node.attrs)) == 1
+    again = next(n for n in cp.load_compiled(model).graphs[role].nodes if n.id == node.id)
+    assert (again.kind, again.inputs, again.attrs) == (kind, node.inputs, node.attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +267,7 @@ class _LevelProducts(gr._NullHooks):
 
 
 def _as_bound(g):
-    """A lowered graph as a session holds it: each ``qlora``'s B, A and
+    """A fused graph as a session holds it: each ``qlora``'s B, A and
     alpha inputs become the constants a bind prepares from their feeds."""
     layers = [n for n in g.nodes if n.kind == "qlora"]
     slots = {t for n in layers for t in n.inputs[2:]}
@@ -238,9 +288,11 @@ def _as_bound(g):
 
 
 def _fused_and_chain(g, feeds, kind):
-    lowered = rt.lower_products(g)
-    assert [n.kind for n in lowered.nodes] == [kind]
-    fused = _as_bound(lowered)(feeds)["y"]
+    """The chain fused as ``compiler.optimize_for_freeze`` fuses it, run
+    as bound, and the chain run with QuantSim's products."""
+    fused_graph = cp._fuse_requant(cp._fuse_lora(g))
+    assert [n.kind for n in fused_graph.nodes] == [kind]
+    fused = _as_bound(fused_graph)(feeds)["y"]
     chain = gr.run_graph(g, feeds, hooks=_LevelProducts(g))["y"]
     assert fused.dtype == chain.dtype == np.float32 and fused.shape == chain.shape
     return fused, chain

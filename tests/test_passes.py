@@ -6,8 +6,9 @@ node order, the tensor and node ids and the fusions must stay those
 passes'.  The hand-built graph has what the model specs do not build: a
 bias add after a matmul, a weight shared by two matmuls, a graph output
 in the middle of the graph and a node output that is left unquantized.
-The hand-built bundle has a covered input that nothing reads, whose
-``quantize -> dequantize`` pair the passes keep.
+The hand-built bundle has a covered input that nothing reads: its
+``quantize -> dequantize`` pair outlives ``scale_fold``, and the
+compiler's last dead-code pass drops what that pair fuses to.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ from onegraph import quant as qt
 PINNED = "964fc277eb70396c54a64740333178b9fc2e733db41a4f97f0209daf0bacc8d9"
 PINNED_TOY = "8754f11cb46e94f4cb5044a53ab095c7f59e3c076ef37086fd47c4363b853540"
 PINNED_UNREAD = "89850afc89c35bc2566fc1b80a013ab235805db4bd68e19ca4d0c4fe6fafc865"
-PINNED_UNREAD_MODEL = "bd4d7428d8e9d0a2c123a5831aa55cd78218086f83ac1f389803201a7d067521"
+PINNED_UNREAD_MODEL = "b6e1fb346100c80f855f5dfcbf925f1a3b32030ac179bc877e8fd1e2b35faa4c"
 
 
 def hand_graph():
@@ -57,8 +58,8 @@ def test_materialize_and_scale_fold_pinned():
 
 def test_toy_backbone_passes_pinned(toy_bundle, toy_profile):
     # The backbone with its adapter slots: slot dequantizes and the
-    # LoRA expansion, in the order the passes leave them (freeze sorts
-    # nodes, so the .quadm digests do not see this order).
+    # LoRA expansion, in the order the passes leave them (the .quadm
+    # holds them fused, in this order).
     rewritten, descriptors = cp.rewrite_lora_as_input(toy_bundle.backbone, toy_profile)
     materialized = cp.materialize_quantsim(rewritten, toy_profile, "backbone", descriptors)
     folded = cp.scale_fold(materialized)
@@ -91,10 +92,12 @@ def unread_input_bundle():
     return bundle, profile
 
 
-def test_an_unread_input_keeps_its_pair():
+def test_an_unread_input_costs_no_node():
     """``scale_fold`` drops the dequantizes its fusions leave unread, and
-    no other: the pair of the input nothing reads stays in the graph and
-    in the artifact."""
+    no other: the pair of the input nothing reads stays after it.  It
+    fuses to a ``requant`` that nothing reads, which the compiler's last
+    ``dead_code_eliminate`` drops, so no node of the artifact reads that
+    input and a step spends nothing on it."""
     bundle, profile = unread_input_bundle()
     materialized = cp.materialize_quantsim(bundle.backbone, profile, "backbone")
     folded = cp.scale_fold(materialized)
@@ -103,5 +106,8 @@ def test_an_unread_input_keeps_its_pair():
     text = "".join(f"{gr.dump_graph(x)}{x.outputs}\n" for x in (materialized, folded))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_UNREAD
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    assert [n.kind for n in frozen.backbone.nodes] == ["quantize", "qlinear", "dequantize", "activation",
+                                                      "requant"]
+    assert not [n for n in frozen.backbone.nodes if q.inputs[0] in n.inputs]
     model = cp.freeze(frozen, profile, descriptors, name="unread")
     assert hashlib.sha256(model).hexdigest() == PINNED_UNREAD_MODEL

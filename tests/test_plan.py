@@ -124,7 +124,7 @@ def test_load_derives_each_graphs_shapes_once(model_bytes, monkeypatch):
 
 
 def test_plans_from_the_load_shapes_are_the_fresh_plans(served):
-    """The session plans the lowered graphs from the shapes of the frozen ones.
+    """The session plans its graphs from the shapes the load derived for the stored ones.
 
     A fresh plan derives the shapes from the graph, so the slot constants
     must be bound first."""
