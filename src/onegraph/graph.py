@@ -17,6 +17,18 @@ fake-quantized) goes through the exact integer kernel of
 or row tiling changes.  Every product in the IR is a matrix product:
 ``qlinear`` has no other ``op``.
 
+The interpreter is prepare + invoke, as in TFLite Micro (David et al.
+2020, arXiv:2010.08678).  ``prepare`` runs once per graph, role, adapter
+and hooks: it resolves each node's kernel, each operand's index into
+one operand table (the constants, and the arrays the hooks place
+tensors in), and the hook calls the hooks object overrides.
+``invoke`` is a flat loop over the nodes that calls each kernel.
+``run_graph`` runs one graph, preparing it unless it is given its
+program; ``run_bundle`` prepares each graph once per call, and a
+runtime session prepares its three at load.  QuantSim, fp, observer,
+tape and runtime runs all go through this one interpreter, and hooks
+are its one extension point.
+
 The fusion passes of ``compiler.optimize_for_freeze`` (``scale_fold``,
 ``_fuse_lora`` and ``_fuse_requant``) share one use map
 (``Graph.consumers``) and one ``rebuild``.
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -354,7 +367,7 @@ def dump_graph(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Execution
+# Execution: prepare once, invoke per run
 
 
 class Tape:
@@ -377,22 +390,22 @@ def _mm(a, b, tape):
     return out
 
 
-def _add(a, b, tape):
-    out = a + b
+def _add(a, b, tape, out=None):
+    out = np.add(a, b, out=out)
     if tape is not None:
         tape.record("add", (a, b), out)
     return out
 
 
-def _scale(x, s, tape):
-    out = x * s.reshape(())
+def _scale(x, s, tape, out=None):
+    out = np.multiply(x, s.reshape(()), out=out)
     if tape is not None:
         tape.record("scale", (x, s), out)
     return out
 
 
-def _concat(args, axis, tape):
-    out = np.concatenate(args, axis=axis)
+def _concat(args, axis, tape, out=None):
+    out = np.concatenate(args, axis=axis, out=out)
     if tape is not None:
         tape.record("concat", tuple(args), out, axis)
     return out
@@ -406,13 +419,23 @@ def _act(x, kind, tape):
 
 
 class _NullHooks:
-    """Plain floating-point execution: no quantization, no observation.
+    """Plain floating-point execution: no quantization, no observation,
+    no placement.  Hooks are the interpreter's one extension point.
 
+    ``prepare`` asks ``place`` once for each graph input and node
+    output, and keeps ``input_value``, ``weight_value`` and
+    ``node_output`` only where a subclass overrides them, so a run
+    calls no hook that would hand its value back unchanged.
     ``product`` computes the operand products of ``matmul`` and
     ``lora_matmul`` nodes; ``which`` names the left factor: ``"W"`` for
     the node's own product of its two inputs, ``"B"`` and ``"A"`` for an
     adapter's B x and A (B x).
     """
+
+    def place(self, role, tid, shape, dtype):
+        """The array that holds tensor ``tid`` on every run, or None to
+        keep each value as its kernel returns it."""
+        return None
 
     def input_value(self, role, tid, value, tape):
         return value
@@ -433,16 +456,99 @@ class _NullHooks:
 NULL_HOOKS = _NullHooks()
 
 
-def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_HOOKS, tape=None) -> dict:
-    """Execute a graph; returns output name -> tensor.
+def _overridden(hooks, name):
+    """``hooks.<name>``, or None where it is ``_NullHooks``' own."""
+    if getattr(type(hooks), name) is getattr(_NullHooks, name):
+        return None
+    return getattr(hooks, name)
 
-    ``feeds`` maps input names to arrays.  ``adapter`` supplies low-rank
-    factors for ``lora_matmul`` nodes by node id.  ``hooks`` intercepts
-    tensor boundaries (see quant module) and ``tape`` records primitives
-    for differentiation.
+
+class Program:
+    """A graph prepared for one role, adapter and hooks (``prepare``).
+
+    ``values`` is the operand table, indexed by tensor id.  It holds
+    each constant, and each graph input and node output that was placed,
+    as the array it was placed in, from ``prepare`` on; a run enters
+    the other tensors as it computes them.  ``kernels[i]`` runs the
+    graph's node i and stores its output in ``views[i]`` when that output
+    was placed (``views`` is None when nothing was).  ``reads[i]`` lists
+    the weights that node i reads through ``weight_hook`` (None
+    without one), and ``lora`` maps each ``lora_matmul`` that the
+    adapter covers to its entry and alpha.
     """
-    env = {}
-    for gi in g.inputs:
+
+    __slots__ = ("graph", "role", "hooks", "kernels", "views", "values", "inputs", "reads", "lora",
+                 "input_hook", "weight_hook", "output_hook")
+
+    def set_constants(self, arrays: dict) -> None:
+        """Replace constants of the graph, and point every step that
+        reads them at the new arrays."""
+        self.graph.constants.update(arrays)
+        for tid, arr in arrays.items():
+            self.values[tid] = arr
+
+
+def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=None) -> Program:
+    """Resolve once what every run of ``g`` would otherwise repeat.
+
+    Each node gets its kernel, each of its operands a fixed index into
+    the operand table, and its output the array ``hooks.place`` gives,
+    if any; so do the graph inputs.  ``shapes`` (tid -> (shape, dtype))
+    is what ``place`` is told, ``infer_shapes(g)`` when not given.  Each
+    ``lora_matmul`` that ``adapter`` covers gets its entry, whose shapes
+    are checked here, and alpha as a one-element fp32 array.
+    """
+    p = Program()
+    p.graph, p.role, p.hooks = g, role, hooks
+    p.input_hook, p.weight_hook, p.output_hook = (
+        _overridden(hooks, name) for name in ("input_value", "weight_value", "node_output"))
+    p.kernels = [_KERNELS.get(n.kind) for n in g.nodes]
+    if None in p.kernels:
+        n = g.nodes[p.kernels.index(None)]
+        raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
+    size = max([g.next_tid(), *(t + 1 for n in g.nodes for t in n.inputs)])
+    p.values = values = [None] * size
+    for tid, arr in g.constants.items():
+        values[tid] = arr
+
+    place = _overridden(hooks, "place")
+    if place is None:
+        p.inputs, p.views = [(gi, None) for gi in g.inputs], None
+    else:
+        shapes = infer_shapes(g) if shapes is None else shapes
+        p.inputs = [(gi, place(role, gi.tid, *shapes[gi.tid])) for gi in g.inputs]
+        p.views = [place(role, n.output, *shapes[n.output]) for n in g.nodes]
+        for gi, view in p.inputs:
+            values[gi.tid] = view
+        for n, view in zip(g.nodes, p.views):
+            values[n.output] = view
+
+    # fp32 constants are quantizable weights, except a scale factor
+    p.reads = None if p.weight_hook is None else [
+        tuple(t for t in n.inputs if t in g.constants and g.constants[t].dtype == np.float32
+              and not (n.kind == "scale" and t == n.inputs[1]))
+        for n in g.nodes]
+    p.lora = {}
+    for n in g.nodes if adapter is not None else ():
+        entry = adapter.entries.get(n.id) if n.kind == "lora_matmul" else None
+        if entry is not None:
+            _check_entry_shapes(n, g.constants[n.inputs[0]], entry)
+            p.lora[n.id] = (entry, np.full((1,), entry.alpha, dtype=np.float32))
+    return p
+
+
+def invoke(p: Program, feeds: dict, tape=None) -> dict:
+    """Run a prepared graph; returns output name -> tensor.
+
+    ``feeds`` maps input names to arrays, each copied into its placed
+    array if it has one.  ``tape`` records primitives for
+    differentiation.  A step is the node's kernel and nothing else,
+    unless the hooks override ``weight_value`` (called on each weight a
+    node reads, for that node alone) or ``node_output`` (called on each
+    output as stored).
+    """
+    vals, role = p.values, p.role
+    for gi, view in p.inputs:
         if gi.name not in feeds:
             raise ShapeError(f"missing graph input {gi.name!r}")
         v = np.asarray(feeds[gi.name])
@@ -450,88 +556,146 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
             raise ShapeError(f"input {gi.name!r}: expected shape {tuple(gi.shape)}, got {v.shape}")
         if tz.dtype_name(v) != gi.dtype:
             raise ShapeError(f"input {gi.name!r}: expected dtype {gi.dtype}")
-        env[gi.tid] = hooks.input_value(role, gi.tid, v, tape)
+        if p.input_hook is not None:
+            v = p.input_hook(role, gi.tid, v, tape)
+        if view is not None:
+            view[...] = v
+            v = view
+        vals[gi.tid] = v
 
-    def fetch(tid, node):
-        if tid in env:
-            return env[tid]
-        arr = g.constants[tid]
-        # fp32 constants are quantizable weights, except a scale factor
-        if arr.dtype == np.float32 and not (node.kind == "scale" and tid == node.inputs[1]):
-            return hooks.weight_value(role, tid, arr, tape)
-        return arr
-
-    for n in g.nodes:
-        ins = [fetch(t, n) for t in n.inputs]
-        if n.kind == "matmul":
-            out = hooks.product(role, n, "W", ins[0], ins[1], tape)
-        elif n.kind == "lora_matmul":
-            out = hooks.product(role, n, "W", ins[0], ins[1], tape)
-            entry = adapter.entries.get(n.id) if adapter is not None else None
-            if entry is not None:
-                _check_entry_shapes(n, ins[0], entry)
-                a_fac = hooks.lora_factor(role, n.id, "A", entry.A, tape)
-                b_fac = hooks.lora_factor(role, n.id, "B", entry.B, tape)
-                bx = hooks.product(role, n, "B", b_fac, ins[1], tape)
-                abx = hooks.product(role, n, "A", a_fac, bx, tape)
-                scaled = _scale(abx, np.full((1,), entry.alpha, dtype=np.float32), tape)
-                out = _add(out, scaled, tape)
-        elif n.kind == "add":
-            out = _add(ins[0], ins[1], tape)
-        elif n.kind == "scale":
-            out = _scale(ins[0], ins[1], tape)
-        elif n.kind == "concat":
-            out = _concat(ins, int(n.attrs["axis"]), tape)
-        elif n.kind == "activation":
-            out = _act(ins[0], n.attrs["kind"], tape)
-        elif n.kind == "quantize":
-            out = qp.quantize_array(ins[0], n.attrs["qparams"])
-        elif n.kind == "dequantize":
-            out = qp.dequantize_array(ins[0], n.attrs["qparams"])
-        elif n.kind == "qlinear":
-            out = _run_qlinear(n, ins)
-        elif n.kind == "qlora":
-            out = _run_qlora(n, ins)
-        elif n.kind == "requant":
-            out = qp.dequantize_array(qp.quantize_array(ins[0], n.attrs["qparams"]), n.attrs["qparams"])
-            if "activation" in n.attrs:
-                out = tz.activation(out, n.attrs["activation"])
-        else:
-            raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
-        env[n.output] = hooks.node_output(role, n, out, tape)
-
-    return {name: env[tid] for name, tid in g.outputs}
+    steps = zip(p.kernels, p.graph.nodes, p.views or repeat(None))
+    if p.weight_hook is None and p.output_hook is None:
+        for kernel, node, view in steps:
+            vals[node.output] = kernel(vals, node, view, tape, p)
+    else:
+        consts = p.graph.constants
+        for (kernel, node, view), weights in zip(steps, p.reads or repeat(())):
+            for t in weights:
+                vals[t] = p.weight_hook(role, t, consts[t], tape)
+            out = kernel(vals, node, view, tape, p)
+            for t in weights:
+                vals[t] = consts[t]
+            vals[node.output] = out if p.output_hook is None else p.output_hook(role, node, out, tape)
+    return {name: vals[tid] for name, tid in p.graph.outputs}
 
 
-def _run_qlinear(n, ins):
-    y = qp.int_matmul(ins[0], n.attrs["w_qparams"], ins[1], n.attrs["in_qparams"])
+def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_HOOKS, tape=None,
+              program=None) -> dict:
+    """Execute a graph; returns output name -> tensor.
+
+    ``feeds`` maps input names to arrays.  ``adapter`` supplies low-rank
+    factors for ``lora_matmul`` nodes by node id.  ``hooks`` intercepts
+    tensor boundaries (see quant module) and ``tape`` records primitives
+    for differentiation.  ``program`` is ``g`` prepared already; then
+    ``role``, ``adapter`` and ``hooks`` are the ones it was prepared
+    with, and this call only invokes it.
+    """
+    if program is None:
+        program = prepare(g, role=role, adapter=adapter, hooks=hooks)
+    return invoke(program, feeds, tape)
+
+
+# Kernels: ``kernel(values, node, view, tape, program)`` computes a node
+# from the operand table and returns its output, stored in ``view`` when
+# that is an array.  The functions they call are looked up in their
+# modules on every call, not bound at prepare, so a module attribute
+# replaced after a session's load (a tracer's wrapper, or its removal)
+# is what runs.
+
+def _put(value, view):
+    if view is None:
+        return value
+    view[...] = value
+    return view
+
+
+def _k_matmul(vals, n, view, tape, p):
+    a, b = vals[n.inputs[0]], vals[n.inputs[1]]
+    return _put(p.hooks.product(p.role, n, "W", a, b, tape), view)
+
+
+def _k_lora_matmul(vals, n, view, tape, p):
+    hooks, role = p.hooks, p.role
+    w, x = vals[n.inputs[0]], vals[n.inputs[1]]
+    out = hooks.product(role, n, "W", w, x, tape)
+    if n.id not in p.lora:
+        return _put(out, view)
+    entry, alpha = p.lora[n.id]
+    a_fac = hooks.lora_factor(role, n.id, "A", entry.A, tape)
+    b_fac = hooks.lora_factor(role, n.id, "B", entry.B, tape)
+    bx = hooks.product(role, n, "B", b_fac, x, tape)
+    abx = hooks.product(role, n, "A", a_fac, bx, tape)
+    return _add(out, _scale(abx, alpha, tape), tape, view)
+
+
+def _k_add(vals, n, view, tape, p):
+    return _add(vals[n.inputs[0]], vals[n.inputs[1]], tape, view)
+
+
+def _k_scale(vals, n, view, tape, p):
+    return _scale(vals[n.inputs[0]], vals[n.inputs[1]], tape, view)
+
+
+def _k_concat(vals, n, view, tape, p):
+    return _concat([vals[t] for t in n.inputs], int(n.attrs["axis"]), tape, view)
+
+
+def _k_activation(vals, n, view, tape, p):
+    return _put(_act(vals[n.inputs[0]], n.attrs["kind"], tape), view)
+
+
+def _k_quantize(vals, n, view, tape, p):
+    return _put(qp.quantize_array(vals[n.inputs[0]], n.attrs["qparams"]), view)
+
+
+def _k_dequantize(vals, n, view, tape, p):
+    return _put(qp.dequantize_array(vals[n.inputs[0]], n.attrs["qparams"]), view)
+
+
+def _k_qlinear(vals, n, view, tape, p):
+    ins, attrs = n.inputs, n.attrs
+    y = qp.int_matmul(vals[ins[0]], attrs["w_qparams"], vals[ins[1]], attrs["in_qparams"])
     if len(ins) > 2:
-        y = y + qp.dequantize_array(ins[2], n.attrs["bias_qparams"])
-    return qp.quantize_array(y, n.attrs["out_qparams"])
+        y = y + qp.dequantize_array(vals[ins[2]], attrs["bias_qparams"])
+    return _put(qp.quantize_array(y, attrs["out_qparams"]), view)
 
 
-def _run_qlora(n, ins):
+def _k_qlora(vals, n, view, tape, p):
     """add(W x, scale(A (B x), alpha)), as the unfused adapter layer computes it.
 
     B and A arrive in the form ``runtime.bind_lora`` prepares them once
     per bind: B as its centred levels q_b - z_b in float64, A
     dequantized to fp32.  (As stored, a graph holds the slots' levels
-    instead, and running it raises ``ShapeError``.)  So a step centres only q_x and, one row tile
-    at a time, q_w.  W x and B x are exact integer products on one
-    centring of q_x (``qparams.tiled_matmul`` and ``scaled_matmul``),
-    and A (B x) is the fp32 ``tensor.matmul``.  The 2**53 bound of both
-    products depends only on the shapes and the parameters, so the
-    session checks it once, at load, not here.
+    instead, and running it raises ``ShapeError``.)  So a step centres
+    only q_x and, one row tile at a time, q_w.  W x and B x are exact
+    integer products on one centring of q_x (``qparams.tiled_matmul`` and
+    ``scaled_matmul``), and A (B x) is the fp32 ``tensor.matmul``.  The
+    2**53 bound of both products depends only on the shapes and the
+    parameters, so the session checks it once, at load, not here.
     """
-    q_w, q_x, c_b, a, alpha = ins
-    p_w, p_x, p_b = n.attrs["w_qparams"], n.attrs["in_qparams"], n.attrs["b_qparams"]
+    ins, attrs = n.inputs, n.attrs
+    q_w, q_x, c_b, a, alpha = vals[ins[0]], vals[ins[1]], vals[ins[2]], vals[ins[3]], vals[ins[4]]
+    p_w, p_x, p_b = attrs["w_qparams"], attrs["in_qparams"], attrs["b_qparams"]
     c_x = qp.centered_levels(q_x, p_x)
     s_x = np.float64(p_x.scale)
     out = qp.tiled_matmul(q_w, p_w, c_x, np.float64(p_w.scale) * s_x)
     abx = tz.matmul(a, qp.scaled_matmul(c_b, c_x, np.float64(p_b.scale) * s_x))
     abx *= alpha.reshape(())
-    out += abx
-    return out
+    return np.add(out, abx, out=out if view is None else view)
+
+
+def _k_requant(vals, n, view, tape, p):
+    q = n.attrs["qparams"]
+    out = qp.dequantize_array(qp.quantize_array(vals[n.inputs[0]], q), q)
+    if "activation" in n.attrs:
+        out = tz.activation(out, n.attrs["activation"])
+    return _put(out, view)
+
+
+_KERNELS = {"matmul": _k_matmul, "lora_matmul": _k_lora_matmul, "add": _k_add,
+            "scale": _k_scale, "concat": _k_concat, "activation": _k_activation,
+            "quantize": _k_quantize, "dequantize": _k_dequantize, "qlinear": _k_qlinear,
+            "qlora": _k_qlora, "requant": _k_requant}
 
 
 def _check_entry_shapes(node, w, entry):
@@ -599,10 +763,20 @@ def validate_bundle(bundle: ModelBundle, descriptors=()) -> dict:
 
 
 def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
-               hooks=NULL_HOOKS, tape=None) -> np.ndarray:
-    """Encoder -> seeded noise -> `steps` backbone passes -> decoder."""
+               hooks=NULL_HOOKS, tape=None, programs=None) -> np.ndarray:
+    """Encoder -> seeded noise -> `steps` backbone passes -> decoder.
+
+    ``programs`` maps each role to its graph prepared (``prepare``), as a
+    runtime session holds them; then ``adapter`` and ``hooks`` are the
+    ones they were prepared with.  Without it each graph is prepared
+    here, once for this call.
+    """
+    if programs is None:
+        programs = {role: prepare(g, role=role, adapter=adapter if role == "backbone" else None,
+                                  hooks=hooks)
+                    for role, g in bundle.graphs()}
     enc = run_graph(bundle.encoder, {bundle.encoder.inputs[0].name: x},
-                    role="encoder", hooks=hooks, tape=tape)
+                    program=programs["encoder"], tape=tape)
     z = next(iter(enc.values()))
     noise = Rng(noise_seed).normal(z.shape)
     z = _add(z, noise, tape)
@@ -610,10 +784,10 @@ def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
     c_name = bundle.backbone.inputs[1].name
     for _ in range(bundle.steps):
         out = run_graph(bundle.backbone, {z_name: z, c_name: cond},
-                        role="backbone", adapter=adapter, hooks=hooks, tape=tape)
+                        program=programs["backbone"], tape=tape)
         z = next(iter(out.values()))
     dec = run_graph(bundle.decoder, {bundle.decoder.inputs[0].name: z},
-                    role="decoder", hooks=hooks, tape=tape)
+                    program=programs["decoder"], tape=tape)
     return next(iter(dec.values()))
 
 

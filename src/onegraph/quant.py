@@ -156,7 +156,7 @@ def check_coverage(profile: QuantProfile, bundle: gr.ModelBundle):
 # Execution hooks
 
 
-class QuantSimHooks:
+class QuantSimHooks(gr._NullHooks):
     """Fake-quantize every covered tensor during execution."""
 
     def __init__(self, profile: QuantProfile):

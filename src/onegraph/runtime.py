@@ -3,7 +3,8 @@
 A session materializes a compiled model, plans one reusable byte arena
 for the tensors a run produces, and binds adapter packs into the
 designated slots without touching the base graph or weights.
-``infer`` is ``graph.run_bundle`` with arena hooks.
+``infer`` is ``graph.run_bundle`` over the three graphs the session
+prepared at load (``graph.prepare``) with arena hooks.
 
 Work is staged as TFLite Micro stages it (David et al. 2020,
 arXiv:2010.08678): what depends only on the artifact is resolved at
@@ -16,16 +17,23 @@ denoising step runs only the arithmetic that depends on its input.
   which the compiler fused (below).  It checks that each slot feeds one
   ``qlora`` under the slot's parameters, and both 2**53 bounds of every
   ``qlora`` (``check_adapter_layers``), since an artifact can be
-  hostile.
+  hostile.  Then it prepares each graph once (``graph.prepare``): every
+  node's kernel, its operands as indices into one operand table of
+  constants and arena views, and the arena view its output is stored
+  into.
 * **Bind.**  ``bind_lora`` decodes the pack into views of its bytes
   (``compiler.unpack_lora``) and writes each slot straight from them
   into the form its ``qlora`` multiplies (``slot_operands``):
   B's centred levels in float64, A dequantized to fp32, alpha.  These
   are constants of the session's own backbone, not inputs, and are not
-  planned.
-* **Step.**  A backbone step is fed ``z`` and the conditioning only; it
-  reads the weights and the prepared slots in place and centres only
-  q_x and, one row tile at a time, q_w (``qparams.tiled_matmul``).
+  planned.  The bind enters them into the backbone's operand table in
+  the same step as into its constants (``Program.set_constants``), so
+  the prepared steps read the new arrays and nothing is prepared again.
+* **Step.**  A backbone step only invokes its prepared program
+  (``graph.invoke``): it is fed ``z`` and the conditioning only, runs
+  each node's kernel on its operands in place, with no kind dispatch
+  and no hook call, and centres only q_x and, one row tile at a time,
+  q_w (``qparams.tiled_matmul``).
 
 The arena holds every node output of the three graphs and every graph
 input: the encoder's ``x``, the backbone's latent ``z`` and
@@ -33,14 +41,17 @@ conditioning, and the decoder's latent.  ``z`` and the decoder input
 arrive as arena views of the previous graph's output, whose bytes the
 next graph's nodes reuse, so each is copied into its own planned bytes
 before the graph runs.  Constants, the base weights and the prepared
-slots, are not planned.  Each planned tensor has one ndarray view over
-the arena, made at load from the load shapes, and the hooks store a
-value with one assignment into its view.  The kernels allocate their
-results, which the hooks copy into the arena, and a bounded scratch: an
-exact product widens a weight's int8 levels to float64 one row tile at a
-time, a tile being the most rows that fit ``tensor.MATMUL_BLOCK_BYTES``
-(128 KB: 64 rows of a 256-wide weight), and ``tensor.matmul`` blocks
-its k within the same budget.  So no step holds a float64 copy of a
+slots, are not planned.  Each planned tensor has an ndarray view over
+the arena, the answer the arena hooks give ``prepare`` at load from the
+load shapes (tensors at one offset with one shape and dtype share a
+view), and there is no per-step copy by a hook.  A kernel whose
+last numpy operation takes ``out=`` (``qlora``'s add, ``add``, ``scale``,
+``concat``) writes its result into the view; the others allocate their
+result, which one assignment stores into the view.  Kernels also
+allocate a bounded scratch: an exact product widens a weight's int8
+levels to float64 one row tile at a time, a tile being the most rows
+that fit ``tensor.MATMUL_BLOCK_BYTES`` (128 KB: 64 rows of a 256-wide
+weight), and ``tensor.matmul`` blocks its k within the same budget.  So no step holds a float64 copy of a
 whole base weight, which would be 8x its int8 bytes.
 
 The artifact holds the graphs ``compiler.optimize_for_freeze`` fused.
@@ -258,27 +269,24 @@ def check_plan(items, plan: MemoryPlan) -> list:
     return bad
 
 
-def _arena_views(arena: bytearray, plans: dict, shapes: dict) -> dict:
-    """role -> tid -> an ndarray over that tensor's planned arena bytes."""
-    return {role: {tid: np.ndarray(shapes[role][tid][0], tz.DTYPES[shapes[role][tid][1]],
-                                   buffer=arena, offset=offset)
-                   for tid, (offset, _) in plan.offsets.items()}
-            for role, plan in plans.items()}
-
-
 class _ArenaHooks(gr._NullHooks):
-    """Store every planned tensor in its arena view during execution."""
+    """Place every planned tensor at its offset in the arena.
 
-    def __init__(self, views: dict):
-        self.views = views   # role -> tid -> ndarray over the arena
+    Tensors at the same offset with the same shape and dtype share one
+    view; the plan keeps their lifetimes apart.  (compile_deep's 399
+    planned tensors take 11 views.)
+    """
 
-    def input_value(self, role, tid, value, tape):
-        view = self.views[role][tid]
-        view[...] = value
-        return view
+    def __init__(self, arena: bytearray, plans: dict):
+        self.arena = arena
+        self.plans = plans   # role -> MemoryPlan
+        self.views = {}      # (offset, shape, dtype) -> ndarray over the arena
 
-    def node_output(self, role, node, value, tape):
-        return self.input_value(role, node.output, value, tape)
+    def place(self, role, tid, shape, dtype):
+        key = (self.plans[role].offsets[tid][0], shape, dtype)
+        if key not in self.views:
+            self.views[key] = np.ndarray(shape, tz.DTYPES[dtype], buffer=self.arena, offset=key[0])
+        return self.views[key]
 
 
 class Session:
@@ -311,7 +319,9 @@ class Session:
                                      model.steps)
         self.plans = {role: plan_memory(g, model.shapes[role]) for role, g in self.bundle.graphs()}
         self.arena = bytearray(max(p.arena_size for p in self.plans.values()) or 1)
-        self._hooks = _ArenaHooks(_arena_views(self.arena, self.plans, model.shapes))
+        hooks = _ArenaHooks(self.arena, self.plans)
+        self.programs = {role: gr.prepare(g, role=role, hooks=hooks, shapes=model.shapes[role])
+                         for role, g in self.bundle.graphs()}
         self.init_ms = (time.perf_counter() - t0) * 1000.0
 
     @property
@@ -354,12 +364,14 @@ def bind_lora(session: Session, pack_bytes: bytes):
     and each slot is written straight from them into the form its
     ``qlora`` multiplies (``slot_operands``): B's centred levels in
     float64, A dequantized to fp32, and alpha as a one-element fp32
-    array.  Every step reads them in place.  Every check (the slot set,
-    shapes, storage dtypes, quantization parameters, rank, a finite
-    alpha, then the range of every level) runs before any session state
-    changes, so a failed bind leaves the previous operands in place.  No
-    graph rebuild, no base-weight change; a rebind always prepares the
-    full pack.
+    array.  They replace the previous operands in the backbone's
+    constants and in its prepared operand table at once, and every step
+    reads them in place.  Every check (the slot set, shapes, storage
+    dtypes, quantization parameters, rank, a finite alpha, then the
+    range of every level) runs before any session state changes, so a
+    failed bind leaves the previous operands in place.  No graph
+    rebuild, no base-weight change, nothing prepared again; a rebind
+    always prepares the full pack.
     """
     pack = cp.unpack_lora(pack_bytes, session._slot_params)
     descs = {d.slot_id: d for d in session.model.descriptors}
@@ -385,7 +397,7 @@ def bind_lora(session: Session, pack_bytes: bytes):
         s = pack.slots[slot_id]
         staged.update(zip((d.b_tid, d.a_tid, d.alpha_tid),
                           slot_operands(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)))
-    session.bundle.backbone.constants.update(staged)
+    session.programs["backbone"].set_constants(staged)
     session.bound_adapter = pack.adapter_id
 
 
@@ -402,7 +414,7 @@ def infer(session: Session, x, cond, seed: int = 0) -> np.ndarray:
         if np.isnan(value).any():
             raise RangeError(f"{name} holds a NaN, which has no quantization level")
     # the decoder output is a view into the arena, which the next call reuses
-    return gr.run_bundle(session.bundle, x, cond, noise_seed=seed, hooks=session._hooks).copy()
+    return gr.run_bundle(session.bundle, x, cond, noise_seed=seed, programs=session.programs).copy()
 
 
 # ---------------------------------------------------------------------------

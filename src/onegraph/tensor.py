@@ -84,8 +84,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each output element accumulates its k products in ascending-k order,
     starting from +0.0, matching a naive triple loop bit-for-bit.
 
-    k is taken in blocks of ``kb``, the most that fit
-    ``MATMUL_BLOCK_BYTES`` together with the transposed block of ``a``.
+    k is taken in the fewest blocks that fit ``MATMUL_BLOCK_BYTES``
+    together with the transposed block of ``a``, sized as equally as they
+    can be: ``kb`` is the size of the largest, and k = 8 with room for 6
+    is two blocks of 4, not 6 and 2.
     A buffer of shape ``[kb + 1, short, long]`` (the longer output extent
     innermost) holds the running sum in slice 0 and the fp32 products of
     the block in slices 1..kb.  ``np.add.reduce`` over that outer axis
@@ -112,7 +114,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wide = n >= m
     short, long = (m, n) if wide else (n, m)
     plane = short * long
-    kb = 1 if plane == 1 else max(1, min(k, (_BLOCK_FLOATS - plane) // max(plane + m, 1)))
+    fit = 1 if plane == 1 else max(1, min(k, (_BLOCK_FLOATS - plane) // max(plane + m, 1)))
+    kb = math.ceil(k / math.ceil(k / fit)) if k else 1
     buf = np.empty((kb + 1, short, long), dtype=np.float32)
     one_block = kb == k
     a_t = a.T if one_block else np.empty((kb, m), dtype=np.float32)

@@ -53,6 +53,14 @@ D48_MODEL = "\n".join(
     + ["lora 16 relu rank=4"] * 47
     + ["lora 16 none rank=4", "section decoder", "dense 16 none"]) + "\n"
 
+# Every weight, the encoder's and the decoder's dense layer and both
+# adapter layers, is 256 x 256: taller than one row tile of
+# ``qparams.tiled_matmul``.
+W256_MODEL = "\n".join(
+    ["name w256", "steps 2", "seed 3", "batch 4", "input 256", "cond 4", "latent 256",
+     "section encoder", "dense 256 relu", "section backbone", "lora 256 relu rank=8",
+     "lora 256 none rank=8", "section decoder", "dense 256 none"]) + "\n"
+
 
 @pytest.fixture(scope="session")
 def toy_bundle():
@@ -113,6 +121,18 @@ def d48():
                 for i in range(2)]
     samples = ms.make_samples(bundle, 2, 47)
     profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=2)
+    return bundle, adapters, samples, profile
+
+
+@pytest.fixture(scope="session")
+def w256():
+    """The W256_MODEL bundle, two rank-8 adapters, samples, unified profile."""
+    bundle = ms.build_bundle(ms.parse_model_spec(W256_MODEL))
+    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=60 + i, rank=8,
+                                                        amplitude=0.1))
+                for i in range(2)]
+    samples = ms.make_samples(bundle, 2, 61)
+    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=3)
     return bundle, adapters, samples, profile
 
 

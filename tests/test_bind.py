@@ -7,7 +7,9 @@ binding only writes the slot constants of the session's own backbone.
 Those are each slot's operands as its ``qlora`` multiplies them,
 prepared once per bind from the pack's payloads (B's centred levels in
 float64, A dequantized to fp32), and every step of ``infer`` reads them
-in place; a step is fed the latent and the conditioning only.
+in place; a step is fed the latent and the conditioning only.  The
+session prepares its graphs once, at load: a bind re-points the
+prepared steps at the new slot arrays, and an infer prepares nothing.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ from conftest import copy_adapter
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
@@ -174,18 +177,24 @@ def test_a_level_out_of_range_fails_the_bind(toy_bundle, toy_adapter, toy_profil
 
 
 def test_every_qlora_reads_the_slot_arrays_in_place(bound, monkeypatch):
+    """The backbone's operand table holds the bound slot arrays
+    themselves, and each step's ``qlora`` multiplies them: B's prepared
+    levels go to ``qparams.scaled_matmul`` and A to ``tensor.matmul``,
+    both looked up in their modules when the step runs."""
     session, (x, cond) = bound
     constants = session.model.graphs["backbone"].constants
-    by_tids = {tids: [constants[t] for t in tids]
-               for tids in ((d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors)}
-    seen = []
-    run = gr._run_qlora
-    monkeypatch.setattr(gr, "_run_qlora", lambda n, ins: seen.append((n, ins[2:])) or run(n, ins))
+    table = session.programs["backbone"].values
+    slots = [t for d in session.model.descriptors for t in (d.b_tid, d.a_tid, d.alpha_tid)]
+    assert all(table[t] is constants[t] for t in slots)
+    seen = {"B": [], "A": []}
+    scaled, matmul = qp.scaled_matmul, tz.matmul
+    monkeypatch.setattr(qp, "scaled_matmul", lambda c_b, *a: seen["B"].append(id(c_b)) or scaled(c_b, *a))
+    monkeypatch.setattr(tz, "matmul", lambda a, b: seen["A"].append(id(a)) or matmul(a, b))
     rt.infer(session, x, cond, seed=3)
-    assert len(seen) == session.model.steps * len(by_tids)
-    for node, slot_ins in seen:
-        want = by_tids[tuple(node.inputs[2:])]
-        assert [id(v) for v in slot_ins] == [id(v) for v in want], node.id
+    layers = [n for n in session.bundle.backbone.nodes if n.kind == "qlora"]
+    assert len(layers) == len(session.model.descriptors)
+    assert seen["B"] == [id(constants[n.inputs[2]]) for n in layers] * session.model.steps
+    assert seen["A"] == [id(constants[n.inputs[3]]) for n in layers] * session.model.steps
 
 
 def test_infer_makes_no_buffer_views(bound, monkeypatch):
@@ -205,10 +214,73 @@ def test_a_step_is_fed_the_latent_and_the_conditioning_only(bound, monkeypatch):
     run = gr.run_graph
 
     def spy(g, feeds, **kwargs):
-        if kwargs["role"] == "backbone":
+        if kwargs["program"].role == "backbone":
             fed.append(sorted(feeds))
         return run(g, feeds, **kwargs)
 
     monkeypatch.setattr(gr, "run_graph", spy)
     rt.infer(session, x, cond, seed=3)
     assert fed == [["cond", "z"]] * session.model.steps
+
+
+@pytest.fixture(params=("toy", "w256"))
+def two_adapters(request):
+    """A frozen model, two adapters and their packs, and one sample."""
+    if request.param == "toy":
+        bundle = request.getfixturevalue("toy_bundle")
+        profile = request.getfixturevalue("toy_profile")
+        x, cond = request.getfixturevalue("toy_samples")[0]
+        adapters = [request.getfixturevalue("toy_adapter"),
+                    ms.build_adapter(bundle, ms.AdapterSpec("other", seed=12, rank=2, amplitude=0.4))]
+    else:
+        bundle, adapters, samples, profile = request.getfixturevalue("w256")
+        x, cond = samples[1]
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    model = cp.freeze(frozen, profile, descriptors, name="rebind")
+    packs = [cp.pack_lora(a, descriptors, profile) for a in adapters]
+    return bundle, profile, adapters, packs, model, x, cond
+
+
+def test_a_rebind_repoints_the_prepared_steps(two_adapters, monkeypatch):
+    """Bind A, B, then A again: each infer serves QuantSim's bits for the
+    adapter bound.  A bind that fails while preparing its last slot
+    leaves the steps reading the previous adapter's arrays."""
+    bundle, profile, adapters, packs, model, x, cond = two_adapters
+    want = [qt.execute_quantsim(bundle, profile, a, x, cond, seed=3).tobytes() for a in adapters]
+    session = rt.load_model(model)
+    n_slots = len(session.model.descriptors)
+    prepare = rt.slot_operands
+    for i in (0, 1, 0):
+        rt.bind_lora(session, packs[i])
+        assert rt.infer(session, x, cond, seed=3).tobytes() == want[i]
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == n_slots:
+                raise RangeError("quantized element outside [0, 255]")
+            return prepare(*args)
+
+        monkeypatch.setattr(rt, "slot_operands", failing)
+        with pytest.raises(RangeError):
+            rt.bind_lora(session, packs[1 - i])
+        monkeypatch.undo()
+        assert len(calls) == n_slots
+        assert rt.infer(session, x, cond, seed=3).tobytes() == want[i]
+    assert want[0] != want[1]
+
+
+def test_a_warm_infer_prepares_nothing(served, monkeypatch):
+    """A session prepares its three graphs at load; a bind re-points the
+    backbone's steps, and an infer only invokes them."""
+    model, descriptors, (_, adapters, samples, profile) = served
+    session = rt.load_model(model)
+    rt.bind_lora(session, cp.pack_lora(adapters[0], descriptors, profile))
+    x, cond = samples[0]
+    rt.infer(session, x, cond, seed=3)
+    calls = []
+    prepare = gr.prepare
+    monkeypatch.setattr(gr, "prepare", lambda *a, **k: calls.append(a) or prepare(*a, **k))
+    rt.bind_lora(session, cp.pack_lora(adapters[1], descriptors, profile))
+    rt.infer(session, x, cond, seed=3)
+    assert calls == []

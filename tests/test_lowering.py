@@ -22,6 +22,7 @@ whole, and a step's traced peak holds one tile, not the whole weight.
 """
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import struct
@@ -35,17 +36,15 @@ from test_bitpin import serve, sha
 from onegraph import cli
 from onegraph import compiler as cp
 from onegraph import graph as gr
-from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
-from onegraph import sensitivity as sv
 from onegraph import tensor as tz
 from onegraph.errors import FormatError, RangeError
 
 FUSED_KINDS = ("qlora", "requant")
 
-# SHA-256 of the served outputs of W256_MODEL (below), one per adapter,
+# SHA-256 of the served outputs of W256_MODEL (conftest.py), one per adapter,
 # recorded when every base weight was widened whole to float64.
 PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140",
                "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
@@ -131,6 +130,32 @@ def test_a_load_peaks_near_what_it_keeps(d48):
     finally:
         tracemalloc.stop()
     assert session.model.descriptors and peak <= 1.5 * live
+
+
+def test_a_prepared_program_holds_little_per_node(d48):
+    """What a session prepares at load, traced: per node its kernel, its
+    output's arena view (shared by the tensors at one offset with one
+    shape and dtype) and its operand-table entries.  On D48 that is 76 B
+    a node (numpy 2.4, Python 3.11); the bound is that plus 25%.  A
+    closure or a step tuple per node would exceed it, and so would a
+    view of its own for every tensor."""
+    bundle, _, _, profile = d48
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    data = cp.freeze(frozen, profile, descriptors, name="pin")
+    model = cp.load_compiled(data)
+    session = rt.Session(model, data)
+    hooks = rt._ArenaHooks(session.arena, session.plans)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        programs = [gr.prepare(g, role=role, hooks=hooks, shapes=model.shapes[role])
+                    for role, g in session.bundle.graphs()]
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(p.graph.nodes) for p in programs)
+    assert nodes == 155 and held <= 95 * nodes
 
 
 def test_the_file_keeps_its_graphs(compiled):
@@ -439,26 +464,13 @@ def test_qlora_checks_the_2_53_bound_before_widening():
 # ---------------------------------------------------------------------------
 # Base weights taller than one row tile (``qparams.tiled_matmul``)
 
-# Every weight, the encoder's and the decoder's ``qlinear`` and both
-# ``qlora``, is 256 x 256: four row tiles.
-W256_MODEL = "\n".join(
-    ["name w256", "steps 2", "seed 3", "batch 4", "input 256", "cond 4", "latent 256",
-     "section encoder", "dense 256 relu", "section backbone", "lora 256 relu rank=8",
-     "lora 256 none rank=8", "section decoder", "dense 256 none"]) + "\n"
-
-
-def test_a_model_that_tiles_serves_quantsim_bits():
+def test_a_model_that_tiles_serves_quantsim_bits(w256):
     """Runtime == QuantSim, bit for bit, on weights taller than a tile, and
     the served outputs are the ones recorded before weights were tiled."""
-    bundle = ms.build_bundle(ms.parse_model_spec(W256_MODEL))
+    bundle, adapters, samples, profile = w256
     heights = [g.constants[n.inputs[0]].shape[0] for _, g in bundle.graphs() for n in g.nodes
                if n.kind in ("matmul", "lora_matmul")]
     assert len(heights) == 4 and min(heights) > tz.MATMUL_BLOCK_BYTES // (8 * 256)
-    adapters = [ms.build_adapter(bundle, ms.AdapterSpec(f"task{i}", seed=60 + i, rank=8,
-                                                        amplitude=0.1))
-                for i in range(2)]
-    samples = ms.make_samples(bundle, 2, 61)
-    profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=3)
     x, cond = samples[1]
     _, _, outputs = serve(bundle, profile, adapters, x, cond, seed=7)
     assert all(np.isfinite(o).all() for o in outputs)

@@ -71,6 +71,27 @@ class TestMatmulBlocked:
         for aa, bb in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
             assert_same_bits(aa, bb)
 
+    @pytest.mark.parametrize("k, kb", ((7, 4), (8, 4), (9, 5), (11, 6), (12, 6), (13, 5)))
+    def test_equal_blocks_match_triple_loop(self, k, kb, monkeypatch):
+        """256 x k times k x 16 has room for 6 k in a block, so these k take
+        the fewest blocks that fit, of as equal a size as they can be
+        (k = 8: 4 + 4 and a [5, 16, 256] buffer), with the loop's bits."""
+        rng = Rng(400 + k)
+        a = rng.uniform((256, k), -2, 2)
+        b = rng.uniform((k, 16), -2, 2)
+        shapes = []
+        empty = np.empty
+
+        def spy(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", spy)
+        got = og.matmul(a, b)
+        monkeypatch.undo()
+        assert got.tobytes() == naive_matmul(a, b).tobytes()
+        assert shapes[0] == (kb + 1, 16, 256)
+
     def test_signed_zero(self):
         for m, k, n in ((1, 1, 1), (1, 40, 1), (2, 40, 3), (64, 40, 4), (4, 40, 64)):
             a = np.full((m, k), -1.0, dtype=np.float32)
