@@ -199,13 +199,10 @@ def cmd_compile(args):
 
 def cmd_pack_lora(args):
     model = cp.load_compiled(_read(args.model_bin, "rb"))
-    shared = qt.profile_from_text(model.profile_text)
     if not os.path.isdir(args.adapter):
         raise UsageError("pack-lora expects a saved adapter directory; "
                          "use `pipeline` for spec-file adapters")
-    adapter = ms.load_adapter_dir(args.adapter)
-    data = cp.pack_lora(adapter, model.descriptors, shared)
-    _write(args.out, data)
+    _write(args.out, cp.pack_lora(ms.load_adapter_dir(args.adapter), model.descriptors))
     return EXIT_OK
 
 
@@ -250,12 +247,11 @@ def cmd_inspect(args):
     data = _read(path, "rb")
     if data[:4] == cp.MODEL_MAGIC:
         model = cp.load_compiled(data)
-        print(f"magic QADM version {model.version}")
+        print(f"magic QADM version {cp.FORMAT_VERSIONS[cp.MODEL_MAGIC]}")
         print(f"name {model.name}")
         print(f"creation_seed {model.creation_seed}")
         print(f"steps {model.steps}")
         print(f"file_bytes {len(data)}")
-        print(f"profile_bytes {len(model.profile_text.encode())}")
         for role in ("encoder", "backbone", "decoder"):
             g = model.graphs[role]
             wbytes = sum(v.nbytes for v in g.constants.values())
@@ -331,7 +327,7 @@ def cmd_pipeline(args):
         stage = "pack"
         pack_bytes = []
         for adapter in tuned:
-            pb = cp.pack_lora(adapter, descriptors, shared)
+            pb = cp.pack_lora(adapter, descriptors)
             pack_bytes.append(pb)
             _write(os.path.join(out_dir, f"{adapter.adapter_id}.qlp"), pb)
 

@@ -37,8 +37,8 @@ from .qparams import QuantParams, quantize_array, storage_dtype
 MODEL_MAGIC = b"QADM"
 PACK_MAGIC = b"QLPK"
 # One format version per magic.  Model version 1 held the graphs before
-# the fusions of ``optimize_for_freeze``.
-FORMAT_VERSIONS = {MODEL_MAGIC: 2, PACK_MAGIC: 1}
+# the fusions of ``optimize_for_freeze``, version 2 the unread profile text.
+FORMAT_VERSIONS = {MODEL_MAGIC: 3, PACK_MAGIC: 1}
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -87,11 +87,9 @@ class LoRASlotDescriptor:
 
 @dataclass
 class CompiledModel:
-    version: int
     name: str
     creation_seed: int
     steps: int
-    profile_text: str
     graphs: dict                 # role -> Graph
     descriptors: list
     shapes: dict                 # role -> tid -> (shape, dtype) from load; not serialized
@@ -194,11 +192,7 @@ def dead_code_eliminate(g: gr.Graph) -> gr.Graph:
         if node.output in live:
             live.update(node.inputs)
     out.nodes = [n for n in out.nodes if n.output in live]
-    used = set()
-    for n in out.nodes:
-        used.update(n.inputs)
-    used.update(tid for _, tid in out.outputs)
-    out.constants = {t: v for t, v in out.constants.items() if t in used}
+    out.constants = {t: v for t, v in out.constants.items() if t in live}
     return out
 
 
@@ -449,6 +443,8 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise FormatError(f"a string of {len(raw)} bytes exceeds the format's 65535-byte limit")
     return struct.pack("<H", len(raw)) + raw
 
 
@@ -637,13 +633,15 @@ def _open_payload(magic: bytes, data: bytes) -> memoryview:
 # Freeze / load
 
 
-def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
+def freeze(bundle: gr.ModelBundle, shared, descriptors,
            *, name: str = "model", creation_seed: int = 0) -> bytes:
     """Serialize an optimized bundle; byte-identical for identical inputs.
 
-    Each graph is written in its own node order, which must be
-    topological: a node that reads a tensor which it or a later node
-    produces raises ``GraphError``.  Every other check is load's.
+    The artifact holds the graphs and the slot descriptors; the profile
+    ``shared`` is not read and stays for the callers that pass it.  Each
+    graph is written in its own node order, which must be topological: a
+    node that reads a tensor which it or a later node produces raises
+    ``GraphError``.  Every other check is load's.
     """
     for role, g in bundle.graphs():
         ahead = {n.output for n in g.nodes}
@@ -652,8 +650,7 @@ def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
                 raise GraphError(f"{role} node {n.id}: nodes are not in topological order")
             ahead.discard(n.output)
     parts = [struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF), _pack_str(name),
-             struct.pack("<I", bundle.steps), _pack_str(qt.profile_to_text(shared)),
-             struct.pack("<B", 3)]
+             struct.pack("<IB", bundle.steps, 3)]
     for role, g in bundle.graphs():
         parts.append(struct.pack("<B", _ROLE_CODES[role]))
         parts.append(_pack_graph(g))
@@ -668,7 +665,8 @@ def freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile, descriptors,
 def load_compiled(data: bytes) -> CompiledModel:
     """Decode and check a ``.quadm``.
 
-    Every constant is a read-only view into the artifact's bytes
+    A slot descriptor's ``bits`` must be the bit width of its A and B
+    parameters.  Every constant is a read-only view into the artifact's bytes
     (``tensor.qtns_from_bytes``), so a loaded model holds each base weight
     once.  Equal quantization parameters decode to one shared
     ``QuantParams``.
@@ -680,11 +678,8 @@ def load_compiled(data: bytes) -> CompiledModel:
         (seed,) = struct.unpack_from("<Q", payload, pos)
         pos += 8
         name, pos = _unpack_str(payload, pos)
-        (steps,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        profile_text, pos = _unpack_str(payload, pos)
-        (n_graphs,) = struct.unpack_from("<B", payload, pos)
-        pos += 1
+        steps, n_graphs = struct.unpack_from("<IB", payload, pos)
+        pos += 5
         graphs = {}
         for _ in range(n_graphs):
             (role_code,) = struct.unpack_from("<B", payload, pos)
@@ -701,6 +696,8 @@ def load_compiled(data: bytes) -> CompiledModel:
             pos += 13
             a_params, pos = _unpack_qparams(payload, pos, memo)
             b_params, pos = _unpack_qparams(payload, pos, memo)
+            if not bits == a_params.bits == b_params.bits:
+                raise FormatError(f"slot {slot_id}: bits {bits}, not its A/B {a_params.bits}/{b_params.bits}")
             descriptors.append(LoRASlotDescriptor(slot_id, target, a_tid, b_tid, alpha_tid,
                                                   d_out, d_in, r_max, bits, a_params, b_params))
         if pos != len(payload):
@@ -709,22 +706,27 @@ def load_compiled(data: bytes) -> CompiledModel:
             raise FormatError("model must contain encoder, backbone, and decoder graphs")
         bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], steps)
         shapes = gr.validate_bundle(bundle, descriptors)
-    return CompiledModel(FORMAT_VERSIONS[MODEL_MAGIC], name, seed, steps, profile_text, graphs,
-                         descriptors, shapes)
+    return CompiledModel(name, seed, steps, graphs, descriptors, shapes)
 
 
 # ---------------------------------------------------------------------------
 # Adapter packs
 
 
-def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared: qt.QuantProfile) -> bytes:
+def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
     """Quantize adapter factors under the shared slot params and serialize.
 
-    Factors are zero-padded to the slot rank in the quantized domain
-    (pad value = zero point, which dequantizes to exactly 0).  A NaN
-    factor entry has no level, and alpha must lie in fp32's finite range.
+    The header's factor width is the one bit width of the slots' A and B
+    parameters, else ``PackError``; the profile ``shared`` is not read
+    and stays for the callers that pass it.  Factors are zero-padded to
+    the slot rank in the quantized domain (pad value = zero point, which
+    dequantizes to exactly 0).  A NaN factor entry has no level, and
+    alpha must lie in fp32's finite range.
     """
-    parts = [_pack_str(adapter.adapter_id), struct.pack("<B", shared.lora_bits),
+    widths = {p.bits for d in descriptors for p in (d.a_params, d.b_params)}
+    if len(widths) != 1:
+        raise PackError(f"the slots' factors must share one bit width, not {sorted(widths)}")
+    parts = [_pack_str(adapter.adapter_id), struct.pack("<B", *widths),
              struct.pack("<I", len(descriptors))]
     for d in sorted(descriptors, key=lambda d: d.slot_id):
         entry = adapter.entries.get(d.target_node_id)

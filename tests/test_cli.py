@@ -224,7 +224,7 @@ def test_a_version_1_model_is_a_usage_error(command, toy_files, tmp_path, capsys
 
 
 def test_inspect_prints_each_files_own_version(toy_files, capsys):
-    for name, head in (("model.quadm", "magic QADM version 2"), ("style.qlp", "magic QLPK version 1")):
+    for name, head in (("model.quadm", "magic QADM version 3"), ("style.qlp", "magic QLPK version 1")):
         assert cli.main(["inspect", toy_files[name]]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == head
 
@@ -252,41 +252,34 @@ def test_an_unknown_config_key_is_a_usage_error(key, files, capsys):
     assert f"unknown key {key!r}" in err
 
 
-def test_a_profile_without_a_policy_line_is_a_usage_error(files, tmp_path, toy_bundle, toy_profile,
-                                                          monkeypatch, capsys):
-    """``pack-lora`` on a model whose embedded profile has no policy line."""
+def test_a_profile_without_a_policy_line_is_a_usage_error(files, tmp_path, toy_profile, capsys):
     text = "".join(line + "\n" for line in qt.profile_to_text(toy_profile).splitlines()
                    if not line.startswith("policy "))
-    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-    with monkeypatch.context() as m:
-        m.setattr(qt, "profile_to_text", lambda profile: text)
-        (tmp_path / "m.quadm").write_bytes(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
-    argv = ["pack-lora", "--model-bin", str(tmp_path / "m.quadm"), "--adapter", str(tmp_path),
-            "--out", str(tmp_path / "p.qlp")]
+    argv = ["compile", "--model", files("toy.spec", TOY_MODEL),
+            "--profile", files("profile.txt", text), "--out", str(tmp_path / "m.quadm")]
     assert "lacks a policy line" in usage_error(argv, capsys)
+    assert not (tmp_path / "m.quadm").exists()
 
 
-@pytest.mark.parametrize("command", ("compile", "pack-lora"))
+@pytest.mark.parametrize("command", ("compile",))
 @pytest.mark.parametrize("lineno, bad", ((1, "policy w4a4"), (3, "backbone.w.3 {scale 0.1}")))
-def test_a_malformed_profile_line_is_a_usage_error(command, lineno, bad, files, tmp_path,
-                                                   toy_bundle, toy_profile, monkeypatch, capsys):
+def test_a_malformed_profile_line_is_a_usage_error(command, lineno, bad, files, tmp_path, toy_profile,
+                                                   capsys):
     lines = qt.profile_to_text(toy_profile).splitlines()
     lines[lineno - 1] = bad
-    text = "\n".join(lines) + "\n"
-    if command == "compile":
-        argv = ["compile", "--model", files("toy.spec", TOY_MODEL),
-                "--profile", files("profile.txt", text), "--out", str(tmp_path / "m.quadm")]
-    else:
-        # a model that embeds the malformed profile
-        frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-        with monkeypatch.context() as m:
-            m.setattr(qt, "profile_to_text", lambda profile: text)
-            model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
-        (tmp_path / "m.quadm").write_bytes(model)
-        argv = ["pack-lora", "--model-bin", str(tmp_path / "m.quadm"), "--adapter", str(tmp_path),
-                "--out", str(tmp_path / "p.qlp")]
+    argv = [command, "--model", files("toy.spec", TOY_MODEL),
+            "--profile", files("profile.txt", "\n".join(lines) + "\n"), "--out", str(tmp_path / "m.quadm")]
     err = usage_error(argv, capsys)
     assert f"profile line {lineno}: {bad!r}" in err
+
+
+def test_a_name_past_the_string_limit_is_a_usage_error(files, tmp_path, toy_profile, capsys):
+    """The format stores a string behind a 16-bit length."""
+    argv = ["compile", "--model", files("toy.spec", TOY_MODEL), "--name", "n" * 70_000,
+            "--profile", files("profile.txt", qt.profile_to_text(toy_profile)),
+            "--out", str(tmp_path / "m.quadm")]
+    assert "70000 bytes exceeds the format's 65535-byte limit" in usage_error(argv, capsys)
+    assert not (tmp_path / "m.quadm").exists()
 
 
 def test_bench_reports_a_swap_slower_than_a_reload(toy_files, monkeypatch, capsys):

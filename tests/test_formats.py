@@ -18,14 +18,24 @@ import zlib
 
 import numpy as np
 import pytest
+import test_bitpin
 
 from onegraph import compiler as cp
+from onegraph import modelspec as ms
+from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
-from onegraph.errors import BindError, FormatError, GraphError
+from onegraph.errors import BindError, FormatError, GraphError, PackError
 from onegraph.qparams import QuantParams
 
 TRIALS = 200
+
+# 160 adapter layers at width 8: the profile text runs to about 71 KB.
+DEEP_MODEL = "\n".join(
+    ["name deep", "steps 1", "seed 17", "batch 1", "input 8", "cond 2", "latent 8",
+     "amplitude 1.0", "section encoder", "dense 8 relu", "section backbone"]
+    + ["lora 8 relu rank=2"] * 159
+    + ["lora 8 none rank=2", "section decoder", "dense 8 none"]) + "\n"
 
 
 def reseal(data: bytes, payload: bytes) -> bytes:
@@ -48,6 +58,15 @@ def toy_artifacts(toy_bundle, toy_adapter, toy_profile):
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
     return model, cp.pack_lora(toy_adapter, descriptors, toy_profile)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    bundle = ms.build_bundle(ms.parse_model_spec(DEEP_MODEL))
+    adapter = ms.build_adapter(bundle, ms.AdapterSpec("deep", seed=5, rank=2, amplitude=0.1))
+    samples = ms.make_samples(bundle, 1, 3)
+    profile = qt.calibrate(bundle, samples, qt.Policy("w8a16"), adapter=adapter, seed=0)
+    return bundle, adapter, profile, samples[0]
 
 
 def serve(model: bytes, pack: bytes, seed: int):
@@ -163,18 +182,22 @@ SLOT_DEFECTS = {
     "i32 A": r"ShapeError: node \d+: qlora needs B and A as stored \('i16', 'i16'\) or as prepared "
              r"\(f64, fp32\), got \(i16, i32\)",
     "constant alpha": r"GraphError: tensors \[\d+\] are both inputs and constants",
+    "bits 3": r"slot 0: bits 3, not its A/B 16/16",
 }
 
 
 @pytest.mark.parametrize("defect", sorted(SLOT_DEFECTS))
 def test_slot_inputs_keep_their_storage(toy_bundle, toy_profile, defect):
     """Slot 0's A input stored wider than its descriptor's parameters
-    hold, or a constant at its alpha tid that a bind would overwrite."""
+    hold, a constant at its alpha tid that a bind would overwrite, or a
+    descriptor whose bit width is not its parameters'."""
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     d = descriptors[0]
     if defect == "i32 A":
         assert (d.a_params.bits, d.a_params.signed) == (16, True)
         next(gi for gi in frozen.backbone.inputs if gi.tid == d.a_tid).dtype = "i32"
+    elif defect == "bits 3":
+        descriptors[0] = dataclasses.replace(d, bits=3)
     else:
         frozen.backbone.constants[d.alpha_tid] = np.ones((1,), np.float32)
     with pytest.raises(FormatError, match=SLOT_DEFECTS[defect]):
@@ -227,16 +250,55 @@ def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
 
 
 def test_each_magic_has_its_own_version(toy_artifacts):
-    """``.quadm`` is at version 2 and ``.qlp`` stays at 1; a version-1
-    ``.quadm``, which held the graphs before the fusions, is refused."""
+    """``.quadm`` is at version 3 and ``.qlp`` stays at 1.  A version-1
+    ``.quadm``, which held the graphs before the fusions, is refused, and
+    so is a version-2 one, which also held the profile text."""
     model, pack = toy_artifacts
-    assert (model[4:6], pack[4:6]) == (b"\x02\x00", b"\x01\x00")
+    assert (model[4:6], pack[4:6]) == (b"\x03\x00", b"\x01\x00")
     for data, loader, magic, old in ((model, cp.load_compiled, "QADM", 1),
+                                     (model, cp.load_compiled, "QADM", 2),
                                      (pack, cp.unpack_lora, "QLPK", 2)):
         changed = bytearray(data)
         struct.pack_into("<H", changed, 4, old)
         with pytest.raises(FormatError, match=f"unsupported {magic} format version {old}"):
             loader(bytes(changed))
+
+
+def test_the_model_holds_no_profile_text(toy_artifacts, toy_profile):
+    payload = toy_artifacts[0][20:]
+    assert qt.profile_to_text(toy_profile).encode() not in payload
+    assert b"policy " not in payload
+
+
+def test_a_model_past_the_old_string_limit_serves(deep):
+    """A narrow, deep model whose profile text runs past 65535 bytes: it
+    froze only while the artifact held no such text behind a 16-bit
+    length.  Its runtime output is QuantSim's, bit for bit."""
+    bundle, adapter, profile, (x, cond) = deep
+    assert len(qt.profile_to_text(profile).encode()) > 0xFFFF
+    _, _, (out,) = test_bitpin.serve(bundle, profile, [adapter], x, cond, seed=1)
+    assert np.isfinite(out).all() and out.any()
+
+
+@pytest.mark.parametrize("defect", ("mixed widths", "no slots"))
+def test_pack_needs_one_factor_width(toy_bundle, toy_adapter, toy_profile, defect):
+    """The pack header's factor width is the slots' one width."""
+    _, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    if defect == "mixed widths":
+        d = descriptors[1]
+        descriptors[1] = dataclasses.replace(d, b_params=QuantParams(d.b_params.scale, 0, 8))
+        match = r"share one bit width, not \[8, 16\]"
+    else:
+        descriptors, match = [], r"share one bit width, not \[\]"
+    with pytest.raises(PackError, match=match):
+        cp.pack_lora(toy_adapter, descriptors)
+
+
+def test_an_adapter_id_past_the_string_limit_is_a_format_error(toy_bundle, toy_adapter, toy_profile):
+    _, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    adapter = dataclasses.replace(toy_adapter, adapter_id="a" * 70_000)
+    with pytest.raises(FormatError, match="70000 bytes exceeds the format's 65535-byte limit"):
+        cp.pack_lora(adapter, descriptors)
 
 
 @pytest.mark.parametrize("defect", ("reversed", "cycle"))

@@ -6,7 +6,7 @@ into one ``requant`` node, and the ``.quadm`` holds those graphs (kind
 codes 11 and 12).  ``compiler.load_compiled`` returns them as frozen,
 they freeze back to the same bytes, and ``runtime.Session`` plans and
 runs them node for node.  ``onegraph inspect --dump`` prints them
-(digests recorded at model format version 2).
+(digests recorded at model format version 3).
 
 A fused node must give the bits of its unfused chain.  The chain's
 reference here runs the chain's own nodes through ``graph.run_graph``,
@@ -37,7 +37,6 @@ from onegraph import cli
 from onegraph import compiler as cp
 from onegraph import graph as gr
 from onegraph import qparams as qp
-from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
 from onegraph.errors import FormatError, RangeError
@@ -50,8 +49,8 @@ PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140
                "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
 
 INSPECT_SHA256 = {
-    "w64": "9fe76ea879b0e33f7bdb0235aa2bc3ff44eb494b3c85f083980b417e14f6c2f0",
-    "d48": "2cbadab7e3d6f4fca1bf45b975c0a1f54cfcd9b7a67825ca5f251ebfd0321074",
+    "w64": "d8308e1fb194510c04d71df8f140be8c30117e1ca44d880f1d42f9c474114826",
+    "d48": "759ec75bf8c15e71269a10852ee501bce374da2026563f13816cd5546b9a3ac3",
 }
 
 
@@ -166,8 +165,8 @@ def test_the_file_keeps_its_graphs(compiled):
         assert gr.dump_graph(loaded.graphs[role]) == gr.dump_graph(g)
     again = gr.ModelBundle(*(loaded.graphs[r] for r in ("encoder", "backbone", "decoder")),
                            loaded.steps)
-    assert cp.freeze(again, qt.profile_from_text(loaded.profile_text), loaded.descriptors,
-                     name=loaded.name, creation_seed=loaded.creation_seed) == model
+    assert cp.freeze(again, None, loaded.descriptors, name=loaded.name,
+                     creation_seed=loaded.creation_seed) == model
 
 
 def test_inspect_prints_what_it_printed(compiled, tmp_path, capsys):
