@@ -785,7 +785,9 @@ def qparams_memo(params) -> dict:
 def unpack_lora(data: bytes, memo=None) -> LoRAPack:
     """Decode a ``.qlp``; the factors are read-only views into ``data``,
     not copies (``tensor.qtns_from_bytes``).  A parameter record found
-    in ``memo`` (``qparams_memo``) decodes to the object it holds."""
+    in ``memo`` (``qparams_memo``) decodes to the object it holds.  The
+    header's factor width must be the bit width of every slot's A and B
+    parameters, as ``pack_lora`` writes it."""
     payload = _open_payload(PACK_MAGIC, data)
     memo = dict(memo or ())
     with _decoding("pack"):
@@ -801,6 +803,9 @@ def unpack_lora(data: bytes, memo=None) -> LoRAPack:
             pos += 12
             a_params, pos = _unpack_qparams(payload, pos, memo)
             b_params, pos = _unpack_qparams(payload, pos, memo)
+            if not lora_bits == a_params.bits == b_params.bits:
+                raise FormatError(f"slot {slot_id}: pack lora_bits {lora_bits}, "
+                                  f"not its A/B {a_params.bits}/{b_params.bits}")
             a_q, pos = tz.qtns_from_bytes(payload, pos)
             b_q, pos = tz.qtns_from_bytes(payload, pos)
             slots[slot_id] = PackedSlot(slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q)

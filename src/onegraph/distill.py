@@ -6,6 +6,15 @@ factors receive gradients, via reverse-mode accumulation over the
 recorded execution tape with a straight-through estimator at every
 fake-quant site.  Base weights and the profile stay frozen.
 
+A run's tape holds no fake-quant entry for a weight: QuantSim quantizes
+each weight once per ``QuantSimHooks``, untaped.  It holds one ``fq``
+entry per factor, recorded when the run prepares the backbone, whose
+output every backbone pass reads.  So a factor's gradient is its
+straight-through mask applied once to the sum of its passes'
+gradients.  Where the mask is 1 that is the sum itself.  Where it is
+0 the factor entry lies outside a range that holds 0, so the entry is
+nonzero and the update ``A - lr * (+-0)`` leaves its bits.
+
 Reverse mode runs over the active part of the tape only.  A tape tensor
 is active when it depends on a factor array; one forward sweep over the
 entries finds them.  No vjp goes into an inactive input: no gradient
@@ -112,9 +121,9 @@ def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
         if op == "matmul":
             a, b = inputs
             if live(a):
-                acc(a, matmul(g, np.ascontiguousarray(b.T)))
+                acc(a, matmul(g, b.T))
             if live(b):
-                acc(b, matmul(np.ascontiguousarray(a.T), g))
+                acc(b, matmul(a.T, g))
         elif op == "add":
             for x in inputs:
                 if live(x):
@@ -153,11 +162,13 @@ def _working_adapter(adapter: gr.LoRAAdapter) -> gr.LoRAAdapter:
     return gr.LoRAAdapter(adapter.adapter_id, entries)
 
 
-def student_step(bundle, shared, adapter, batch, teachers, lambda_task, seed_base=0):
+def student_step(bundle, shared, adapter, batch, teachers, lambda_task, seed_base=0, hooks=None):
     """One distillation evaluation: losses plus factor gradients.
 
     ``batch`` is a list of (sample_index, x, cond, target) tuples;
     ``teachers`` caches the frozen teacher output per sample index.
+    ``hooks`` is the ``QuantSimHooks`` of ``shared`` that the student
+    runs share (see ``quant.execute_quantsim``).
     """
     recon_sum = 0.0
     task_sum = 0.0
@@ -167,7 +178,8 @@ def student_step(bundle, shared, adapter, batch, teachers, lambda_task, seed_bas
                for nid, entry in adapter.entries.items() for which in ("A", "B")}
     for idx, x, cond, target in batch:
         tape = gr.Tape()
-        student = qt.execute_quantsim(bundle, shared, adapter, x, cond, seed=seed_base + idx, tape=tape)
+        student = qt.execute_quantsim(bundle, shared, adapter, x, cond, seed=seed_base + idx, tape=tape,
+                                      hooks=hooks)
         teacher = teachers[idx]
         recon_sum += recon_loss(teacher, student)
         seed_g = (np.float32(2.0 / student.size) * inv) * (student - teacher)
@@ -190,8 +202,10 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
     ``data`` is a list of (x, cond, target) samples; target may be None
     when lambda_task is zero.  Sample ``(step * batch + j) % len(data)``
     is the j-th of each step's batch; only those samples get a teacher
-    pass.  Returns (updated adapter, trace), or raises DivergenceError
-    when a step's loss or the factors after its update are non-finite.
+    pass.  One ``QuantSimHooks`` serves every student run, so each
+    weight is quantized once per call.  Returns (updated adapter, trace),
+    or raises DivergenceError when a step's loss or the factors after
+    its update are non-finite.
     """
     if not data:
         raise ValueError("distillation needs at least one sample")
@@ -199,6 +213,7 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
     gr.check_adapter(bundle, adapter)
 
     teachers = {}   # sample index -> teacher output, for the samples the schedule visits
+    hooks = qt.QuantSimHooks(shared)
     work = _working_adapter(adapter)
     trace = DistillTrace()
     lr = np.float32(cfg.learning_rate)
@@ -212,7 +227,7 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
                 teachers[i] = gr.execute_fp(bundle, x, cond, adapter, noise_seed=cfg.seed + i)
             batch.append((i, x, cond, target))
         recon, task, total, grads = student_step(
-            bundle, shared, work, batch, teachers, cfg.lambda_task, seed_base=cfg.seed)
+            bundle, shared, work, batch, teachers, cfg.lambda_task, seed_base=cfg.seed, hooks=hooks)
         if not math.isfinite(total):
             raise DivergenceError(step)
         trace.append(step, recon, task, total)

@@ -21,7 +21,8 @@ The interpreter is prepare + invoke, as in TFLite Micro (David et al.
 2020, arXiv:2010.08678).  ``prepare`` runs once per graph, role, adapter
 and hooks: it resolves each node's kernel, each operand's index into
 one operand table (the constants, and the arrays the hooks place
-tensors in), and the hook calls the hooks object overrides.
+tensors in), each adapter factor as the hooks give it, and the hook
+calls the hooks object overrides.
 ``invoke`` is a flat loop over the nodes that calls each kernel.
 ``run_graph`` runs one graph, preparing it unless it is given its
 program; ``run_bundle`` prepares each graph once per call, and a
@@ -423,9 +424,10 @@ class _NullHooks:
     no placement.  Hooks are the interpreter's one extension point.
 
     ``prepare`` asks ``place`` once for each graph input and node
-    output, and keeps ``input_value``, ``weight_value`` and
-    ``node_output`` only where a subclass overrides them, so a run
-    calls no hook that would hand its value back unchanged.
+    output and ``lora_factor`` once for each adapter factor, and keeps
+    ``input_value``, ``weight_value`` and ``node_output`` only where a
+    subclass overrides them, so a run calls no hook that would hand its
+    value back unchanged.
     ``product`` computes the operand products of ``matmul`` and
     ``lora_matmul`` nodes; ``which`` names the left factor: ``"W"`` for
     the node's own product of its two inputs, ``"B"`` and ``"A"`` for an
@@ -474,7 +476,8 @@ class Program:
     was placed (``views`` is None when nothing was).  ``reads[i]`` lists
     the weights that node i reads through ``weight_hook`` (None
     without one), and ``lora`` maps each ``lora_matmul`` that the
-    adapter covers to its entry and alpha.
+    adapter covers to its factors A and B, as the hooks' ``lora_factor``
+    returned them, and alpha.
     """
 
     __slots__ = ("graph", "role", "hooks", "kernels", "views", "values", "inputs", "reads", "lora",
@@ -488,15 +491,19 @@ class Program:
             self.values[tid] = arr
 
 
-def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=None) -> Program:
+def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=None,
+            tape=None) -> Program:
     """Resolve once what every run of ``g`` would otherwise repeat.
 
     Each node gets its kernel, each of its operands a fixed index into
     the operand table, and its output the array ``hooks.place`` gives,
     if any; so do the graph inputs.  ``shapes`` (tid -> (shape, dtype))
     is what ``place`` is told, ``infer_shapes(g)`` when not given.  Each
-    ``lora_matmul`` that ``adapter`` covers gets its entry, whose shapes
-    are checked here, and alpha as a one-element fp32 array.
+    ``lora_matmul`` that ``adapter`` covers gets its entry's factors,
+    whose shapes are checked here, passed once through
+    ``hooks.lora_factor`` with ``tape``, and alpha as a one-element fp32
+    array.  So a program prepared with a tape records its factors on that
+    tape, and is invoked with it.
     """
     p = Program()
     p.graph, p.role, p.hooks = g, role, hooks
@@ -529,11 +536,16 @@ def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=No
               and not (n.kind == "scale" and t == n.inputs[1]))
         for n in g.nodes]
     p.lora = {}
+    factor = _overridden(hooks, "lora_factor")
     for n in g.nodes if adapter is not None else ():
         entry = adapter.entries.get(n.id) if n.kind == "lora_matmul" else None
         if entry is not None:
             _check_entry_shapes(n, g.constants[n.inputs[0]], entry)
-            p.lora[n.id] = (entry, np.full((1,), entry.alpha, dtype=np.float32))
+            a, b = entry.A, entry.B
+            if factor is not None:
+                a = factor(role, n.id, "A", a, tape)
+                b = factor(role, n.id, "B", b, tape)
+            p.lora[n.id] = (a, b, np.full((1,), entry.alpha, dtype=np.float32))
     return p
 
 
@@ -588,10 +600,11 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
     tensor boundaries (see quant module) and ``tape`` records primitives
     for differentiation.  ``program`` is ``g`` prepared already; then
     ``role``, ``adapter`` and ``hooks`` are the ones it was prepared
-    with, and this call only invokes it.
+    with, ``tape`` the one it was prepared with too (see ``prepare``),
+    and this call only invokes it.
     """
     if program is None:
-        program = prepare(g, role=role, adapter=adapter, hooks=hooks)
+        program = prepare(g, role=role, adapter=adapter, hooks=hooks, tape=tape)
     return invoke(program, feeds, tape)
 
 
@@ -620,9 +633,7 @@ def _k_lora_matmul(vals, n, view, tape, p):
     out = hooks.product(role, n, "W", w, x, tape)
     if n.id not in p.lora:
         return _put(out, view)
-    entry, alpha = p.lora[n.id]
-    a_fac = hooks.lora_factor(role, n.id, "A", entry.A, tape)
-    b_fac = hooks.lora_factor(role, n.id, "B", entry.B, tape)
+    a_fac, b_fac, alpha = p.lora[n.id]
     bx = hooks.product(role, n, "B", b_fac, x, tape)
     abx = hooks.product(role, n, "A", a_fac, bx, tape)
     return _add(out, _scale(abx, alpha, tape), tape, view)
@@ -767,13 +778,14 @@ def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
     """Encoder -> seeded noise -> `steps` backbone passes -> decoder.
 
     ``programs`` maps each role to its graph prepared (``prepare``), as a
-    runtime session holds them; then ``adapter`` and ``hooks`` are the
-    ones they were prepared with.  Without it each graph is prepared
-    here, once for this call.
+    runtime session holds them; then ``adapter``, ``hooks`` and ``tape``
+    are the ones they were prepared with.  Without it each graph is
+    prepared here, once for this call, so the hooks see each adapter
+    factor once per run, not once per backbone pass.
     """
     if programs is None:
         programs = {role: prepare(g, role=role, adapter=adapter if role == "backbone" else None,
-                                  hooks=hooks)
+                                  hooks=hooks, tape=tape)
                     for role, g in bundle.graphs()}
     enc = run_graph(bundle.encoder, {bundle.encoder.inputs[0].name: x},
                     program=programs["encoder"], tape=tape)

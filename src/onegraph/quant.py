@@ -8,14 +8,34 @@ but routes every covered tensor through dequantize(quantize(.)).
 
 QuantSim computes products as the compiled graph does.  A product whose
 two operands it fake-quantized (a dense W x, and an adapter layer's W x
-and B x) is the exact integer product of their levels,
-``qparams.centered_matmul``.  The ``product`` hook finds each operand's
-params in the profile, under the operand's tensor id or the adapter
-slot that ``which`` names, and takes the levels back exactly from the
-fake-quantized values (``qparams.fake_quant_levels``): nothing is
-quantized twice and no level is kept between calls.  A (B x), whose B x
+and B x) is the exact integer product of their levels.  The ``product``
+hook finds each operand's params in the profile, under the operand's
+tensor id or the adapter slot that ``which`` names.  A (B x), whose B x
 is not quantized, stays an fp32 ``tensor.matmul``, as in the compiled
 graph.
+
+A :class:`QuantSimHooks` object does each piece of work once for as long
+as its inputs stay fixed, as integer-only inference quantizes a weight
+once, offline (Jacob et al. 2018, arXiv:1712.05877):
+
+* once per hooks object, each frozen weight: its int8 levels
+  (``qparams.quantize_array``) and W_hat, their dequantized fp32 value,
+  which the dataflow sees.  W x is ``qparams.tiled_matmul`` on those
+  levels, the kernel of the runtime's ``qlinear`` and ``qlora``.  A
+  weight's fake-quant is never taped: no gradient flows into a weight.
+* once per run, each adapter factor: ``graph.prepare`` passes A and B
+  through ``lora_factor``, and B's levels are kept with B_hat.
+* once per layer, its input's levels, which W x and B x share, as the
+  runtime's ``qlora`` centres q_x once.  Other levels are taken back
+  exactly from the fake-quantized values (``qparams.fake_quant_levels``).
+
+An entry holds until its input is another array object, so a new bundle
+or adapter is quantized afresh.  The memo assumes what it keys stays
+frozen: no constant or profile entry is changed in place while a hooks
+object serves it.  ``sensitivity.qss`` and ``distill.finetune_adapter``
+each keep one hooks object across all of their runs
+(``execute_quantsim(..., hooks=)``).  The weight memo costs 5 B per
+weight element for as long as the hooks object lives.
 
 Profile keys are strings: ``<role>.w.<tid>`` for weights,
 ``<role>.a.<tid>`` for activations (graph inputs included), and
@@ -156,11 +176,27 @@ def check_coverage(profile: QuantProfile, bundle: gr.ModelBundle):
 # Execution hooks
 
 
+@dataclass(frozen=True)
+class _Weight:
+    """A frozen weight as QuantSim holds it: the constant it came from,
+    its stored levels and their fp32 value."""
+
+    source: np.ndarray
+    levels: np.ndarray
+    value: np.ndarray
+
+
 class QuantSimHooks(gr._NullHooks):
-    """Fake-quantize every covered tensor during execution."""
+    """Fake-quantize every covered tensor during execution.
+
+    One object may serve any number of runs under ``profile``; see the
+    module docstring for what it keeps between them.
+    """
 
     def __init__(self, profile: QuantProfile):
         self.profile = profile
+        self._weights = {}   # (role, tid) -> _Weight
+        self._levels = {}    # "x", or ("B", node id) -> (fake-quantized value, its centred levels)
 
     def _fq(self, value, p, tape):
         out = qp.fake_quant(value, p)
@@ -180,10 +216,14 @@ class QuantSimHooks(gr._NullHooks):
         return self._fq(value, self._lookup_act(role, tid), tape)
 
     def weight_value(self, role, tid, value, tape):
-        p = self.profile.weight(role, tid)
-        if p is None:
-            raise CoverageError(f"profile does not cover {role}.w.{tid}")
-        return self._fq(value, p, tape)
+        w = self._weights.get((role, tid))
+        if w is None or w.source is not value:
+            p = self.profile.weight(role, tid)
+            if p is None:
+                raise CoverageError(f"profile does not cover {role}.w.{tid}")
+            q = qp.quantize_array(value, p)
+            w = self._weights[role, tid] = _Weight(value, q, qp.dequantize_array(q, p))
+        return w.value
 
     def lora_factor(self, role, node_id, which, value, tape):
         p = self.profile.lora(node_id, which)
@@ -203,6 +243,14 @@ class QuantSimHooks(gr._NullHooks):
         p = self.profile.weight(role, tid)
         return self.profile.act(role, tid) if p is None else p
 
+    def _centred(self, key, value, p):
+        """``fake_quant_levels(value, p)``, kept under ``key`` while ``value``
+        is the same array."""
+        hit = self._levels.get(key)
+        if hit is None or hit[0] is not value:
+            hit = self._levels[key] = (value, qp.fake_quant_levels(value, p))
+        return hit[1]
+
     def product(self, role, node, which, a, b, tape):
         if which == "A":   # B x is not quantized
             return gr._mm(a, b, tape)
@@ -213,7 +261,14 @@ class QuantSimHooks(gr._NullHooks):
         p_b = self._operand(role, node.inputs[1], b)
         if p_a is None or p_b is None:
             return gr._mm(a, b, tape)
-        out = qp.centered_matmul(qp.fake_quant_levels(a, p_a), p_a, qp.fake_quant_levels(b, p_b), p_b)
+        c_b = self._centred("x", b, p_b)
+        w = self._weights.get((role, node.inputs[0])) if which == "W" else None
+        if w is not None and w.value is a:
+            qp.check_exact(a.shape, p_a, b.shape, p_b)
+            out = qp.tiled_matmul(w.levels, p_a, c_b, np.float64(p_a.scale) * np.float64(p_b.scale))
+        else:
+            c_a = self._centred(("B", node.id), a, p_a) if which == "B" else qp.fake_quant_levels(a, p_a)
+            out = qp.centered_matmul(c_a, p_a, c_b, p_b)
         if tape is not None:
             tape.record("matmul", (a, b), out)
         return out
@@ -340,12 +395,21 @@ def calibrate(bundle: gr.ModelBundle, data, policy: Policy, *, adapter=None, lor
 # QuantSim execution
 
 
-def execute_quantsim(bundle, profile: QuantProfile, adapter, x, cond, seed: int = 0, tape=None):
-    """Same dataflow as execute_fp with fake-quant at every covered tensor."""
+def execute_quantsim(bundle, profile: QuantProfile, adapter, x, cond, seed: int = 0, tape=None,
+                     hooks=None):
+    """Same dataflow as execute_fp with fake-quant at every covered tensor.
+
+    ``hooks`` is a ``QuantSimHooks`` of ``profile`` to reuse across calls,
+    which changes no bit; None builds a fresh one.  Hooks of another
+    profile raise ``ValueError``.
+    """
+    if hooks is None:
+        hooks = QuantSimHooks(profile)
+    elif hooks.profile is not profile:
+        raise ValueError("the QuantSim hooks were built for another profile")
     if adapter is not None:
         gr.check_adapter(bundle, adapter)
-    return gr.run_bundle(bundle, x, cond, adapter, noise_seed=seed,
-                         hooks=QuantSimHooks(profile), tape=tape)
+    return gr.run_bundle(bundle, x, cond, adapter, noise_seed=seed, hooks=hooks, tape=tape)
 
 
 # ---------------------------------------------------------------------------

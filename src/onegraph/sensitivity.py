@@ -61,14 +61,16 @@ def qss(bundle, adapter, profile, data, *, seed: int = 0, refs=None) -> float:
     The fp reference of sample i is ``execute_fp`` with the adapter and
     noise seed ``seed + i``.  ``refs`` supplies those outputs when the
     caller already has them, as calibration returns them; without it
-    each is computed here.
+    each is computed here.  One ``QuantSimHooks`` serves every sample, so
+    each weight is quantized once per call.
     """
     if not data:
         raise RangeError("sensitivity scoring requires at least one sample")
     total = 0.0
+    hooks = qt.QuantSimHooks(profile)
     for i, (x, cond) in enumerate(data):
         ref = gr.execute_fp(bundle, x, cond, adapter, noise_seed=seed + i) if refs is None else refs[i]
-        sim = qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=seed + i)
+        sim = qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=seed + i, hooks=hooks)
         lo = float(min(ref.min(), sim.min()))
         hi = float(max(ref.max(), sim.max()))
         if hi <= lo:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import TOY_MODEL, copy_adapter
+from test_formats import with_lora_bits
 
 from onegraph import cli
 from onegraph import compiler as cp
@@ -221,6 +222,13 @@ def test_a_version_1_model_is_a_usage_error(command, toy_files, tmp_path, capsys
         argv = ["run", "--model-bin", str(path), "--x", toy_files["cond.qtns"],
                 "--cond", toy_files["cond.qtns"], "--out", str(tmp_path / "y.qtns")]
     assert "unsupported QADM format version 1" in usage_error(argv, capsys)
+
+
+def test_a_pack_header_width_unlike_its_slots_is_a_usage_error(toy_files, tmp_path, capsys):
+    path = tmp_path / "bits3.qlp"
+    with open(toy_files["style.qlp"], "rb") as fh:
+        path.write_bytes(with_lora_bits(fh.read(), 3))
+    assert "pack lora_bits 3, not its A/B 16/16" in usage_error(["inspect", str(path)], capsys)
 
 
 def test_inspect_prints_each_files_own_version(toy_files, capsys):

@@ -7,20 +7,36 @@
   schedule visits.
 * ``build_shared_profile`` scores QSS against the fp runs of each
   adapter's calibration, and equals calibrate then qss called apart.
+* Distilling factors that partly lie outside their slots' ranges keeps
+  the bits pinned in ``SATURATED``.
+* One ``finetune_adapter`` or ``qss`` call quantizes each frozen weight
+  once, and QuantSim hooks reused across bundles give a fresh object's
+  bits.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from conftest import all16_profile
+from conftest import W64_MODEL, all16_profile
 
 from onegraph import distill as dst
 from onegraph import graph as gr
 from onegraph import modelspec as ms
+from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import sensitivity as sv
 from onegraph.errors import DivergenceError
+from onegraph.qparams import ste_mask
+
+# Recorded when QuantSim fake-quantized each factor once per backbone
+# step: the factors' SHA-256 after two steps, and the trace.
+SATURATED = {
+    "factors": "1866fa48011718a9d57f1b144b5aa637fb77839e759a10f797d08d21ad97da45",
+    "trace": "step,recon,task,total\n0,286.1326985369455,0.0,286.1326985369455\n"
+             "1,369.6015069421062,0.0,369.6015069421062\n",
+}
 
 
 def factor_arrays(adapter):
@@ -126,3 +142,61 @@ def test_divergent_last_update_raises(toy_bundle, toy_adapter, toy_profile, toy_
         dst.finetune_adapter(toy_bundle, toy_adapter, toy_profile,
                              [(x, c, None) for x, c in toy_samples], cfg)
     assert err.value.step == 0
+
+
+def test_saturated_factors_distill_to_pinned_bits(w64):
+    """Slot ranges from one adapter, factors from a wider one: a third of
+    the entries lie outside, so the straight-through mask has zeros on
+    every step of a two-pass bundle."""
+    bundle, adapters, samples, _ = w64
+    profile = qt.calibrate(bundle, samples, qt.Policy("w8a16"), adapter=adapters[0], seed=1)
+    wide = ms.build_adapter(bundle, ms.AdapterSpec("wide", seed=23, rank=8, amplitude=0.15))
+    outside = sum(int((ste_mask(getattr(e, which), profile.lora(nid, which)) == 0).sum())
+                  for nid, e in wide.entries.items() for which in ("A", "B"))
+    assert bundle.steps >= 2 and outside == 1392
+    cfg = dst.DistillConfig(steps=2, learning_rate=1e-4, batch=2, seed=4)
+    tuned, trace = dst.finetune_adapter(bundle, wide, profile, [(x, c, None) for x, c in samples], cfg)
+    h = hashlib.sha256()
+    for nid in sorted(tuned.entries):
+        h.update(tuned.entries[nid].A.tobytes() + tuned.entries[nid].B.tobytes())
+    assert h.hexdigest() == SATURATED["factors"]
+    assert trace.to_csv() == SATURATED["trace"]
+
+
+@pytest.mark.parametrize("call", ("finetune", "qss"))
+def test_each_weight_is_quantized_once_per_call(call, w64, monkeypatch):
+    """Two steps of two samples, or two samples scored: every encoder,
+    backbone and decoder weight is quantized exactly once."""
+    bundle, adapters, samples, profile = w64
+    quantized = []
+    real = qp.quantize_array
+    monkeypatch.setattr(qp, "quantize_array", lambda t, p: quantized.append(id(t)) or real(t, p))
+    if call == "finetune":
+        cfg = dst.DistillConfig(steps=2, learning_rate=1e-4, batch=2, seed=4)
+        dst.finetune_adapter(bundle, adapters[1], profile, [(x, c, None) for x, c in samples], cfg)
+    else:
+        sv.qss(bundle, adapters[1], profile, samples, seed=4)
+    weights = {role: [id(g.constants[t]) for t in qt.weight_tids(g)] for role, g in bundle.graphs()}
+    assert len(samples) == 2 and all(weights.values())
+    assert sorted(quantized) == sorted(i for ids in weights.values() for i in ids)
+
+
+def test_reused_hooks_give_fresh_bits(w64):
+    """One hooks object serves a bundle, another bundle with the same
+    tensor ids but other weights, then the first again."""
+    bundle, adapters, samples, profile = w64
+    other = ms.build_bundle(ms.parse_model_spec(W64_MODEL.replace("seed 3", "seed 4")))
+    for (_, g), (_, h) in zip(bundle.graphs(), other.graphs()):
+        assert g.constants.keys() == h.constants.keys()
+    x, cond = samples[0]
+    hooks = qt.QuantSimHooks(profile)
+    for b, a in ((bundle, adapters[0]), (other, adapters[1]), (bundle, adapters[1])):
+        got = qt.execute_quantsim(b, profile, a, x, cond, seed=3, hooks=hooks)
+        assert got.tobytes() == qt.execute_quantsim(b, profile, a, x, cond, seed=3).tobytes()
+
+
+def test_hooks_of_another_profile_are_refused(toy_bundle, toy_adapter, toy_profile, toy_samples):
+    x, cond = toy_samples[0]
+    hooks = qt.QuantSimHooks(all16_profile(toy_bundle))
+    with pytest.raises(ValueError, match="another profile"):
+        qt.execute_quantsim(toy_bundle, toy_profile, toy_adapter, x, cond, hooks=hooks)

@@ -45,6 +45,15 @@ def reseal(data: bytes, payload: bytes) -> bytes:
     return bytes(head) + payload
 
 
+def with_lora_bits(pack: bytes, bits: int) -> bytes:
+    """``pack`` with the factor width byte of its header, after the
+    adapter id, rewritten to ``bits``."""
+    payload = bytearray(pack[20:])
+    (n,) = struct.unpack_from("<H", payload, 0)
+    payload[2 + n] = bits
+    return reseal(pack, bytes(payload))
+
+
 def mutate(data: bytes, rng: random.Random) -> bytes:
     """Change one payload byte and rewrite the header's crc32."""
     payload = bytearray(data[20:])
@@ -292,6 +301,18 @@ def test_pack_needs_one_factor_width(toy_bundle, toy_adapter, toy_profile, defec
         descriptors, match = [], r"share one bit width, not \[\]"
     with pytest.raises(PackError, match=match):
         cp.pack_lora(toy_adapter, descriptors)
+
+
+@pytest.mark.parametrize("bits", (3, 8))
+def test_a_pack_header_width_unlike_its_slots_is_a_format_error(toy_artifacts, bits):
+    """The toy pack's slots hold 16-bit factors."""
+    model, pack = toy_artifacts
+    assert cp.unpack_lora(with_lora_bits(pack, 16)).lora_bits == 16
+    with pytest.raises(FormatError, match=rf"pack lora_bits {bits}, not its A/B 16/16"):
+        cp.unpack_lora(with_lora_bits(pack, bits))
+    session = rt.load_model(model)
+    with pytest.raises(FormatError, match=f"lora_bits {bits}"):
+        rt.bind_lora(session, with_lora_bits(pack, bits))
 
 
 def test_an_adapter_id_past_the_string_limit_is_a_format_error(toy_bundle, toy_adapter, toy_profile):
