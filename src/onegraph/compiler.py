@@ -104,7 +104,9 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
 
     Every adapter-capable layer y = Wx splits into explicit dataflow
     y = Wx + alpha * A(Bx) with A, B, alpha as new graph inputs; the
-    frozen weight is never merged.  Returns (graph, slot descriptors).
+    frozen weight is never merged.  A descriptor's ``bits`` is its slot
+    parameters' one width, else ``CoverageError``.  Returns (graph, slot
+    descriptors).
     """
     gr.validate(g)
     out = g.copy()
@@ -121,6 +123,9 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
         b_params = shared.lora(node.id, "B")
         if a_params is None or b_params is None:
             raise CoverageError(f"shared profile lacks slot params for lora node {node.id}")
+        if a_params.bits != b_params.bits:
+            raise CoverageError(f"lora node {node.id}: slot params A/B are {a_params.bits}/"
+                                f"{b_params.bits} bits, not one width")
 
         t_a, t_b, t_alpha, t_wx, t_bx, t_abx, t_scaled = (next(tids) for _ in range(7))
         y_tid = node.output
@@ -130,7 +135,7 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
             slot_id=slot_id, target_node_id=node.id,
             a_tid=t_a, b_tid=t_b, alpha_tid=t_alpha,
             d_out=int(d_out), d_in=int(d_in), r_max=r_max,
-            bits=shared.lora_bits, a_params=a_params, b_params=b_params,
+            bits=a_params.bits, a_params=a_params, b_params=b_params,
         )
         descriptors.append(desc)
         out.inputs.append(gr.GraphInput(desc.a_name, t_a, (d_out, r_max)))
@@ -219,12 +224,10 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
     tids = itertools.count(out.next_tid())
     node_ids = itertools.count(out.next_node_id())
 
-    # scale's scalar operand (alpha) is exempt from quantization
     consumers = {}
     for n in out.nodes:
         for pos, t in enumerate(n.inputs):
-            if not (n.kind == "scale" and pos == 1):
-                consumers.setdefault(t, []).append((n, pos))
+            consumers.setdefault(t, []).append((n, pos))
 
     def rewire(old_tid, new_tid):
         moved = consumers.pop(old_tid, [])
@@ -246,7 +249,7 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
 
     # weights: integer payload + dequantize
     weight_dqs = []
-    for tid in qt.weight_tids(g):
+    for tid in gr.weight_tids(g):
         p = profile.weight(role, tid)
         if p is None:
             raise CoverageError(f"profile does not cover {role}.w.{tid}")
@@ -261,24 +264,18 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
             gi.dtype = gr.storage_name(p)
             slot_dqs.append(dequantize(gi.tid, p))
 
-    # covered fp32 inputs and node outputs get a quantize/dequantize pair
-    input_pairs = []
-    for gi in out.inputs:
-        if gi.dtype != "fp32" or gi.tid in slot_tids:
-            continue
-        p = profile.act(role, gi.tid)
-        if p is not None:
-            input_pairs.append(act_pair(gi.tid, p))
+    # covered activations, but for the slot inputs, get a quantize/dequantize pair
+    acts = {tid: p for tid in gr.act_tids(g) if tid not in slot_tids
+            and (p := profile.act(role, tid)) is not None}
+    input_pairs = [act_pair(gi.tid, acts[gi.tid]) for gi in out.inputs if gi.tid in acts]
 
     nodes = [n for pair in reversed(input_pairs) for n in pair]
     nodes += reversed(slot_dqs)
     nodes += reversed(weight_dqs)
     for node in out.nodes:
         nodes.append(node)
-        if node.kind in gr.FP_KINDS:
-            p = profile.act(role, node.output)
-            if p is not None:
-                nodes += act_pair(node.output, p)
+        if node.output in acts:
+            nodes += act_pair(node.output, acts[node.output])
     out.nodes = nodes
 
     gr.validate(out)

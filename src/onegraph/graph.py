@@ -21,9 +21,12 @@ The interpreter is prepare + invoke, as in TFLite Micro (David et al.
 2020, arXiv:2010.08678).  ``prepare`` runs once per graph, role, adapter
 and hooks: it resolves each node's kernel, each operand's index into
 one operand table (the constants, and the arrays the hooks place
-tensors in), each adapter factor as the hooks give it, and the hook
-calls the hooks object overrides.
-``invoke`` is a flat loop over the nodes that calls each kernel.
+tensors in), each weight and adapter factor as the hooks give it, and
+the function the hooks apply to each activation.  Which tensors are
+weights and activations is stated once, by ``weight_tids`` and
+``act_tids``, for QuantSim, calibration and the compiler alike.
+``invoke`` is a flat loop over the nodes that calls each kernel, and
+each activation's function where the hooks gave one.
 ``run_graph`` runs one graph, preparing it unless it is given its
 program; ``run_bundle`` prepares each graph once per call, and a
 runtime session prepares its three at load.  QuantSim, fp, observer,
@@ -158,6 +161,25 @@ def _qparams(n, key):
 
 def storage_name(p: qp.QuantParams) -> str:
     return tz.name_of(qp.storage_dtype(p.bits, p.signed))
+
+
+def weight_tids(g: Graph) -> list:
+    """The quantizable weights, in first-use order: every fp32 constant a
+    node reads, except the scalar operand of a ``scale`` node."""
+    tids = {}   # insertion-ordered set
+    for n in g.nodes:
+        for pos, tid in enumerate(n.inputs):
+            if (tid in g.constants and g.constants[tid].dtype == np.float32
+                    and not (n.kind == "scale" and pos == 1)):
+                tids[tid] = None
+    return list(tids)
+
+
+def act_tids(g: Graph) -> list:
+    """The quantizable activations: the fp32 graph inputs, then every
+    output of a node of an ``FP_KINDS`` kind, in node order."""
+    return ([gi.tid for gi in g.inputs if gi.dtype == "fp32"]
+            + [n.output for n in g.nodes if n.kind in FP_KINDS])
 
 
 def infer_shapes(g: Graph) -> dict:
@@ -421,16 +443,21 @@ def _act(x, kind, tape):
 
 class _NullHooks:
     """Plain floating-point execution: no quantization, no observation,
-    no placement.  Hooks are the interpreter's one extension point.
+    no placement.  Hooks are the interpreter's one extension point, and
+    all but ``product`` are asked once, by ``prepare``:
 
-    ``prepare`` asks ``place`` once for each graph input and node
-    output and ``lora_factor`` once for each adapter factor, and keeps
-    ``input_value``, ``weight_value`` and ``node_output`` only where a
-    subclass overrides them, so a run calls no hook that would hand its
-    value back unchanged.
-    ``product`` computes the operand products of ``matmul`` and
-    ``lora_matmul`` nodes; ``which`` names the left factor: ``"W"`` for
-    the node's own product of its two inputs, ``"B"`` and ``"A"`` for an
+    * ``place`` for each graph input and node output;
+    * ``weight_value`` for each weight (``weight_tids``), whose result
+      every read of the weight sees;
+    * ``lora_factor`` for each adapter factor;
+    * ``act_fn`` for each activation (``act_tids``): it returns the
+      function a run applies to that tensor's value, or None.
+
+    ``prepare`` asks a hook only where a subclass overrides it, so a run
+    calls no hook that would hand its value back unchanged.  ``product``
+    computes the operand products of ``matmul`` and ``lora_matmul``
+    nodes on every run; ``which`` names the left factor: ``"W"`` for the
+    node's own product of its two inputs, ``"B"`` and ``"A"`` for an
     adapter's B x and A (B x).
     """
 
@@ -439,17 +466,16 @@ class _NullHooks:
         keep each value as its kernel returns it."""
         return None
 
-    def input_value(self, role, tid, value, tape):
-        return value
-
     def weight_value(self, role, tid, value, tape):
         return value
 
     def lora_factor(self, role, node_id, which, value, tape):
         return value
 
-    def node_output(self, role, node, value, tape):
-        return value
+    def act_fn(self, role, tid):
+        """A ``(value, tape) -> value`` function that each run applies to
+        activation ``tid`` as it is fed or computed, or None."""
+        return None
 
     def product(self, role, node, which, a, b, tape):
         return _mm(a, b, tape)
@@ -469,23 +495,24 @@ class Program:
     """A graph prepared for one role, adapter and hooks (``prepare``).
 
     ``values`` is the operand table, indexed by tensor id.  It holds
-    each constant, and each graph input and node output that was placed,
-    as the array it was placed in, from ``prepare`` on; a run enters
-    the other tensors as it computes them.  ``kernels[i]`` runs the
-    graph's node i and stores its output in ``views[i]`` when that output
-    was placed (``views`` is None when nothing was).  ``reads[i]`` lists
-    the weights that node i reads through ``weight_hook`` (None
-    without one), and ``lora`` maps each ``lora_matmul`` that the
-    adapter covers to its factors A and B, as the hooks' ``lora_factor``
-    returned them, and alpha.
+    each constant (each weight as ``weight_value`` gave it), and each
+    graph input and node output that was placed, as the array it was
+    placed in, from ``prepare`` on; a run enters the other tensors as it
+    computes them.  ``inputs`` pairs each graph input with its placed
+    array and its ``act_fn`` function, either of them None.
+    ``kernels[i]`` runs the graph's node i and stores its output in
+    ``views[i]`` when that output was placed (``views`` is None when
+    nothing was); ``acts[i]`` is the ``act_fn`` function of its output
+    (``acts`` is None when no tensor has one).  ``lora`` maps each
+    ``lora_matmul`` that the adapter covers to its factors A and B, as
+    the hooks' ``lora_factor`` returned them, and alpha.
     """
 
-    __slots__ = ("graph", "role", "hooks", "kernels", "views", "values", "inputs", "reads", "lora",
-                 "input_hook", "weight_hook", "output_hook")
+    __slots__ = ("graph", "role", "hooks", "kernels", "views", "values", "inputs", "acts", "lora")
 
     def set_constants(self, arrays: dict) -> None:
         """Replace constants of the graph, and point every step that
-        reads them at the new arrays."""
+        reads them at the new arrays, as given."""
         self.graph.constants.update(arrays)
         for tid, arr in arrays.items():
             self.values[tid] = arr
@@ -499,6 +526,8 @@ def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=No
     the operand table, and its output the array ``hooks.place`` gives,
     if any; so do the graph inputs.  ``shapes`` (tid -> (shape, dtype))
     is what ``place`` is told, ``infer_shapes(g)`` when not given.  Each
+    weight enters the table as ``hooks.weight_value`` returns it, and
+    each activation gets the function ``hooks.act_fn`` returns.  Each
     ``lora_matmul`` that ``adapter`` covers gets its entry's factors,
     whose shapes are checked here, passed once through
     ``hooks.lora_factor`` with ``tape``, and alpha as a one-element fp32
@@ -507,8 +536,6 @@ def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=No
     """
     p = Program()
     p.graph, p.role, p.hooks = g, role, hooks
-    p.input_hook, p.weight_hook, p.output_hook = (
-        _overridden(hooks, name) for name in ("input_value", "weight_value", "node_output"))
     p.kernels = [_KERNELS.get(n.kind) for n in g.nodes]
     if None in p.kernels:
         n = g.nodes[p.kernels.index(None)]
@@ -520,21 +547,24 @@ def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=No
 
     place = _overridden(hooks, "place")
     if place is None:
-        p.inputs, p.views = [(gi, None) for gi in g.inputs], None
+        views, p.views = [None] * len(g.inputs), None
     else:
         shapes = infer_shapes(g) if shapes is None else shapes
-        p.inputs = [(gi, place(role, gi.tid, *shapes[gi.tid])) for gi in g.inputs]
+        views = [place(role, gi.tid, *shapes[gi.tid]) for gi in g.inputs]
         p.views = [place(role, n.output, *shapes[n.output]) for n in g.nodes]
-        for gi, view in p.inputs:
+        for gi, view in zip(g.inputs, views):
             values[gi.tid] = view
         for n, view in zip(g.nodes, p.views):
             values[n.output] = view
 
-    # fp32 constants are quantizable weights, except a scale factor
-    p.reads = None if p.weight_hook is None else [
-        tuple(t for t in n.inputs if t in g.constants and g.constants[t].dtype == np.float32
-              and not (n.kind == "scale" and t == n.inputs[1]))
-        for n in g.nodes]
+    weight = _overridden(hooks, "weight_value")
+    for tid in weight_tids(g) if weight is not None else ():
+        values[tid] = weight(role, tid, g.constants[tid], tape)
+    act = _overridden(hooks, "act_fn")
+    fns = {} if act is None else {tid: act(role, tid) for tid in act_tids(g)}
+    p.inputs = [(gi, view, fns.get(gi.tid)) for gi, view in zip(g.inputs, views)]
+    p.acts = [fns.get(n.output) for n in g.nodes] if any(fns.values()) else None
+
     p.lora = {}
     factor = _overridden(hooks, "lora_factor")
     for n in g.nodes if adapter is not None else ():
@@ -554,13 +584,12 @@ def invoke(p: Program, feeds: dict, tape=None) -> dict:
 
     ``feeds`` maps input names to arrays, each copied into its placed
     array if it has one.  ``tape`` records primitives for
-    differentiation.  A step is the node's kernel and nothing else,
-    unless the hooks override ``weight_value`` (called on each weight a
-    node reads, for that node alone) or ``node_output`` (called on each
-    output as stored).
+    differentiation.  A step is the node's kernel and nothing else, and
+    calls no hook but ``product``; a graph input or node output with an
+    ``act_fn`` function is stored as that function returns it.
     """
-    vals, role = p.values, p.role
-    for gi, view in p.inputs:
+    vals = p.values
+    for gi, view, fn in p.inputs:
         if gi.name not in feeds:
             raise ShapeError(f"missing graph input {gi.name!r}")
         v = np.asarray(feeds[gi.name])
@@ -568,26 +597,21 @@ def invoke(p: Program, feeds: dict, tape=None) -> dict:
             raise ShapeError(f"input {gi.name!r}: expected shape {tuple(gi.shape)}, got {v.shape}")
         if tz.dtype_name(v) != gi.dtype:
             raise ShapeError(f"input {gi.name!r}: expected dtype {gi.dtype}")
-        if p.input_hook is not None:
-            v = p.input_hook(role, gi.tid, v, tape)
+        if fn is not None:
+            v = fn(v, tape)
         if view is not None:
             view[...] = v
             v = view
         vals[gi.tid] = v
 
     steps = zip(p.kernels, p.graph.nodes, p.views or repeat(None))
-    if p.weight_hook is None and p.output_hook is None:
+    if p.acts is None:
         for kernel, node, view in steps:
             vals[node.output] = kernel(vals, node, view, tape, p)
     else:
-        consts = p.graph.constants
-        for (kernel, node, view), weights in zip(steps, p.reads or repeat(())):
-            for t in weights:
-                vals[t] = p.weight_hook(role, t, consts[t], tape)
+        for (kernel, node, view), fn in zip(steps, p.acts):
             out = kernel(vals, node, view, tape, p)
-            for t in weights:
-                vals[t] = consts[t]
-            vals[node.output] = out if p.output_hook is None else p.output_hook(role, node, out, tape)
+            vals[node.output] = out if fn is None else fn(out, tape)
     return {name: vals[tid] for name, tid in p.graph.outputs}
 
 

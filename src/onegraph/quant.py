@@ -1,10 +1,19 @@
 """Calibration and simulated-quantization execution.
 
 A :class:`QuantProfile` maps every quantizable tensor of a model
-bundle to affine parameters.  Weights are always 8-bit; activations
-follow the policy (w8a16, w8a8, or a mixed split); adapter factors use
-the profile's ``lora_bits``.  QuantSim execution keeps the fp dataflow
-but routes every covered tensor through dequantize(quantize(.)).
+bundle to affine parameters: each weight (``graph.weight_tids``), each
+activation (``graph.act_tids``) and each adapter factor slot.  Weights
+are always 8-bit; activations follow the policy (w8a16, w8a8, or a
+mixed split); adapter factors use the profile's ``lora_bits``.
+QuantSim execution keeps the fp dataflow but routes every covered
+tensor through dequantize(quantize(.)).
+
+Both hooks classes here resolve each tensor when ``graph.prepare`` asks,
+once per graph per run, never per node or per backbone pass.
+:class:`QuantSimHooks` looks up each tensor's params there, so a tensor
+the profile does not cover raises ``CoverageError`` before any kernel
+runs; its ``act_fn`` returns the fake-quant that each invoke applies.
+:class:`ObserverHooks` binds each activation's :class:`Observer` there.
 
 QuantSim computes products as the compiled graph does.  A product whose
 two operands it fake-quantized (a dense W x, and an adapter layer's W x
@@ -23,6 +32,7 @@ once, offline (Jacob et al. 2018, arXiv:1712.05877):
   which the dataflow sees.  W x is ``qparams.tiled_matmul`` on those
   levels, the kernel of the runtime's ``qlinear`` and ``qlora``.  A
   weight's fake-quant is never taped: no gradient flows into a weight.
+  ``graph.prepare`` puts W_hat into the operand table once per run.
 * once per run, each adapter factor: ``graph.prepare`` passes A and B
   through ``lora_factor``, and B's levels are kept with B_hat.
 * once per layer, its input's levels, which W x and B x share, as the
@@ -131,35 +141,11 @@ class QuantProfile:
         return self.weight_params.get(f"backbone.lora.{node_id}.{which}")
 
 
-def weight_tids(g: gr.Graph) -> list:
-    """Constant tensors that count as quantizable weights, in first-use order.
-
-    Mirrors the engine rule: every fp32 constant consumed by a node,
-    except the scalar operand of a ``scale`` node.
-    """
-    tids = {}   # insertion-ordered set
-    for n in g.nodes:
-        for pos, tid in enumerate(n.inputs):
-            if tid in g.constants and tid not in tids:
-                if n.kind == "scale" and pos == 1:
-                    continue
-                if g.constants[tid].dtype == np.float32:
-                    tids[tid] = None
-    return list(tids)
-
-
-def act_keys(g: gr.Graph, role: str) -> list:
-    """Activation keys: fp32 graph inputs plus every fp node output."""
-    keys = [f"{role}.a.{gi.tid}" for gi in g.inputs if gi.dtype == "fp32"]
-    keys += [f"{role}.a.{n.output}" for n in g.nodes if n.kind in gr.FP_KINDS]
-    return keys
-
-
 def required_keys(bundle: gr.ModelBundle) -> list:
     keys = []
     for role, g in bundle.graphs():
-        keys += [f"{role}.w.{tid}" for tid in weight_tids(g)]
-        keys += act_keys(g, role)
+        keys += [f"{role}.w.{tid}" for tid in gr.weight_tids(g)]
+        keys += [f"{role}.a.{tid}" for tid in gr.act_tids(g)]
     for n in bundle.backbone.lora_nodes():
         keys += [f"backbone.lora.{n.id}.A", f"backbone.lora.{n.id}.B"]
     return keys
@@ -204,17 +190,6 @@ class QuantSimHooks(gr._NullHooks):
             tape.record("fq", (value,), out, p)
         return out
 
-    def _lookup_act(self, role, tid):
-        p = self.profile.act(role, tid)
-        if p is None:
-            raise CoverageError(f"profile does not cover {role}.a.{tid}")
-        return p
-
-    def input_value(self, role, tid, value, tape):
-        if value.dtype != np.float32:
-            return value
-        return self._fq(value, self._lookup_act(role, tid), tape)
-
     def weight_value(self, role, tid, value, tape):
         w = self._weights.get((role, tid))
         if w is None or w.source is not value:
@@ -231,15 +206,14 @@ class QuantSimHooks(gr._NullHooks):
             raise CoverageError(f"profile does not cover backbone.lora.{node_id}.{which}")
         return self._fq(value, p, tape)
 
-    def node_output(self, role, node, value, tape):
-        if node.kind not in gr.FP_KINDS or value.dtype != np.float32:
-            return value
-        return self._fq(value, self._lookup_act(role, node.output), tape)
+    def act_fn(self, role, tid):
+        p = self.profile.act(role, tid)
+        if p is None:
+            raise CoverageError(f"profile does not cover {role}.a.{tid}")
+        return lambda value, tape: self._fq(value, p, tape)
 
-    def _operand(self, role, tid, value):
-        """The params ``value``, the fp32 tensor ``tid``, was fake-quantized with."""
-        if value.dtype != np.float32:
-            return None
+    def _operand(self, role, tid):
+        """The params tensor ``tid`` was fake-quantized with, if any."""
         p = self.profile.weight(role, tid)
         return self.profile.act(role, tid) if p is None else p
 
@@ -257,8 +231,8 @@ class QuantSimHooks(gr._NullHooks):
         if which == "B":
             p_a = self.profile.lora(node.id, "B")
         else:
-            p_a = self._operand(role, node.inputs[0], a)
-        p_b = self._operand(role, node.inputs[1], b)
+            p_a = self._operand(role, node.inputs[0])
+        p_b = self._operand(role, node.inputs[1])
         if p_a is None or p_b is None:
             return gr._mm(a, b, tape)
         c_b = self._centred("x", b, p_b)
@@ -280,18 +254,15 @@ class ObserverHooks(gr._NullHooks):
     def __init__(self, observers: dict):
         self.observers = observers
 
-    def _observe(self, key, value):
-        if value.dtype == np.float32:
-            self.observers.setdefault(key, Observer(key)).update(value)
-        return value
+    def act_fn(self, role, tid):
+        key = f"{role}.a.{tid}"
+        update = self.observers.setdefault(key, Observer(key)).update
 
-    def input_value(self, role, tid, value, tape):
-        return self._observe(f"{role}.a.{tid}", value)
-
-    def node_output(self, role, node, value, tape):
-        if node.kind not in gr.FP_KINDS:
+        def observe(value, tape):
+            update(value)
             return value
-        return self._observe(f"{role}.a.{node.output}", value)
+
+        return observe
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +289,7 @@ def finalize_act_params(observers: dict, policy: Policy) -> dict:
 
 
 def weight_params_for_graph(g: gr.Graph, role: str) -> dict:
-    return {f"{role}.w.{tid}": range_params(g.constants[tid], WEIGHT_BITS) for tid in weight_tids(g)}
+    return {f"{role}.w.{tid}": range_params(g.constants[tid], WEIGHT_BITS) for tid in gr.weight_tids(g)}
 
 
 def lora_slot_params(bundle: gr.ModelBundle, adapters, lora_bits: int) -> dict:
@@ -430,8 +401,9 @@ def profile_to_text(profile: QuantProfile) -> str:
 
 
 def profile_from_text(text: str) -> QuantProfile:
-    """Parse ``profile_to_text``'s format; a line that does not parse, or a
-    text without a policy line, is a FormatError."""
+    """Parse ``profile_to_text``'s format; a line that does not parse, a
+    text without a policy line, or a ``lora_bits`` other than 8 or 16 or
+    than every slot entry's width, is a FormatError."""
     policy = None
     lora_bits = 16
     weight_params = {}
@@ -467,5 +439,10 @@ def profile_from_text(text: str) -> QuantProfile:
             weight_params[key] = p
     if policy is None:
         raise FormatError("profile text lacks a policy line")
+    if lora_bits not in (8, 16):
+        raise FormatError(f"profile lora_bits {lora_bits}, not 8 or 16")
+    for key, p in weight_params.items():
+        if key.startswith("backbone.lora.") and p.bits != lora_bits:
+            raise FormatError(f"profile lora_bits {lora_bits}, but {key} has {p.bits} bits")
     return QuantProfile(weight_params=weight_params, act_params=act_params,
                         policy=policy, lora_bits=lora_bits)

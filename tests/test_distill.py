@@ -12,8 +12,11 @@
 * One ``finetune_adapter`` or ``qss`` call quantizes each frozen weight
   once, and QuantSim hooks reused across bundles give a fresh object's
   bits.
+* One QuantSim run asks its per-tensor hooks once per tensor, at
+  prepare, however many backbone passes it makes.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -176,7 +179,7 @@ def test_each_weight_is_quantized_once_per_call(call, w64, monkeypatch):
         dst.finetune_adapter(bundle, adapters[1], profile, [(x, c, None) for x, c in samples], cfg)
     else:
         sv.qss(bundle, adapters[1], profile, samples, seed=4)
-    weights = {role: [id(g.constants[t]) for t in qt.weight_tids(g)] for role, g in bundle.graphs()}
+    weights = {role: [id(g.constants[t]) for t in gr.weight_tids(g)] for role, g in bundle.graphs()}
     assert len(samples) == 2 and all(weights.values())
     assert sorted(quantized) == sorted(i for ids in weights.values() for i in ids)
 
@@ -200,3 +203,38 @@ def test_hooks_of_another_profile_are_refused(toy_bundle, toy_adapter, toy_profi
     hooks = qt.QuantSimHooks(all16_profile(toy_bundle))
     with pytest.raises(ValueError, match="another profile"):
         qt.execute_quantsim(toy_bundle, toy_profile, toy_adapter, x, cond, hooks=hooks)
+
+
+class _CountingHooks(qt.QuantSimHooks):
+    """QuantSim that lists the tensors its per-tensor hooks are asked for."""
+
+    def __init__(self, profile):
+        super().__init__(profile)
+        self.asked = {"weight_value": [], "lora_factor": [], "act_fn": []}
+
+    def weight_value(self, role, tid, value, tape):
+        self.asked["weight_value"].append((role, tid))
+        return super().weight_value(role, tid, value, tape)
+
+    def lora_factor(self, role, node_id, which, value, tape):
+        self.asked["lora_factor"].append((node_id, which))
+        return super().lora_factor(role, node_id, which, value, tape)
+
+    def act_fn(self, role, tid):
+        self.asked["act_fn"].append((role, tid))
+        return super().act_fn(role, tid)
+
+
+@pytest.mark.parametrize("steps", (1, 2, 5))
+def test_quantsim_asks_each_tensor_once_per_run(steps, toy_bundle, toy_adapter, toy_profile, toy_samples):
+    """``weight_value`` once per weight, ``lora_factor`` once per factor and
+    ``act_fn`` once per activation of each graph, in the order ``prepare``
+    meets them, whatever the number of backbone passes; same bits."""
+    bundle = dataclasses.replace(toy_bundle, steps=steps)
+    x, cond = toy_samples[0]
+    hooks = _CountingHooks(toy_profile)
+    got = qt.execute_quantsim(bundle, toy_profile, toy_adapter, x, cond, seed=3, hooks=hooks)
+    for name, tids in (("weight_value", gr.weight_tids), ("act_fn", gr.act_tids)):
+        assert hooks.asked[name] == [(role, t) for role, g in bundle.graphs() for t in tids(g)]
+    assert hooks.asked["lora_factor"] == [(n.id, w) for n in bundle.backbone.lora_nodes() for w in "AB"]
+    assert got.tobytes() == qt.execute_quantsim(bundle, toy_profile, toy_adapter, x, cond, seed=3).tobytes()

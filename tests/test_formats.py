@@ -25,7 +25,7 @@ from onegraph import modelspec as ms
 from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
-from onegraph.errors import BindError, FormatError, GraphError, PackError
+from onegraph.errors import BindError, CoverageError, FormatError, GraphError, PackError
 from onegraph.qparams import QuantParams
 
 TRIALS = 200
@@ -313,6 +313,40 @@ def test_a_pack_header_width_unlike_its_slots_is_a_format_error(toy_artifacts, b
     session = rt.load_model(model)
     with pytest.raises(FormatError, match=f"lora_bits {bits}"):
         rt.bind_lora(session, with_lora_bits(pack, bits))
+
+
+def test_descriptor_bits_are_the_slot_width(toy_artifacts, toy_bundle, toy_profile):
+    """A profile header's ``lora_bits`` unlike its 16-bit slot entries
+    changes no artifact byte: the descriptors take the slots' width."""
+    model, _ = toy_artifacts
+    header8 = dataclasses.replace(toy_profile, lora_bits=8)
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, header8)
+    assert {d.bits for d in descriptors} == {16}
+    again = cp.freeze(frozen, header8, descriptors, name="toy")
+    assert again == model
+    rt.load_model(again)
+
+
+def test_slot_params_of_two_widths_are_a_coverage_error(toy_bundle, toy_profile):
+    nid = toy_bundle.backbone.lora_nodes()[0].id
+    key = f"backbone.lora.{nid}.B"
+    p = toy_profile.weight_params[key]
+    mixed = dataclasses.replace(toy_profile, weight_params={
+        **toy_profile.weight_params, key: QuantParams(p.scale, 0, 8)})
+    with pytest.raises(CoverageError, match=rf"lora node {nid}: slot params A/B are 16/8 bits"):
+        cp.optimize_for_freeze(toy_bundle, mixed)
+
+
+@pytest.mark.parametrize("bits", (3, 8))
+def test_a_profile_header_width_unlike_its_slots_is_a_format_error(toy_profile, bits):
+    """The toy profile's slot entries are 16-bit; 3 is no factor width."""
+    text = qt.profile_to_text(toy_profile)
+    assert qt.profile_from_text(text).lora_bits == 16
+    bad = text.replace("lora_bits 16\n", f"lora_bits {bits}\n")
+    assert bad != text
+    match = "not 8 or 16" if bits == 3 else r"lora_bits 8, but backbone\.lora\.\d+\.[AB] has 16 bits"
+    with pytest.raises(FormatError, match=match):
+        qt.profile_from_text(bad)
 
 
 def test_an_adapter_id_past_the_string_limit_is_a_format_error(toy_bundle, toy_adapter, toy_profile):

@@ -40,7 +40,7 @@ def hand_graph():
              gr.Node(6, "add", [5, 15], 16)]
     g = gr.Graph(nodes, [gr.GraphInput("x", 0, (4, 2))], [("y", 16), ("w", 11)], constants)
     profile = qt.QuantProfile(policy=qt.Policy("w8a16"), lora_bits=16)
-    for tid in qt.weight_tids(g):
+    for tid in gr.weight_tids(g):
         profile.weight_params[f"r.w.{tid}"] = qp.compute_quant_params(-1.0, 1.0, 8)
     for tid in (0, 11, 12, 14, 15, 16):   # 10 stays fp32, so its add is a bias
         profile.act_params[f"r.a.{tid}"] = qp.compute_quant_params(-4.0, 4.0, 16)
@@ -112,3 +112,24 @@ def test_an_unread_input_costs_no_node():
     assert not [n for n in frozen.backbone.nodes if q.inputs[0] in n.inputs]
     model = cp.freeze(frozen, profile, descriptors, name="unread")
     assert hashlib.sha256(model).hexdigest() == PINNED_UNREAD_MODEL
+
+
+def test_constant_fold_folds_an_all_constant_subgraph():
+    """W1 W2 + b is folded (a matmul, then the add that reads it and a
+    constant); the product with the input and what follows it stay.  The
+    folded graph computes the unfolded one's outputs bit for bit."""
+    rng = np.random.default_rng(1)
+    c = {t: rng.uniform(-1, 1, s).astype(np.float32) for t, s in ((1, (3, 5)), (2, (5, 4)), (3, (3, 4)))}
+    nodes = [gr.Node(0, "matmul", [1, 2], 10), gr.Node(1, "add", [10, 3], 11),
+             gr.Node(2, "matmul", [11, 0], 12), gr.Node(3, "activation", [12], 13, {"kind": "silu"})]
+    g = gr.Graph(nodes, [gr.GraphInput("x", 0, (4, 2))], [("y", 13), ("wb", 11)], c)
+    folded = cp.constant_fold(g)
+    gr.validate(folded)
+    assert [n.id for n in folded.nodes] == [2, 3]
+    assert sorted(folded.constants) == [1, 2, 3, 10, 11]
+    x = rng.standard_normal((4, 2)).astype(np.float32)
+    want, got = gr.run_graph(g, {"x": x}), gr.run_graph(folded, {"x": x})
+    assert want.keys() == got.keys()
+    for name in want:
+        assert want[name].dtype == got[name].dtype and want[name].tobytes() == got[name].tobytes()
+    assert [n.id for n in g.nodes] == [0, 1, 2, 3]
