@@ -31,6 +31,10 @@ EXIT_USAGE = 2
 _DEFAULTS = {"seed": 0, "policy": "w8a16", "lora_bits": 16, "tie_eps": 0.05}
 
 
+BATCH_HELP = ("samples per distillation step, default every sample; a step runs them as one "
+              "QuantSim run, so its tape holds all of them at once")
+
+
 class UsageError(Exception):
     pass
 
@@ -302,16 +306,20 @@ def cmd_pipeline(args):
         cfg = _distill_config(args, samples)
 
         stage = "calibrate+qss"
+        # calibration and distillation both take --seed, so calibration's
+        # fp outputs are the distillation teachers
+        teachers = {}
         shared, report = sv.build_shared_profile(
             bundle, adapters, samples, args.policy_obj, args.tie_eps,
-            lora_bits=args.lora_bits, seed=args.seed)
+            lora_bits=args.lora_bits, seed=args.seed, outputs=teachers)
         _write(os.path.join(out_dir, "profile.txt"), qt.profile_to_text(shared))
         _write(os.path.join(out_dir, "qss_report.txt"), report.to_text())
 
         stage = "distill"
         exclude = {report.anchor} if report.anchor != sv.UNIFIED else set()
         distill_data = [(x, c, None) for x, c in samples]
-        results = dst.align_adapters(bundle, adapters, shared, distill_data, cfg, exclude=exclude)
+        results = dst.align_adapters(bundle, adapters, shared, distill_data, cfg, exclude=exclude,
+                                     teachers=teachers)
         tuned = []
         for adapter, trace in results:
             tuned.append(adapter)
@@ -388,7 +396,7 @@ def build_parser():
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--lambda-task", dest="lambda_task", type=float, default=0.1)
-    p.add_argument("--batch", type=int, default=0)
+    p.add_argument("--batch", type=int, default=0, help=BATCH_HELP)
     p.add_argument("--out-adapter", dest="out_adapter", required=True)
     p.add_argument("--trace", required=True)
     p.set_defaults(func=cmd_distill)
@@ -435,7 +443,7 @@ def build_parser():
     p.add_argument("--steps", type=int, default=60)
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--lambda-task", dest="lambda_task", type=float, default=0.0)
-    p.add_argument("--batch", type=int, default=0)
+    p.add_argument("--batch", type=int, default=0, help=BATCH_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pipeline)
 

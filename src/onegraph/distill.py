@@ -15,6 +15,19 @@ gradients.  Where the mask is 1 that is the sum itself.  Where it is
 0 the factor entry lies outside a range that holds 0, so the entry is
 nonzero and the update ``A - lr * (+-0)`` leaves its bits.
 
+A step runs its samples as one QuantSim run, sample j in column block j
+(``graph.run_bundle``), and every block's output, loss and output
+gradient has the bits of the sample's own run.  The vjps into
+column-shaped tensors are elementwise or column-wise
+(``tensor.matmul``), so each block of their gradients keeps those bits
+too.  One vjp sums over the columns: the factor side of a product,
+``matmul(g, b.T)`` into A_hat or B_hat.  ``_backward`` takes it block
+by block and keeps a factor's gradient as one array per block, through
+the sum over the passes and the straight-through mask, as the per-sample
+runs did.  The blocks are added last, in sample order and from +0.0, as
+the per-sample loop added its samples' gradients.  So stacking changes
+no bit of the factors.
+
 Reverse mode runs over the active part of the tape only.  A tape tensor
 is active when it depends on a factor array; one forward sweep over the
 entries finds them.  No vjp goes into an inactive input: no gradient
@@ -88,13 +101,17 @@ def recon_loss(teacher_out: np.ndarray, student_out: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
+def _backward(tape: gr.Tape, seeds: dict, params, blocks: int = 1) -> dict:
     """Walk the active tape in reverse; returns id(param) -> grad for ``params``.
 
     ``seeds`` maps id(output) -> output gradient.  A tensor is active when
     it is one of ``params`` or an entry output with an active input; vjps
     go into active inputs only (see the module docstring for why the
-    gradients of ``params`` keep their bits).
+    gradients of ``params`` keep their bits).  The tape is a run of
+    ``blocks`` column blocks; with more than one, the gradient of a
+    product's left operand is a list of one array per block, and a
+    parameter's blocks are added in block order.  Each gradient returned
+    is a sum from +0.0, as the per-sample loop added its samples.
     """
     active = {id(p) for p in params}
     for _op, inputs, out, _ctx in tape.entries:
@@ -106,10 +123,12 @@ def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
 
     def acc(arr, g):
         key = id(arr)
-        if key in grads:
-            grads[key] = grads[key] + g
-        else:
+        if key not in grads:
             grads[key] = g
+        elif isinstance(g, list):
+            grads[key] = [old + new for old, new in zip(grads[key], g)]
+        else:
+            grads[key] = grads[key] + g
 
     def live(arr):
         return id(arr) in active
@@ -121,7 +140,12 @@ def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
         if op == "matmul":
             a, b = inputs
             if live(a):
-                acc(a, matmul(g, b.T))
+                if blocks == 1:
+                    acc(a, matmul(g, b.T))
+                else:
+                    cols = g.shape[1] // blocks
+                    acc(a, [matmul(g[:, c0:c0 + cols], b[:, c0:c0 + cols].T)
+                            for c0 in range(0, g.shape[1], cols)])
             if live(b):
                 acc(b, matmul(a.T, g))
         elif op == "add":
@@ -148,10 +172,12 @@ def _backward(tape: gr.Tape, seeds: dict, params) -> dict:
                 sig = sigmoid(x)
                 acc(x, g * (sig * (1.0 + x * (1.0 - sig))).astype(np.float32))
         elif op == "fq":
-            acc(inputs[0], g * ste_mask(inputs[0], ctx))
+            mask = ste_mask(inputs[0], ctx)
+            acc(inputs[0], [gb * mask for gb in g] if isinstance(g, list) else g * mask)
         else:
             raise NotImplementedError(f"no vjp for {op}")
-    return {id(p): grads[id(p)] for p in params if id(p) in grads}
+    return {id(p): sum(g, 0.0) if isinstance(g, list) else 0.0 + g
+            for p in params if (g := grads.get(id(p))) is not None}
 
 
 def _working_adapter(adapter: gr.LoRAAdapter) -> gr.LoRAAdapter:
@@ -168,52 +194,67 @@ def student_step(bundle, shared, adapter, batch, teachers, lambda_task, seed_bas
     ``batch`` is a list of (sample_index, x, cond, target) tuples;
     ``teachers`` caches the frozen teacher output per sample index.
     ``hooks`` is the ``QuantSimHooks`` of ``shared`` that the student
-    runs share (see ``quant.execute_quantsim``).
+    runs share (see ``quant.execute_quantsim``).  The student is one
+    taped run of the whole batch, sample j in column block j with noise
+    seed ``seed_base`` + its index; a sample may come more than once.
+    Losses and gradients have the bits of a run per sample (see the
+    module docstring).
     """
     recon_sum = 0.0
     task_sum = 0.0
-    grads_total = {}
     inv = np.float32(1.0 / len(batch))
     factors = {(nid, which): getattr(entry, which)
                for nid, entry in adapter.entries.items() for which in ("A", "B")}
-    for idx, x, cond, target in batch:
-        tape = gr.Tape()
-        student = qt.execute_quantsim(bundle, shared, adapter, x, cond, seed=seed_base + idx, tape=tape,
-                                      hooks=hooks)
+    x, cond = gr.stack_samples([(x, cond) for _, x, cond, _ in batch])
+    tape = gr.Tape()
+    out = qt.execute_quantsim(bundle, shared, adapter, x, cond,
+                              seed=[seed_base + idx for idx, *_ in batch], tape=tape, hooks=hooks)
+    seed_g = []
+    for (idx, _, _, target), student in zip(batch, gr.split_blocks(out, len(batch))):
         teacher = teachers[idx]
         recon_sum += recon_loss(teacher, student)
-        seed_g = (np.float32(2.0 / student.size) * inv) * (student - teacher)
+        g = (np.float32(2.0 / student.size) * inv) * (student - teacher)
         if lambda_task > 0 and target is not None:
             task_sum += recon_loss(target, student)
-            seed_g = seed_g + (np.float32(2.0 * lambda_task / student.size) * inv) * (student - target)
-        grads = _backward(tape, {id(student): seed_g}, factors.values())
-        for key, arr in factors.items():
-            g = grads.get(id(arr))
-            if g is not None:
-                grads_total[key] = grads_total.get(key, 0.0) + g
+            g = g + (np.float32(2.0 * lambda_task / student.size) * inv) * (student - target)
+        seed_g.append(g)
+    grads = _backward(tape, {id(out): np.concatenate(seed_g, axis=1)}, factors.values(), len(batch))
+    grads_total = {key: grads[id(arr)] for key, arr in factors.items() if id(arr) in grads}
     recon = recon_sum / len(batch)
     task = task_sum / len(batch)
     return recon, task, recon + lambda_task * task, grads_total
 
 
-def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
+def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig, *, teachers=None,
+                     hooks=None):
     """Adapt one adapter to the shared profile by teacher-student descent.
 
     ``data`` is a list of (x, cond, target) samples; target may be None
     when lambda_task is zero.  Sample ``(step * batch + j) % len(data)``
-    is the j-th of each step's batch; only those samples get a teacher
-    pass.  One ``QuantSimHooks`` serves every student run, so each
-    weight is quantized once per call.  Returns (updated adapter, trace),
-    or raises DivergenceError when a step's loss or the factors after
-    its update are non-finite.
+    is the j-th of each step's batch, and a step is one student run over
+    its batch (``student_step``).  The teacher of sample i is
+    ``execute_fp`` with ``adapter`` and noise seed ``cfg.seed + i``.
+    ``teachers`` supplies them, one per sample, when the caller has them
+    (as ``sensitivity.build_shared_profile`` hands them back); without
+    it only the samples the schedule visits get a teacher run, one per
+    sample.  ``hooks`` is a ``QuantSimHooks`` of ``shared`` that every
+    student run shares, a fresh one when None; so each weight is
+    quantized once per hooks object.  A sample with a NaN or an infinity
+    raises ``RangeError`` before any run.  Returns (updated adapter,
+    trace), or raises DivergenceError when a step's loss or the factors
+    after its update are non-finite.
     """
     if not data:
         raise ValueError("distillation needs at least one sample")
+    if teachers is not None and len(teachers) != len(data):
+        raise ValueError(f"{len(teachers)} teacher outputs for {len(data)} samples")
+    qt.check_finite_samples(data)
     qt.check_coverage(shared, bundle)
     gr.check_adapter(bundle, adapter)
 
-    teachers = {}   # sample index -> teacher output, for the samples the schedule visits
-    hooks = qt.QuantSimHooks(shared)
+    # sample index -> teacher output, for the samples the schedule visits
+    teachers = {} if teachers is None else dict(enumerate(teachers))
+    hooks = qt.QuantSimHooks(shared) if hooks is None else hooks
     work = _working_adapter(adapter)
     trace = DistillTrace()
     lr = np.float32(cfg.learning_rate)
@@ -242,15 +283,22 @@ def finetune_adapter(bundle, adapter, shared, data, cfg: DistillConfig):
     return work, trace
 
 
-def align_adapters(bundle, adapters, shared, data, cfg: DistillConfig, exclude=()):
+def align_adapters(bundle, adapters, shared, data, cfg: DistillConfig, exclude=(), teachers=None):
     """Finetune each adapter independently on the one sample list ``data``;
-    excluded ids pass through.  Results are order-independent since
-    every adapter owns private state.
+    excluded ids pass through.  ``teachers`` maps adapter ids to their
+    per-sample teacher outputs (``finetune_adapter``); an adapter it
+    lacks gets teacher runs of its own.  One ``QuantSimHooks`` serves
+    every adapter, so each weight is quantized once per call.  Results
+    are order-independent: every adapter owns its factors, and the hooks
+    keep nothing of one adapter that another's runs would read.
     """
+    teachers = teachers or {}
+    hooks = qt.QuantSimHooks(shared)
     results = []
     for a in adapters:
         if a.adapter_id in exclude:
             results.append((a, None))
             continue
-        results.append(finetune_adapter(bundle, a, shared, data, cfg))
+        results.append(finetune_adapter(bundle, a, shared, data, cfg,
+                                        teachers=teachers.get(a.adapter_id), hooks=hooks))
     return results

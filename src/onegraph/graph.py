@@ -33,6 +33,17 @@ runtime session prepares its three at load.  QuantSim, fp, observer,
 tape and runtime runs all go through this one interpreter, and hooks
 are its one extension point.
 
+The number of samples is a property of the run, not of the graph.  A
+graph's shapes hold one sample's ``[features, batch]`` columns;
+``run_bundle`` takes one noise seed per column block and runs the
+samples side by side (``stack_samples``), and ``invoke`` accepts an
+unplaced 2-D input of that many blocks.  Each block of the output
+(``split_blocks``) has the bits of its sample's own run, since every
+kernel computes a column from the same column of its inputs
+(``blockwise``) and ``tensor.matmul`` gives a column the same bits
+among any others.  An array placed by the hooks, as a runtime session
+places its arena views, holds the declared shape only.
+
 The fusion passes of ``compiler.optimize_for_freeze`` (``scale_fold``,
 ``_fuse_lora`` and ``_fuse_requant``) share one use map
 (``Graph.consumers``) and one ``rebuild``.
@@ -180,6 +191,28 @@ def act_tids(g: Graph) -> list:
     output of a node of an ``FP_KINDS`` kind, in node order."""
     return ([gi.tid for gi in g.inputs if gi.dtype == "fp32"]
             + [n.output for n in g.nodes if n.kind in FP_KINDS])
+
+
+# Where a node may read a constant and still compute each column from the
+# same column of its other operands: a product's left factor, a scale's
+# scalar, and a ``qlora``'s slot operands B, A and alpha.
+_CONSTANT_OPERANDS = {"matmul": (0,), "lora_matmul": (0,), "qlinear": (0,),
+                      "qlora": (0, 2, 3, 4), "scale": (1,)}
+
+
+def blockwise(g: Graph) -> bool:
+    """Whether a run of ``g`` keeps column blocks apart (``invoke``).
+
+    Every kernel computes each output column from the same column of
+    its activations: a product takes columns of its right operand, the
+    other kinds are elementwise, and a ``concat`` on axis 0 joins
+    features.  So it holds when every ``concat`` is on axis 0 and every
+    constant is read where ``_CONSTANT_OPERANDS`` allows.
+    """
+    return all((n.kind != "concat" or int(n.attrs["axis"]) == 0)
+               and all(t not in g.constants or pos in _CONSTANT_OPERANDS.get(n.kind, ())
+                       for pos, t in enumerate(n.inputs))
+               for n in g.nodes)
 
 
 def infer_shapes(g: Graph) -> dict:
@@ -505,10 +538,13 @@ class Program:
     nothing was); ``acts[i]`` is the ``act_fn`` function of its output
     (``acts`` is None when no tensor has one).  ``lora`` maps each
     ``lora_matmul`` that the adapter covers to its factors A and B, as
-    the hooks' ``lora_factor`` returned them, and alpha.
+    the hooks' ``lora_factor`` returned them, and alpha.  ``blockwise`` is
+    ``blockwise(graph)``, whether ``invoke`` may run more than one column
+    block, once an invoke has asked.
     """
 
-    __slots__ = ("graph", "role", "hooks", "kernels", "views", "values", "inputs", "acts", "lora")
+    __slots__ = ("graph", "role", "hooks", "kernels", "views", "values", "inputs", "acts", "lora",
+                 "blockwise")
 
     def set_constants(self, arrays: dict) -> None:
         """Replace constants of the graph, and point every step that
@@ -540,6 +576,7 @@ def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=No
     if None in p.kernels:
         n = g.nodes[p.kernels.index(None)]
         raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
+    p.blockwise = None   # found by the first invoke of more than one block
     size = max([g.next_tid(), *(t + 1 for n in g.nodes for t in n.inputs)])
     p.values = values = [None] * size
     for tid, arr in g.constants.items():
@@ -579,7 +616,7 @@ def prepare(g: Graph, *, role="graph", adapter=None, hooks=NULL_HOOKS, shapes=No
     return p
 
 
-def invoke(p: Program, feeds: dict, tape=None) -> dict:
+def invoke(p: Program, feeds: dict, tape=None, blocks=1) -> dict:
     """Run a prepared graph; returns output name -> tensor.
 
     ``feeds`` maps input names to arrays, each copied into its placed
@@ -587,14 +624,29 @@ def invoke(p: Program, feeds: dict, tape=None) -> dict:
     differentiation.  A step is the node's kernel and nothing else, and
     calls no hook but ``product``; a graph input or node output with an
     ``act_fn`` function is stored as that function returns it.
+
+    ``blocks`` is the number of column blocks the run carries: an
+    unplaced 2-D input of shape [f, b] is fed as [f, blocks * b], one
+    sample's columns after another, and every tensor computed from it
+    is as wide.  A placed input, and any other input, must have its
+    declared shape exactly, so a runtime session runs its own batch
+    only.  More than one block needs a ``blockwise`` graph.
     """
+    if blocks != 1:
+        if p.blockwise is None:
+            p.blockwise = blockwise(p.graph)
+        if blocks < 1 or not p.blockwise:
+            raise ShapeError(f"{p.role}: cannot run {blocks} column blocks")
     vals = p.values
     for gi, view, fn in p.inputs:
         if gi.name not in feeds:
             raise ShapeError(f"missing graph input {gi.name!r}")
         v = np.asarray(feeds[gi.name])
-        if tuple(v.shape) != tuple(gi.shape):
-            raise ShapeError(f"input {gi.name!r}: expected shape {tuple(gi.shape)}, got {v.shape}")
+        want = tuple(gi.shape)
+        if view is None and len(want) == 2:
+            want = (want[0], want[1] * blocks)
+        if v.shape != want:
+            raise ShapeError(f"input {gi.name!r}: expected shape {want}, got {v.shape}")
         if tz.dtype_name(v) != gi.dtype:
             raise ShapeError(f"input {gi.name!r}: expected dtype {gi.dtype}")
         if fn is not None:
@@ -616,7 +668,7 @@ def invoke(p: Program, feeds: dict, tape=None) -> dict:
 
 
 def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_HOOKS, tape=None,
-              program=None) -> dict:
+              program=None, blocks=1) -> dict:
     """Execute a graph; returns output name -> tensor.
 
     ``feeds`` maps input names to arrays.  ``adapter`` supplies low-rank
@@ -625,11 +677,11 @@ def run_graph(g: Graph, feeds: dict, *, role="graph", adapter=None, hooks=NULL_H
     for differentiation.  ``program`` is ``g`` prepared already; then
     ``role``, ``adapter`` and ``hooks`` are the ones it was prepared
     with, ``tape`` the one it was prepared with too (see ``prepare``),
-    and this call only invokes it.
+    and this call only invokes it.  ``blocks`` is as in ``invoke``.
     """
     if program is None:
         program = prepare(g, role=role, adapter=adapter, hooks=hooks, tape=tape)
-    return invoke(program, feeds, tape)
+    return invoke(program, feeds, tape, blocks)
 
 
 # Kernels: ``kernel(values, node, view, tape, program)`` computes a node
@@ -801,34 +853,58 @@ def run_bundle(bundle: ModelBundle, x, cond, adapter=None, *, noise_seed=0,
                hooks=NULL_HOOKS, tape=None, programs=None) -> np.ndarray:
     """Encoder -> seeded noise -> `steps` backbone passes -> decoder.
 
+    ``noise_seed`` is one seed, or a sequence of them, one per column
+    block: ``x`` and ``cond`` then hold that many samples side by side
+    (``stack_samples``), and block i of the latent gets the noise of
+    seed i alone.  Every kernel keeps column blocks apart (``blockwise``)
+    and ``tensor.matmul`` gives a column the same bits among any others,
+    so each block of the output (``split_blocks``) has the bits of its
+    own run, while the run prepares each graph and dispatches each node
+    once for all of them.
+
     ``programs`` maps each role to its graph prepared (``prepare``), as a
     runtime session holds them; then ``adapter``, ``hooks`` and ``tape``
     are the ones they were prepared with.  Without it each graph is
     prepared here, once for this call, so the hooks see each adapter
     factor once per run, not once per backbone pass.
     """
+    seeds = [noise_seed] if np.ndim(noise_seed) == 0 else list(noise_seed)
+    blocks = len(seeds)
     if programs is None:
         programs = {role: prepare(g, role=role, adapter=adapter if role == "backbone" else None,
                                   hooks=hooks, tape=tape)
                     for role, g in bundle.graphs()}
     enc = run_graph(bundle.encoder, {bundle.encoder.inputs[0].name: x},
-                    program=programs["encoder"], tape=tape)
+                    program=programs["encoder"], tape=tape, blocks=blocks)
     z = next(iter(enc.values()))
-    noise = Rng(noise_seed).normal(z.shape)
+    rows, cols = z.shape[0], z.shape[1] // blocks
+    noise = np.concatenate([Rng(s).normal((rows, cols)) for s in seeds], axis=1)
     z = _add(z, noise, tape)
     z_name = bundle.backbone.inputs[0].name
     c_name = bundle.backbone.inputs[1].name
     for _ in range(bundle.steps):
         out = run_graph(bundle.backbone, {z_name: z, c_name: cond},
-                        program=programs["backbone"], tape=tape)
+                        program=programs["backbone"], tape=tape, blocks=blocks)
         z = next(iter(out.values()))
     dec = run_graph(bundle.decoder, {bundle.decoder.inputs[0].name: z},
-                    program=programs["decoder"], tape=tape)
+                    program=programs["decoder"], tape=tape, blocks=blocks)
     return next(iter(dec.values()))
 
 
+def stack_samples(samples) -> tuple:
+    """(x, cond) of ``samples`` side by side, one column block per sample,
+    as ``run_bundle`` takes them; a sample may carry more than (x, cond)."""
+    return tuple(np.concatenate([s[i] for s in samples], axis=1) for i in (0, 1))
+
+
+def split_blocks(out: np.ndarray, blocks: int) -> list:
+    """The ``blocks`` column blocks of a run's output, as views."""
+    return np.split(out, blocks, axis=1)
+
+
 def execute_fp(bundle: ModelBundle, x, cond, adapter=None, noise_seed=0) -> np.ndarray:
-    """Full-precision forward pass; deterministic for fixed inputs and seed."""
+    """Full-precision forward pass; deterministic for fixed inputs and seed.
+    ``noise_seed`` may be one seed per column block (``run_bundle``)."""
     if adapter is not None:
         check_adapter(bundle, adapter)
     return run_bundle(bundle, x, cond, adapter, noise_seed=noise_seed)

@@ -42,10 +42,18 @@ once, offline (Jacob et al. 2018, arXiv:1712.05877):
 An entry holds until its input is another array object, so a new bundle
 or adapter is quantized afresh.  The memo assumes what it keys stays
 frozen: no constant or profile entry is changed in place while a hooks
-object serves it.  ``sensitivity.qss`` and ``distill.finetune_adapter``
-each keep one hooks object across all of their runs
-(``execute_quantsim(..., hooks=)``).  The weight memo costs 5 B per
-weight element for as long as the hooks object lives.
+object serves it.  ``sensitivity.qss`` scores all of its samples in one
+run, so one hooks object serves them.  ``distill.align_adapters`` keeps
+one across every step of every adapter it aligns
+(``execute_quantsim(..., hooks=)``), each step one run over its samples.
+The weight memo costs 5 B per weight element for as long as the hooks
+object lives.
+
+Calibration observes every sample of an adapter in one run
+(``observe_bundle``), one column block per sample (``graph.run_bundle``).
+A NaN or an infinity in one block would reach the range of every other,
+so calibration, QSS and distillation refuse a sample that holds one
+(``check_finite_samples``) before anything runs.
 
 Profile keys are strings: ``<role>.w.<tid>`` for weights,
 ``<role>.a.<tid>`` for activations (graph inputs included), and
@@ -61,7 +69,7 @@ import numpy as np
 
 from . import graph as gr
 from . import qparams as qp
-from .errors import CalibrationError, CoverageError, FormatError
+from .errors import CalibrationError, CoverageError, FormatError, RangeError
 from .qparams import QuantParams, compute_quant_params
 
 WEIGHT_BITS = 8
@@ -310,15 +318,27 @@ def lora_slot_params(bundle: gr.ModelBundle, adapters, lora_bits: int) -> dict:
     return params
 
 
+def check_finite_samples(data) -> None:
+    """Raise ``RangeError`` naming the first sample of ``data`` whose x,
+    cond or target holds a NaN or an infinity; a target may be None."""
+    for i, sample in enumerate(data):
+        for name, value in zip(("x", "cond", "target"), sample):
+            if value is not None and not np.isfinite(value).all():
+                raise RangeError(f"sample {i}: {name} holds a NaN or an infinity")
+
+
 def observe_bundle(bundle, data, adapter, seed, observers) -> list:
-    """Accumulate activation observers over full-precision runs.
+    """Accumulate activation observers over one full-precision run of
+    every sample, sample i in column block i with noise seed ``seed + i``.
 
     Returns each sample's output.  Observing changes no value, so output
-    i has the bits of ``execute_fp`` with noise seed ``seed + i``.
+    i has the bits of ``execute_fp`` with noise seed ``seed + i``; and a
+    range over all blocks is the range over the samples one by one.
     """
-    hooks = ObserverHooks(observers)
-    return [gr.run_bundle(bundle, x, cond, adapter, noise_seed=seed + i, hooks=hooks)
-            for i, (x, cond) in enumerate(data)]
+    x, cond = gr.stack_samples(data)
+    out = gr.run_bundle(bundle, x, cond, adapter, noise_seed=range(seed, seed + len(data)),
+                        hooks=ObserverHooks(observers))
+    return gr.split_blocks(out, len(data))
 
 
 def build_profile(bundle, data, policy: Policy, adapters, lora_bits: int, seed: int,
@@ -329,8 +349,13 @@ def build_profile(bundle, data, policy: Policy, adapters, lora_bits: int, seed: 
     each of ``adapters`` bound in turn (no adapter when the list is
     empty), the observers accumulating across runs.  Slot params come
     from the concatenation of the adapters' factors.  A list given as
-    ``outputs`` receives the fp output of every run, in order.
+    ``outputs`` receives the fp output of every run, in order.  No
+    sample raises ``CalibrationError``, and a sample with a NaN or an
+    infinity ``RangeError``, before any run.
     """
+    if not data:
+        raise CalibrationError("calibration requires at least one sample")
+    check_finite_samples(data)
     profile = QuantProfile(policy=policy, lora_bits=lora_bits)
     observers = {}
     for a in adapters or [None]:
@@ -353,8 +378,6 @@ def calibrate(bundle: gr.ModelBundle, data, policy: Policy, *, adapter=None, lor
     slots, and a list given as ``outputs`` receives the fp output of each
     sample (see ``observe_bundle``).
     """
-    if not data:
-        raise CalibrationError("calibration requires at least one sample")
     gr.validate_bundle(bundle)
     if adapter is not None:
         gr.check_adapter(bundle, adapter)
@@ -372,7 +395,8 @@ def execute_quantsim(bundle, profile: QuantProfile, adapter, x, cond, seed: int 
 
     ``hooks`` is a ``QuantSimHooks`` of ``profile`` to reuse across calls,
     which changes no bit; None builds a fresh one.  Hooks of another
-    profile raise ``ValueError``.
+    profile raise ``ValueError``.  ``seed`` may be one noise seed per
+    column block of ``x`` and ``cond`` (``graph.run_bundle``).
     """
     if hooks is None:
         hooks = QuantSimHooks(profile)

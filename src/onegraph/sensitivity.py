@@ -61,16 +61,23 @@ def qss(bundle, adapter, profile, data, *, seed: int = 0, refs=None) -> float:
     The fp reference of sample i is ``execute_fp`` with the adapter and
     noise seed ``seed + i``.  ``refs`` supplies those outputs when the
     caller already has them, as calibration returns them; without it
-    each is computed here.  One ``QuantSimHooks`` serves every sample, so
-    each weight is quantized once per call.
+    they are computed here, in one fp run.  Every sample's QuantSim
+    output comes from one run too, sample i in column block i with noise
+    seed ``seed + i`` (``graph.run_bundle``), so each weight is quantized
+    once per call and each block has the bits of its own run.  A sample
+    with a NaN or an infinity raises ``RangeError`` before any run.
     """
     if not data:
         raise RangeError("sensitivity scoring requires at least one sample")
+    qt.check_finite_samples(data)
+    x, cond = gr.stack_samples(data)
+    seeds = range(seed, seed + len(data))
+    sims = gr.split_blocks(qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=seeds),
+                           len(data))
+    if refs is None:
+        refs = gr.split_blocks(gr.execute_fp(bundle, x, cond, adapter, noise_seed=seeds), len(data))
     total = 0.0
-    hooks = qt.QuantSimHooks(profile)
-    for i, (x, cond) in enumerate(data):
-        ref = gr.execute_fp(bundle, x, cond, adapter, noise_seed=seed + i) if refs is None else refs[i]
-        sim = qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=seed + i, hooks=hooks)
+    for ref, sim in zip(refs, sims, strict=True):
         lo = float(min(ref.min(), sim.min()))
         hi = float(max(ref.max(), sim.max()))
         if hi <= lo:
@@ -154,7 +161,7 @@ def qss_report(scores: dict, tie_epsilon: float) -> QSSReport:
 
 
 def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.05,
-                         *, lora_bits: int = 16, seed: int = 0):
+                         *, lora_bits: int = 16, seed: int = 0, outputs=None):
     """Pick the anchor (or fall back to unified) and return (profile, report).
 
     The anchor adapter's provisional calibration becomes the shared
@@ -162,7 +169,9 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
     ids must be distinct, since profiles and scores are keyed by them.
     Each adapter's QSS takes its fp references from the fp runs of its
     own calibration, which have the same seeds and bits as the runs
-    ``qss`` would make.
+    ``qss`` would make.  A dict given as ``outputs`` receives them too,
+    adapter id -> the fp output of each sample: with ``seed`` as the
+    distillation seed they are ``distill.align_adapters``' teachers.
     """
     if not adapters:
         raise RangeError("need at least one adapter")
@@ -176,6 +185,8 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
         provisionals[a.adapter_id] = qt.calibrate(
             bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed, outputs=refs)
         scores[a.adapter_id] = qss(bundle, a, provisionals[a.adapter_id], data, seed=seed, refs=refs)
+        if outputs is not None:
+            outputs[a.adapter_id] = refs
 
     report = qss_report(scores, tie_epsilon)
     if report.anchor == UNIFIED:

@@ -76,13 +76,26 @@ def _require_fp32(*arrays: np.ndarray) -> None:
 # row tiles of at most this many bytes.
 MATMUL_BLOCK_BYTES = 128 * 1024
 _BLOCK_FLOATS = MATMUL_BLOCK_BYTES // np.dtype(np.float32).itemsize
+# The most output elements one block of k covers; a wider product is
+# taken in slices of its longer extent.
+MATMUL_PLANE_FLOATS = 4096
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with sequential fp32 accumulation.
 
     Each output element accumulates its k products in ascending-k order,
-    starting from +0.0, matching a naive triple loop bit-for-bit.
+    starting from +0.0, matching a naive triple loop bit-for-bit.  So an
+    output element depends only on its row of ``a`` and its column of
+    ``b``: a column has the same bits whichever other columns come with
+    it, which is what lets ``graph.run_bundle`` stack samples.
+
+    A product whose output plane m*n exceeds ``MATMUL_PLANE_FLOATS`` is
+    taken as slices of its longer extent, each of at most that many
+    elements (one row or column at least), written into one result.
+    Without the split, a wider plane leaves room for fewer k per block
+    and a stacked run would pay more numpy calls per multiply than its
+    samples run apart.
 
     k is taken in the fewest blocks that fit ``MATMUL_BLOCK_BYTES``
     together with the transposed block of ``a``, sized as equally as they
@@ -109,6 +122,23 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    m, n = a.shape[0], b.shape[1]
+    if m * n <= MATMUL_PLANE_FLOATS:
+        return _product(a, b)
+    out = np.empty((m, n), dtype=np.float32)
+    if n >= m:
+        step = max(1, MATMUL_PLANE_FLOATS // m)
+        for c0 in range(0, n, step):
+            out[:, c0:c0 + step] = _product(a, b[:, c0:c0 + step])
+    else:
+        step = max(1, MATMUL_PLANE_FLOATS // n)
+        for r0 in range(0, m, step):
+            out[r0:r0 + step] = _product(a[r0:r0 + step], b)
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``matmul`` of checked operands in one plane."""
     m, k = a.shape
     n = b.shape[1]
     wide = n >= m

@@ -184,6 +184,30 @@ def test_a_nan_input_is_a_stage_error(toy_files, tmp_path, toy_samples, capsys):
     assert not (tmp_path / "y.qtns").exists()
 
 
+@pytest.mark.parametrize("command", ("calibrate", "qss", "distill", "pipeline"))
+def test_a_nan_sample_is_a_stage_error(command, files, tmp_path, toy_bundle, toy_profile, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for i, (x, cond) in enumerate(ms.make_samples(toy_bundle, 3, 5)):
+        if i == 1:
+            x[0, 0] = np.nan
+        tz.write_qtns(str(data / f"s{i}.x.qtns"), x)
+        tz.write_qtns(str(data / f"s{i}.cond.qtns"), cond)
+    model, adapter = files("toy.spec", TOY_MODEL), files("style.adapter", ADAPTER)
+    profile = files("profile.txt", qt.profile_to_text(toy_profile))
+    out = tmp_path / "out"
+    argv = {"calibrate": ["calibrate", "--model", model, "--adapter", adapter, "--out", str(out)],
+            "qss": ["qss", "--model", model, "--adapters", adapter, "--profile", profile,
+                    "--out", str(out)],
+            "distill": ["distill", "--model", model, "--adapter", adapter, "--profile", profile,
+                        "--out-adapter", str(out), "--trace", str(tmp_path / "t.csv")],
+            "pipeline": ["pipeline", "--model", model, "--adapters", adapter, "--out", str(out)]}
+    assert cli.main(argv[command] + ["--data", str(data)]) == cli.EXIT_STAGE
+    err = capsys.readouterr().err
+    assert "sample 1: x holds a NaN or an infinity" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("defect", ("factor", "alpha"))
 def test_a_nan_adapter_is_a_stage_error(defect, toy_files, toy_adapter, tmp_path, capsys):
     adapter = copy_adapter(toy_adapter)
