@@ -37,8 +37,10 @@ from .qparams import QuantParams, quantize_array, storage_dtype
 MODEL_MAGIC = b"QADM"
 PACK_MAGIC = b"QLPK"
 # One format version per magic.  Model version 1 held the graphs before
-# the fusions of ``optimize_for_freeze``, version 2 the unread profile text.
-FORMAT_VERSIONS = {MODEL_MAGIC: 3, PACK_MAGIC: 1}
+# the fusions of ``optimize_for_freeze``, version 2 the unread profile
+# text.  Version 3 had no ``requant`` that emits levels (``out_qparams``),
+# and a version-3 reader would run one as if it emitted fp32.
+FORMAT_VERSIONS = {MODEL_MAGIC: 4, PACK_MAGIC: 1}
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -378,10 +380,13 @@ def _fuse_lora(g: gr.Graph) -> gr.Graph:
 
 
 def _fuse_requant(g: gr.Graph) -> gr.Graph:
-    """``quantize -> dequantize [-> activation]`` -> ``requant``.
+    """``quantize -> dequantize [-> activation] [-> quantize]`` -> ``requant``.
 
     Each link's output is read once, by the next link, and both ends of
-    the pair hold the same parameters.
+    the pair hold the same parameters.  A last ``quantize`` moves its
+    parameters into ``out_qparams``, so the ``requant`` emits the next
+    layer's input levels, as a ``qlinear`` does; one that heads a pair
+    of its own stays, to become that pair's ``requant``.
     """
     users = g.consumers()
 
@@ -389,21 +394,31 @@ def _fuse_requant(g: gr.Graph) -> gr.Graph:
         u = users.get(tid, ())
         return u[0] if len(u) == 1 and u[0] is not None and u[0].kind == kind else None
 
+    def pair(q):
+        """The ``dequantize`` that ``q`` heads a pair with, or None."""
+        dq = sole(q.output, "dequantize")
+        return dq if dq is not None and dq.attrs["qparams"] == q.attrs["qparams"] else None
+
     fused, gone = {}, set()
     for n in g.nodes:
         if n.kind != "quantize":
             continue
-        dq = sole(n.output, "dequantize")
-        if dq is None or dq.attrs["qparams"] != n.attrs["qparams"]:
+        dq = pair(n)
+        if dq is None:
             continue
         act = sole(dq.output, "activation")
-        last = act or dq
+        chain = [dq] if act is None else [dq, act]
+        tail = sole(chain[-1].output, "quantize")
+        if tail is not None and pair(tail) is None:
+            chain.append(tail)
         attrs = {"qparams": n.attrs["qparams"]}
         if act is not None:
             attrs["activation"] = act.attrs["kind"]
-            gone.add(id(dq))
+        if chain[-1].kind == "quantize":
+            attrs["out_qparams"] = chain[-1].attrs["qparams"]
+        last = chain.pop()
         fused[id(last)] = gr.Node(last.id, "requant", [n.inputs[0]], last.output, attrs)
-        gone.add(id(n))
+        gone.update(id(x) for x in (n, *chain))
     return gr.rebuild(g, fused, gone)
 
 
@@ -412,7 +427,8 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
 
     After ``scale_fold`` each adapter layer becomes one ``qlora`` and each
     ``quantize -> dequantize [-> activation]`` chain one ``requant``, which
-    runs the chain's kernels in its order.  A fused node takes the id and
+    runs the chain's kernels in its order, with the ``quantize`` of the
+    next layer's input where that alone reads the chain.  A fused node takes the id and
     the output tensor of its chain's last node and stands where that node
     stood, so the order stays topological.  Adapter layers are fused
     first: their ``q_x`` feeds two products and never starts a
@@ -517,24 +533,39 @@ def _unpack_attrs(data, pos, memo):
     return attrs, pos
 
 
-def _pack_graph(g: gr.Graph) -> bytes:
+def _pack_graph(g: gr.Graph, ids=None) -> bytes:
+    """The graph's record, each tensor id written as its dense number.
+
+    Numbers are given in the order ids are first written: the inputs,
+    the outputs, each node's inputs and output, then any constant no
+    node reads, by id.  Constants follow in number order.  A loaded graph
+    is numbered so already, and writes the same bytes.  A dict given as
+    ``ids`` receives each id's number.
+    """
+    ids = {} if ids is None else ids
+
+    def num(tid):
+        return ids.setdefault(tid, len(ids))
+
     parts = [struct.pack("<H", len(g.inputs))]
     for gi in g.inputs:
         parts += (_pack_str(gi.name),
-                  struct.pack("<IBB", gi.tid, tz.DTYPE_CODES[gi.dtype], len(gi.shape)),
+                  struct.pack("<IBB", num(gi.tid), tz.DTYPE_CODES[gi.dtype], len(gi.shape)),
                   struct.pack(f"<{len(gi.shape)}I", *gi.shape))
     parts.append(struct.pack("<H", len(g.outputs)))
     for name, tid in g.outputs:
-        parts += (_pack_str(name), struct.pack("<I", tid))
+        parts += (_pack_str(name), struct.pack("<I", num(tid)))
     parts.append(struct.pack("<I", len(g.nodes)))
     for n in g.nodes:
         parts += (struct.pack("<IBB", n.id, _KIND_CODES[n.kind], len(n.inputs)),
-                  struct.pack(f"<{len(n.inputs)}I", *n.inputs),
-                  struct.pack("<I", n.output),
+                  struct.pack(f"<{len(n.inputs)}I", *map(num, n.inputs)),
+                  struct.pack("<I", num(n.output)),
                   _pack_attrs(n.attrs))
-    parts.append(struct.pack("<I", len(g.constants)))
     for tid in sorted(g.constants):
-        parts += (struct.pack("<I", tid), tz.qtns_bytes(g.constants[tid]))
+        num(tid)
+    parts.append(struct.pack("<I", len(g.constants)))
+    for tid in sorted(g.constants, key=ids.get):
+        parts += (struct.pack("<I", ids[tid]), tz.qtns_bytes(g.constants[tid]))
     return b"".join(parts)
 
 
@@ -638,7 +669,9 @@ def freeze(bundle: gr.ModelBundle, shared, descriptors,
     ``shared`` is not read and stays for the callers that pass it.  Each
     graph is written in its own node order, which must be topological: a
     node that reads a tensor which it or a later node produces raises
-    ``GraphError``.  Every other check is load's.
+    ``GraphError``.  Every other check is load's.  Tensor ids are written
+    as dense numbers (``_pack_graph``), so a loaded graph's operand table
+    (``graph.prepare``) holds one entry per tensor.
     """
     for role, g in bundle.graphs():
         ahead = {n.output for n in g.nodes}
@@ -648,12 +681,17 @@ def freeze(bundle: gr.ModelBundle, shared, descriptors,
             ahead.discard(n.output)
     parts = [struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF), _pack_str(name),
              struct.pack("<IB", bundle.steps, 3)]
+    numbers = {role: {} for role in _ROLE_CODES}
     for role, g in bundle.graphs():
-        parts.append(struct.pack("<B", _ROLE_CODES[role]))
-        parts.append(_pack_graph(g))
+        parts += (struct.pack("<B", _ROLE_CODES[role]), _pack_graph(g, numbers[role]))
+    # a slot's tensors by their backbone numbers; one the backbone lacks
+    # gets a number no tensor has, which load refuses
+    ids = numbers["backbone"]
+    slot = {t: ids.get(t, len(ids)) for d in descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
     parts.append(struct.pack("<I", len(descriptors)))
     for d in sorted(descriptors, key=lambda d: d.slot_id):
-        parts += (struct.pack("<IIIII", d.slot_id, d.target_node_id, d.a_tid, d.b_tid, d.alpha_tid),
+        parts += (struct.pack("<IIIII", d.slot_id, d.target_node_id, slot[d.a_tid], slot[d.b_tid],
+                              slot[d.alpha_tid]),
                   struct.pack("<IIIB", d.d_out, d.d_in, d.r_max, d.bits),
                   _pack_qparams(d.a_params), _pack_qparams(d.b_params))
     return _wrap_payload(MODEL_MAGIC, b"".join(parts))

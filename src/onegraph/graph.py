@@ -67,7 +67,8 @@ from .rng import Rng
 # only after the compiler's fusions: ``qlinear`` is one quantized linear
 # layer, ``qlora`` one adapter layer, W x + alpha * A (B x) from the
 # integer q_w and q_x and the slot's B and A, and ``requant`` one
-# quantize -> dequantize [-> activation] chain, fp32 in and out.
+# quantize -> dequantize [-> activation] [-> quantize] chain, fp32 in, and
+# out as fp32 or, with ``out_qparams``, as the next layer's input levels.
 FP_KINDS = ("matmul", "add", "scale", "concat", "activation", "lora_matmul")
 QUANT_KINDS = ("quantize", "dequantize", "qlinear", "qlora", "requant")
 ALL_KINDS = FP_KINDS + QUANT_KINDS
@@ -303,9 +304,9 @@ def infer_shapes(g: Graph) -> dict:
             for key in ("w_qparams", "in_qparams"):
                 _qparams(n, key)
             stored = (storage_name(_qparams(n, "b_qparams")), storage_name(_qparams(n, "a_qparams")))
-            if (db, da) not in (stored, ("f64", "fp32")):
+            if (db, da) not in (stored, ("fp32", "fp32")):
                 raise ShapeError(f"node {n.id}: qlora needs B and A as stored {stored} or as "
-                                 f"prepared (f64, fp32), got ({db}, {da})")
+                                 f"prepared (fp32, fp32), got ({db}, {da})")
             if (len(sw) != 2 or len(sx) != 2 or len(sb) != 2 or len(sa) != 2 or sw[1] != sx[0]
                     or sb[1] != sx[0] or sa[1] != sb[0] or sa[0] != sw[0]):
                 raise ShapeError(f"node {n.id}: qlora shapes W{sw} x{sx} B{sb} A{sa}")
@@ -317,7 +318,7 @@ def infer_shapes(g: Graph) -> dict:
             if dx != "fp32":
                 raise ShapeError(f"node {n.id}: requant needs fp32 input")
             _qparams(n, "qparams")
-            out = (sx, "fp32")
+            out = (sx, storage_name(_qparams(n, "out_qparams")) if "out_qparams" in n.attrs else "fp32")
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
 
@@ -342,24 +343,30 @@ def validate(g: Graph) -> dict:
         if n.output in n.inputs:
             raise CycleError(f"node {n.id} consumes its own output")
 
-    known = {gi.tid for gi in g.inputs}
-    if known & g.constants.keys():
-        raise GraphError(f"tensors {sorted(known & g.constants.keys())} are both inputs and constants")
-    known |= set(g.constants) | {n.output for n in g.nodes}
-    for n in g.nodes:
-        for t in n.inputs:
-            if t not in known:
-                raise GraphError(f"node {n.id}: dangling tensor id {t}")
-
+    both = {gi.tid for gi in g.inputs} & g.constants.keys()
+    if both:
+        raise GraphError(f"tensors {sorted(both)} are both inputs and constants")
+    # A dangling id is reported before any shape error.  When the shapes
+    # infer, their map holds every tensor of the graph, so it serves as
+    # the set of known ids and no second set is built beside it.
     try:
         info = infer_shapes(g)
     except Exception:
+        _check_dangling(g, {gi.tid for gi in g.inputs}.union(g.constants, (n.output for n in g.nodes)))
         topo_sort(g)  # a cycle or a doubly produced tensor is reported first
         raise
+    _check_dangling(g, info)
     for name, tid in g.outputs:
         if tid not in info:
             raise GraphError(f"output {name!r}: tensor {tid} does not exist")
     return info
+
+
+def _check_dangling(g: Graph, known) -> None:
+    for n in g.nodes:
+        for t in n.inputs:
+            if t not in known:
+                raise GraphError(f"node {n.id}: dangling tensor id {t}")
 
 
 def topo_sort(g: Graph) -> list:
@@ -751,13 +758,14 @@ def _k_qlora(vals, n, view, tape, p):
     """add(W x, scale(A (B x), alpha)), as the unfused adapter layer computes it.
 
     B and A arrive in the form ``runtime.bind_lora`` prepares them once
-    per bind: B as its centred levels q_b - z_b in float64, A
-    dequantized to fp32.  (As stored, a graph holds the slots' levels
-    instead, and running it raises ``ShapeError``.)  So a step centres
-    only q_x and, one row tile at a time, q_w.  W x and B x are exact
-    integer products on one centring of q_x (``qparams.tiled_matmul`` and
-    ``scaled_matmul``), and A (B x) is the fp32 ``tensor.matmul``.  The
-    2**53 bound of both products depends only on the shapes and the
+    per bind: B as its centred levels q_b - z_b in fp32, which holds
+    them exactly, A dequantized to fp32.  (As stored, a graph holds the
+    slots' levels instead, and running it raises ``ShapeError``.)  So a
+    step centres only q_x and, one row tile at a time, q_w.  W x and B x
+    are exact integer products on one centring of q_x
+    (``qparams.tiled_matmul`` and ``scaled_matmul``, whose float64 GEMM
+    sums the same integers from the fp32 B), and A (B x) is the fp32
+    ``tensor.matmul``.  The 2**53 bound of both products depends only on the shapes and the
     parameters, so the session checks it once, at load, not here.
     """
     ins, attrs = n.inputs, n.attrs
@@ -772,10 +780,16 @@ def _k_qlora(vals, n, view, tape, p):
 
 
 def _k_requant(vals, n, view, tape, p):
-    q = n.attrs["qparams"]
+    """The chain's kernels in its order: quantize, dequantize, the
+    activation if any, and with ``out_qparams`` the quantize of the
+    next layer's input, so the output is that layer's levels."""
+    attrs = n.attrs
+    q = attrs["qparams"]
     out = qp.dequantize_array(qp.quantize_array(vals[n.inputs[0]], q), q)
-    if "activation" in n.attrs:
-        out = tz.activation(out, n.attrs["activation"])
+    if "activation" in attrs:
+        out = tz.activation(out, attrs["activation"])
+    if "out_qparams" in attrs:
+        out = qp.quantize_array(out, attrs["out_qparams"])
     return _put(out, view)
 
 

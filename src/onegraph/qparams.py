@@ -148,17 +148,18 @@ def quantize_array(t: np.ndarray, p: QuantParams) -> np.ndarray:
     return quantize_levels(t, p).astype(storage_dtype(p.bits, p.signed))
 
 
-def centered_levels(q: np.ndarray, p: QuantParams) -> np.ndarray:
-    """q - z in float64, rejecting elements outside [q_min, q_max].
+def centered_levels(q: np.ndarray, p: QuantParams, dtype=np.float64) -> np.ndarray:
+    """q - z in ``dtype``, rejecting elements outside [q_min, q_max].
 
     A signed range held in its own storage dtype fills that dtype, so no
-    element of it can fall outside; only other dtypes are scanned.
+    element of it can fall outside; only other dtypes are scanned.  As
+    |q - z| <= 65,535 < 2**24, fp32 holds the result exactly too.
     """
     qi = np.asarray(q)
     full = p.signed and qi.dtype == storage_dtype(p.bits, True)
     if not full and qi.size and (qi.min() < p.q_min or qi.max() > p.q_max):
         raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
-    t = qi.astype(np.float64)
+    t = qi.astype(dtype)
     t -= p.zero_point
     return t
 

@@ -114,6 +114,11 @@ class Observer:
         self.running_min = min(self.running_min, float(arr.min()))
         self.running_max = max(self.running_max, float(arr.max()))
 
+    def merge(self, other: "Observer"):
+        """Take in what ``other`` saw: the range over both runs, exactly."""
+        self.running_min = min(self.running_min, other.running_min)
+        self.running_max = max(self.running_max, other.running_max)
+
     @property
     def seen(self) -> bool:
         return self.running_min <= self.running_max
@@ -342,26 +347,33 @@ def observe_bundle(bundle, data, adapter, seed, observers) -> list:
 
 
 def build_profile(bundle, data, policy: Policy, adapters, lora_bits: int, seed: int,
-                  outputs=None) -> QuantProfile:
-    """Observe, then 8-bit weights, then slot params, then activation params.
+                  outputs=None, observers=None) -> QuantProfile:
+    """Observe, then ``profile_from_observers``.
 
     Activations are observed over full-precision runs of ``data`` with
     each of ``adapters`` bound in turn (no adapter when the list is
-    empty), the observers accumulating across runs.  Slot params come
-    from the concatenation of the adapters' factors.  A list given as
-    ``outputs`` receives the fp output of every run, in order.  No
+    empty), the observers accumulating across runs.  A list given as
+    ``outputs`` receives the fp output of every run, in order, and a
+    dict given as ``observers`` the observers, key -> ``Observer``.  No
     sample raises ``CalibrationError``, and a sample with a NaN or an
     infinity ``RangeError``, before any run.
     """
     if not data:
         raise CalibrationError("calibration requires at least one sample")
     check_finite_samples(data)
-    profile = QuantProfile(policy=policy, lora_bits=lora_bits)
-    observers = {}
+    observers = {} if observers is None else observers
     for a in adapters or [None]:
         fp_outputs = observe_bundle(bundle, data, a, seed, observers)
         if outputs is not None:
             outputs.extend(fp_outputs)
+    return profile_from_observers(bundle, observers, policy, adapters, lora_bits)
+
+
+def profile_from_observers(bundle, observers: dict, policy: Policy, adapters,
+                           lora_bits: int) -> QuantProfile:
+    """8-bit weights, then slot params from the concatenation of the
+    adapters' factors, then activation params from ``observers``."""
+    profile = QuantProfile(policy=policy, lora_bits=lora_bits)
     for role, g in bundle.graphs():
         profile.weight_params.update(weight_params_for_graph(g, role))
     profile.weight_params.update(lora_slot_params(bundle, adapters, lora_bits))
@@ -370,19 +382,20 @@ def build_profile(bundle, data, policy: Policy, adapters, lora_bits: int, seed: 
 
 
 def calibrate(bundle: gr.ModelBundle, data, policy: Policy, *, adapter=None, lora_bits: int = 16,
-              seed: int = 0, outputs=None) -> QuantProfile:
+              seed: int = 0, outputs=None, observers=None) -> QuantProfile:
     """Derive a quantization profile from full-precision runs of a bundle.
 
     ``data`` is a list of (x, cond) pairs.  The optional adapter stays
     bound during observation and supplies the factor ranges for the lora
-    slots, and a list given as ``outputs`` receives the fp output of each
-    sample (see ``observe_bundle``).
+    slots, a list given as ``outputs`` receives the fp output of each
+    sample (see ``observe_bundle``), and a dict given as ``observers``
+    the activation observers (see ``build_profile``).
     """
     gr.validate_bundle(bundle)
     if adapter is not None:
         gr.check_adapter(bundle, adapter)
     adapters = [] if adapter is None else [adapter]
-    return build_profile(bundle, data, policy, adapters, lora_bits, seed, outputs)
+    return build_profile(bundle, data, policy, adapters, lora_bits, seed, outputs, observers)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ denoising step runs only the arithmetic that depends on its input.
 * **Bind.**  ``bind_lora`` decodes the pack into views of its bytes
   (``compiler.unpack_lora``) and writes each slot straight from them
   into the form its ``qlora`` multiplies (``slot_operands``):
-  B's centred levels in float64, A dequantized to fp32, alpha.  These
+  B's centred levels in fp32, A dequantized to fp32, alpha.  These
   are constants of the session's own backbone, not inputs, and are not
   planned.  The bind enters them into the backbone's operand table in
   the same step as into its constants (``Program.set_constants``), so
@@ -59,12 +59,15 @@ Each adapter layer is one ``qlora`` node reading q_w, q_x and the
 slot's B, A and alpha: it centres q_x once for the two exact integer
 products W x and B x (``qparams.tiled_matmul`` and ``scaled_matmul``),
 then runs the fp32 A (B x), scale and add.  Each ``quantize ->
-dequantize [-> activation]`` chain is one ``requant`` node.  So one
-layer of a denoising step is a ``qlora``, a ``requant`` and the
-``quantize`` of the next layer's input, no base weight is dequantized
-on a step, and the arena holds none of the chains' inner tensors.  In
-the artifact a ``qlora``'s B and A are backbone inputs in their storage
-dtype; in a session they are the constants a bind prepares.
+dequantize [-> activation]`` chain is one ``requant`` node, which also
+quantizes its result when that is the next layer's input
+(``out_qparams``), so the arena carries levels between layers, as in
+integer-only inference (Jacob et al. 2018, arXiv:1712.05877).  So one
+layer of a denoising step is a ``qlora`` and a ``requant``, no base
+weight is dequantized on a step, and the arena holds none of the
+chains' inner tensors.  In the artifact a ``qlora``'s B and A are
+backbone inputs in their storage dtype; in a session they are the
+constants a bind prepares.
 
 Loading derives each graph's shapes once: ``load_compiled`` checks the
 bundle with ``graph.validate_bundle``, and the session plans from the
@@ -84,6 +87,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import statistics
 import time
@@ -98,7 +102,7 @@ from . import tensor as tz
 from .errors import BindError, FormatError, RangeError
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanItem:
     tid: int
     size: int      # bytes
@@ -122,21 +126,22 @@ def lifetime_items(g: gr.Graph, shapes=None) -> list:
     already holding a map of every tensor of ``g`` passes it instead.
     """
     info = gr.infer_shapes(g) if shapes is None else shapes
-    last_use = {}
-    for idx, n in enumerate(g.nodes):
-        for t in n.inputs:
-            last_use[t] = idx
-    for _, t in g.outputs:
-        last_use[t] = len(g.nodes)
 
     def nbytes(tid):
         shape, dtype = info[tid]
         return int(math.prod(shape)) * tz.itemsize(dtype)
 
-    items = [PlanItem(gi.tid, nbytes(gi.tid), -1, last_use.get(gi.tid, -1))
-             for gi in g.inputs]
+    items = [PlanItem(gi.tid, nbytes(gi.tid), -1, -1) for gi in g.inputs]
+    items += (PlanItem(n.output, nbytes(n.output), idx, idx) for idx, n in enumerate(g.nodes))
+    # each end moves to its tensor's last read; constants are not looked up
+    planned = {it.tid: it for it in items}
     for idx, n in enumerate(g.nodes):
-        items.append(PlanItem(n.output, nbytes(n.output), idx, last_use.get(n.output, idx)))
+        for t in n.inputs:
+            if t in planned:
+                planned[t].end = idx
+    for _, t in g.outputs:
+        if t in planned:
+            planned[t].end = len(g.nodes)
     return items
 
 
@@ -236,11 +241,16 @@ def check_adapter_layers(g: gr.Graph, descriptors, shapes: dict) -> None:
     (``RangeError``), not on every step.
     """
     slots = {(d.b_tid, d.a_tid, d.alpha_tid): d for d in descriptors}
-    users = g.consumers()
+    # the reads of the slot tensors alone: a use map of the whole graph
+    # would be the largest transient of a load
+    reads = dict.fromkeys((t for key in slots for t in key), 0)
+    for t in itertools.chain((t for n in g.nodes for t in n.inputs), (t for _, t in g.outputs)):
+        if t in reads:
+            reads[t] += 1
     for n in (n for n in g.nodes if n.kind == "qlora"):
         d = slots.pop(tuple(n.inputs[2:]), None)
         if (d is None or (n.attrs["b_qparams"], n.attrs["a_qparams"]) != (d.b_params, d.a_params)
-                or any(len(users[t]) != 1 for t in n.inputs[2:])):
+                or any(reads[t] != 1 for t in n.inputs[2:])):
             raise FormatError(f"node {n.id}: an adapter layer must be the one reader of one slot, "
                               "under the slot's parameters")
         (w, _), (x, _), (b, _) = (shapes[t] for t in n.inputs[:3])
@@ -327,7 +337,7 @@ class Session:
     @property
     def adapter_buffer_bytes(self) -> int:
         """Bytes of the prepared slot operands the session holds (B's
-        centred levels in float64, A in fp32, alpha); 0 before the first
+        centred levels, A and alpha, all fp32); 0 before the first
         bind."""
         c = self.bundle.backbone.constants
         return sum(int(c[t].nbytes) for d in self.model.descriptors
@@ -347,13 +357,14 @@ def load_model(data: bytes) -> Session:
 def slot_operands(q_b, p_b, q_a, p_a, alpha) -> tuple:
     """A slot's B, A and alpha in the form a ``qlora`` multiplies them.
 
-    B becomes its centred levels q_b - z_b in float64
-    (``qparams.centered_levels``), A its fp32 dequantized values
-    (``qparams.dequantize_array``), alpha a one-element fp32 array.
+    B becomes its centred levels q_b - z_b in fp32, one cast and one
+    subtract (``qparams.centered_levels``), which hold them exactly since
+    |q_b - z_b| <= 65,535 < 2**24; A its fp32 dequantized values
+    (``qparams.dequantize_array``); alpha a one-element fp32 array.
     Both factors' levels are range-checked here, as those functions
     check them; a level outside its range raises ``RangeError``.
     """
-    return (qp.centered_levels(q_b, p_b), qp.dequantize_array(q_a, p_a),
+    return (qp.centered_levels(q_b, p_b, np.float32), qp.dequantize_array(q_a, p_a),
             np.array((alpha,), dtype=np.float32))
 
 
@@ -363,7 +374,7 @@ def bind_lora(session: Session, pack_bytes: bytes):
     ``compiler.unpack_lora`` decodes the pack into views of its bytes,
     and each slot is written straight from them into the form its
     ``qlora`` multiplies (``slot_operands``): B's centred levels in
-    float64, A dequantized to fp32, and alpha as a one-element fp32
+    fp32, A dequantized to fp32, and alpha as a one-element fp32
     array.  They replace the previous operands in the backbone's
     constants and in its prepared operand table at once, and every step
     reads them in place.  Every check (the slot set, shapes, storage

@@ -116,6 +116,11 @@ def unified_profile(bundle, adapters, data, policy, *, lora_bits: int = 16, seed
     activations are observed with each adapter bound in turn, observers
     accumulating across runs.  Every adapter must cover every slot.
     """
+    _check_covers_every_slot(bundle, adapters)
+    return qt.build_profile(bundle, data, policy, adapters, lora_bits, seed)
+
+
+def _check_covers_every_slot(bundle, adapters) -> None:
     if not adapters:
         raise RangeError("unified profile needs at least one adapter")
     slots = {n.id for n in bundle.backbone.lora_nodes()}
@@ -126,7 +131,6 @@ def unified_profile(bundle, adapters, data, policy, *, lora_bits: int = 16, seed
             raise CoverageError(
                 f"adapter {a.adapter_id!r} leaves lora nodes {sorted(missing)} uncovered"
             )
-    return qt.build_profile(bundle, data, policy, adapters, lora_bits, seed)
 
 
 @dataclass
@@ -165,7 +169,11 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
     """Pick the anchor (or fall back to unified) and return (profile, report).
 
     The anchor adapter's provisional calibration becomes the shared
-    profile; the unified fallback merges all adapters instead.  Adapter
+    profile; the unified fallback merges all adapters instead.  Its
+    activation ranges are the union of the provisional calibrations'
+    observers (``Observer.merge``), which is exactly what
+    ``unified_profile`` observes in the same runs again, so the profile
+    is ``unified_profile``'s with no further run.  Adapter
     ids must be distinct, since profiles and scores are keyed by them.
     Each adapter's QSS takes its fp references from the fp runs of its
     own calibration, which have the same seeds and bits as the runs
@@ -180,17 +188,22 @@ def build_shared_profile(bundle, adapters, data, policy, tie_epsilon: float = 0.
         raise RangeError(f"duplicate adapter ids: {ids}")
     provisionals = {}
     scores = {}
+    observed = {}   # key -> Observer, over every adapter's runs
     for a in adapters:
-        refs = []
+        refs, observers = [], {}
         provisionals[a.adapter_id] = qt.calibrate(
-            bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed, outputs=refs)
+            bundle, data, policy, adapter=a, lora_bits=lora_bits, seed=seed, outputs=refs,
+            observers=observers)
+        for key, o in observers.items():
+            observed.setdefault(key, qt.Observer(key)).merge(o)
         scores[a.adapter_id] = qss(bundle, a, provisionals[a.adapter_id], data, seed=seed, refs=refs)
         if outputs is not None:
             outputs[a.adapter_id] = refs
 
     report = qss_report(scores, tie_epsilon)
     if report.anchor == UNIFIED:
-        shared = unified_profile(bundle, adapters, data, policy, lora_bits=lora_bits, seed=seed)
+        _check_covers_every_slot(bundle, adapters)
+        shared = qt.profile_from_observers(bundle, observed, policy, adapters, lora_bits)
     else:
         # the anchor's calibration becomes the fixed shared parameters;
         # other adapters are later distilled to perform under them

@@ -31,14 +31,11 @@ import numpy as np
 
 from .errors import FormatError, RangeError, ShapeError
 
-# f64 holds the centred levels a runtime session prepares at bind
-# (``runtime.bind_lora``).  It has no QTNS code, so no file holds it.
 DTYPES = {
     "fp32": np.float32,
     "i8": np.int8,
     "i16": np.int16,
     "i32": np.int32,
-    "f64": np.float64,
 }
 DTYPE_CODES = {"fp32": 0, "i8": 1, "i16": 2, "i32": 3}
 DTYPE_NAMES = {v: k for k, v in DTYPE_CODES.items()}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import onegraph as og
+from onegraph import compiler as cp
 from onegraph import modelspec as ms
 from onegraph import quant as qt
 from onegraph import sensitivity as sv
@@ -134,6 +135,13 @@ def w256():
     samples = ms.make_samples(bundle, 2, 61)
     profile = sv.unified_profile(bundle, adapters, samples, qt.Policy("w8a16"), seed=3)
     return bundle, adapters, samples, profile
+
+
+def numbers(g):
+    """Tensor id -> the dense number ``compiler.freeze`` writes it as."""
+    ids = {}
+    cp._pack_graph(g, ids)
+    return ids
 
 
 def copy_adapter(adapter, new_id=None):

@@ -6,7 +6,7 @@ or not, nor an infer changes a byte of the loaded model's constants:
 binding only writes the slot constants of the session's own backbone.
 Those are each slot's operands as its ``qlora`` multiplies them,
 prepared once per bind from the pack's payloads (B's centred levels in
-float64, A dequantized to fp32), and every step of ``infer`` reads them
+fp32, A dequantized to fp32), and every step of ``infer`` reads them
 in place; a step is fed the latent and the conditioning only.  The
 session prepares its graphs once, at load: a bind re-points the
 prepared steps at the new slot arrays, and an infer prepares nothing.
@@ -122,7 +122,7 @@ def bound(served):
 
 
 def test_bind_prepares_each_slot_from_the_payload(served):
-    """B is ``centered_levels`` and A ``dequantize_array`` of the payload,
+    """B is q_b - z_b in fp32 and A ``dequantize_array`` of the payload,
     bit for bit, in arrays of the session's own: the operands alias no
     byte of the pack, which the caller may change afterwards."""
     model, descriptors, (_, adapters, samples, profile) = served
@@ -134,15 +134,25 @@ def test_bind_prepares_each_slot_from_the_payload(served):
     first = rt.infer(session, x, cond, seed=3)
     pack[20:] = bytes(len(pack) - 20)
     constants = session.bundle.backbone.constants
-    for d in descriptors:
+    for d in session.model.descriptors:
         s = decoded.slots[d.slot_id]
-        for tid, want in ((d.b_tid, qp.centered_levels(s.b_q, d.b_params)),
+        for tid, want in ((d.b_tid, (s.b_q.astype(np.int64) - d.b_params.zero_point).astype(np.float32)),
                           (d.a_tid, qp.dequantize_array(s.a_q, d.a_params)),
                           (d.alpha_tid, np.array([s.alpha], np.float32))):
             got = constants[tid]
             assert got.dtype == want.dtype and got.shape == want.shape, tid
             assert got.tobytes() == want.tobytes() and got.flags.owndata, tid
     assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("level, zero, want", ((-32768, 32767, -65535.0), (32767, -32768, 65535.0)))
+def test_prepared_b_is_exact_at_the_range_ends(level, zero, want):
+    """|q_b - z_b| reaches 65,535 for 16-bit slots, below 2**24, so fp32
+    holds B's centred levels exactly."""
+    p = qp.QuantParams(1e-4, zero, 16)
+    q_b = np.full((2, 3), level, np.int16)
+    b, _, _ = rt.slot_operands(q_b, p, np.zeros((3, 2), np.int16), p, 0.5)
+    assert b.dtype == np.float32 and b.shape == q_b.shape and (b == want).all()
 
 
 def test_a_level_out_of_range_fails_the_bind(toy_bundle, toy_adapter, toy_profile, toy_samples):

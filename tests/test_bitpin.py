@@ -11,10 +11,12 @@ load, bind, infer):
   the reference per-k matmul loop; the d48 ``.qlp`` digests, whose 48
   adapter slots make long rewire chains, with the compiler passes that
   rescanned the node list for every rewire and the planner that
-  rescanned the live set.  The ``.quadm`` digests were re-recorded twice:
-  when the model format went to version 2 and began to hold the fused
-  graphs in the passes' node order, and when version 3 stopped holding
-  the profile text.  No ``.qlp`` or output digest moved either time.
+  rescanned the live set.  The ``.quadm`` digests were re-recorded three
+  times: when the model format went to version 2 and began to hold the
+  fused graphs in the passes' node order, when version 3 stopped holding
+  the profile text, and when version 4 numbered the tensors densely and
+  let a ``requant`` emit the next layer's levels.  No ``.qlp`` or output
+  digest moved any time.
 
 The distillation digest pins the forward and backward products of the
 gradient tape the same way.
@@ -39,19 +41,19 @@ from onegraph import runtime as rt
 # SHA-256 digests recorded before the change each one guards (see above).
 PINNED = {
     "toy": {
-        "model": "741886b4389bdaa8d42f205bcd037bc27613218268f9d0057f65ce0ed96a1e87",
+        "model": "2819713e2d10daf723e52442f46fa9aec0eef805cb35f669ed3d537f906cf2e3",
         "packs": ["25388d2aea51e0b0ca23cba7d60b653534e77879093e4b4ff77e466c331ac252"],
         "outputs": ["ea94f1bf4ff6a618dc774145a21b3c1f36c3b4a06de575609787f52a495815ba"],
     },
     "w64": {
-        "model": "ca8decac90dae12f48fed8237ef2ccec4515b74c3f0b8da3f073fa085e89b6b6",
+        "model": "333c346efb571a302157bea5614043082aba5bef24021529733708a75be563db",
         "packs": ["dc211f7af24b7265c159c0dd1093c472372c2fa9d106b0f5ea86405b72e900e2",
                   "b18477ce51083940d5955849d62a422c8ea9297bf09c0501118c55a013b088f2"],
         "outputs": ["374244fdbd6bdfdfca3db02b7dbb26614cba7bb69417c1aa548858e73d3754fe",
                     "cf7c9024c01ad77d89b64de12c890b6b2f8c4a75236b39d0271f443f5e18a02e"],
     },
     "d48": {
-        "model": "5c4b46e1a198557946ec0dbe4e52ba74861e96a510731d6094c011f8ce7d1ac3",
+        "model": "c9e73429b0d8633c12846f91dbd0648a23b9d01afb2461b2c134b598d204ed8d",
         "packs": ["2114b12913aae2542b6e587764c37f2ed474a4101b8478bbb42c1311d24d5f5c",
                   "9d6fce60f82f39fd7068f65be1830521a6285714ffcb09e6721edc68e0ffec37"],
         "outputs": ["bedcd70ed1e633d41d358bccf4bf12114e55baea07be5fd0fb967fc4b327e628",

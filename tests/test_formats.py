@@ -19,6 +19,7 @@ import zlib
 import numpy as np
 import pytest
 import test_bitpin
+from conftest import numbers
 
 from onegraph import compiler as cp
 from onegraph import modelspec as ms
@@ -189,7 +190,7 @@ def test_descriptors_must_name_the_slot_inputs(toy_bundle, toy_profile, defect):
 
 SLOT_DEFECTS = {
     "i32 A": r"ShapeError: node \d+: qlora needs B and A as stored \('i16', 'i16'\) or as prepared "
-             r"\(f64, fp32\), got \(i16, i32\)",
+             r"\(fp32, fp32\), got \(i16, i32\)",
     "constant alpha": r"GraphError: tensors \[\d+\] are both inputs and constants",
     "bits 3": r"slot 0: bits 3, not its A/B 16/16",
 }
@@ -259,13 +260,15 @@ def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
 
 
 def test_each_magic_has_its_own_version(toy_artifacts):
-    """``.quadm`` is at version 3 and ``.qlp`` stays at 1.  A version-1
+    """``.quadm`` is at version 4 and ``.qlp`` stays at 1.  A version-1
     ``.quadm``, which held the graphs before the fusions, is refused, and
-    so is a version-2 one, which also held the profile text."""
+    so are a version-2 one, which also held the profile text, and a
+    version-3 one, whose reader knows no ``requant`` that emits levels."""
     model, pack = toy_artifacts
-    assert (model[4:6], pack[4:6]) == (b"\x03\x00", b"\x01\x00")
+    assert (model[4:6], pack[4:6]) == (b"\x04\x00", b"\x01\x00")
     for data, loader, magic, old in ((model, cp.load_compiled, "QADM", 1),
                                      (model, cp.load_compiled, "QADM", 2),
+                                     (model, cp.load_compiled, "QADM", 3),
                                      (pack, cp.unpack_lora, "QLPK", 2)):
         changed = bytearray(data)
         struct.pack_into("<H", changed, 4, old)
@@ -390,9 +393,10 @@ def qlinear_record(toy_bundle, toy_profile):
     """The toy model's bytes and the serialized head and attributes of one qlinear node."""
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
     model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
-    node = next(n for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
+    g, node = next((g, n) for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
+    ids = numbers(g)
     head = struct.pack(f"<IBB{len(node.inputs)}II", node.id, cp._KIND_CODES["qlinear"],
-                       len(node.inputs), *node.inputs, node.output)
+                       len(node.inputs), *(ids[t] for t in node.inputs), ids[node.output])
     record = head + cp._pack_attrs(node.attrs)
     assert model[20:].count(record) == 1
     return model, record

@@ -2,11 +2,12 @@
 
 ``compiler.optimize_for_freeze`` fuses each adapter layer into one
 ``qlora`` node and each ``quantize -> dequantize [-> activation]`` chain
-into one ``requant`` node, and the ``.quadm`` holds those graphs (kind
-codes 11 and 12).  ``compiler.load_compiled`` returns them as frozen,
+into one ``requant`` node, which also takes in the ``quantize`` of the
+next layer's input when that alone reads the chain, and the ``.quadm``
+holds those graphs (kind codes 11 and 12), with dense tensor ids.  ``compiler.load_compiled`` returns them as frozen,
 they freeze back to the same bytes, and ``runtime.Session`` plans and
 runs them node for node.  ``onegraph inspect --dump`` prints them
-(digests recorded at model format version 3).
+(digests recorded at model format version 4).
 
 A fused node must give the bits of its unfused chain.  The chain's
 reference here runs the chain's own nodes through ``graph.run_graph``,
@@ -31,12 +32,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import numbers
 from test_bitpin import serve, sha
 
 from onegraph import cli
 from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import modelspec as ms
 from onegraph import qparams as qp
+from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
 from onegraph.errors import FormatError, RangeError
@@ -49,8 +53,8 @@ PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140
                "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
 
 INSPECT_SHA256 = {
-    "w64": "d8308e1fb194510c04d71df8f140be8c30117e1ca44d880f1d42f9c474114826",
-    "d48": "759ec75bf8c15e71269a10852ee501bce374da2026563f13816cd5546b9a3ac3",
+    "w64": "2256fae07d145f2b275289ff74fa04225cd2582004a37f8f9b49b6e56f74686b",
+    "d48": "5946d4584334bd15bcfd49d3d173ac2cf3d1bdd655cdc3355966aa95cb60f7a5",
 }
 
 
@@ -85,7 +89,7 @@ def test_each_lora_layer_is_one_qlora(compiled, request):
     """One ``qlora`` per slot, reading that slot's A, B and alpha, with the
     output tensor of the layer it replaces; no adapter arithmetic is left
     over."""
-    name, _, model = compiled
+    name, frozen, model = compiled
     bundle = request.getfixturevalue(name)[0]
     session = rt.load_model(model)
     backbone = session.model.graphs["backbone"]
@@ -93,7 +97,8 @@ def test_each_lora_layer_is_one_qlora(compiled, request):
     slots = sorted((d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors)
     assert sorted(tuple(n.inputs[2:]) for n in qlora) == slots
     assert len(qlora) == {"w64": 4, "d48": 48}[name]
-    assert {n.output for n in qlora} == {n.output for n in bundle.backbone.lora_nodes()}
+    ids = numbers(frozen.backbone)
+    assert {n.output for n in qlora} == {ids[n.output] for n in bundle.backbone.lora_nodes()}
     assert not [n for n in backbone.nodes if n.kind in ("matmul", "scale", "add", "dequantize")]
 
 
@@ -115,8 +120,8 @@ def test_the_session_runs_the_graphs_it_decodes(compiled):
 
 def test_a_load_peaks_near_what_it_keeps(d48):
     """The load's traced peak is at most 1.5x the bytes still live after it.
-    It reads 1.29x; it read 3.04x when each session fused the graphs it
-    had loaded."""
+    It reads 1.45x (153,322 of 105,906 B, numpy 2.4, Python 3.11); it
+    read 3.04x when each session fused the graphs it had loaded."""
     bundle, _, _, profile = d48
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
     model = cp.freeze(frozen, profile, descriptors, name="pin")
@@ -134,10 +139,11 @@ def test_a_load_peaks_near_what_it_keeps(d48):
 def test_a_prepared_program_holds_little_per_node(d48):
     """What a session prepares at load, traced: per node its kernel, its
     output's arena view (shared by the tensors at one offset with one
-    shape and dtype) and its operand-table entries.  On D48 that is 76 B
-    a node (numpy 2.4, Python 3.11); the bound is that plus 25%.  A
-    closure or a step tuple per node would exceed it, and so would a
-    view of its own for every tensor."""
+    shape and dtype) and its operand-table entries, one per tensor since
+    ``compiler.freeze`` numbers the tensors densely.  On D48 that is 88 B
+    a node (numpy 2.4, Python 3.11), under a 95 B bound.  A closure or a
+    step tuple per node would exceed it, and so would a view of its own
+    for every tensor, or a table sized by sparse ids (130 B a node)."""
     bundle, _, _, profile = d48
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
     data = cp.freeze(frozen, profile, descriptors, name="pin")
@@ -154,15 +160,21 @@ def test_a_prepared_program_holds_little_per_node(d48):
     finally:
         tracemalloc.stop()
     nodes = sum(len(p.graph.nodes) for p in programs)
-    assert nodes == 155 and held <= 95 * nodes
+    assert nodes == 108 and held <= 95 * nodes
 
 
 def test_the_file_keeps_its_graphs(compiled):
-    """The fused graphs in the passes' node order, and the same bytes again."""
+    """The fused graphs in the passes' node order, each tensor id written
+    as its dense number, and the same bytes again."""
     _, frozen, model = compiled
     loaded = cp.load_compiled(model)
     for role, g in frozen.graphs():
-        assert gr.dump_graph(loaded.graphs[role]) == gr.dump_graph(g)
+        ids = numbers(g)
+        got = loaded.graphs[role]
+        assert [(n.id, n.kind, n.inputs, n.output, n.attrs) for n in got.nodes] == [
+            (n.id, n.kind, [ids[t] for t in n.inputs], ids[n.output], n.attrs) for n in g.nodes]
+        assert sorted(ids.values()) == list(range(len(ids))) == sorted(got.constants.keys() | {
+            t for n in got.nodes for t in (*n.inputs, n.output)} | {gi.tid for gi in got.inputs})
     again = gr.ModelBundle(*(loaded.graphs[r] for r in ("encoder", "backbone", "decoder")),
                            loaded.steps)
     assert cp.freeze(again, None, loaded.descriptors, name=loaded.name,
@@ -262,14 +274,16 @@ def test_an_artifact_holds_each_fused_kind(kind, toy_bundle, toy_profile):
     """A fused node is written under its kind code and loads back as it was
     frozen; the ``requant`` checked is one that carries an activation."""
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-    role, node = next((role, n) for role, g in frozen.graphs() for n in g.nodes
-                      if n.kind == kind and (kind == "qlora" or "activation" in n.attrs))
+    role, g, node = next((role, g, n) for role, g in frozen.graphs() for n in g.nodes
+                         if n.kind == kind and (kind == "qlora" or "activation" in n.attrs))
+    ids = numbers(g)
+    inputs = [ids[t] for t in node.inputs]
     head = struct.pack(f"<IBB{len(node.inputs)}II", node.id, cp._KIND_CODES[kind], len(node.inputs),
-                       *node.inputs, node.output)
+                       *inputs, ids[node.output])
     model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
     assert model[20:].count(head + cp._pack_attrs(node.attrs)) == 1
     again = next(n for n in cp.load_compiled(model).graphs[role].nodes if n.id == node.id)
-    assert (again.kind, again.inputs, again.attrs) == (kind, node.inputs, node.attrs)
+    assert (again.kind, again.inputs, again.attrs) == (kind, inputs, node.attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +365,93 @@ def test_requant_equals_its_chain(activation, bits, signed, zero):
     g = gr.Graph(nodes, [gr.GraphInput("x", 0, x.shape)], [("y", nodes[-1].output)], {})
     fused, chain = _fused_and_chain(g, {"x": x}, "requant")
     assert fused.tobytes() == chain.tobytes()
+
+
+@pytest.mark.parametrize("activation", (None, "relu"))
+@pytest.mark.parametrize("bits, signed, zero", PARAMS)
+def test_requant_emits_the_next_layers_levels(activation, bits, signed, zero):
+    """A ``quantize`` that alone reads the chain's output moves into the
+    ``requant`` (``out_qparams``), whose output is then that quantize's
+    levels, in their storage dtype, bit for bit."""
+    p = _params(16, True, "mid", 0.0213)
+    p_out = _params(bits, signed, zero, 0.0371)
+    rng = np.random.default_rng(bits + len(zero))
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 3e38, -3e38],
+                        rng.normal(0.0, 0.0371 * (p_out.q_max - p_out.q_min), 50)])
+    x = x.astype(np.float32).reshape(-1, 2)
+    nodes = [gr.Node(0, "quantize", [0], 1, {"qparams": p}),
+             gr.Node(1, "dequantize", [1], 2, {"qparams": p})]
+    if activation:
+        nodes.append(gr.Node(2, "activation", [2], 3, {"kind": activation}))
+    nodes.append(gr.Node(3, "quantize", [nodes[-1].output], 4, {"qparams": p_out}))
+    g = gr.Graph(nodes, [gr.GraphInput("x", 0, x.shape)], [("y", 4)], {})
+    fused_graph = cp._fuse_requant(g)
+    assert [(n.kind, n.output, n.attrs.get("out_qparams")) for n in fused_graph.nodes] == [
+        ("requant", 4, p_out)]
+    fused = gr.run_graph(fused_graph, {"x": x})["y"]
+    chain = gr.run_graph(g, {"x": x})["y"]
+    assert fused.dtype == chain.dtype == qp.storage_dtype(bits, signed)
+    assert fused.tobytes() == chain.tobytes()
+
+
+def test_a_quantize_heading_its_own_pair_starts_the_next_requant():
+    """quantize -> dequantize -> activation -> quantize -> dequantize: the
+    second quantize heads a pair of its own, so it stays out of the first
+    ``requant`` and becomes the second, which reads the first's output.
+    Folding it into the first would leave the second reading a tensor
+    nothing produces."""
+    p, p2 = _params(16, True, "mid", 0.0213), _params(8, True, "low", 0.0371)
+    x = np.random.default_rng(3).normal(0.0, 2.0, (6, 2)).astype(np.float32)
+    nodes = [gr.Node(0, "quantize", [0], 1, {"qparams": p}),
+             gr.Node(1, "dequantize", [1], 2, {"qparams": p}),
+             gr.Node(2, "activation", [2], 3, {"kind": "silu"}),
+             gr.Node(3, "quantize", [3], 4, {"qparams": p2}),
+             gr.Node(4, "dequantize", [4], 5, {"qparams": p2})]
+    g = gr.Graph(nodes, [gr.GraphInput("x", 0, x.shape)], [("y", 5)], {})
+    fused_graph = cp._fuse_requant(g)
+    gr.validate(fused_graph)
+    assert [(n.kind, n.inputs, n.output, sorted(n.attrs)) for n in fused_graph.nodes] == [
+        ("requant", [0], 3, ["activation", "qparams"]), ("requant", [3], 5, ["qparams"])]
+    assert (gr.run_graph(fused_graph, {"x": x})["y"].tobytes()
+            == gr.run_graph(g, {"x": x})["y"].tobytes())
+
+
+LAST_RELU_MODEL = """
+name lastrelu
+steps 2
+seed 7
+input 4
+cond 2
+latent 4
+section backbone
+lora 8 relu rank=2
+lora 4 relu rank=2
+section decoder
+dense 6 none
+"""
+
+
+def test_a_backbone_ending_in_an_activation_serves_quantsim():
+    """The backbone's output is dequantized, so the quantize after its last
+    activation heads a pair and stays unfused into that layer's
+    ``requant``: the layer ends in two.  Every earlier layer's ``requant``
+    emits the next layer's levels.  The session serves QuantSim's bits."""
+    bundle = ms.build_bundle(ms.parse_model_spec(LAST_RELU_MODEL))
+    adapter = ms.build_adapter(bundle, ms.AdapterSpec("t", seed=11, rank=2, amplitude=0.4))
+    samples = ms.make_samples(bundle, 3, 9)
+    profile = qt.calibrate(bundle, samples[:2], qt.Policy("w8a16"), adapter=adapter, seed=0)
+    frozen, _ = cp.optimize_for_freeze(bundle, profile)
+    nodes = frozen.backbone.nodes
+    layers = [n for n in nodes if n.kind == "qlora"]
+    after = {n.inputs[0]: n for n in nodes if n.kind == "requant"}
+    first, last = (after[n.output] for n in layers)
+    assert first.attrs["out_qparams"] == layers[1].attrs["in_qparams"]
+    assert first.output == layers[1].inputs[1]
+    assert "out_qparams" not in last.attrs and after[last.output] is nodes[-1]
+    assert not [n for n in nodes if n.kind == "quantize" and n.inputs[0] in
+                {r.output for r in after.values()}]
+    x, cond = samples[2]
+    serve(bundle, profile, [adapter], x, cond, seed=5)
 
 
 def _storage(p):

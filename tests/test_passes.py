@@ -9,7 +9,8 @@ in the middle of the graph and a node output that is left unquantized.
 The hand-built bundle has a covered input that nothing reads: its
 ``quantize -> dequantize`` pair outlives ``scale_fold``, and the
 compiler's last dead-code pass drops what that pair fuses to.  Its
-``.quadm`` digest was last recorded at model format version 3.
+``.quadm`` digest was last recorded at model format version 4, whose
+tensor ids are dense.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from onegraph import quant as qt
 PINNED = "964fc277eb70396c54a64740333178b9fc2e733db41a4f97f0209daf0bacc8d9"
 PINNED_TOY = "8754f11cb46e94f4cb5044a53ab095c7f59e3c076ef37086fd47c4363b853540"
 PINNED_UNREAD = "89850afc89c35bc2566fc1b80a013ab235805db4bd68e19ca4d0c4fe6fafc865"
-PINNED_UNREAD_MODEL = "5c88898f73971b285fcc90a3693299c82ccad0178eb235357292d324f9994a9a"
+PINNED_UNREAD_MODEL = "dbc5e84d1fc108958b9c4f33dd8a643dcb67eba92031d9d068ed69cbfb974d39"
 
 
 def hand_graph():

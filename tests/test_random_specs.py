@@ -5,6 +5,8 @@ backbone layers of dense or lora kind, widths 1-33, every activation,
 w8a16 / w8a8 / ``mixed`` policies, 8- and 16-bit factors, and 1-3
 adapters, some spiked.  A valid spec must
 
+* leave no ``quantize`` reading a ``requant``'s output, which either
+  emits that quantize's levels or feeds the ``requant`` it heads;
 * freeze to the same bytes twice;
 * serve every adapter with the runtime bit for bit equal to QuantSim;
 * give each column block of a 2- and a 3-block fp run and QuantSim run
@@ -91,6 +93,9 @@ def test_random_spec(index):
         profile = qt.calibrate(bundle, samples[:2], policy, lora_bits=lora_bits, seed=index)
 
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    for _, g in frozen.graphs():
+        requants = {n.output for n in g.nodes if n.kind == "requant"}
+        assert not [n.id for n in g.nodes if n.kind == "quantize" and n.inputs[0] in requants]
     model = cp.freeze(frozen, profile, descriptors, name="r")
     again, again_descriptors = cp.optimize_for_freeze(bundle, profile)
     assert cp.freeze(again, profile, again_descriptors, name="r") == model
