@@ -275,10 +275,9 @@ def cmd_inspect(args):
         print(f"adapter_id {pack.adapter_id}")
         print(f"lora_bits {pack.lora_bits}")
         print(f"file_bytes {len(data)}")
-        for sid in sorted(pack.slots):
-            s = pack.slots[sid]
+        for s in pack.slots.values():
             payload = s.a_q.nbytes + s.b_q.nbytes
-            print(f"  slot {sid} rank {s.rank} alpha {s.alpha!r} payload_bytes {payload}")
+            print(f"  slot {s.slot_id} rank {s.rank} alpha {s.alpha!r} payload_bytes {payload}")
     elif data[:4] == tz.QTNS_MAGIC:
         arr = tz.read_qtns(path)
         print(f"magic QTNS dtype {tz.dtype_name(arr)} shape {list(arr.shape)}")

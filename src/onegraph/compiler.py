@@ -11,7 +11,12 @@ The artifact holds the graphs a runtime session runs, node for node.
 
 Adapters are packed separately (.qlp) with their factors quantized at
 the boundary under the shared slot parameters, so any pack can be bound
-into the one compiled model at run time.
+into the one compiled model at run time.  A pack is a header, one
+fixed-size record per slot (``SLOT_RECORD``) and one block of every
+slot's B and A levels in one dtype, so a bind reads it as two arrays,
+checks it a column at a time and prepares it in a few array operations
+per run of equally shaped slots, as S-LoRA keeps every adapter's
+weights in one pool (Sheng et al. 2023, arXiv:2311.03285).
 
 Both formats are little-endian with a crc32 over the payload.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 import sys
 import zlib
@@ -32,7 +38,7 @@ from . import graph as gr
 from . import quant as qt
 from . import tensor as tz
 from .errors import CoverageError, FormatError, GraphError, PackError
-from .qparams import QuantParams, quantize_array, storage_dtype
+from .qparams import SUPPORTED_BITS, QuantParams, quantize_array, storage_dtype
 
 MODEL_MAGIC = b"QADM"
 PACK_MAGIC = b"QLPK"
@@ -40,7 +46,9 @@ PACK_MAGIC = b"QLPK"
 # the fusions of ``optimize_for_freeze``, version 2 the unread profile
 # text.  Version 3 had no ``requant`` that emits levels (``out_qparams``),
 # and a version-3 reader would run one as if it emitted fp32.
-FORMAT_VERSIONS = {MODEL_MAGIC: 4, PACK_MAGIC: 1}
+# Pack version 1 held a parameter record and two QTNS headers per slot,
+# in any slot order.
+FORMAT_VERSIONS = {MODEL_MAGIC: 4, PACK_MAGIC: 2}
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -748,21 +756,55 @@ def load_compiled(data: bytes) -> CompiledModel:
 # Adapter packs
 
 
+# One slot record of a ``.qlp``: the slot's id, the adapter's rank and
+# fp32 alpha, the slot's shape, then its A and B parameters as
+# ``_pack_qparams`` writes them.  44 bytes, little-endian, unaligned.
+SLOT_RECORD = np.dtype([
+    ("slot_id", "<u4"), ("rank", "<u4"), ("alpha", "<f4"), ("d_out", "<u4"), ("d_in", "<u4"),
+    ("r_max", "<u4"), ("a_scale", "<f4"), ("a_zero", "<i4"), ("a_bits", "u1"), ("a_signed", "u1"),
+    ("b_scale", "<f4"), ("b_zero", "<i4"), ("b_bits", "u1"), ("b_signed", "u1")])
+_SLOT_STRUCT = struct.Struct("<" + "".join(SLOT_RECORD[f].char for f in SLOT_RECORD.names))
+
+
+def _slot_record(d: LoRASlotDescriptor, rank=0, alpha=0.0) -> bytes:
+    a, b = d.a_params, d.b_params
+    return _SLOT_STRUCT.pack(d.slot_id, rank, alpha, d.d_out, d.d_in, d.r_max,
+                             a.scale, a.zero_point, a.bits, a.signed, b.scale, b.zero_point, b.bits, b.signed)
+
+
+def slot_records(descriptors) -> bytes:
+    """The records of ``descriptors``, in ascending slot id, with rank and
+    alpha 0: what a pack for them holds but for those two fields."""
+    return b"".join(map(_slot_record, sorted(descriptors, key=lambda d: d.slot_id)))
+
+
+def slot_sizes(records: np.ndarray) -> list:
+    """Each slot's level count in the block, r_max * (d_in + d_out), as ints."""
+    return [r * (i + o) for o, i, r in zip(*(records[f].tolist() for f in ("d_out", "d_in", "r_max")))]
+
+
 def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
     """Quantize adapter factors under the shared slot params and serialize.
 
-    The header's factor width is the one bit width of the slots' A and B
-    parameters, else ``PackError``; the profile ``shared`` is not read
-    and stays for the callers that pass it.  Factors are zero-padded to
-    the slot rank in the quantized domain (pad value = zero point, which
-    dequantizes to exactly 0).  A NaN factor entry has no level, and
-    alpha must lie in fp32's finite range.
+    The payload is a header (adapter id, factor width, slot count), one
+    ``SLOT_RECORD`` per slot in ascending slot id, then one level block:
+    each slot's B levels (r_max x d_in), then its A levels (d_out x
+    r_max), in slot order, all in the storage dtype of the slots' one
+    width and signedness.  Slots of mixed widths or signedness raise
+    ``PackError``; the profile ``shared`` is not read and stays for the
+    callers that pass it.  Factors are zero-padded to the slot rank in
+    the quantized domain (pad value = zero point, which dequantizes to
+    exactly 0).  A NaN factor entry has no level, and alpha must lie in
+    fp32's finite range.
     """
-    widths = {p.bits for d in descriptors for p in (d.a_params, d.b_params)}
+    params = [p for d in descriptors for p in (d.a_params, d.b_params)]
+    widths, signs = sorted({p.bits for p in params}), sorted({p.signed for p in params})
     if len(widths) != 1:
-        raise PackError(f"the slots' factors must share one bit width, not {sorted(widths)}")
-    parts = [_pack_str(adapter.adapter_id), struct.pack("<B", *widths),
-             struct.pack("<I", len(descriptors))]
+        raise PackError(f"the slots' factors must share one bit width, not {widths}")
+    if len(signs) != 1:
+        raise PackError(f"the slots' factors must share one signedness, not {signs}")
+    dtype = storage_dtype(*widths, *signs)
+    records, blocks = [], []
     for d in sorted(descriptors, key=lambda d: d.slot_id):
         entry = adapter.entries.get(d.target_node_id)
         if entry is None:
@@ -777,23 +819,25 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
             raise PackError(f"lora node {d.target_node_id}: a factor holds a NaN, which has no level")
         if not abs(entry.alpha) <= _FP32_MAX:
             raise PackError(f"lora node {d.target_node_id}: alpha {entry.alpha} is not finite in fp32")
-        a_q = np.full(d.a_shape, d.a_params.zero_point, dtype=storage_dtype(d.a_params.bits, d.a_params.signed))
-        b_q = np.full(d.b_shape, d.b_params.zero_point, dtype=storage_dtype(d.b_params.bits, d.b_params.signed))
-        a_q[:, :r] = quantize_array(entry.A, d.a_params)
+        records.append(_slot_record(d, r, np.float32(entry.alpha)))
+        b_q = np.full(d.b_shape, d.b_params.zero_point, dtype)
+        a_q = np.full(d.a_shape, d.a_params.zero_point, dtype)
         b_q[:r, :] = quantize_array(entry.B, d.b_params)
-        parts += (struct.pack("<IIf", d.slot_id, r, np.float32(entry.alpha)),
-                  _pack_qparams(d.a_params), _pack_qparams(d.b_params),
-                  tz.qtns_bytes(a_q), tz.qtns_bytes(b_q))
+        a_q[:, :r] = quantize_array(entry.A, d.a_params)
+        blocks += (b_q.ravel(), a_q.ravel())
+    block = np.concatenate(blocks).astype(np.dtype(dtype).newbyteorder("<"), copy=False)
+    parts = [_pack_str(adapter.adapter_id), struct.pack("<BI", *widths, len(records)), *records,
+             block.tobytes()]
     return _wrap_payload(PACK_MAGIC, b"".join(parts))
 
 
 @dataclass
 class PackedSlot:
+    """One slot of a decoded pack; ``a_q`` and ``b_q`` are views of its
+    level block."""
     slot_id: int
     rank: int
     alpha: float
-    a_params: QuantParams
-    b_params: QuantParams
     a_q: np.ndarray
     b_q: np.ndarray
 
@@ -802,48 +846,65 @@ class PackedSlot:
 class LoRAPack:
     adapter_id: str
     lora_bits: int
-    slots: dict   # slot_id -> PackedSlot
+    records: np.ndarray   # SLOT_RECORD, one per slot in ascending slot id
+    levels: np.ndarray    # the level block, one dtype, 1-D
+
+    @property
+    def slots(self) -> dict:
+        """slot_id -> ``PackedSlot``, each factor a view of ``levels``."""
+        out, pos = {}, 0
+        for rec, size in zip(self.records.tolist(), slot_sizes(self.records)):
+            slot_id, rank, alpha, d_out, d_in, r_max = rec[:6]
+            n_b = r_max * d_in
+            out[slot_id] = PackedSlot(slot_id, rank, alpha,
+                                      self.levels[pos + n_b:pos + size].reshape(d_out, r_max),
+                                      self.levels[pos:pos + n_b].reshape(r_max, d_in))
+            pos += size
+        return out
 
 
-def qparams_memo(params) -> dict:
-    """A decode memo for ``unpack_lora`` holding ``params``: each under the
-    record it packs to, where that record holds it exactly, so such a
-    record decodes to that very object."""
-    memo = {}
-    for p in params:
-        fields = struct.unpack("<fiBB", _pack_qparams(p))
-        if fields[0] == p.scale:
-            memo[fields] = p
-    return memo
+def unpack_lora(data: bytes) -> LoRAPack:
+    """Decode a ``.qlp`` (layout in ``pack_lora``) into two read-only views
+    of ``data``: the slot records and the level block.
 
-
-def unpack_lora(data: bytes, memo=None) -> LoRAPack:
-    """Decode a ``.qlp``; the factors are read-only views into ``data``,
-    not copies (``tensor.qtns_from_bytes``).  A parameter record found
-    in ``memo`` (``qparams_memo``) decodes to the object it holds.  The
-    header's factor width must be the bit width of every slot's A and B
-    parameters, as ``pack_lora`` writes it."""
+    The slot ids must ascend strictly, the header's factor width must be
+    every slot's A and B width, the slots must share one signedness, and
+    the block must hold exactly the levels the records' shapes need;
+    else ``FormatError``.  The block's dtype is the storage dtype of that
+    width and signedness.  The parameters are not checked here: a bind
+    compares them with its model's.  The checks read the records a
+    column at a time as ints, which for a pack's few hundred values
+    costs less than array arithmetic does.
+    """
     payload = _open_payload(PACK_MAGIC, data)
-    memo = dict(memo or ())
     with _decoding("pack"):
-        pos = 0
-        adapter_id, pos = _unpack_str(payload, pos)
-        (lora_bits,) = struct.unpack_from("<B", payload, pos)
-        pos += 1
-        (n_slots,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        slots = {}
-        for _ in range(n_slots):
-            slot_id, rank, alpha = struct.unpack_from("<IIf", payload, pos)
-            pos += 12
-            a_params, pos = _unpack_qparams(payload, pos, memo)
-            b_params, pos = _unpack_qparams(payload, pos, memo)
-            if not lora_bits == a_params.bits == b_params.bits:
-                raise FormatError(f"slot {slot_id}: pack lora_bits {lora_bits}, "
-                                  f"not its A/B {a_params.bits}/{b_params.bits}")
-            a_q, pos = tz.qtns_from_bytes(payload, pos)
-            b_q, pos = tz.qtns_from_bytes(payload, pos)
-            slots[slot_id] = PackedSlot(slot_id, rank, float(np.float32(alpha)), a_params, b_params, a_q, b_q)
-    if pos != len(payload):
-        raise FormatError("trailing bytes in pack payload")
-    return LoRAPack(adapter_id, lora_bits, slots)
+        adapter_id, pos = _unpack_str(payload, 0)
+        lora_bits, n_slots = struct.unpack_from("<BI", payload, pos)
+        pos += 5
+        records = np.frombuffer(payload, SLOT_RECORD, n_slots, pos)
+        pos += records.nbytes
+    if not n_slots:
+        raise FormatError("a pack holds at least one slot")
+    ids = records["slot_id"].tolist()
+    if not all(map(operator.lt, ids, ids[1:])):
+        raise FormatError(f"slot ids {ids} do not ascend strictly")
+    kinds = [records[f].tolist() for f in ("a_bits", "b_bits", "a_signed", "b_signed")]
+    signed = kinds[2][0]
+    if sum(map(list.count, kinds, (lora_bits, lora_bits, signed, signed))) != 4 * n_slots:
+        for slot_id, a_bits, b_bits, a_signed, b_signed in zip(ids, *kinds):
+            if not lora_bits == a_bits == b_bits:
+                raise FormatError(f"slot {slot_id}: pack lora_bits {lora_bits}, not its A/B {a_bits}/{b_bits}")
+            if not signed == a_signed == b_signed:
+                raise FormatError(f"slot {slot_id}: A/B signedness {a_signed}/{b_signed}, "
+                                  f"not slot {ids[0]}'s {signed}")
+    if lora_bits not in SUPPORTED_BITS:
+        raise FormatError(f"unsupported lora_bits {lora_bits}")
+    dtype = np.dtype(storage_dtype(lora_bits, bool(signed))).newbyteorder("<")
+    rest, need = len(payload) - pos, sum(slot_sizes(records))
+    if rest != need * dtype.itemsize:
+        raise FormatError(f"level block of {rest} bytes, the slot records need {need} levels "
+                          f"of {dtype.itemsize} bytes")
+    levels = np.frombuffer(payload, dtype, need, pos)
+    if not dtype.isnative:
+        levels = levels.astype(dtype.newbyteorder("="))
+    return LoRAPack(adapter_id, lora_bits, records, levels)

@@ -21,14 +21,23 @@ denoising step runs only the arithmetic that depends on its input.
   node's kernel, its operands as indices into one operand table of
   constants and arena views, and the arena view its output is stored
   into.
-* **Bind.**  ``bind_lora`` decodes the pack into views of its bytes
-  (``compiler.unpack_lora``) and writes each slot straight from them
-  into the form its ``qlora`` multiplies (``slot_operands``):
-  B's centred levels in fp32, A dequantized to fp32, alpha.  These
-  are constants of the session's own backbone, not inputs, and are not
-  planned.  The bind enters them into the backbone's operand table in
-  the same step as into its constants (``Program.set_constants``), so
-  the prepared steps read the new arrays and nothing is prepared again.
+* **Bind.**  ``bind_lora`` decodes the pack into two views of its
+  bytes (``compiler.unpack_lora``): the slot records and the level
+  block.  At load the session derived from its descriptors what a
+  pack's records must hold and the runs of consecutive slots of one
+  shape (compile_deep's 128 slots make 2 runs: its first layer reads
+  the latent next to the conditioning).  A bind compares the records
+  whole: the slot ids, ranks and alphas as columns, the shapes and
+  parameters as one byte string.  It range-checks the block where its
+  dtype holds more than the slots' levels, then fills one fresh fp32
+  buffer: B's centred levels and A dequantized, three numpy operations
+  per run (``slot_operands``), and the alphas.  These are constants of
+  the session's own backbone, not inputs, and are not planned.  Only
+  then does the bind enter each slot's B, A and alpha views of the
+  buffer into the backbone's operand table, in the same step as into
+  its constants (``Program.set_constants``), so the prepared steps read
+  the new arrays and nothing is prepared again, and the previous buffer
+  is dropped.
 * **Step.**  A backbone step only invokes its prepared program
   (``graph.invoke``): it is fed ``z`` and the conditioning only, runs
   each node's kernel on its operands in place, with no kind dispatch
@@ -89,6 +98,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -299,6 +309,31 @@ class _ArenaHooks(gr._NullHooks):
         return self.views[key]
 
 
+@dataclass(slots=True)
+class _Run:
+    """Consecutive slots of one shape, from level ``lo`` on in a pack's
+    block and in a bind's buffer alike: each slot's ``size`` levels are
+    its B (r_max x d_in), then its A (d_out x r_max).  ``z_b``, ``z_a``
+    and ``s_a`` are the slots' zero points and A scales, fp32 of shape
+    (n, 1, 1)."""
+    lo: int
+    size: int
+    b_shape: tuple   # (n, r_max, d_in)
+    a_shape: tuple   # (n, d_out, r_max)
+    z_b: np.ndarray
+    z_a: np.ndarray
+    s_a: np.ndarray
+
+    def split(self, flat: np.ndarray) -> tuple:
+        """The run's B and A in ``flat``, a contiguous 1-D array: views of
+        shapes ``b_shape`` and ``a_shape``."""
+        k = flat.itemsize
+        (_, r_max, d_in), (_, d_out, _) = self.b_shape, self.a_shape
+        return (np.ndarray(self.b_shape, flat.dtype, flat, self.lo * k, (self.size * k, d_in * k, k)),
+                np.ndarray(self.a_shape, flat.dtype, flat, (self.lo + r_max * d_in) * k,
+                           (self.size * k, r_max * k, k)))
+
+
 class Session:
     """One loaded model with at most one bound adapter.
 
@@ -318,13 +353,13 @@ class Session:
         graphs = {**model.graphs, "backbone": replace(
             bb, inputs=[gi for gi in bb.inputs if gi.tid not in slots], constants=dict(bb.constants))}
         check_adapter_layers(graphs["backbone"], model.descriptors, model.shapes["backbone"])
-        # A bind decodes the pack's parameter records to these very objects.
-        self._slot_params = cp.qparams_memo(p for d in model.descriptors for p in (d.a_params, d.b_params))
+        self._prepare_binds(sorted(model.descriptors, key=lambda d: d.slot_id))
         # The session's copy does not keep the shape maps: they would stay
         # live through every infer (219 KB for the w32/d128 benchmark model).
         self.model = replace(model, graphs=graphs, shapes=None)
         self.model_bytes = model_bytes
         self.bound_adapter = None
+        self.adapter_buffer = None   # the bound slots' operands, one fp32 array
         self.bundle = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"],
                                      model.steps)
         self.plans = {role: plan_memory(g, model.shapes[role]) for role, g in self.bundle.graphs()}
@@ -334,14 +369,36 @@ class Session:
                          for role, g in self.bundle.graphs()}
         self.init_ms = (time.perf_counter() - t0) * 1000.0
 
+    def _prepare_binds(self, slots) -> None:
+        """What every bind needs from the descriptors, in ascending slot
+        id: what a pack's records must hold (``compiler.slot_records``),
+        the level range to check where the block's dtype holds more, and
+        the runs of consecutive slots of one shape, with the slot tids in
+        the order ``bind_lora`` writes their operands."""
+        self._slots = slots
+        self._slot_ids = [d.slot_id for d in slots]
+        self._r_max = [d.r_max for d in slots]
+        self._fixed_bytes = _fixed_bytes(cp.slot_records(slots))
+        # a pack's slots share one width and signedness, so one range
+        p = slots[0].a_params if slots else None
+        self._level_range = (p.q_min, p.q_max) if p is not None and not p.signed else (None, None)
+        columns = np.array([[d.b_params.zero_point for d in slots], [d.a_params.zero_point for d in slots],
+                            [d.a_params.scale for d in slots]], np.float32).reshape(3, -1, 1, 1)
+        self._runs, tids, lo, i = [], [], 0, 0
+        for (d_out, d_in, r_max), group in itertools.groupby(slots, key=lambda d: (d.d_out, d.d_in, d.r_max)):
+            group = list(group)
+            n, size = len(group), r_max * (d_in + d_out)
+            self._runs.append(_Run(lo, size, (n, r_max, d_in), (n, d_out, r_max), *columns[:, i:i + n]))
+            tids += [g.b_tid for g in group] + [g.a_tid for g in group]
+            lo, i = lo + n * size, i + n
+        self._slot_tids = tids + [d.alpha_tid for d in slots]
+
     @property
     def adapter_buffer_bytes(self) -> int:
-        """Bytes of the prepared slot operands the session holds (B's
-        centred levels, A and alpha, all fp32); 0 before the first
-        bind."""
-        c = self.bundle.backbone.constants
-        return sum(int(c[t].nbytes) for d in self.model.descriptors
-                   for t in (d.a_tid, d.b_tid, d.alpha_tid) if t in c)
+        """Bytes of the one fp32 buffer that holds the bound slots' B
+        (centred levels), A and alpha, which the backbone's slot
+        constants view; 0 before the first bind."""
+        return 0 if self.adapter_buffer is None else self.adapter_buffer.nbytes
 
 
 def load_model(data: bytes) -> Session:
@@ -354,61 +411,94 @@ def load_model(data: bytes) -> Session:
     return Session(cp.load_compiled(data), data)
 
 
-def slot_operands(q_b, p_b, q_a, p_a, alpha) -> tuple:
-    """A slot's B, A and alpha in the form a ``qlora`` multiplies them.
+def slot_operands(q_b, z_b, q_a, z_a, s_a, b, a) -> None:
+    """Write a run of slots' B and A, in the form a ``qlora`` multiplies
+    them, into ``b`` and ``a``.
 
-    B becomes its centred levels q_b - z_b in fp32, one cast and one
-    subtract (``qparams.centered_levels``), which hold them exactly since
-    |q_b - z_b| <= 65,535 < 2**24; A its fp32 dequantized values
-    (``qparams.dequantize_array``); alpha a one-element fp32 array.
-    Both factors' levels are range-checked here, as those functions
-    check them; a level outside its range raises ``RangeError``.
+    ``q_b`` (n, r_max, d_in) and ``q_a`` (n, d_out, r_max) hold n slots'
+    levels, each already within its range; ``z_b``, ``z_a`` and ``s_a``
+    the slots' zero points and A's scales as fp32 of shape (n, 1, 1).
+    B becomes q_b - z_b in fp32 and A fp32(q_a - z_a) * s_a in fp32.
+    Both differences are exact, since |q - z| <= 65,535 < 2**24.  Each
+    product is correctly rounded from two fp32 values, as is its float64
+    form rounded to fp32, so A is ``qparams.dequantize_array`` bit for
+    bit, infinities included.
     """
-    return (qp.centered_levels(q_b, p_b, np.float32), qp.dequantize_array(q_a, p_a),
-            np.array((alpha,), dtype=np.float32))
+    np.subtract(q_b, z_b, out=b, dtype=np.float32)
+    np.subtract(q_a, z_a, out=a, dtype=np.float32)
+    np.multiply(a, s_a, out=a)
+
+
+def _fixed_bytes(records: bytes) -> bytes:
+    """The bytes of each record from its shape on: the slot's shape and
+    parameters, which a pack for the slot must hold as they are."""
+    k, start = cp.SLOT_RECORD.itemsize, cp.SLOT_RECORD.fields["d_out"][1]
+    return b"".join(records[i + start:i + k] for i in range(0, len(records), k))
+
+
+def _refusal(got: np.ndarray, slots) -> str:
+    """Why the first record of ``got`` that does not fit its slot in
+    ``slots`` (descriptors in ascending slot id) cannot be bound."""
+    for (slot_id, rank, alpha, d_out, d_in, r_max, *params), d in zip(got.tolist(), slots):
+        a, b = d.a_params, d.b_params
+        if (d_out, d_in, r_max) != (d.d_out, d.d_in, d.r_max):
+            return (f"slot {slot_id}: payload shapes {(d_out, r_max)}/{(r_max, d_in)} "
+                    f"do not match descriptors {d.a_shape}/{d.b_shape}")
+        if params != [a.scale, a.zero_point, a.bits, a.signed, b.scale, b.zero_point, b.bits, b.signed]:
+            return f"slot {slot_id}: pack quantization parameters do not match the model"
+        if rank > d.r_max:
+            return f"slot {slot_id}: rank {rank} exceeds {d.r_max}"
+        if not math.isfinite(alpha):
+            return f"slot {slot_id}: alpha {alpha} is not finite"
+    return "pack slot records do not match the model"
 
 
 def bind_lora(session: Session, pack_bytes: bytes):
     """Prepare a pack's factors as the session backbone's slot constants.
 
-    ``compiler.unpack_lora`` decodes the pack into views of its bytes,
-    and each slot is written straight from them into the form its
-    ``qlora`` multiplies (``slot_operands``): B's centred levels in
-    fp32, A dequantized to fp32, and alpha as a one-element fp32
-    array.  They replace the previous operands in the backbone's
-    constants and in its prepared operand table at once, and every step
-    reads them in place.  Every check (the slot set, shapes, storage
-    dtypes, quantization parameters, rank, a finite alpha, then the
-    range of every level) runs before any session state changes, so a
-    failed bind leaves the previous operands in place.  No graph
-    rebuild, no base-weight change, nothing prepared again; a rebind
-    always prepares the full pack.
+    ``compiler.unpack_lora`` decodes the pack into two views of its
+    bytes, the slot records and the level block.  The records must equal
+    the session's (``compiler.slot_records``) but for rank and alpha,
+    each rank must fit its slot and each alpha be finite, else
+    ``BindError`` naming the first bad slot.  The checks compare columns
+    as lists and every record's shape and parameters as one byte string:
+    on a pack's few hundred values that costs less than numpy
+    arithmetic, whose calls are slow when a bind follows other work.  A
+    block whose dtype holds levels past the slots' range is range-checked
+    (``RangeError``).  Then one fresh fp32 buffer receives every slot's
+    B, A and alpha, three numpy operations per run of equally shaped
+    slots (``slot_operands``), and each slot's three views of it replace
+    the previous operands in the backbone's constants and in its
+    prepared operand table at once (``Program.set_constants``); every
+    step reads them in place.  Nothing changes session state before
+    that, so a failed bind leaves the previous binding in place.  No
+    graph rebuild, no base-weight change, nothing prepared again; a
+    rebind always prepares the full pack.
     """
-    pack = cp.unpack_lora(pack_bytes, session._slot_params)
-    descs = {d.slot_id: d for d in session.model.descriptors}
-    if set(pack.slots) != set(descs):
-        raise BindError(f"pack slots {sorted(pack.slots)} do not match model slots {sorted(descs)}")
-    for slot_id, d in descs.items():
-        s = pack.slots[slot_id]
-        if s.a_q.shape != d.a_shape or s.b_q.shape != d.b_shape:
-            raise BindError(f"slot {slot_id}: payload shapes {s.a_q.shape}/{s.b_q.shape} "
-                            f"do not match descriptors {d.a_shape}/{d.b_shape}")
-        for name, q, p in ((d.a_name, s.a_q, d.a_params), (d.b_name, s.b_q, d.b_params)):
-            if q.dtype != qp.storage_dtype(p.bits, p.signed):
-                raise BindError(f"slot {slot_id}: payload {name} is {tz.dtype_name(q)}, "
-                                f"the slot stores {gr.storage_name(p)}")
-        if s.a_params != d.a_params or s.b_params != d.b_params:
-            raise BindError(f"slot {slot_id}: pack quantization parameters do not match the model")
-        if s.rank > d.r_max:
-            raise BindError(f"slot {slot_id}: rank {s.rank} exceeds {d.r_max}")
-        if not math.isfinite(s.alpha):
-            raise BindError(f"slot {slot_id}: alpha {s.alpha} is not finite")
-    staged = {}
-    for slot_id, d in descs.items():
-        s = pack.slots[slot_id]
-        staged.update(zip((d.b_tid, d.a_tid, d.alpha_tid),
-                          slot_operands(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)))
-    session.programs["backbone"].set_constants(staged)
+    pack = cp.unpack_lora(pack_bytes)
+    got = pack.records
+    ids = got["slot_id"].tolist()
+    if ids != session._slot_ids:
+        raise BindError(f"pack slots {ids} do not match model slots {session._slot_ids}")
+    ranks, alphas = got["rank"].tolist(), got["alpha"].tolist()
+    if (_fixed_bytes(got.tobytes()) != session._fixed_bytes or any(map(operator.gt, ranks, session._r_max))
+            or not all(map(math.isfinite, alphas))):
+        raise BindError(_refusal(got, session._slots))
+    levels = pack.levels
+    q_min, q_max = session._level_range
+    if q_min is not None and (levels.min() < q_min or levels.max() > q_max):
+        raise RangeError(f"quantized element outside [{q_min}, {q_max}]")
+    buf = np.empty(levels.size + len(got), np.float32)
+    buf[levels.size:] = alphas
+    operands = []
+    for run in session._runs:
+        (q_b, q_a), (b, a) = run.split(levels), run.split(buf)
+        slot_operands(q_b, run.z_b, q_a, run.z_a, run.s_a, b, a)
+        operands += (b, a)
+    operands.append(buf[levels.size:].reshape(-1, 1))
+    session.programs["backbone"].set_constants(
+        dict(zip(session._slot_tids, itertools.chain.from_iterable(operands))))
+    session.adapter_buffer = buf
     session.bound_adapter = pack.adapter_id
 
 

@@ -6,6 +6,7 @@ import pytest
 import onegraph as og
 from onegraph import compiler as cp
 from onegraph import modelspec as ms
+from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import sensitivity as sv
 
@@ -142,6 +143,22 @@ def numbers(g):
     ids = {}
     cp._pack_graph(g, ids)
     return ids
+
+
+def slot_reference(q_b, p_b, q_a, p_a, alpha):
+    """One slot's B, A and alpha as a ``qlora`` multiplies them, prepared
+    slot by slot: q_b - z_b in fp32, ``qparams.dequantize_array`` of q_a,
+    and alpha as a one-element fp32 array.  Both factors' levels are
+    range-checked, as a bind checks them."""
+    return (qp.centered_levels(q_b, p_b, np.float32), qp.dequantize_array(q_a, p_a),
+            np.array((alpha,), np.float32))
+
+
+def with_lora_bits(profile, bundle, adapters, bits):
+    """``profile`` with its slot parameters calibrated at ``bits`` on ``adapters``."""
+    weights = {**profile.weight_params, **qt.lora_slot_params(bundle, adapters, bits)}
+    return og.QuantProfile(policy=profile.policy, lora_bits=bits, weight_params=weights,
+                           act_params=dict(profile.act_params))
 
 
 def copy_adapter(adapter, new_id=None):

@@ -4,12 +4,14 @@ A bind that fails leaves the previous binding as it was, the very
 arrays, so the next infer serves the same bits.  Neither a bind, failed
 or not, nor an infer changes a byte of the loaded model's constants:
 binding only writes the slot constants of the session's own backbone.
-Those are each slot's operands as its ``qlora`` multiplies them,
-prepared once per bind from the pack's payloads (B's centred levels in
-fp32, A dequantized to fp32), and every step of ``infer`` reads them
-in place; a step is fed the latent and the conditioning only.  The
-session prepares its graphs once, at load: a bind re-points the
-prepared steps at the new slot arrays, and an infer prepares nothing.
+Those are each slot's operands as its ``qlora`` multiplies them (B's
+centred levels in fp32, A dequantized to fp32, alpha), views of one
+fp32 buffer of the session's own that each bind fills afresh from the
+pack's level block, run by run of equally shaped slots; every step of
+``infer`` reads them in place, and a step is fed the latent and the
+conditioning only.  The session prepares its graphs once, at load: a
+bind re-points the prepared steps at the new views, and an infer
+prepares nothing.
 """
 
 import dataclasses
@@ -17,7 +19,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import copy_adapter
+from conftest import copy_adapter, slot_reference, with_lora_bits
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
@@ -26,7 +28,7 @@ from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
-from onegraph.errors import BindError, PackError, RangeError
+from onegraph.errors import BindError, FormatError, PackError, RangeError
 
 
 @pytest.fixture(scope="module")
@@ -47,13 +49,10 @@ def bad_pack(defect, descriptors, adapter, profile):
         assert payload.count(old) == 1
         new = (d.slot_id, d.r_max + 1, alpha) if defect == "rank" else (d.slot_id, d.r_max, np.nan)
         return cp._wrap_payload(cp.PACK_MAGIC, payload.replace(old, struct.pack("<IIf", *new)))
-    if defect == "dtype":
-        # slot 0's A stored as i32: the same levels under the same parameters
+    if defect == "block":
+        # the level block one level short
         pack = cp.pack_lora(adapter, descriptors, profile)
-        a_q = cp.unpack_lora(pack).slots[0].a_q
-        payload, old = pack[20:], tz.qtns_bytes(a_q)
-        assert payload.count(old) == 1
-        return cp._wrap_payload(cp.PACK_MAGIC, payload.replace(old, tz.qtns_bytes(a_q.astype(np.int32))))
+        return cp._wrap_payload(cp.PACK_MAGIC, pack[20:-cp.unpack_lora(pack).levels.itemsize])
     coarser = [dataclasses.replace(d, a_params=dataclasses.replace(d.a_params,
                                                                    scale=2 * d.a_params.scale))
                for d in descriptors]
@@ -72,10 +71,12 @@ def slot_arrays(session):
 
 @pytest.mark.parametrize("defect, message", (("slots", "do not match model slots"),
                                              ("params", "quantization parameters"),
-                                             ("dtype", "is i32, the slot stores i16"),
+                                             ("block", "level block of 8254 bytes"),
                                              ("rank", "rank 9 exceeds 8"),
                                              ("alpha", "slot 0: alpha nan is not finite")))
 def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
+    """A malformed block is a ``FormatError``, every other defect a
+    ``BindError``; each raises before any state changes."""
     model_bytes, descriptors, (_, adapters, samples, profile) = served
     model = cp.load_compiled(model_bytes)
     session = rt.Session(model, model_bytes)
@@ -85,7 +86,7 @@ def test_failed_bind_keeps_the_binding_and_the_base(served, defect, message):
     first = rt.infer(session, x, cond, seed=3)
     prepared = slot_arrays(session)
 
-    with pytest.raises(BindError, match=message):
+    with pytest.raises(FormatError if defect == "block" else BindError, match=message):
         rt.bind_lora(session, bad_pack(defect, descriptors, adapters[1], profile))
 
     assert session.bound_adapter == adapters[0].adapter_id
@@ -121,45 +122,93 @@ def bound(served):
     return session, samples[0]
 
 
-def test_bind_prepares_each_slot_from_the_payload(served):
-    """B is q_b - z_b in fp32 and A ``dequantize_array`` of the payload,
-    bit for bit, in arrays of the session's own: the operands alias no
-    byte of the pack, which the caller may change afterwards."""
-    model, descriptors, (_, adapters, samples, profile) = served
-    pack = bytearray(cp.pack_lora(adapters[0], descriptors, profile))
-    decoded = cp.unpack_lora(bytes(pack))
-    session = rt.load_model(model)
-    rt.bind_lora(session, pack)
-    x, cond = samples[0]
-    first = rt.infer(session, x, cond, seed=3)
-    pack[20:] = bytes(len(pack) - 20)
-    constants = session.bundle.backbone.constants
-    for d in session.model.descriptors:
-        s = decoded.slots[d.slot_id]
-        for tid, want in ((d.b_tid, (s.b_q.astype(np.int64) - d.b_params.zero_point).astype(np.float32)),
-                          (d.a_tid, qp.dequantize_array(s.a_q, d.a_params)),
-                          (d.alpha_tid, np.array([s.alpha], np.float32))):
-            got = constants[tid]
-            assert got.dtype == want.dtype and got.shape == want.shape, tid
-            assert got.tobytes() == want.tobytes() and got.flags.owndata, tid
-    assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
+def model_at_width(request, name, bits):
+    """A bundle, its adapters, a sample and a profile whose slot
+    parameters are calibrated at ``bits``."""
+    if name == "toy":
+        bundle, profile = request.getfixturevalue("toy_bundle"), request.getfixturevalue("toy_profile")
+        adapters, samples = [request.getfixturevalue("toy_adapter")], request.getfixturevalue("toy_samples")
+    else:
+        bundle, adapters, samples, profile = request.getfixturevalue(name)
+    return bundle, adapters, samples[0], with_lora_bits(profile, bundle, adapters, bits)
+
+
+def test_bind_prepares_each_slot_from_the_payload(request):
+    """B is q_b - z_b in fp32, A ``dequantize_array`` of the payload and
+    alpha its fp32 value, bit for bit as a slot-by-slot preparation
+    gives them, and infer serves QuantSim's bits: on the toy, W64 and
+    D48 at 8- and 16-bit factors.  The operands are views of the
+    session's one buffer, not of the pack, which the caller may change
+    afterwards.  The toy's two slots make two runs: its first layer
+    reads the latent next to the conditioning."""
+    for name, bits in ((name, bits) for name in ("toy", "w64", "d48") for bits in (8, 16)):
+        bundle, adapters, (x, cond), profile = model_at_width(request, name, bits)
+        frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+        session = rt.load_model(cp.freeze(frozen, profile, descriptors, name="bind"))
+        assert len(session._runs) == 2 or name != "toy"
+        for adapter in adapters:
+            pack = bytearray(cp.pack_lora(adapter, descriptors, profile))
+            decoded = cp.unpack_lora(bytes(pack))
+            rt.bind_lora(session, pack)
+            first = rt.infer(session, x, cond, seed=3)
+            want = qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=3)
+            assert first.tobytes() == want.tobytes(), (name, bits)
+            pack[20:] = bytes(len(pack) - 20)
+            constants, buffer = session.bundle.backbone.constants, session.adapter_buffer
+            assert session.adapter_buffer_bytes == buffer.nbytes == sum(
+                constants[t].nbytes for d in session.model.descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid))
+            for d in session.model.descriptors:
+                s = decoded.slots[d.slot_id]
+                ref = slot_reference(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)
+                for tid, r in zip((d.b_tid, d.a_tid, d.alpha_tid), ref):
+                    got = constants[tid]
+                    assert got.dtype == r.dtype and got.shape == r.shape, (name, bits, tid)
+                    assert got.tobytes() == r.tobytes() and got.base is buffer, (name, bits, tid)
+            assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
+
+
+def test_fp32_a_is_dequantize_array():
+    """fp32(q - z) * s in fp32 is ``dequantize_array``'s float64 product
+    rounded to fp32, bit for bit, over every int8 and int16 level: at
+    the smallest scale, at 1.0, at 100 random fp32 scales, and at a
+    scale whose largest product overflows to infinity."""
+    rng = np.random.default_rng(24)
+    fp32_max = float(np.finfo(np.float32).max)
+    for bits, dtype in ((8, np.int8), (16, np.int16)):
+        info = np.iinfo(dtype)
+        q = np.arange(info.min, info.max + 1, dtype=dtype).reshape(1, -1, 1)
+        # at z = q_max the largest |q - z| is 2**bits - 1, which this scale takes past fp32
+        overflow = float(np.float32(fp32_max / (0.6 * (2 ** bits - 1))))
+        cases = [(qp.MIN_SCALE, 0), (1.0, 0), (overflow, int(info.max))]
+        cases += [(float(s), int(z)) for s, z in zip(
+            np.exp(rng.uniform(-80.0, 80.0, 100)).astype(np.float32),
+            rng.integers(info.min, info.max, 100, endpoint=True))]
+        for scale, z in cases:
+            b, a = np.empty((1, 1, 1), np.float32), np.empty(q.shape, np.float32)
+            z_b, z_a, s_a = (np.full((1, 1, 1), v, np.float32) for v in (0, z, scale))
+            with np.errstate(over="ignore"):
+                rt.slot_operands(np.zeros((1, 1, 1), dtype), z_b, q, z_a, s_a, b, a)
+                want = qp.dequantize_array(q, qp.QuantParams(scale, z, bits))
+            assert a.tobytes() == want.tobytes(), (bits, scale, z)
+            assert np.isinf(want).any() or scale != overflow
 
 
 @pytest.mark.parametrize("level, zero, want", ((-32768, 32767, -65535.0), (32767, -32768, 65535.0)))
 def test_prepared_b_is_exact_at_the_range_ends(level, zero, want):
     """|q_b - z_b| reaches 65,535 for 16-bit slots, below 2**24, so fp32
     holds B's centred levels exactly."""
-    p = qp.QuantParams(1e-4, zero, 16)
-    q_b = np.full((2, 3), level, np.int16)
-    b, _, _ = rt.slot_operands(q_b, p, np.zeros((3, 2), np.int16), p, 0.5)
-    assert b.dtype == np.float32 and b.shape == q_b.shape and (b == want).all()
+    q_b = np.full((1, 2, 3), level, np.int16)
+    b, a = np.empty(q_b.shape, np.float32), np.empty((1, 3, 2), np.float32)
+    z_b, z_a, s_a = (np.full((1, 1, 1), v, np.float32) for v in (zero, 0, 1e-4))
+    rt.slot_operands(q_b, z_b, np.zeros(a.shape, np.int16), z_a, s_a, b, a)
+    assert (b == want).all()
 
 
 def test_a_level_out_of_range_fails_the_bind(toy_bundle, toy_adapter, toy_profile, toy_samples):
     """Unsigned 8-bit slots are stored in int16, which holds levels past
-    255.  Such a level is refused when the bind prepares the slot, before
-    any session state changes, as the step that read it refused it
-    before."""
+    255.  Such a level is refused when the bind checks the level block,
+    before any session state changes, as the step that read it refused
+    it before."""
     unsigned = qt.QuantProfile(policy=toy_profile.policy, lora_bits=8,
                                weight_params=dict(toy_profile.weight_params),
                                act_params=dict(toy_profile.act_params))
@@ -174,16 +223,56 @@ def test_a_level_out_of_range_fails_the_bind(toy_bundle, toy_adapter, toy_profil
     first = rt.infer(session, x, cond, seed=3)
     prepared = slot_arrays(session)
 
-    b_q = cp.unpack_lora(good).slots[1].b_q
-    assert b_q.dtype == np.int16
-    past = b_q.copy()
-    past[0, 0] = 256
-    payload, old = good[20:], tz.qtns_bytes(b_q)
-    assert payload.count(old) == 1
+    decoded = cp.unpack_lora(good)
+    assert decoded.levels.dtype == np.int16
+    past = decoded.levels.copy()
+    past[cp.slot_sizes(decoded.records)[0]] = 256   # slot 1's first B level
+    payload = good[20:len(good) - past.nbytes] + past.astype("<i2").tobytes()
     with pytest.raises(RangeError, match="outside"):
-        rt.bind_lora(session, cp._wrap_payload(cp.PACK_MAGIC, payload.replace(old, tz.qtns_bytes(past))))
+        rt.bind_lora(session, cp._wrap_payload(cp.PACK_MAGIC, payload))
     assert all(arr is prepared[t] for t, arr in slot_arrays(session).items())
     assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
+
+
+def splice(pack: bytes, records, levels) -> bytes:
+    """``pack``'s header with these records and this level block."""
+    decoded = cp.unpack_lora(pack)
+    head = pack[20:len(pack) - decoded.records.nbytes - decoded.levels.nbytes]
+    head = head[:-4] + struct.pack("<I", len(records))
+    return cp._wrap_payload(cp.PACK_MAGIC, head + records.tobytes() + levels.tobytes())
+
+
+@pytest.mark.parametrize("defect, message", (("duplicated", r"slot ids \[0, 1, 0\] do not ascend"),
+                                             ("unordered", r"slot ids \[1, 0\] do not ascend"),
+                                             ("short", "level block of"),
+                                             ("long", "level block of")))
+def test_a_pack_of_misplaced_records_or_levels_is_a_format_error(toy_bundle, toy_profile,
+                                                                 toy_adapter, defect, message):
+    """A third record copying slot 0 from another adapter's pack, with its
+    levels, would bind a mix of two adapters under the first one's id;
+    slot records must ascend strictly, and the block must hold exactly
+    the levels they need."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    other = ms.build_adapter(toy_bundle, ms.AdapterSpec("t2", seed=12, rank=2, amplitude=0.4))
+    pack = cp.pack_lora(toy_adapter, descriptors, toy_profile)
+    mine, theirs = cp.unpack_lora(pack), cp.unpack_lora(cp.pack_lora(other, descriptors, toy_profile))
+    size = cp.slot_sizes(mine.records)[0]
+    records, levels = mine.records, mine.levels
+    if defect == "duplicated":
+        records = np.concatenate([records, theirs.records[:1]])
+        levels = np.concatenate([levels, theirs.levels[:size]])
+    elif defect == "unordered":
+        records, levels = records[::-1], np.concatenate([levels[size:], levels[:size]])
+    else:
+        levels = levels[:-1] if defect == "short" else np.concatenate([levels, levels[:1]])
+    bad = splice(pack, records, levels)
+    with pytest.raises(FormatError, match=message):
+        cp.unpack_lora(bad)
+    session = rt.load_model(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
+    with pytest.raises(FormatError, match=message):
+        rt.bind_lora(session, bad)
+    assert session.bound_adapter is None and session.adapter_buffer_bytes == 0
+    assert splice(pack, mine.records, mine.levels) == pack
 
 
 def test_every_qlora_reads_the_slot_arrays_in_place(bound, monkeypatch):
@@ -253,13 +342,13 @@ def two_adapters(request):
 
 def test_a_rebind_repoints_the_prepared_steps(two_adapters, monkeypatch):
     """Bind A, B, then A again: each infer serves QuantSim's bits for the
-    adapter bound.  A bind that fails while preparing its last slot
-    leaves the steps reading the previous adapter's arrays."""
+    adapter bound.  A bind that fails while writing its last run of
+    slots leaves the steps reading the previous adapter's arrays."""
     bundle, profile, adapters, packs, model, x, cond = two_adapters
     want = [qt.execute_quantsim(bundle, profile, a, x, cond, seed=3).tobytes() for a in adapters]
     session = rt.load_model(model)
-    n_slots = len(session.model.descriptors)
-    prepare = rt.slot_operands
+    n_runs = len(session._runs)
+    write = rt.slot_operands
     for i in (0, 1, 0):
         rt.bind_lora(session, packs[i])
         assert rt.infer(session, x, cond, seed=3).tobytes() == want[i]
@@ -267,15 +356,15 @@ def test_a_rebind_repoints_the_prepared_steps(two_adapters, monkeypatch):
 
         def failing(*args):
             calls.append(None)
-            if len(calls) == n_slots:
-                raise RangeError("quantized element outside [0, 255]")
-            return prepare(*args)
+            if len(calls) == n_runs:
+                raise MemoryError("the last run's write fails")
+            return write(*args)
 
         monkeypatch.setattr(rt, "slot_operands", failing)
-        with pytest.raises(RangeError):
+        with pytest.raises(MemoryError):
             rt.bind_lora(session, packs[1 - i])
         monkeypatch.undo()
-        assert len(calls) == n_slots
+        assert len(calls) == n_runs
         assert rt.infer(session, x, cond, seed=3).tobytes() == want[i]
     assert want[0] != want[1]
 

@@ -1,6 +1,6 @@
 """End-to-end bit pin.
 
-Two invariants over the whole chain (calibrate, compile, freeze, pack,
+Three invariants over the whole chain (calibrate, compile, freeze, pack,
 load, bind, infer):
 
 * the served output equals QuantSim on the uncompiled bundle, bit for
@@ -16,7 +16,14 @@ load, bind, infer):
   fused graphs in the passes' node order, when version 3 stopped holding
   the profile text, and when version 4 numbered the tensors densely and
   let a ``requant`` emit the next layer's levels.  No ``.qlp`` or output
-  digest moved any time.
+  digest moved any of those times.
+* what every ``.qlp`` decodes to, whatever its layout, hashes to a
+  pinned level digest (``level_digest``).  These were recorded from
+  the version-1 packs, whose byte digests trace back as told above,
+  just before pack format version 2 replaced the
+  per-slot records and tensor headers with one record table and one
+  level block.  That change re-recorded the ``.qlp`` byte digests
+  alone; the level digests hold the anchor.
 
 The distillation digest pins the forward and backward products of the
 gradient tape the same way.
@@ -30,6 +37,7 @@ integer products.
 """
 
 import hashlib
+import struct
 
 import numpy as np
 
@@ -42,20 +50,25 @@ from onegraph import runtime as rt
 PINNED = {
     "toy": {
         "model": "2819713e2d10daf723e52442f46fa9aec0eef805cb35f669ed3d537f906cf2e3",
-        "packs": ["25388d2aea51e0b0ca23cba7d60b653534e77879093e4b4ff77e466c331ac252"],
+        "packs": ["c299a9b490f6a7b734a7c6bdba27fbd85b3c139238bf3b6980fff76675377eea"],
+        "levels": ["d4c85ac7b424b5f5aac6153110e6afd4dfc887c0441c1216d9239c270b73a6c8"],
         "outputs": ["ea94f1bf4ff6a618dc774145a21b3c1f36c3b4a06de575609787f52a495815ba"],
     },
     "w64": {
         "model": "333c346efb571a302157bea5614043082aba5bef24021529733708a75be563db",
-        "packs": ["dc211f7af24b7265c159c0dd1093c472372c2fa9d106b0f5ea86405b72e900e2",
-                  "b18477ce51083940d5955849d62a422c8ea9297bf09c0501118c55a013b088f2"],
+        "packs": ["03cd79794278bc9bf8ab1511bfcb221dc4b4f7509fde41edf8a0eccd4e267edd",
+                  "fb30d97e638d212e4c44dfde2d038198eee0062ab1facd8900e1d202eddb40bb"],
+        "levels": ["25ec07678b649e01f19d80590601cfd194fea8e53bc1f9134714589b4e713452",
+                   "01af098a6c47e38168270eed37c08a36d58be6eb601faa8ddba3bcfce514e68d"],
         "outputs": ["374244fdbd6bdfdfca3db02b7dbb26614cba7bb69417c1aa548858e73d3754fe",
                     "cf7c9024c01ad77d89b64de12c890b6b2f8c4a75236b39d0271f443f5e18a02e"],
     },
     "d48": {
         "model": "c9e73429b0d8633c12846f91dbd0648a23b9d01afb2461b2c134b598d204ed8d",
-        "packs": ["2114b12913aae2542b6e587764c37f2ed474a4101b8478bbb42c1311d24d5f5c",
-                  "9d6fce60f82f39fd7068f65be1830521a6285714ffcb09e6721edc68e0ffec37"],
+        "packs": ["72ddc979367f3cda4d3c96a3da132910fc7f2c8068f03340fa1fe3831078e4f7",
+                  "17eef8d0c31b32fb5a4cf0a142f932e41cf74e0dccba0ff1b2715de552ebbf1d"],
+        "levels": ["b1974cffd1e3b189d3ff99e9d7b6ad4cb29e57b1bbfc8ddf89d0ea0363537bf4",
+                   "1c41523e1fd846d4930ac035e5e0ee99454703893fa8b52faf4195c5e1d44838"],
         "outputs": ["bedcd70ed1e633d41d358bccf4bf12114e55baea07be5fd0fb967fc4b327e628",
                     "06802acbae4f47b2322405195628176494c1f178f362090928ca8af0ec9e862e"],
     },
@@ -65,6 +78,20 @@ PINNED = {
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def level_digest(pack: bytes) -> str:
+    """A digest of what a pack decodes to, whatever its layout: per slot,
+    in ascending id, the id, rank and fp32 alpha, then the A and B levels
+    with their shapes, each level as a little-endian int32."""
+    h = hashlib.sha256()
+    decoded = cp.unpack_lora(pack)
+    for sid in sorted(decoded.slots):
+        s = decoded.slots[sid]
+        h.update(struct.pack("<II", sid, s.rank) + np.float32(s.alpha).tobytes())
+        for q in (s.a_q, s.b_q):
+            h.update(struct.pack("<II", *q.shape) + q.astype("<i4").tobytes())
+    return h.hexdigest()
 
 
 def serve(bundle, profile, adapters, x, cond, seed):
@@ -87,6 +114,7 @@ def serve(bundle, profile, adapters, x, cond, seed):
 
 def check_pinned(pinned, model, packs, outputs):
     assert sha(model) == pinned["model"]
+    assert [level_digest(p) for p in packs] == pinned["levels"]
     assert [sha(p) for p in packs] == pinned["packs"]
     assert [sha(o.tobytes()) for o in outputs] == pinned["outputs"]
 

@@ -157,23 +157,6 @@ def test_equal_parameters_decode_to_one_object(toy_artifacts):
     assert len({id(p) for p in params}) == len(set(params)) < len(params)
 
 
-def test_a_decode_memo_holds_only_what_its_records_decode_to(toy_artifacts):
-    """A pack decoded with its model's ``qparams_memo`` decodes each slot
-    record to the model's own object, equal to what it decodes to alone,
-    and leaves the memo as it was.  A value that its record would round
-    (0.1 is no fp32 value) is left out."""
-    loaded = cp.load_compiled(toy_artifacts[0])
-    memo = cp.qparams_memo(p for d in loaded.descriptors for p in (d.a_params, d.b_params))
-    before = dict(memo)
-    shared, alone = cp.unpack_lora(toy_artifacts[1], memo), cp.unpack_lora(toy_artifacts[1])
-    for d in loaded.descriptors:
-        s, t = shared.slots[d.slot_id], alone.slots[d.slot_id]
-        assert s.a_params is d.a_params and s.b_params is d.b_params
-        assert (s.a_params, s.b_params) == (t.a_params, t.b_params)
-    assert memo == before
-    assert cp.qparams_memo([QuantParams(0.1, 0, 8)]) == {}
-
-
 @pytest.mark.parametrize("defect", ("swapped slot tids", "wider slot", "missing descriptor"))
 def test_descriptors_must_name_the_slot_inputs(toy_bundle, toy_profile, defect):
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
@@ -260,16 +243,19 @@ def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
 
 
 def test_each_magic_has_its_own_version(toy_artifacts):
-    """``.quadm`` is at version 4 and ``.qlp`` stays at 1.  A version-1
+    """``.quadm`` is at version 4 and ``.qlp`` at 2.  A version-1
     ``.quadm``, which held the graphs before the fusions, is refused, and
     so are a version-2 one, which also held the profile text, and a
-    version-3 one, whose reader knows no ``requant`` that emits levels."""
+    version-3 one, whose reader knows no ``requant`` that emits levels.
+    So is a version-1 ``.qlp``, which held per-slot parameter records and
+    tensor headers, and a version-3 one."""
     model, pack = toy_artifacts
-    assert (model[4:6], pack[4:6]) == (b"\x04\x00", b"\x01\x00")
+    assert (model[4:6], pack[4:6]) == (b"\x04\x00", b"\x02\x00")
     for data, loader, magic, old in ((model, cp.load_compiled, "QADM", 1),
                                      (model, cp.load_compiled, "QADM", 2),
                                      (model, cp.load_compiled, "QADM", 3),
-                                     (pack, cp.unpack_lora, "QLPK", 2)):
+                                     (pack, cp.unpack_lora, "QLPK", 1),
+                                     (pack, cp.unpack_lora, "QLPK", 3)):
         changed = bytearray(data)
         struct.pack_into("<H", changed, 4, old)
         with pytest.raises(FormatError, match=f"unsupported {magic} format version {old}"):
@@ -292,14 +278,18 @@ def test_a_model_past_the_old_string_limit_serves(deep):
     assert np.isfinite(out).all() and out.any()
 
 
-@pytest.mark.parametrize("defect", ("mixed widths", "no slots"))
+@pytest.mark.parametrize("defect", ("mixed widths", "no slots", "mixed signedness"))
 def test_pack_needs_one_factor_width(toy_bundle, toy_adapter, toy_profile, defect):
-    """The pack header's factor width is the slots' one width."""
+    """The pack header's factor width is the slots' one width, and the
+    level block's one dtype needs one signedness too."""
     _, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    d = descriptors[1]
     if defect == "mixed widths":
-        d = descriptors[1]
         descriptors[1] = dataclasses.replace(d, b_params=QuantParams(d.b_params.scale, 0, 8))
         match = r"share one bit width, not \[8, 16\]"
+    elif defect == "mixed signedness":
+        descriptors[1] = dataclasses.replace(d, b_params=QuantParams(d.b_params.scale, 0, 16, False))
+        match = r"share one signedness, not \[False, True\]"
     else:
         descriptors, match = [], r"share one bit width, not \[\]"
     with pytest.raises(PackError, match=match):

@@ -14,7 +14,8 @@ reference here runs the chain's own nodes through ``graph.run_graph``,
 with each product of two dequantized tensors taken as QuantSim takes
 it: the exact product of the levels it recovers from the fp32 values.
 A ``qlora`` reads its B, A and alpha as a session holds them once a
-bind has prepared them (``runtime.slot_operands``), as constants.
+bind has prepared them (``conftest.slot_reference``, which a bind
+matches bit for bit), as constants.
 
 A step widens a base weight taller than one row tile
 (``qparams.tiled_matmul``) tile by tile: a model of such weights still
@@ -32,7 +33,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import numbers
+from conftest import numbers, slot_reference
 from test_bitpin import serve, sha
 
 from onegraph import cli
@@ -316,7 +317,7 @@ def _as_bound(g):
         constants = dict(g.constants)
         for n in layers:
             b, a, alpha = (feeds[by_tid[t]] for t in n.inputs[2:])
-            constants.update(zip(n.inputs[2:], rt.slot_operands(
+            constants.update(zip(n.inputs[2:], slot_reference(
                 b, n.attrs["b_qparams"], a, n.attrs["a_qparams"], alpha.reshape(())[()])))
         bound = gr.Graph(g.nodes, inputs, g.outputs, constants)
         gr.validate(bound)
@@ -597,7 +598,7 @@ def test_a_step_widens_one_tile_of_the_weight(kind):
         q_a = rng.integers(-3000, 3000, (m, r)).astype(np.int16)
         g = _qlora_graph(_qlora_node(p_w, p_x, p16, p16), q_w, q_x, q_b, q_a)
         g = gr.Graph(g.nodes, g.inputs[:1], g.outputs, {
-            **g.constants, **dict(zip((2, 3, 4), rt.slot_operands(q_b, p16, q_a, p16, 1.0)))})
+            **g.constants, **dict(zip((2, 3, 4), slot_reference(q_b, p16, q_a, p16, 1.0)))})
     gr.validate(g)
     gr.run_graph(g, {"x": q_x})
     tracemalloc.start()

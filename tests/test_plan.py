@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import slot_reference
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
@@ -138,7 +139,7 @@ def test_plans_from_the_load_shapes_are_the_fresh_plans(served):
 def test_bound_slots_are_not_planned(served):
     """The session's backbone takes the latent and the conditioning only;
     a bind makes each slot tid a constant holding its prepared operand
-    (``runtime.slot_operands`` of the payload), no plan holds a slot, and
+    (``conftest.slot_reference`` of the payload), no plan holds a slot, and
     the loaded model the session was made from keeps its slot inputs and
     gains no slot constant."""
     model_bytes, pack = served
@@ -156,7 +157,7 @@ def test_bound_slots_are_not_planned(served):
     for d in session.model.descriptors:
         s = decoded.slots[d.slot_id]
         for tid, want in zip((d.b_tid, d.a_tid, d.alpha_tid),
-                             rt.slot_operands(s.b_q, s.b_params, s.a_q, s.a_params, s.alpha)):
+                             slot_reference(s.b_q, d.b_params, s.a_q, d.a_params, s.alpha)):
             got = backbone.constants[tid]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tid
     assert session.adapter_buffer_bytes == sum(int(backbone.constants[t].nbytes) for t in slots)
