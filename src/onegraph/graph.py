@@ -11,11 +11,12 @@ deterministic bit-for-bit: fp32 arithmetic goes through the sequential
 kernels in :mod:`onegraph.tensor`, and a product whose two operands are
 quantized (a ``qlinear`` node, W x and B x inside a ``qlora``, or a
 product that QuantSim's ``product`` hook sees with both operands
-fake-quantized) goes through the exact integer kernel of
+fake-quantized) is an exact integer product, taken by the kernels of
 :mod:`onegraph.qparams` (``int_matmul``, ``centered_matmul``,
-``scaled_matmul``, ``tiled_matmul``), whose result no summation order
-or row tiling changes.  Every product in the IR is a matrix product:
-``qlinear`` has no other ``op``.
+``scaled_matmul``, ``tiled_matmul``) or, for a ``qlora`` that fits one
+row tile, by one float64 GEMM of its own; no summation order, row
+tiling or stacking changes its result.  Every product in the IR is a
+matrix product: ``qlinear`` has no other ``op``.
 
 The interpreter is prepare + invoke, as in TFLite Micro (David et al.
 2020, arXiv:2010.08678).  ``prepare`` runs once per graph, role, adapter
@@ -738,8 +739,17 @@ def _k_activation(vals, n, view, tape, p):
     return _put(_act(vals[n.inputs[0]], n.attrs["kind"], tape), view)
 
 
+def _put_levels(levels, p, view):
+    """Float64 levels in p's storage dtype: cast into ``view`` when it is an array."""
+    if view is None:
+        return levels.astype(qp.storage_dtype(p.bits, p.signed))
+    view[...] = levels
+    return view
+
+
 def _k_quantize(vals, n, view, tape, p):
-    return _put(qp.quantize_array(vals[n.inputs[0]], n.attrs["qparams"]), view)
+    q = n.attrs["qparams"]
+    return _put_levels(qp.quantize_levels(vals[n.inputs[0]], q), q, view)
 
 
 def _k_dequantize(vals, n, view, tape, p):
@@ -751,7 +761,8 @@ def _k_qlinear(vals, n, view, tape, p):
     y = qp.int_matmul(vals[ins[0]], attrs["w_qparams"], vals[ins[1]], attrs["in_qparams"])
     if len(ins) > 2:
         y = y + qp.dequantize_array(vals[ins[2]], attrs["bias_qparams"])
-    return _put(qp.quantize_array(y, attrs["out_qparams"]), view)
+    q = attrs["out_qparams"]
+    return _put_levels(qp.quantize_levels(y, q), q, view)
 
 
 def _k_qlora(vals, n, view, tape, p):
@@ -761,36 +772,78 @@ def _k_qlora(vals, n, view, tape, p):
     per bind: B as its centred levels q_b - z_b in fp32, which holds
     them exactly, A dequantized to fp32.  (As stored, a graph holds the
     slots' levels instead, and running it raises ``ShapeError``.)  So a
-    step centres only q_x and, one row tile at a time, q_w.  W x and B x
-    are exact integer products on one centring of q_x
-    (``qparams.tiled_matmul`` and ``scaled_matmul``, whose float64 GEMM
-    sums the same integers from the fp32 B), and A (B x) is the fp32
-    ``tensor.matmul``.  The 2**53 bound of both products depends only on the shapes and the
-    parameters, so the session checks it once, at load, not here.
+    step centres only q_x and q_w.  W x and B x are exact integer
+    products on one centring of q_x: fp32(float64 sum * s_w s_x) and
+    fp32(float64 sum * s_b s_x), each sum +0.0 where it is zero.  When
+    the centred [q_w; B] fits one ``tensor.MATMUL_BLOCK_BYTES`` tile they
+    are one float64 GEMM over a stacked scratch, q_w's rows filled by a
+    copy and an in-place subtract (a level outside its range raises
+    ``RangeError``, as in ``qparams.centered_levels``), and the rows of
+    the result are scaled by their two scales; a wider layer takes them
+    as ``qparams.tiled_matmul`` and ``scaled_matmul``.  An output element
+    is one exact integer sum either way, so the bits are the same.
+    A (B x) is the fp32 ``tensor.matmul``.  The 2**53 bound of both
+    products depends only on the shapes and the parameters, so the
+    session checks it once, at load, not here.
     """
     ins, attrs = n.inputs, n.attrs
     q_w, q_x, c_b, a, alpha = vals[ins[0]], vals[ins[1]], vals[ins[2]], vals[ins[3]], vals[ins[4]]
     p_w, p_x, p_b = attrs["w_qparams"], attrs["in_qparams"], attrs["b_qparams"]
     c_x = qp.centered_levels(q_x, p_x)
     s_x = np.float64(p_x.scale)
-    out = qp.tiled_matmul(q_w, p_w, c_x, np.float64(p_w.scale) * s_x)
-    abx = tz.matmul(a, qp.scaled_matmul(c_b, c_x, np.float64(p_b.scale) * s_x))
+    m, k = q_w.shape
+    rows = m + c_b.shape[0]
+    if rows <= tz.MATMUL_BLOCK_BYTES // (8 * max(k, 1)):
+        qp.check_levels(q_w, p_w)
+        stacked = np.empty((rows, k), np.float64)
+        w = stacked[:m]
+        w[...] = q_w
+        w -= float(p_w.zero_point)
+        stacked[m:] = c_b
+        acc = np.matmul(stacked, c_x)
+        acc += 0.0
+        acc[:m] *= p_w.scale * s_x
+        acc[m:] *= p_b.scale * s_x
+        acc = acc.astype(np.float32)
+        out, bx = acc[:m], acc[m:]
+    else:
+        out = qp.tiled_matmul(q_w, p_w, c_x, np.float64(p_w.scale) * s_x)
+        bx = qp.scaled_matmul(c_b, c_x, np.float64(p_b.scale) * s_x)
+    abx = tz.matmul(a, bx)
     abx *= alpha.reshape(())
     return np.add(out, abx, out=out if view is None else view)
 
 
 def _k_requant(vals, n, view, tape, p):
-    """The chain's kernels in its order: quantize, dequantize, the
-    activation if any, and with ``out_qparams`` the quantize of the
-    next layer's input, so the output is that layer's levels."""
+    """The chain quantize, dequantize, the activation if any, and with
+    ``out_qparams`` the quantize of the next layer's input, so the
+    output is that layer's levels.
+
+    The levels stay in float64, centred: L - z is round(x / s) clamped
+    to [q_min - z, q_max - z] (``qparams.round_levels``), and (L - z) s
+    goes to fp32 with no storage dtype between.  A relu clamps L - z at
+    0 instead, with the bits of a relu on the fp32 value: s > 0,
+    rounding to fp32 keeps a value's sign, and a relu's zero is +0.0.
+    """
     attrs = n.attrs
     q = attrs["qparams"]
-    out = qp.dequantize_array(qp.quantize_array(vals[n.inputs[0]], q), q)
-    if "activation" in attrs:
-        out = tz.activation(out, attrs["activation"])
-    if "out_qparams" in attrs:
-        out = qp.quantize_array(out, attrs["out_qparams"])
-    return _put(out, view)
+    x = vals[n.inputs[0]]
+    c = np.empty(x.shape, np.float64)
+    c[...] = x
+    c /= q.scale
+    z, act = q.zero_point, attrs.get("activation")
+    qp.round_levels(c, 0.0, 0.0 if act == "relu" else float(q.q_min - z), float(q.q_max - z))
+    c *= q.scale
+    out_p = attrs.get("out_qparams")
+    if act in (None, "relu"):
+        if out_p is None:
+            return c.astype(np.float32) if view is None else _put(c, view)
+        v = c.astype(np.float32)
+    else:
+        v = tz.activation(c.astype(np.float32), act)
+        if out_p is None:
+            return _put(v, view)
+    return _put_levels(qp.levels_into(v, out_p, c), out_p, view)
 
 
 _KERNELS = {"matmul": _k_matmul, "lora_matmul": _k_lora_matmul, "add": _k_add,

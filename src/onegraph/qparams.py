@@ -33,7 +33,13 @@ centred float64 levels fit ``tensor.MATMUL_BLOCK_BYTES``, at least one:
 64 rows at k = 256.  Each tile's GEMM writes that tile's rows of one
 float64 accumulator.  An output element is one exact integer sum
 whichever tile computes it, so tiling changes no bit.  An operand of at
-most one tile's rows is one tile.
+most one tile's rows is one tile, and a ``qlora`` whose [W; B] fits one
+tile takes W x and B x as one GEMM over the two stacked.
+
+Every level comes from one rounding, ``round_levels``: ``levels_into``
+divides by s and calls it, and ``quantize_levels``, ``quantize_array``,
+``fake_quant``, ``compute_quant_params`` and the runtime's kernels all
+go through those two.
 """
 
 from __future__ import annotations
@@ -59,9 +65,11 @@ def int_bounds(bits: int, signed: bool) -> tuple[int, int]:
     return 0, (1 << bits) - 1
 
 
-# (bits, signed) -> (q_min, q_max), so a level bound is one lookup.
+# (bits, signed) -> (q_min, q_max), so a level bound is one lookup; and as
+# floats, which numpy takes as a scalar operand faster than an int.
 _BOUNDS = {(bits, signed): int_bounds(bits, signed)
            for bits in SUPPORTED_BITS for signed in (True, False)}
+_FLOAT_BOUNDS = {key: (float(lo), float(hi)) for key, (lo, hi) in _BOUNDS.items()}
 
 
 def storage_dtype(bits: int, signed: bool):
@@ -103,12 +111,6 @@ class QuantParams:
         return float(np.float32(np.float64(self.scale) * (self.q_max - self.zero_point)))
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Exact half-away-from-zero rounding, evaluated in float64."""
-    x64 = np.asarray(x, dtype=np.float64)
-    return np.sign(x64) * np.floor(np.abs(x64) + 0.5)
-
-
 def compute_quant_params(t_min: float, t_max: float, bits: int, signed: bool = True) -> QuantParams:
     """Scale and zero point for the real range [t_min, t_max]."""
     if t_min > t_max:
@@ -117,30 +119,44 @@ def compute_quant_params(t_min: float, t_max: float, bits: int, signed: bool = T
     if t_min == t_max:
         return QuantParams(scale=1.0, zero_point=0, bits=bits, signed=signed)
     scale = max(float(np.float32((np.float64(t_max) - np.float64(t_min)) / (q_hi - q_lo))), MIN_SCALE)
-    z = q_lo - int(round_half_away(np.float64(t_min) / np.float64(scale)))
-    z = max(q_lo, min(q_hi, z))
-    return QuantParams(scale=scale, zero_point=z, bits=bits, signed=signed)
+    # The rounding is odd, round(-y) = -round(y), so q_lo - round(t_min / s)
+    # is round(-t_min / s) + q_lo.
+    z = round_levels(np.array(-np.float64(t_min) / np.float64(scale)), q_lo, q_lo, q_hi)
+    return QuantParams(scale=scale, zero_point=int(z), bits=bits, signed=signed)
+
+
+def round_levels(q: np.ndarray, z, lo, hi) -> np.ndarray:
+    """round(q) + z clamped to [lo, hi], in place in the float64 array q.
+
+    The one rounding of the package.  q holds a quotient t / s; it is
+    rounded half away from zero as trunc(q + copysign(0.5, q)), which is
+    floor(|q| + 0.5) with the sign of q: IEEE rounding is symmetric, so
+    a negative q - 0.5 rounds to -(|q| + 0.5) as rounded.  + z makes a
+    zero +0.0.  An infinity saturates; a NaN stays NaN.
+    """
+    q += np.copysign(0.5, q)
+    np.trunc(q, out=q)
+    q += z
+    np.maximum(q, lo, out=q)
+    return np.minimum(q, hi, out=q)
+
+
+def levels_into(t, p: QuantParams, out: np.ndarray) -> np.ndarray:
+    """round(t / s) + z saturated to [q_min, q_max], written into the float64 ``out``.
+
+    t is cast into ``out`` (exactly, from fp32 or an integer dtype) and
+    divided there by s in float64, then ``round_levels`` rounds it.
+    """
+    out[...] = t
+    out /= p.scale
+    lo, hi = _FLOAT_BOUNDS[p.bits, p.signed]
+    return round_levels(out, float(p.zero_point), lo, hi)
 
 
 def quantize_levels(t: np.ndarray, p: QuantParams) -> np.ndarray:
-    """round(t / s) + z saturated to [q_min, q_max]: the integer levels, in float64.
-
-    The steps of ``round_half_away`` on t / s, taken in place on two
-    float64 buffers: true division by s, |.| + 0.5, floor, the sign of
-    the quotient back by ``copysign``, + z, then the bounds.  ``copysign``
-    and ``round_half_away``'s sign * floor differ only in the sign of a
-    zero, which + z makes +0.0, so the levels keep their bits.  An
-    infinity saturates; a NaN stays NaN.
-    """
-    q = np.array(t, dtype=np.float64)
-    q /= np.float64(p.scale)
-    levels = np.abs(q)
-    levels += 0.5
-    np.floor(levels, out=levels)
-    np.copysign(levels, q, out=levels)
-    levels += p.zero_point
-    np.maximum(levels, p.q_min, out=levels)
-    return np.minimum(levels, p.q_max, out=levels)
+    """round(t / s) + z saturated to [q_min, q_max]: the integer levels, in float64 (``levels_into``)."""
+    t = np.asarray(t)
+    return levels_into(t, p, np.empty(t.shape, np.float64))
 
 
 def quantize_array(t: np.ndarray, p: QuantParams) -> np.ndarray:
@@ -148,19 +164,26 @@ def quantize_array(t: np.ndarray, p: QuantParams) -> np.ndarray:
     return quantize_levels(t, p).astype(storage_dtype(p.bits, p.signed))
 
 
-def centered_levels(q: np.ndarray, p: QuantParams, dtype=np.float64) -> np.ndarray:
-    """q - z in ``dtype``, rejecting elements outside [q_min, q_max].
+def check_levels(q: np.ndarray, p: QuantParams) -> None:
+    """Reject elements of q outside [q_min, q_max] with ``RangeError``.
 
     A signed range held in its own storage dtype fills that dtype, so no
-    element of it can fall outside; only other dtypes are scanned.  As
-    |q - z| <= 65,535 < 2**24, fp32 holds the result exactly too.
+    element of it can fall outside; only other dtypes are scanned.
+    """
+    if not (p.signed and q.dtype == storage_dtype(p.bits, True)) and q.size and (
+            q.min() < p.q_min or q.max() > p.q_max):
+        raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
+
+
+def centered_levels(q: np.ndarray, p: QuantParams, dtype=np.float64) -> np.ndarray:
+    """q - z in ``dtype``, rejecting elements outside [q_min, q_max] (``check_levels``).
+
+    As |q - z| <= 65,535 < 2**24, fp32 holds the result exactly too.
     """
     qi = np.asarray(q)
-    full = p.signed and qi.dtype == storage_dtype(p.bits, True)
-    if not full and qi.size and (qi.min() < p.q_min or qi.max() > p.q_max):
-        raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
+    check_levels(qi, p)
     t = qi.astype(dtype)
-    t -= p.zero_point
+    t -= float(p.zero_point)
     return t
 
 

@@ -30,7 +30,8 @@ once, offline (Jacob et al. 2018, arXiv:1712.05877):
 * once per hooks object, each frozen weight: its int8 levels
   (``qparams.quantize_array``) and W_hat, their dequantized fp32 value,
   which the dataflow sees.  W x is ``qparams.tiled_matmul`` on those
-  levels, the kernel of the runtime's ``qlinear`` and ``qlora``.  A
+  levels, the kernel of the runtime's ``qlinear``, whose bits a
+  runtime ``qlora``'s W x has too.  A
   weight's fake-quant is never taped: no gradient flows into a weight.
   ``graph.prepare`` puts W_hat into the operand table once per run.
 * once per run, each adapter factor: ``graph.prepare`` passes A and B

@@ -41,8 +41,12 @@ denoising step runs only the arithmetic that depends on its input.
 * **Step.**  A backbone step only invokes its prepared program
   (``graph.invoke``): it is fed ``z`` and the conditioning only, runs
   each node's kernel on its operands in place, with no kind dispatch
-  and no hook call, and centres only q_x and, one row tile at a time,
-  q_w (``qparams.tiled_matmul``).
+  and no hook call, and centres only q_x and q_w.  A kernel does only
+  the arithmetic its bits need: a ``qlora`` whose centred [q_w; B]
+  fits one row tile takes W x and B x as one float64 GEMM, and a
+  ``requant`` keeps its levels in float64 from its input to its output.
+  Prepare binds no state of its own to a node: every step is one of
+  the graph module's shared kernel functions.
 
 The arena holds every node output of the three graphs and every graph
 input: the encoder's ``x``, the backbone's latent ``z`` and
@@ -66,12 +70,16 @@ whole base weight, which would be 8x its int8 bytes.
 The artifact holds the graphs ``compiler.optimize_for_freeze`` fused.
 Each adapter layer is one ``qlora`` node reading q_w, q_x and the
 slot's B, A and alpha: it centres q_x once for the two exact integer
-products W x and B x (``qparams.tiled_matmul`` and ``scaled_matmul``),
-then runs the fp32 A (B x), scale and add.  Each ``quantize ->
-dequantize [-> activation]`` chain is one ``requant`` node, which also
-quantizes its result when that is the next layer's input
-(``out_qparams``), so the arena carries levels between layers, as in
-integer-only inference (Jacob et al. 2018, arXiv:1712.05877).  So one
+products W x and B x, one GEMM over q_w's centred rows stacked on B's
+when they fit one row tile of ``tensor.MATMUL_BLOCK_BYTES`` (every
+layer of compile_deep's w32 model), else ``qparams.tiled_matmul`` and
+``scaled_matmul``, then runs the fp32 A (B x), scale and add.  Each
+``quantize -> dequantize [-> activation]`` chain is one ``requant``
+node, which also quantizes its result when that is the next layer's
+input (``out_qparams``), so the arena carries levels between layers, as
+in integer-only inference (Jacob et al. 2018, arXiv:1712.05877).  It
+takes its input's levels, centred, in float64 (``qparams.round_levels``)
+and scales them to fp32 with no storage dtype between.  So one
 layer of a denoising step is a ``qlora`` and a ``requant``, no base
 weight is dequantized on a step, and the arena holds none of the
 chains' inner tensors.  In the artifact a ``qlora``'s B and A are
@@ -293,7 +301,7 @@ class _ArenaHooks(gr._NullHooks):
     """Place every planned tensor at its offset in the arena.
 
     Tensors at the same offset with the same shape and dtype share one
-    view; the plan keeps their lifetimes apart.  (compile_deep's 399
+    view; the plan keeps their lifetimes apart.  (compile_deep's 272
     planned tensors take 11 views.)
     """
 

@@ -108,18 +108,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     innermost one, so the block falls to one k.  It also falls to one k
     when the running sum and one product slice alone exceed the budget.
     When one block holds every k, as for an adapter's rank-k A (B x),
-    the products of ``a``'s transpose are written straight behind a
-    +0.0 slice and reduced once, with no staging of the transpose or
-    of the running sum: the same products and additions in the same
-    order.  The result is a fresh C-contiguous array, never a view of
-    the buffer.
+    nothing is planned: one multiply writes the products of ``a``'s
+    transpose in C order, and one reduction adds them onto +0.0 (its
+    ``initial``), the same products and additions in the same order.  C
+    order keeps k the outer axis; numpy would otherwise lay the products
+    out in the order of ``a``'s strides, and a reduced axis that ends up
+    innermost is summed pairwise.  The result is a fresh C-contiguous
+    array, never a view of a buffer.
     """
-    _require_fp32(a, b)
+    if a.dtype != np.float32 or b.dtype != np.float32:
+        _require_fp32(a, b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    m, k = a.shape
+    n = b.shape[1]
+    if k != b.shape[0]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    m, n = a.shape[0], b.shape[1]
     if m * n <= MATMUL_PLANE_FLOATS:
         return _product(a, b)
     out = np.empty((m, n), dtype=np.float32)
@@ -139,29 +143,28 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape
     n = b.shape[1]
     wide = n >= m
+    plane = m * n
+    if k == 1 or (plane > 1 and k * (plane + m) <= _BLOCK_FLOATS - plane):   # one block
+        if wide:
+            return np.add.reduce(np.multiply(a.T[:, :, None], b[:, None, :], order="C"), axis=0, initial=0.0)
+        return np.add.reduce(np.multiply(a.T[:, None, :], b[:, :, None], order="C"), axis=0,
+                             initial=0.0).T.copy()
     short, long = (m, n) if wide else (n, m)
-    plane = short * long
     fit = 1 if plane == 1 else max(1, min(k, (_BLOCK_FLOATS - plane) // max(plane + m, 1)))
     kb = math.ceil(k / math.ceil(k / fit)) if k else 1
     buf = np.empty((kb + 1, short, long), dtype=np.float32)
-    one_block = kb == k
-    a_t = a.T if one_block else np.empty((kb, m), dtype=np.float32)
+    a_t = np.empty((kb, m), dtype=np.float32)
     if wide:
         a3, b3 = a_t[:, :, None], b[:, None, :]
     else:
         a3, b3 = a_t[:, None, :], b[:, :, None]
-    if one_block:
-        buf[0] = 0.0
-        np.multiply(a3, b3, out=buf[1:])
-        acc = np.add.reduce(buf, axis=0)
-    else:
-        acc = np.zeros((short, long), dtype=np.float32)
-        for k0 in range(0, k, kb):
-            c = min(kb, k - k0)
-            buf[0] = acc
-            np.copyto(a_t[:c], a[:, k0:k0 + c].T)
-            np.multiply(a3[:c], b3[k0:k0 + c], out=buf[1:c + 1])
-            np.add.reduce(buf[:c + 1], axis=0, out=acc)
+    acc = np.zeros((short, long), dtype=np.float32)
+    for k0 in range(0, k, kb):
+        c = min(kb, k - k0)
+        buf[0] = acc
+        np.copyto(a_t[:c], a[:, k0:k0 + c].T)
+        np.multiply(a3[:c], b3[k0:k0 + c], out=buf[1:c + 1])
+        np.add.reduce(buf[:c + 1], axis=0, out=acc)
     return acc if wide else acc.T.copy()
 
 

@@ -27,7 +27,6 @@ from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
 from onegraph import runtime as rt
-from onegraph import tensor as tz
 from onegraph.errors import BindError, FormatError, PackError, RangeError
 
 
@@ -275,25 +274,38 @@ def test_a_pack_of_misplaced_records_or_levels_is_a_format_error(toy_bundle, toy
     assert splice(pack, mine.records, mine.levels) == pack
 
 
-def test_every_qlora_reads_the_slot_arrays_in_place(bound, monkeypatch):
+def test_every_qlora_reads_the_slot_arrays_in_place(served, bound):
     """The backbone's operand table holds the bound slot arrays
-    themselves, and each step's ``qlora`` multiplies them: B's prepared
-    levels go to ``qparams.scaled_matmul`` and A to ``tensor.matmul``,
-    both looked up in their modules when the step runs."""
+    themselves, and each step's ``qlora`` multiplies them as they are
+    when it runs: new levels prepared into the bound buffer's B and A
+    views in place, with no bind, serve QuantSim's bits for an adapter
+    of those levels, and a slot-by-slot preparation of them
+    (``conftest.slot_reference``) gives the bytes the views hold."""
+    _, _, (bundle, _, _, profile) = served
     session, (x, cond) = bound
     constants = session.model.graphs["backbone"].constants
     table = session.programs["backbone"].values
     slots = [t for d in session.model.descriptors for t in (d.b_tid, d.a_tid, d.alpha_tid)]
     assert all(table[t] is constants[t] for t in slots)
-    seen = {"B": [], "A": []}
-    scaled, matmul = qp.scaled_matmul, tz.matmul
-    monkeypatch.setattr(qp, "scaled_matmul", lambda c_b, *a: seen["B"].append(id(c_b)) or scaled(c_b, *a))
-    monkeypatch.setattr(tz, "matmul", lambda a, b: seen["A"].append(id(a)) or matmul(a, b))
-    rt.infer(session, x, cond, seed=3)
-    layers = [n for n in session.bundle.backbone.nodes if n.kind == "qlora"]
-    assert len(layers) == len(session.model.descriptors)
-    assert seen["B"] == [id(constants[n.inputs[2]]) for n in layers] * session.model.steps
-    assert seen["A"] == [id(constants[n.inputs[3]]) for n in layers] * session.model.steps
+    before = rt.infer(session, x, cond, seed=3)
+    rng = np.random.default_rng(27)
+    entries = {}
+    for d in session.model.descriptors:
+        alpha = float(constants[d.alpha_tid][0])
+        q_b, q_a = (np.clip(p.zero_point + rng.integers(-400, 400, shape, endpoint=True), p.q_min, p.q_max)
+                    .astype(qp.storage_dtype(p.bits, p.signed))
+                    for p, shape in ((d.b_params, d.b_shape), (d.a_params, d.a_shape)))
+        want = slot_reference(q_b, d.b_params, q_a, d.a_params, alpha)
+        for tid, w in zip((d.b_tid, d.a_tid), want):
+            constants[tid][...] = w
+            assert constants[tid].base is session.adapter_buffer
+        assert all(constants[t].tobytes() == w.tobytes() for t, w in zip((d.b_tid, d.a_tid, d.alpha_tid), want))
+        entries[d.target_node_id] = gr.LoRAEntry(qp.dequantize_array(q_a, d.a_params),
+                                                 qp.dequantize_array(q_b, d.b_params), alpha)
+    served_now = rt.infer(session, x, cond, seed=3)
+    adapter = gr.LoRAAdapter("in place", entries)
+    assert served_now.tobytes() == qt.execute_quantsim(bundle, profile, adapter, x, cond, seed=3).tobytes()
+    assert served_now.tobytes() != before.tobytes()
 
 
 def test_infer_makes_no_buffer_views(bound, monkeypatch):
