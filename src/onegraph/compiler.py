@@ -3,8 +3,8 @@
 The deployment flow turns a bundle with adapter-capable layers into one
 immutable artifact plus small per-task archives:
 
-    rewrite_lora_as_input -> constant_fold -> dead_code_eliminate
-        -> materialize_quantsim -> scale_fold -> _fuse_lora -> _fuse_requant
+    constant_fold -> dead_code_eliminate -> materialize_quantsim
+        -> scale_fold -> rewrite_lora_as_input -> _fuse_requant
         -> dead_code_eliminate -> freeze (.quadm)
 
 The artifact holds the graphs a runtime session runs, node for node.
@@ -110,25 +110,27 @@ class CompiledModel:
 
 
 def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
-    """Expose adapter factors as graph inputs.
+    """Expose adapter factors as graph inputs of a quantized graph.
 
-    Every adapter-capable layer y = Wx splits into explicit dataflow
-    y = Wx + alpha * A(Bx) with A, B, alpha as new graph inputs; the
-    frozen weight is never merged.  A descriptor's ``bits`` is its slot
-    parameters' one width, else ``CoverageError``.  Returns (graph, slot
-    descriptors).
+    Each adapter layer ``lora_matmul [dequantize(q_w), dequantize(q_x)]``,
+    as ``materialize_quantsim`` leaves it, becomes one ``qlora [q_w, q_x,
+    B, A, alpha]`` with the layer's id, output and place: y = W x + alpha
+    * A (B x), with B and A new graph inputs in their slot parameters'
+    storage dtype and alpha a new fp32 input; the frozen weight is never
+    merged.  A dequantize that no other node reads goes with its layer.
+    A layer whose weight is not a dequantized constant or whose input is
+    not dequantized raises ``GraphError``.  A descriptor's ``bits`` is
+    its slot parameters' one width, else ``CoverageError``.  Returns
+    (graph, slot descriptors).
     """
-    gr.validate(g)
-    out = g.copy()
-    descriptors = []
-    tids = itertools.count(out.next_tid())
-    node_ids = itertools.count(out.next_node_id())
-    expansions = {}   # id(lora node) -> the nodes that follow it
-    lora = sorted(out.lora_nodes(), key=lambda n: n.id)
-    for slot_id, node in enumerate(lora):
-        w = out.constants[node.inputs[0]]
-        d_out, d_in = w.shape
-        r_max = int(node.attrs["rank"])
+    producer = g.producer_map()
+    tids = itertools.count(g.next_tid())
+    inputs, descriptors, fused = list(g.inputs), [], {}
+    for slot_id, node in enumerate(sorted(g.lora_nodes(), key=lambda n: n.id)):
+        dq_w, dq_x = (producer.get(t) for t in node.inputs)
+        if not (dq_w and dq_x and dq_w.kind == dq_x.kind == "dequantize" and dq_w.inputs[0] in g.constants):
+            raise GraphError(f"lora node {node.id}: operands are not a dequantized constant weight "
+                             "and a dequantized input")
         a_params = shared.lora(node.id, "A")
         b_params = shared.lora(node.id, "B")
         if a_params is None or b_params is None:
@@ -136,36 +138,24 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
         if a_params.bits != b_params.bits:
             raise CoverageError(f"lora node {node.id}: slot params A/B are {a_params.bits}/"
                                 f"{b_params.bits} bits, not one width")
-
-        t_a, t_b, t_alpha, t_wx, t_bx, t_abx, t_scaled = (next(tids) for _ in range(7))
-        y_tid = node.output
-        x_tid = node.inputs[1]
-
+        q_w = dq_w.inputs[0]
+        d_out, d_in = g.constants[q_w].shape
         desc = LoRASlotDescriptor(
             slot_id=slot_id, target_node_id=node.id,
-            a_tid=t_a, b_tid=t_b, alpha_tid=t_alpha,
-            d_out=int(d_out), d_in=int(d_in), r_max=r_max,
+            a_tid=next(tids), b_tid=next(tids), alpha_tid=next(tids),
+            d_out=d_out, d_in=d_in, r_max=int(node.attrs["rank"]),
             bits=a_params.bits, a_params=a_params, b_params=b_params,
         )
         descriptors.append(desc)
-        out.inputs.append(gr.GraphInput(desc.a_name, t_a, (d_out, r_max)))
-        out.inputs.append(gr.GraphInput(desc.b_name, t_b, (r_max, d_in)))
-        out.inputs.append(gr.GraphInput(desc.alpha_name, t_alpha, (1,)))
-
-        node.kind = "matmul"
-        node.attrs.pop("rank", None)
-        node.output = t_wx
-        expansions[id(node)] = [
-            gr.Node(next(node_ids), "matmul", [t_b, x_tid], t_bx),
-            gr.Node(next(node_ids), "matmul", [t_a, t_bx], t_abx),
-            gr.Node(next(node_ids), "scale", [t_abx, t_alpha], t_scaled),
-            gr.Node(next(node_ids), "add", [t_wx, t_scaled], y_tid),
-        ]
-    nodes = []
-    for node in out.nodes:
-        nodes.append(node)
-        nodes += expansions.get(id(node), ())
-    out.nodes = nodes
+        inputs += (gr.GraphInput(desc.a_name, desc.a_tid, desc.a_shape, gr.storage_name(a_params)),
+                   gr.GraphInput(desc.b_name, desc.b_tid, desc.b_shape, gr.storage_name(b_params)),
+                   gr.GraphInput(desc.alpha_name, desc.alpha_tid, (1,)))
+        fused[id(node)] = gr.Node(
+            node.id, "qlora", [q_w, dq_x.inputs[0], desc.b_tid, desc.a_tid, desc.alpha_tid], node.output,
+            {"w_qparams": dq_w.attrs["qparams"], "in_qparams": dq_x.attrs["qparams"],
+             "b_qparams": b_params, "a_qparams": a_params})
+    out = gr.rebuild(g, fused, set())
+    out.inputs = inputs
     gr.validate(out)
     return out, descriptors
 
@@ -211,26 +201,22 @@ def dead_code_eliminate(g: gr.Graph) -> gr.Graph:
     return out
 
 
-def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descriptors=()) -> gr.Graph:
+def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str) -> gr.Graph:
     """Insert explicit quantize/dequantize structure for compilation.
 
-    Weight constants become integer payloads behind dequantize nodes;
-    slot inputs become integer inputs (packs deliver them quantized);
-    activations with profile entries get a quantize/dequantize pair.
-    Fused as ``optimize_for_freeze`` fuses it, the result computes
-    bit-identically to hook-based quantsim.
+    Weight constants become integer payloads behind dequantize nodes,
+    an adapter layer's weight too; activations with profile entries get
+    a quantize/dequantize pair.  Rewritten and fused as
+    ``optimize_for_freeze`` does it, the result computes bit-identically
+    to hook-based quantsim.
 
     Node order: the pairs of the covered inputs (last input first), then
-    the slot dequantizes and the weight dequantizes (each last first),
-    then the original nodes, each covered one followed by its pair.
-    Tensor and node ids are allocated upward from the graph's next free
-    ones in the order weights, slot inputs, covered inputs, nodes.
+    the weight dequantizes (last first), then the original nodes, each
+    covered one followed by its pair.  Tensor and node ids are allocated
+    upward from the graph's next free ones in the order weights, covered
+    inputs, nodes.
     """
     out = g.copy()
-    slot_tids = {}
-    for d in descriptors:
-        slot_tids[d.a_tid] = d.a_params
-        slot_tids[d.b_tid] = d.b_params
     tids = itertools.count(out.next_tid())
     node_ids = itertools.count(out.next_node_id())
 
@@ -266,21 +252,11 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str, descr
         out.constants[tid] = quantize_array(out.constants[tid], p)
         weight_dqs.append(dequantize(tid, p))
 
-    # slot inputs arrive quantized; alpha stays fp32
-    slot_dqs = []
-    for gi in out.inputs:
-        if gi.tid in slot_tids:
-            p = slot_tids[gi.tid]
-            gi.dtype = gr.storage_name(p)
-            slot_dqs.append(dequantize(gi.tid, p))
-
-    # covered activations, but for the slot inputs, get a quantize/dequantize pair
-    acts = {tid: p for tid in gr.act_tids(g) if tid not in slot_tids
-            and (p := profile.act(role, tid)) is not None}
+    # covered activations get a quantize/dequantize pair
+    acts = {tid: p for tid in gr.act_tids(g) if (p := profile.act(role, tid)) is not None}
     input_pairs = [act_pair(gi.tid, acts[gi.tid]) for gi in out.inputs if gi.tid in acts]
 
     nodes = [n for pair in reversed(input_pairs) for n in pair]
-    nodes += reversed(slot_dqs)
     nodes += reversed(weight_dqs)
     for node in out.nodes:
         nodes.append(node)
@@ -346,47 +322,6 @@ def scale_fold(g: gr.Graph) -> gr.Graph:
     return out
 
 
-def _fuse_lora(g: gr.Graph) -> gr.Graph:
-    """Adapter layers -> ``qlora [q_w, q_x, B, A, alpha]``.
-
-    The layer is ``add(matmul(dq(q_w), dq(q_x)), scale(matmul(dq(q_a),
-    matmul(dq(q_b), dq(q_x))), alpha))``, where both x operands
-    dequantize the same ``q_x`` with the same parameters, and W x, B x,
-    A (B x) and the scaled term are each read once, by the layer.  B and
-    A are the slot inputs q_b and q_a, which a session's bind prepares.
-    """
-    producer = g.producer_map()
-    users = g.consumers()
-
-    def inner(tid, kind):
-        """The producer of ``tid`` if it has this kind and ``tid`` is read once."""
-        n = producer.get(tid)
-        return n if n is not None and n.kind == kind and len(users[tid]) == 1 else None
-
-    fused, gone = {}, set()
-    for n in g.nodes:
-        if n.kind != "add":
-            continue
-        wx, sc = inner(n.inputs[0], "matmul"), inner(n.inputs[1], "scale")
-        abx = sc and inner(sc.inputs[0], "matmul")
-        bx = abx and inner(abx.inputs[1], "matmul")
-        if wx is None or bx is None:
-            continue
-        dq_w, dq_x, dq_b, dq_x2, dq_a = (
-            producer.get(t) for t in (*wx.inputs, *bx.inputs, abx.inputs[0]))
-        if not all(d is not None and d.kind == "dequantize" for d in (dq_w, dq_x, dq_b, dq_x2, dq_a)):
-            continue
-        p_x = dq_x.attrs["qparams"]
-        if dq_x2.inputs[0] != dq_x.inputs[0] or dq_x2.attrs["qparams"] != p_x:
-            continue
-        fused[id(n)] = gr.Node(
-            n.id, "qlora", [dq_w.inputs[0], dq_x.inputs[0], dq_b.inputs[0], dq_a.inputs[0], sc.inputs[1]],
-            n.output, {"w_qparams": dq_w.attrs["qparams"], "in_qparams": p_x,
-                       "b_qparams": dq_b.attrs["qparams"], "a_qparams": dq_a.attrs["qparams"]})
-        gone.update((id(wx), id(sc), id(abx), id(bx)))
-    return gr.rebuild(g, fused, gone)
-
-
 def _fuse_requant(g: gr.Graph) -> gr.Graph:
     """``quantize -> dequantize [-> activation] [-> quantize]`` -> ``requant``.
 
@@ -433,27 +368,27 @@ def _fuse_requant(g: gr.Graph) -> gr.Graph:
 def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
     """Run the full pass pipeline; returns (frozen-form bundle, descriptors).
 
-    After ``scale_fold`` each adapter layer becomes one ``qlora`` and each
-    ``quantize -> dequantize [-> activation]`` chain one ``requant``, which
-    runs the chain's kernels in its order, with the ``quantize`` of the
-    next layer's input where that alone reads the chain.  A fused node takes the id and
-    the output tensor of its chain's last node and stands where that node
-    stood, so the order stays topological.  Adapter layers are fused
-    first: their ``q_x`` feeds two products and never starts a
-    ``requant``.  The last ``dead_code_eliminate`` drops the ``requant``
-    of a covered input that nothing reads.
+    After ``scale_fold`` each adapter layer of the backbone becomes one
+    ``qlora`` (``rewrite_lora_as_input``), then each ``quantize ->
+    dequantize [-> activation]`` chain one ``requant``, which runs the
+    chain's kernels in its order, with the ``quantize`` of the next
+    layer's input where that alone reads the chain.  A fused node takes
+    the id and the output tensor of its chain's last node and stands
+    where that node stood, so the order stays topological.  A ``qlora``
+    reads its ``q_x`` itself, so the ``quantize`` of an adapter layer's
+    input starts no ``requant``.  The last ``dead_code_eliminate`` drops
+    the ``requant`` of a covered input that nothing reads.
     """
     qt.check_coverage(shared, bundle)
-    rewritten, descriptors = rewrite_lora_as_input(bundle.backbone, shared)
-    graphs = {}
-    for role, g, descs in (("encoder", bundle.encoder, ()),
-                           ("backbone", rewritten, descriptors),
-                           ("decoder", bundle.decoder, ())):
+    graphs, descriptors = {}, []
+    for role, g in bundle.graphs():
         g = constant_fold(g)
         g = dead_code_eliminate(g)
-        g = materialize_quantsim(g, shared, role, descs)
+        g = materialize_quantsim(g, shared, role)
         g = scale_fold(g)
-        graphs[role] = dead_code_eliminate(_fuse_requant(_fuse_lora(g)))
+        if role == "backbone":
+            g, descriptors = rewrite_lora_as_input(g, shared)
+        graphs[role] = dead_code_eliminate(_fuse_requant(g))
     frozen = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], bundle.steps)
     return frozen, descriptors
 

@@ -45,9 +45,9 @@ kernel computes a column from the same column of its inputs
 among any others.  An array placed by the hooks, as a runtime session
 places its arena views, holds the declared shape only.
 
-The fusion passes of ``compiler.optimize_for_freeze`` (``scale_fold``,
-``_fuse_lora`` and ``_fuse_requant``) share one use map
-(``Graph.consumers``) and one ``rebuild``.
+The passes of ``compiler.optimize_for_freeze`` that replace nodes
+(``scale_fold``, ``rewrite_lora_as_input`` and ``_fuse_requant``) share
+one ``rebuild``, and the two fusions one use map (``Graph.consumers``).
 """
 
 from __future__ import annotations
@@ -240,8 +240,6 @@ def infer_shapes(g: Graph) -> dict:
             out = ((sa[0], sb[1]), "fp32")
         elif n.kind == "lora_matmul":
             (sw, dw), (sx, dx) = get(n.inputs[0]), get(n.inputs[1])
-            if n.inputs[0] not in g.constants:
-                raise GraphError(f"node {n.id}: lora_matmul weight must be a constant")
             if dw != "fp32" or dx != "fp32":
                 raise ShapeError(f"node {n.id}: lora_matmul needs fp32 operands")
             if len(sw) != 2 or len(sx) != 2 or sw[1] != sx[0]:
@@ -866,12 +864,15 @@ def _check_entry_shapes(node, w, entry):
 
 
 def check_adapter(bundle: ModelBundle, adapter: LoRAAdapter):
-    """Adapter entries must target existing backbone lora nodes with matching shapes."""
+    """Adapter entries must target existing backbone lora nodes, whose
+    weights are constants, with matching shapes."""
     by_id = {n.id: n for n in bundle.backbone.lora_nodes()}
     for nid, entry in adapter.entries.items():
         if nid not in by_id:
             raise BindError(f"adapter {adapter.adapter_id!r} targets unknown lora node {nid}")
-        w = bundle.backbone.constants[by_id[nid].inputs[0]]
+        w = bundle.backbone.constants.get(by_id[nid].inputs[0])
+        if w is None:
+            raise GraphError(f"node {nid}: lora_matmul weight must be a constant")
         _check_entry_shapes(by_id[nid], w, entry)
 
 

@@ -151,7 +151,7 @@ def parse_adapter_spec(text: str) -> AdapterSpec:
     return spec
 
 
-def _chain(rng: Rng, layers, in_features: int, batch: int, start_tid: int, amplitude: float):
+def _chain(rng: Rng, layers, in_features: int, start_tid: int, amplitude: float):
     """Build a dense/lora layer chain; returns (nodes, constants, out_tid, out_features)."""
     nodes = []
     constants = {}
@@ -186,7 +186,7 @@ def build_bundle(spec: ModelSpec) -> gr.ModelBundle:
     b = spec.batch
 
     def simple_graph(layers, in_name, in_dim, tag):
-        nodes, constants, out_tid, _ = _chain(rng.child(tag), layers, in_dim, b, 0, spec.amplitude)
+        nodes, constants, out_tid, _ = _chain(rng.child(tag), layers, in_dim, 0, spec.amplitude)
         if not layers:
             out_tid = 0
         return gr.Graph(
@@ -202,7 +202,7 @@ def build_bundle(spec: ModelSpec) -> gr.ModelBundle:
     concat_tid = 2
     nodes = [gr.Node(0, "concat", [0, 1], concat_tid, {"axis": 0})]
     chain_nodes, constants, out_tid, _ = _chain(
-        bb_rng, spec.backbone, spec.latent_dim + spec.cond_dim, b, concat_tid, spec.amplitude)
+        bb_rng, spec.backbone, spec.latent_dim + spec.cond_dim, concat_tid, spec.amplitude)
     for n in chain_nodes:
         n.id += 1
     backbone = gr.Graph(

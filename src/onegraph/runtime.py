@@ -67,9 +67,10 @@ that fit ``tensor.MATMUL_BLOCK_BYTES`` (128 KB: 64 rows of a 256-wide
 weight), and ``tensor.matmul`` blocks its k within the same budget.  So no step holds a float64 copy of a
 whole base weight, which would be 8x its int8 bytes.
 
-The artifact holds the graphs ``compiler.optimize_for_freeze`` fused.
-Each adapter layer is one ``qlora`` node reading q_w, q_x and the
-slot's B, A and alpha: it centres q_x once for the two exact integer
+The artifact holds the graphs ``compiler.optimize_for_freeze`` made.
+Each adapter layer is one ``qlora`` node, into which
+``compiler.rewrite_lora_as_input`` turned the quantized layer, reading
+q_w, q_x and the slot's B, A and alpha: it centres q_x once for the two exact integer
 products W x and B x, one GEMM over q_w's centred rows stacked on B's
 when they fit one row tile of ``tensor.MATMUL_BLOCK_BYTES`` (every
 layer of compile_deep's w32 model), else ``qparams.tiled_matmul`` and

@@ -7,7 +7,8 @@ next layer's input when that alone reads the chain, and the ``.quadm``
 holds those graphs (kind codes 11 and 12), with dense tensor ids.  ``compiler.load_compiled`` returns them as frozen,
 they freeze back to the same bytes, and ``runtime.Session`` plans and
 runs them node for node.  ``onegraph inspect --dump`` prints them
-(digests recorded at model format version 4).
+(digests recorded at model format version 4, once each ``qlora`` took
+its adapter layer's node id).
 
 A fused node must give the bits of its unfused chain.  The chain's
 reference here runs the chain's own nodes through ``graph.run_graph``,
@@ -54,8 +55,8 @@ PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140
                "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
 
 INSPECT_SHA256 = {
-    "w64": "2256fae07d145f2b275289ff74fa04225cd2582004a37f8f9b49b6e56f74686b",
-    "d48": "5946d4584334bd15bcfd49d3d173ac2cf3d1bdd655cdc3355966aa95cb60f7a5",
+    "w64": "2776c62b1e2063f2c91894eff5ce86be88c04caf4228a54c3b363b444e26ff93",
+    "d48": "8fd1d3e076b1efc55227bf542364c15cc39fd2405f64a810fb9c6e4313c05ba1",
 }
 
 
@@ -88,15 +89,15 @@ def test_no_dequantized_product_is_left(compiled, request):
 
 def test_each_lora_layer_is_one_qlora(compiled, request):
     """One ``qlora`` per slot, reading that slot's A, B and alpha, with the
-    output tensor of the layer it replaces; no adapter arithmetic is left
-    over."""
+    id (the descriptor's ``target_node_id``) and the output tensor of the
+    layer it replaces; no adapter arithmetic is left over."""
     name, frozen, model = compiled
     bundle = request.getfixturevalue(name)[0]
     session = rt.load_model(model)
     backbone = session.model.graphs["backbone"]
     qlora = [n for n in backbone.nodes if n.kind == "qlora"]
-    slots = sorted((d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors)
-    assert sorted(tuple(n.inputs[2:]) for n in qlora) == slots
+    slots = {d.target_node_id: (d.b_tid, d.a_tid, d.alpha_tid) for d in session.model.descriptors}
+    assert {n.id: tuple(n.inputs[2:]) for n in qlora} == slots
     assert len(qlora) == {"w64": 4, "d48": 48}[name]
     ids = numbers(frozen.backbone)
     assert {n.output for n in qlora} == {ids[n.output] for n in bundle.backbone.lora_nodes()}
@@ -214,33 +215,29 @@ def test_the_qlora_bounds_are_checked_at_load(compiled, monkeypatch):
     rt.load_model(model)
 
 
-def test_a_slot_outside_an_adapter_layer_does_not_load(toy_bundle, toy_profile, monkeypatch):
-    """A bind prepares a slot for its ``qlora`` only.  Here slot 0's B x
-    reads x under other parameters than W x, so the compiler leaves its
-    layer unfused, the slot feeds a plain ``dequantize``, and the model
-    does not load."""
-    scale_fold = cp.scale_fold
-
-    def twin_after_scale_fold(g):
-        g = scale_fold(g)
-        b_tid = next((gi.tid for gi in g.inputs if gi.name.endswith(".B")), None)
-        if b_tid is None:
-            return g
-        producer = g.producer_map()
-        bx = next(n for n in g.nodes
-                  if n.kind == "matmul" and producer[n.inputs[0]].inputs == [b_tid])
-        dq_x = producer[bx.inputs[1]]
-        p = dq_x.attrs["qparams"]
-        twin = gr.Node(g.next_node_id(), "dequantize", list(dq_x.inputs), g.next_tid(),
-                       {"qparams": dataclasses.replace(p, scale=2 * p.scale)})
-        g.nodes.insert(g.nodes.index(bx), twin)
-        bx.inputs[1] = twin.output
-        return g
-
-    monkeypatch.setattr(cp, "scale_fold", twin_after_scale_fold)
+def test_a_slot_outside_an_adapter_layer_does_not_load(toy_bundle, toy_profile):
+    """A bind prepares a slot for its ``qlora`` only.  Here slot 0's layer
+    is edited back into the chain it computes, so its B, A and alpha feed
+    plain ``dequantize`` and ``scale`` nodes: the model decodes, and does
+    not load."""
     frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-    monkeypatch.undo()
-    assert len([n for n in frozen.backbone.nodes if n.kind == "qlora"]) == len(descriptors) - 1
+    bb = frozen.backbone
+    slot = next(d for d in descriptors if d.slot_id == 0)
+    layer = next(n for n in bb.nodes if n.kind == "qlora" and n.inputs[2] == slot.b_tid)
+    q_w, q_x, q_b, q_a, alpha = layer.inputs
+    tids, ids = itertools.count(bb.next_tid()), itertools.count(bb.next_node_id())
+    w, x, b, a, wx, bx, abx, scaled = (next(tids) for _ in range(8))
+
+    def node(kind, inputs, output, p=None):
+        return gr.Node(next(ids), kind, inputs, output, {} if p is None else {"qparams": p})
+
+    chain = [node("dequantize", [q_w], w, layer.attrs["w_qparams"]),
+             node("dequantize", [q_x], x, layer.attrs["in_qparams"]),
+             node("dequantize", [q_b], b, slot.b_params), node("dequantize", [q_a], a, slot.a_params),
+             node("matmul", [w, x], wx), node("matmul", [b, x], bx), node("matmul", [a, bx], abx),
+             node("scale", [abx, alpha], scaled), gr.Node(layer.id, "add", [wx, scaled], layer.output)]
+    at = bb.nodes.index(layer)
+    bb.nodes[at:at + 1] = chain
     model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
     cp.load_compiled(model)
     with pytest.raises(FormatError, match="slots \\[0\\] feed no adapter layer"):
@@ -326,10 +323,9 @@ def _as_bound(g):
     return run
 
 
-def _fused_and_chain(g, feeds, kind):
-    """The chain fused as ``compiler.optimize_for_freeze`` fuses it, run
-    as bound, and the chain run with QuantSim's products."""
-    fused_graph = cp._fuse_requant(cp._fuse_lora(g))
+def _fused_and_chain(fused_graph, g, feeds, kind):
+    """``fused_graph``, the chain ``g`` as ``compiler.optimize_for_freeze``
+    fuses it, run as bound, and the chain run with QuantSim's products."""
     assert [n.kind for n in fused_graph.nodes] == [kind]
     fused = _as_bound(fused_graph)(feeds)["y"]
     chain = gr.run_graph(g, feeds, hooks=_LevelProducts(g))["y"]
@@ -364,7 +360,7 @@ def test_requant_equals_its_chain(activation, bits, signed, zero):
     if activation:
         nodes.append(gr.Node(2, "activation", [2], 3, {"kind": activation}))
     g = gr.Graph(nodes, [gr.GraphInput("x", 0, x.shape)], [("y", nodes[-1].output)], {})
-    fused, chain = _fused_and_chain(g, {"x": x}, "requant")
+    fused, chain = _fused_and_chain(cp._fuse_requant(g), g, {"x": x}, "requant")
     assert fused.tobytes() == chain.tobytes()
 
 
@@ -459,18 +455,30 @@ def _storage(p):
     return tz.dtype_name(np.empty(0, qp.storage_dtype(p.bits, p.signed)))
 
 
-def _adapter_layer(q_w, p_w, p_x, p_b, p_a, x_shape, b_shape, a_shape):
-    """The adapter layer as the compiler emits it: W a constant, the rest inputs."""
+# The names ``compiler.rewrite_lora_as_input`` gives the slot inputs of lora node 9.
+B, A, ALPHA = "lora9.B", "lora9.A", "lora9.alpha"
+
+
+def _adapter_layer(q_w, p_w, p_x, p_b, p_a, x_shape, rank):
+    """The adapter layer as ``compiler.rewrite_lora_as_input`` rewrites it,
+    from the form ``materialize_quantsim`` leaves it in, and the chain it
+    computes, W x + alpha * A (B x): W a constant, the rest inputs."""
     def dq(nid, tid, p):
         return gr.Node(nid, "dequantize", [tid], 10 + tid, {"qparams": p})
 
-    inputs = [gr.GraphInput("x", 1, x_shape, _storage(p_x)), gr.GraphInput("B", 2, b_shape, _storage(p_b)),
-              gr.GraphInput("A", 3, a_shape, _storage(p_a)), gr.GraphInput("alpha", 4, (1,))]
+    x = gr.GraphInput("x", 1, x_shape, _storage(p_x))
+    layer = gr.Graph([dq(0, 0, p_w), dq(1, 1, p_x), gr.Node(9, "lora_matmul", [10, 11], 24, {"rank": rank})],
+                     [x], [("y", 24)], {0: q_w})
+    profile = qt.QuantProfile(policy=qt.Policy("w8a16"), lora_bits=p_b.bits,
+                              weight_params={"backbone.lora.9.A": p_a, "backbone.lora.9.B": p_b})
+    rewritten, _ = cp.rewrite_lora_as_input(layer, profile)
+    inputs = [x, gr.GraphInput(B, 2, (rank, x_shape[0]), _storage(p_b)),
+              gr.GraphInput(A, 3, (q_w.shape[0], rank), _storage(p_a)), gr.GraphInput(ALPHA, 4, (1,))]
     nodes = [dq(0, 0, p_w), dq(1, 1, p_x), dq(2, 2, p_b), dq(3, 3, p_a),
              gr.Node(4, "matmul", [10, 11], 20), gr.Node(5, "matmul", [12, 11], 21),
              gr.Node(6, "matmul", [13, 21], 22), gr.Node(7, "scale", [22, 4], 23),
              gr.Node(8, "add", [20, 23], 24)]
-    return gr.Graph(nodes, inputs, [("y", 24)], {0: q_w})
+    return rewritten, gr.Graph(nodes, inputs, [("y", 24)], {0: q_w})
 
 
 def _levels(rng, shape, p, fill):
@@ -496,12 +504,12 @@ def test_qlora_equals_its_chain(zero, x_bits, x_signed):
     for fw, fx, fb, fa in itertools.product(("min", "max", "random"), ("min", "max", "zero", "random"),
                                             ("max", "random"), ("min", "random")):
         q_w = _levels(rng, (d_out, k), p_w, fw)
-        g = _adapter_layer(q_w, p_w, p_x, p_b, p_a, (k, batch), (r, k), (d_out, r))
+        rewritten, g = _adapter_layer(q_w, p_w, p_x, p_b, p_a, (k, batch), r)
         for alpha in (1.0, -0.0, np.inf, -np.inf, -0.37):
-            feeds = {"x": _levels(rng, (k, batch), p_x, fx), "B": _levels(rng, (r, k), p_b, fb),
-                     "A": _levels(rng, (d_out, r), p_a, fa), "alpha": np.full((1,), alpha, np.float32)}
+            feeds = {"x": _levels(rng, (k, batch), p_x, fx), B: _levels(rng, (r, k), p_b, fb),
+                     A: _levels(rng, (d_out, r), p_a, fa), ALPHA: np.full((1,), alpha, np.float32)}
             with np.errstate(invalid="ignore"):   # 0 * inf in both
-                fused, chain = _fused_and_chain(g, feeds, "qlora")
+                fused, chain = _fused_and_chain(rewritten, g, feeds, "qlora")
             assert fused.tobytes() == chain.tobytes(), (fw, fx, fb, fa, alpha)
             checked += 1
     assert checked == 3 * 4 * 2 * 2 * 5

@@ -10,20 +10,26 @@ The hand-built bundle has a covered input that nothing reads: its
 ``quantize -> dequantize`` pair outlives ``scale_fold``, and the
 compiler's last dead-code pass drops what that pair fuses to.  Its
 ``.quadm`` digest was last recorded at model format version 4, whose
-tensor ids are dense.
+tensor ids are dense.  The toy backbone's digest was re-recorded when
+the LoRA-as-input rewrite moved after ``scale_fold`` and began to turn
+each adapter layer into its ``qlora`` directly; the ``.quadm`` files
+that hold its result kept their lengths and, but for node ids, their
+decoded graphs.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
 from onegraph import qparams as qp
 from onegraph import quant as qt
+from onegraph.errors import GraphError
 
 PINNED = "964fc277eb70396c54a64740333178b9fc2e733db41a4f97f0209daf0bacc8d9"
-PINNED_TOY = "8754f11cb46e94f4cb5044a53ab095c7f59e3c076ef37086fd47c4363b853540"
+PINNED_TOY = "cc4ad8fcf4258e6d676ac23aa204e14fb8df123c656a9b26e4f4e1e4f6357137"
 PINNED_UNREAD = "89850afc89c35bc2566fc1b80a013ab235805db4bd68e19ca4d0c4fe6fafc865"
 PINNED_UNREAD_MODEL = "dbc5e84d1fc108958b9c4f33dd8a643dcb67eba92031d9d068ed69cbfb974d39"
 
@@ -59,15 +65,24 @@ def test_materialize_and_scale_fold_pinned():
 
 
 def test_toy_backbone_passes_pinned(toy_bundle, toy_profile):
-    # The backbone with its adapter slots: slot dequantizes and the
-    # LoRA expansion, in the order the passes leave them (the .quadm
-    # holds them fused, in this order).
-    rewritten, descriptors = cp.rewrite_lora_as_input(toy_bundle.backbone, toy_profile)
-    materialized = cp.materialize_quantsim(rewritten, toy_profile, "backbone", descriptors)
+    # The backbone's adapter layers between the passes: a ``lora_matmul``
+    # reading two dequantizes, then one ``qlora`` reading the slots, in
+    # the order the passes leave them (the .quadm holds them so).
+    materialized = cp.materialize_quantsim(toy_bundle.backbone, toy_profile, "backbone")
     folded = cp.scale_fold(materialized)
+    rewritten, descriptors = cp.rewrite_lora_as_input(folded, toy_profile)
+    assert [n.id for n in rewritten.nodes if n.kind == "qlora"] == [d.target_node_id for d in descriptors]
     text = "".join(f"{gr.dump_graph(x)}{x.outputs}{[(i.name, i.tid, i.dtype) for i in x.inputs]}\n"
-                   for x in (rewritten, materialized, folded))
+                   for x in (materialized, folded, rewritten))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TOY
+
+
+def test_the_rewrite_needs_dequantized_operands(toy_bundle, toy_profile):
+    """``rewrite_lora_as_input`` reads an adapter layer as
+    ``materialize_quantsim`` leaves it; an fp graph's layer, whose
+    operands are the weight and the input themselves, is refused."""
+    with pytest.raises(GraphError, match="operands are not a dequantized constant weight"):
+        cp.rewrite_lora_as_input(toy_bundle.backbone, toy_profile)
 
 
 def unread_input_bundle():

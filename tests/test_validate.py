@@ -12,7 +12,11 @@ way.
 import numpy as np
 import pytest
 
+from conftest import all16_profile
+
+from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import quant as qt
 from onegraph.errors import CycleError, GraphError, ShapeError
 
 
@@ -88,3 +92,40 @@ def test_an_input_that_is_also_a_constant():
     with pytest.raises(GraphError) as info:
         gr.validate(g)
     assert str(info.value) == "tensors [1] are both inputs and constants"
+
+
+def activation_weight_bundle():
+    """A bundle whose one adapter layer reads the latent, an activation,
+    as its weight, and an adapter for that layer."""
+    rng = np.random.default_rng(2)
+
+    def const(*shape):
+        return rng.uniform(-1, 1, shape).astype(np.float32)
+
+    enc = gr.Graph([gr.Node(0, "matmul", [1, 0], 2)], [gr.GraphInput("x", 0, (3, 4))], [("z", 2)],
+                   {1: const(4, 3)})
+    bb = gr.Graph([gr.Node(0, "lora_matmul", [0, 0], 2, {"rank": 2})],
+                  [gr.GraphInput("z", 0, (4, 4)), gr.GraphInput("cond", 1, (2, 4))], [("z", 2)], {})
+    dec = gr.Graph([gr.Node(0, "matmul", [1, 0], 2)], [gr.GraphInput("z", 0, (4, 4))], [("y", 2)],
+                   {1: const(3, 4)})
+    adapter = gr.LoRAAdapter("a", {0: gr.LoRAEntry(const(4, 2), const(2, 4), 1.0)})
+    return gr.ModelBundle(enc, bb, dec, 1), adapter
+
+
+@pytest.mark.parametrize("entry, message", (
+    ("execute_fp", "node 0: lora_matmul weight must be a constant"),
+    ("calibrate", "node 0: lora_matmul weight must be a constant"),
+    ("optimize_for_freeze", "lora node 0: operands are not a dequantized constant weight")))
+def test_an_adapter_layer_whose_weight_is_an_activation(entry, message):
+    """The layer's weight must be a constant; each entry point that looks
+    the weight up refuses the bundle with ``GraphError``, not a
+    ``KeyError`` from the lookup."""
+    bundle, adapter = activation_weight_bundle()
+    x, cond = np.ones((3, 4), np.float32), np.ones((2, 4), np.float32)
+    with pytest.raises(GraphError, match=message):
+        if entry == "execute_fp":
+            gr.execute_fp(bundle, x, cond, adapter)
+        elif entry == "calibrate":
+            qt.calibrate(bundle, [(x, cond)], qt.Policy("w8a16"), adapter=adapter)
+        else:
+            cp.optimize_for_freeze(bundle, all16_profile(bundle))
