@@ -260,7 +260,7 @@ def cmd_inspect(args):
             g = model.graphs[role]
             wbytes = sum(v.nbytes for v in g.constants.values())
             print(f"{role}_nodes {len(g.nodes)} {role}_const_bytes {wbytes} "
-                  f"section_bytes {len(cp._pack_graph(g))}")
+                  f"section_bytes {cp.section_size(g)}")
         print(f"descriptors {len(model.descriptors)}")
         for d in model.descriptors:
             print(f"  slot {d.slot_id} node {d.target_node_id} "

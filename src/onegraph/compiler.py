@@ -7,7 +7,12 @@ immutable artifact plus small per-task archives:
         -> scale_fold -> rewrite_lora_as_input -> _fuse_requant
         -> dead_code_eliminate -> freeze (.quadm)
 
-The artifact holds the graphs a runtime session runs, node for node.
+The artifact holds the graphs a runtime session runs, node for node,
+each stored as fixed-width column tables (nodes, operands, attributes
+and constants) that index one string table and one table of unique
+quantization parameters per file, so a load decodes a table in a few
+array reads, as TFLite Micro reads its model's flat tables in place
+(David et al. 2020, arXiv:2010.08678).
 
 Adapters are packed separately (.qlp) with their factors quantized at
 the boundary under the shared slot parameters, so any pack can be bound
@@ -23,11 +28,11 @@ Both formats are little-endian with a crc32 over the payload.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import struct
-import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -38,7 +43,7 @@ from . import graph as gr
 from . import quant as qt
 from . import tensor as tz
 from .errors import CoverageError, FormatError, GraphError, PackError
-from .qparams import SUPPORTED_BITS, QuantParams, quantize_array, storage_dtype
+from .qparams import SUPPORTED_BITS, QuantParams, quantize_array, round_levels, storage_dtype
 
 MODEL_MAGIC = b"QADM"
 PACK_MAGIC = b"QLPK"
@@ -46,9 +51,11 @@ PACK_MAGIC = b"QLPK"
 # the fusions of ``optimize_for_freeze``, version 2 the unread profile
 # text.  Version 3 had no ``requant`` that emits levels (``out_qparams``),
 # and a version-3 reader would run one as if it emitted fp32.
+# Version 4 wrote each node as a record of its own, with its attribute
+# keys as strings and its parameters inline.
 # Pack version 1 held a parameter record and two QTNS headers per slot,
 # in any slot order.
-FORMAT_VERSIONS = {MODEL_MAGIC: 4, PACK_MAGIC: 2}
+FORMAT_VERSIONS = {MODEL_MAGIC: 5, PACK_MAGIC: 2}
 
 _ROLE_CODES = {"encoder": 0, "backbone": 1, "decoder": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
@@ -397,10 +404,16 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
 # Binary encoding helpers
 
 
-def _pack_str(s: str) -> bytes:
+def _utf8(s: str) -> bytes:
+    """``s`` in UTF-8, at most 65535 bytes, the most a u16 length counts."""
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise FormatError(f"a string of {len(raw)} bytes exceeds the format's 65535-byte limit")
+    return raw
+
+
+def _pack_str(s: str) -> bytes:
+    raw = _utf8(s)
     return struct.pack("<H", len(raw)) + raw
 
 
@@ -410,147 +423,236 @@ def _unpack_str(data, pos):
     return str(data[pos:pos + n], "utf-8"), pos + n
 
 
-def _pack_qparams(p: QuantParams) -> bytes:
-    return struct.pack("<fiBB", np.float32(p.scale), p.zero_point, p.bits, int(p.signed))
+# The tables of a ``.quadm`` (layout in ``freeze``), little-endian and
+# unaligned.  A parameter record is the fp32 scale, the zero point, the
+# bit width and the signedness.
+_QPARAMS_RECORD = np.dtype([("scale", "<f4"), ("zero", "<i4"), ("bits", "u1"), ("signed", "u1")])
+_INPUT_RECORD = np.dtype([("name", "<u4"), ("tid", "<u4"), ("dtype", "u1"), ("rank", "u1")])
+_OUTPUT_RECORD = np.dtype([("name", "<u4"), ("tid", "<u4")])
+_NODE_RECORD = np.dtype([("id", "<u4"), ("kind", "u1"), ("inputs", "u1"), ("output", "<u4"),
+                         ("attrs", "u1")])
+_ATTR_RECORD = np.dtype([("key", "<u4"), ("tag", "u1"), ("value", "<i4")])
+_CONST_RECORD = np.dtype([("tid", "<u4"), ("dtype", "u1"), ("rank", "u1")])
+_DESC_RECORD = np.dtype([
+    ("slot_id", "<u4"), ("target", "<u4"), ("a_tid", "<u4"), ("b_tid", "<u4"), ("alpha_tid", "<u4"),
+    ("d_out", "<u4"), ("d_in", "<u4"), ("r_max", "<u4"), ("bits", "u1"), ("a_params", "<u4"),
+    ("b_params", "<u4")])
+_U4 = np.dtype("<u4")
+_GRAPH_HEAD = struct.Struct("<IIII")   # the input, output, node and constant counts
 
-
-def _unpack_qparams(data, pos, memo):
-    """One parameter record; ``memo`` maps each record already decoded to
-    its ``QuantParams``, so equal records decode to one shared object.
-    A record's scale is an fp32 value, which the float it unpacks to
-    holds exactly."""
-    fields = struct.unpack_from("<fiBB", data, pos)
-    p = memo.get(fields)
-    if p is None:
-        scale, zp, bits, signed = fields
-        p = memo[fields] = QuantParams(scale, zp, bits, bool(signed))
-    return p, pos + 10
-
-
-# Attribute value tags.  Tags 1 (float) and 4 (int tuple) are retired:
-# no node attribute takes such a value, and a payload holding one is
-# malformed.
+# Attribute value tags: an int, an index into the string table, or one
+# into the parameter table.  Tags 1 (float) and 4 (int tuple) are
+# retired: no node attribute takes such a value, and a payload holding
+# one is malformed.
 _ATTR_INT, _ATTR_STR, _ATTR_QPARAMS = 0, 2, 3
 
 
-def _pack_attrs(attrs: dict) -> bytes:
-    body = struct.pack("<B", len(attrs))
-    for key in sorted(attrs):
-        v = attrs[key]
-        body += _pack_str(key)
-        if isinstance(v, QuantParams):
-            body += struct.pack("<B", _ATTR_QPARAMS) + _pack_qparams(v)
-        elif isinstance(v, bool):
-            raise FormatError(f"boolean attr {key} unsupported")
-        elif isinstance(v, (int, np.integer)):
-            body += struct.pack("<Bq", _ATTR_INT, int(v))
-        elif isinstance(v, str):
-            body += struct.pack("<B", _ATTR_STR) + _pack_str(v)
-        else:
-            raise FormatError(f"cannot serialize attr {key}={v!r}")
-    return body
+@functools.lru_cache(maxsize=None)
+def _row_struct(record: np.dtype) -> struct.Struct:
+    """The ``struct`` layout of one ``record``, little-endian and unaligned."""
+    return struct.Struct("<" + "".join(record[f].char for f in record.names))
 
 
-def _unpack_attrs(data, pos, memo):
-    """One node's attributes.  The keys and string values are interned: a
-    model repeats a few of them on every node, and each would otherwise
-    be a string of its own for as long as the graph lives."""
-    (count,) = struct.unpack_from("<B", data, pos)
-    pos += 1
-    attrs = {}
-    for _ in range(count):
-        key, pos = _unpack_str(data, pos)
-        key = sys.intern(key)
-        (tag,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        if tag == _ATTR_QPARAMS:
-            attrs[key], pos = _unpack_qparams(data, pos, memo)
-        elif tag == _ATTR_INT:
-            (attrs[key],) = struct.unpack_from("<q", data, pos)
-            pos += 8
-        elif tag == _ATTR_STR:
-            value, pos = _unpack_str(data, pos)
-            attrs[key] = sys.intern(value)
-        else:
-            raise FormatError(f"unknown attr tag {tag}")
-    return attrs, pos
+def _rows(record: np.dtype, /, **columns) -> bytes:
+    """The bytes of a table of ``record``s, a row per element of its
+    equally long columns, one given per field.  ``struct`` packs them
+    straight from the columns, faster than filling an array does at
+    every table size a model has."""
+    return b"".join(map(_row_struct(record).pack, *(columns[f] for f in record.names)))
 
 
-def _pack_graph(g: gr.Graph, ids=None) -> bytes:
-    """The graph's record, each tensor id written as its dense number.
+def _u4s(values) -> bytes:
+    """``values`` as one little-endian u4 array."""
+    return struct.pack(f"<{len(values)}I", *values)
 
-    Numbers are given in the order ids are first written: the inputs,
-    the outputs, each node's inputs and output, then any constant no
-    node reads, by id.  Constants follow in number order.  A loaded graph
-    is numbered so already, and writes the same bytes.  A dict given as
-    ``ids`` receives each id's number.
+
+def _table(data, pos: int, dtype, count: int):
+    """``count`` rows of ``dtype`` at ``pos`` (a short payload raises
+    ValueError); returns (rows, the position after them)."""
+    rows = np.frombuffer(data, dtype, count, pos)
+    return rows, pos + rows.nbytes
+
+
+def _runs(values: list, counts: list) -> list:
+    """``values`` cut into consecutive runs of ``counts`` items, each a list."""
+    ends = list(itertools.accumulate(counts, initial=0))
+    return [values[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _tensor_numbers(g: gr.Graph, ids: dict) -> dict:
+    """Number each tensor id of ``g`` in ``ids`` (id -> number) in the
+    order ids are first written: the inputs, the outputs, each node's
+    inputs and output, then any constant no node reads, by id."""
+    for t in itertools.chain((gi.tid for gi in g.inputs), (t for _, t in g.outputs),
+                             *((*n.inputs, n.output) for n in g.nodes), sorted(g.constants)):
+        ids.setdefault(t, len(ids))
+    return ids
+
+
+def _string_index(graphs) -> dict:
+    """string -> its index in the sorted string table of ``graphs``: every
+    input and output name, attribute key and string attribute value."""
+    found = set()
+    for g in graphs:
+        found.update(gi.name for gi in g.inputs)
+        found.update(name for name, _ in g.outputs)
+        for n in g.nodes:
+            found.update(n.attrs)
+            found.update(v for v in n.attrs.values() if isinstance(v, str))
+    return {s: i for i, s in enumerate(sorted(found))}
+
+
+def _param_index():
+    """(records, index): ``index(p)`` is the row of ``p``'s record in the
+    parameter table ``records`` (record -> row), which it extends in
+    first-use order.  Parameters whose records are equal share one row.
+    Rows are remembered by object, which the parameters of a model
+    share widely, so a use costs no hash of the parameters; ``index``
+    keeps each object it was given, so no id is reused while it lives."""
+    records, memo = {}, {}
+
+    def index(p: QuantParams) -> int:
+        seen = memo.get(id(p))
+        if seen is None:
+            record = (float(np.float32(p.scale)), p.zero_point, p.bits, bool(p.signed))
+            seen = memo[id(p)] = (records.setdefault(record, len(records)), p)
+        return seen[0]
+
+    return records, index
+
+
+def _pack_strings(strings) -> bytes:
+    """The string table: a u32 count, a u16 length per string, then the strings' UTF-8 bytes."""
+    raws = list(map(_utf8, strings))
+    return struct.pack(f"<I{len(raws)}H", len(raws), *map(len, raws)) + b"".join(raws)
+
+
+def _unpack_strings(data, pos):
+    (n,) = struct.unpack_from("<I", data, pos)
+    lengths, pos = _table(data, pos + 4, "<u2", n)
+    ends = list(itertools.accumulate(lengths.tolist(), initial=0))
+    raw, pos = _table(data, pos, np.uint8, ends[-1])
+    blob = raw.tobytes()
+    return [str(blob[a:b], "utf-8") for a, b in zip(ends, ends[1:])], pos
+
+
+def _attr_rows(nodes, strings: dict, param) -> bytes:
+    """Each node's attributes in key order, a (key, tag, value) row each."""
+    keys, tags, values = [], [], []
+    for n in nodes:
+        for key in sorted(n.attrs):
+            v = n.attrs[key]
+            if isinstance(v, QuantParams):
+                tag, v = _ATTR_QPARAMS, param(v)
+            elif isinstance(v, bool):
+                raise FormatError(f"boolean attr {key} unsupported")
+            elif isinstance(v, (int, np.integer)):
+                tag, v = _ATTR_INT, int(v)
+            elif isinstance(v, str):
+                tag, v = _ATTR_STR, strings[v]
+            else:
+                raise FormatError(f"cannot serialize attr {key}={v!r}")
+            keys.append(strings[key])
+            tags.append(tag)
+            values.append(v)
+    return _rows(_ATTR_RECORD, key=keys, tag=tags, value=values)
+
+
+def _attr_dicts(rows: np.ndarray, counts: list, strings: list, params: list) -> list:
+    """The attribute dict of each node, ``counts`` rows each, the values
+    resolved through the string and parameter tables."""
+    tags = rows["tag"].tolist()
+    unknown = set(tags).difference((_ATTR_INT, _ATTR_STR, _ATTR_QPARAMS))
+    if unknown:
+        raise FormatError(f"unknown attr tag {min(unknown)}")
+    values = rows["value"]
+    if (values[rows["tag"] != _ATTR_INT] < 0).any():
+        raise FormatError("negative string or parameter index in an attribute")
+    tables = {_ATTR_STR: strings, _ATTR_QPARAMS: params}
+    resolved = [v if t == _ATTR_INT else tables[t][v] for t, v in zip(tags, values.tolist())]
+    pairs = zip([strings[k] for k in rows["key"].tolist()], resolved)
+    return [dict(itertools.islice(pairs, k)) for k in counts]
+
+
+def _pack_graph(g: gr.Graph, strings: dict, param, ids=None) -> bytes:
+    """The graph's section, each tensor id written as its dense number.
+
+    Numbers are given in the order ids are first written
+    (``_tensor_numbers``); constants follow in number order.  A loaded
+    graph is numbered so already, and writes the same bytes.  A dict
+    given as ``ids`` receives each id's number.  Names, attribute keys
+    and string values are written as indices into ``strings``, and
+    parameters as the rows ``param`` gives them (``_param_index``).
+    Layout: ``_GRAPH_HEAD``, then an ``_INPUT_RECORD`` per input, then the
+    inputs' extents as one u4 array; an ``_OUTPUT_RECORD`` per output;
+    a ``_NODE_RECORD`` per node, then every node's input numbers as one
+    u4 operand array, then every node's ``_ATTR_RECORD`` rows; a
+    ``_CONST_RECORD`` per constant, then the constants' extents as one
+    u4 array, then their elements, each constant's in C order.
     """
-    ids = {} if ids is None else ids
-
-    def num(tid):
-        return ids.setdefault(tid, len(ids))
-
-    parts = [struct.pack("<H", len(g.inputs))]
-    for gi in g.inputs:
-        parts += (_pack_str(gi.name),
-                  struct.pack("<IBB", num(gi.tid), tz.DTYPE_CODES[gi.dtype], len(gi.shape)),
-                  struct.pack(f"<{len(gi.shape)}I", *gi.shape))
-    parts.append(struct.pack("<H", len(g.outputs)))
-    for name, tid in g.outputs:
-        parts += (_pack_str(name), struct.pack("<I", num(tid)))
-    parts.append(struct.pack("<I", len(g.nodes)))
-    for n in g.nodes:
-        parts += (struct.pack("<IBB", n.id, _KIND_CODES[n.kind], len(n.inputs)),
-                  struct.pack(f"<{len(n.inputs)}I", *map(num, n.inputs)),
-                  struct.pack("<I", num(n.output)),
-                  _pack_attrs(n.attrs))
-    for tid in sorted(g.constants):
-        num(tid)
-    parts.append(struct.pack("<I", len(g.constants)))
-    for tid in sorted(g.constants, key=ids.get):
-        parts += (struct.pack("<I", ids[tid]), tz.qtns_bytes(g.constants[tid]))
-    return b"".join(parts)
+    ids = _tensor_numbers(g, {} if ids is None else ids)
+    consts = sorted(g.constants, key=ids.get)
+    arrays = [g.constants[t] for t in consts]
+    return b"".join((
+        _GRAPH_HEAD.pack(len(g.inputs), len(g.outputs), len(g.nodes), len(consts)),
+        _rows(_INPUT_RECORD, name=[strings[gi.name] for gi in g.inputs],
+              tid=[ids[gi.tid] for gi in g.inputs],
+              dtype=[tz.DTYPE_CODES[gi.dtype] for gi in g.inputs],
+              rank=[len(gi.shape) for gi in g.inputs]),
+        _u4s([d for gi in g.inputs for d in gi.shape]),
+        _rows(_OUTPUT_RECORD, name=[strings[name] for name, _ in g.outputs],
+              tid=[ids[t] for _, t in g.outputs]),
+        _rows(_NODE_RECORD, id=[n.id for n in g.nodes], kind=[_KIND_CODES[n.kind] for n in g.nodes],
+              inputs=[len(n.inputs) for n in g.nodes], output=[ids[n.output] for n in g.nodes],
+              attrs=[len(n.attrs) for n in g.nodes]),
+        _u4s([ids[t] for n in g.nodes for t in n.inputs]),
+        _attr_rows(g.nodes, strings, param),
+        _rows(_CONST_RECORD, tid=[ids[t] for t in consts],
+              dtype=[tz.DTYPE_CODES[tz.dtype_name(a)] for a in arrays],
+              rank=[a.ndim for a in arrays]),
+        _u4s([d for a in arrays for d in a.shape]),
+        *map(tz.little_bytes, arrays)))
 
 
-def _unpack_graph(data, pos, memo):
-    (n_in,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    inputs = []
-    for _ in range(n_in):
-        name, pos = _unpack_str(data, pos)
-        tid, dcode, rank = struct.unpack_from("<IBB", data, pos)
-        pos += 6
-        shape = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        inputs.append(gr.GraphInput(name, tid, tuple(shape), tz.DTYPE_NAMES[dcode]))
-    (n_out,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    outputs = []
-    for _ in range(n_out):
-        name, pos = _unpack_str(data, pos)
-        (tid,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        outputs.append((name, tid))
-    (n_nodes,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    nodes = []
-    for _ in range(n_nodes):
-        nid, kind, n_ins = struct.unpack_from("<IBB", data, pos)
-        pos += 6
-        ins = list(struct.unpack_from(f"<{n_ins}I", data, pos))
-        pos += 4 * n_ins
-        (out_tid,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        attrs, pos = _unpack_attrs(data, pos, memo)
-        nodes.append(gr.Node(nid, _KIND_NAMES[kind], ins, out_tid, attrs))
-    (n_const,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+def section_size(g: gr.Graph) -> int:
+    """The bytes of ``g``'s section in a ``.quadm`` (``_pack_graph``).  The
+    section's indices are fixed-width, so numbering its strings and
+    parameters by ``g`` alone gives it the length it has in any file."""
+    return len(_pack_graph(g, _string_index([g]), _param_index()[1]))
+
+
+def _unpack_graph(data, pos, strings, params):
+    """One graph section (``_pack_graph``); returns (graph, end)."""
+    n_in, n_out, n_nodes, n_const = _GRAPH_HEAD.unpack_from(data, pos)
+    rows, pos = _table(data, pos + _GRAPH_HEAD.size, _INPUT_RECORD, n_in)
+    ranks = rows["rank"].tolist()
+    extents, pos = _table(data, pos, _U4, sum(ranks))
+    inputs = list(map(gr.GraphInput, [strings[i] for i in rows["name"].tolist()], rows["tid"].tolist(),
+                      list(map(tuple, _runs(extents.tolist(), ranks))),
+                      [tz.DTYPE_NAMES[c] for c in rows["dtype"].tolist()]))
+    rows, pos = _table(data, pos, _OUTPUT_RECORD, n_out)
+    outputs = list(zip([strings[i] for i in rows["name"].tolist()], rows["tid"].tolist()))
+
+    rows, pos = _table(data, pos, _NODE_RECORD, n_nodes)
+    n_ins, n_attrs = rows["inputs"].tolist(), rows["attrs"].tolist()
+    operands, pos = _table(data, pos, _U4, sum(n_ins))
+    attrs, pos = _table(data, pos, _ATTR_RECORD, sum(n_attrs))
+    nodes = list(map(gr.Node, rows["id"].tolist(), [_KIND_NAMES[k] for k in rows["kind"].tolist()],
+                     _runs(operands.tolist(), n_ins), rows["output"].tolist(),
+                     _attr_dicts(attrs, n_attrs, strings, params)))
+
+    rows, pos = _table(data, pos, _CONST_RECORD, n_const)
+    ranks = rows["rank"].tolist()
+    extents, pos = _table(data, pos, _U4, sum(ranks))
+    shapes = list(map(tuple, _runs(extents.tolist(), ranks)))
+    names = [tz.DTYPE_NAMES[c] for c in rows["dtype"].tolist()]
+    sizes = [math.prod(shape) * tz.itemsize(name) for shape, name in zip(shapes, names)]
+    if pos + sum(sizes) > len(data):
+        raise FormatError(f"constant data of {sum(sizes)} bytes, {len(data) - pos} left in the payload")
     constants = {}
-    for _ in range(n_const):
-        (tid,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        arr, pos = tz.qtns_from_bytes(data, pos)
-        constants[tid] = arr
+    for tid, shape, name, size in zip(rows["tid"].tolist(), shapes, names, sizes):
+        constants[tid] = tz.array_at(data, pos, shape, name)
+        pos += size
     return gr.Graph(nodes, inputs, outputs, constants), pos
 
 
@@ -615,6 +717,18 @@ def freeze(bundle: gr.ModelBundle, shared, descriptors,
     ``GraphError``.  Every other check is load's.  Tensor ids are written
     as dense numbers (``_pack_graph``), so a loaded graph's operand table
     (``graph.prepare``) holds one entry per tensor.
+
+    Format version 5 stores every graph as fixed-width column tables, so
+    a load decodes each table in a few array reads.  The payload is the
+    u64 creation seed, the name, the u32 step count, then two tables
+    that the graphs index: the strings, sorted (u32 count, one u16
+    length per string, their UTF-8 bytes), and the unique quantization
+    parameter records in first-use order (u32 count, one
+    ``_QPARAMS_RECORD`` each).  Then a u8 graph count, and per graph its
+    u8 role and its section (``_pack_graph``).  Last, a u32 slot count
+    and one ``_DESC_RECORD`` per slot in ascending slot id, its tensors
+    by their backbone numbers and its A and B parameters as rows of the
+    parameter table.
     """
     for role, g in bundle.graphs():
         ahead = {n.output for n in g.nodes}
@@ -622,62 +736,71 @@ def freeze(bundle: gr.ModelBundle, shared, descriptors,
             if ahead.intersection(n.inputs):
                 raise GraphError(f"{role} node {n.id}: nodes are not in topological order")
             ahead.discard(n.output)
-    parts = [struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF), _pack_str(name),
-             struct.pack("<IB", bundle.steps, 3)]
+    strings = _string_index(g for _, g in bundle.graphs())
+    records, param = _param_index()
     numbers = {role: {} for role in _ROLE_CODES}
-    for role, g in bundle.graphs():
-        parts += (struct.pack("<B", _ROLE_CODES[role]), _pack_graph(g, numbers[role]))
+    sections = [struct.pack("<B", _ROLE_CODES[role]) + _pack_graph(g, strings, param, numbers[role])
+                for role, g in bundle.graphs()]
     # a slot's tensors by their backbone numbers; one the backbone lacks
     # gets a number no tensor has, which load refuses
     ids = numbers["backbone"]
-    slot = {t: ids.get(t, len(ids)) for d in descriptors for t in (d.a_tid, d.b_tid, d.alpha_tid)}
-    parts.append(struct.pack("<I", len(descriptors)))
-    for d in sorted(descriptors, key=lambda d: d.slot_id):
-        parts += (struct.pack("<IIIII", d.slot_id, d.target_node_id, slot[d.a_tid], slot[d.b_tid],
-                              slot[d.alpha_tid]),
-                  struct.pack("<IIIB", d.d_out, d.d_in, d.r_max, d.bits),
-                  _pack_qparams(d.a_params), _pack_qparams(d.b_params))
+    descs = sorted(descriptors, key=lambda d: d.slot_id)
+    slots = _rows(_DESC_RECORD, slot_id=[d.slot_id for d in descs], target=[d.target_node_id for d in descs],
+                  a_tid=[ids.get(d.a_tid, len(ids)) for d in descs],
+                  b_tid=[ids.get(d.b_tid, len(ids)) for d in descs],
+                  alpha_tid=[ids.get(d.alpha_tid, len(ids)) for d in descs],
+                  d_out=[d.d_out for d in descs], d_in=[d.d_in for d in descs],
+                  r_max=[d.r_max for d in descs], bits=[d.bits for d in descs],
+                  a_params=[param(d.a_params) for d in descs], b_params=[param(d.b_params) for d in descs])
+    scale, zero, bits, signed = zip(*records) if records else ((),) * 4
+    parts = [struct.pack("<Q", creation_seed & 0xFFFFFFFFFFFFFFFF), _pack_str(name),
+             struct.pack("<I", bundle.steps), _pack_strings(strings),
+             struct.pack("<I", len(records)),
+             _rows(_QPARAMS_RECORD, scale=scale, zero=zero, bits=bits, signed=signed),
+             struct.pack("<B", len(sections)), *sections, struct.pack("<I", len(descs)), slots]
     return _wrap_payload(MODEL_MAGIC, b"".join(parts))
 
 
 def load_compiled(data: bytes) -> CompiledModel:
-    """Decode and check a ``.quadm``.
+    """Decode and check a ``.quadm`` (layout in ``freeze``).
 
-    A slot descriptor's ``bits`` must be the bit width of its A and B
-    parameters.  Every constant is a read-only view into the artifact's bytes
-    (``tensor.qtns_from_bytes``), so a loaded model holds each base weight
-    once.  Equal quantization parameters decode to one shared
-    ``QuantParams``.
+    Each table is read with ``np.frombuffer`` and turned into Python
+    values one column at a time (``.tolist()``), never row by row: a
+    row would be a tuple, and freed tuples stay on CPython's free list.
+    One ``QuantParams`` is built per parameter record, so equal
+    parameters are one shared object.  A slot descriptor's ``bits`` must
+    be the bit width of its A and B parameters.  Every constant is a
+    read-only view into the artifact's bytes (``tensor.array_at``), so a
+    loaded model holds each base weight once.  An unknown kind, tag or
+    index, parameters out of range, a table longer than the payload,
+    trailing bytes and a model that breaks ``graph.validate_bundle``
+    raise ``FormatError``.
     """
     payload = _open_payload(MODEL_MAGIC, data)
-    memo = {}
     with _decoding("model"):
-        pos = 0
-        (seed,) = struct.unpack_from("<Q", payload, pos)
-        pos += 8
-        name, pos = _unpack_str(payload, pos)
-        steps, n_graphs = struct.unpack_from("<IB", payload, pos)
-        pos += 5
+        (seed,) = struct.unpack_from("<Q", payload, 0)
+        name, pos = _unpack_str(payload, 8)
+        (steps,) = struct.unpack_from("<I", payload, pos)
+        strings, pos = _unpack_strings(payload, pos + 4)
+        (n_params,) = struct.unpack_from("<I", payload, pos)
+        rows, pos = _table(payload, pos + 4, _QPARAMS_RECORD, n_params)
+        params = list(map(QuantParams, rows["scale"].tolist(), rows["zero"].tolist(), rows["bits"].tolist(),
+                          map(bool, rows["signed"].tolist())))
+        (n_graphs,) = struct.unpack_from("<B", payload, pos)
+        pos += 1
         graphs = {}
         for _ in range(n_graphs):
             (role_code,) = struct.unpack_from("<B", payload, pos)
-            pos += 1
-            g, pos = _unpack_graph(payload, pos, memo)
-            graphs[_ROLE_NAMES[role_code]] = g
+            graphs[_ROLE_NAMES[role_code]], pos = _unpack_graph(payload, pos + 1, strings, params)
         (n_desc,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        descriptors = []
-        for _ in range(n_desc):
-            slot_id, target, a_tid, b_tid, alpha_tid = struct.unpack_from("<IIIII", payload, pos)
-            pos += 20
-            d_out, d_in, r_max, bits = struct.unpack_from("<IIIB", payload, pos)
-            pos += 13
-            a_params, pos = _unpack_qparams(payload, pos, memo)
-            b_params, pos = _unpack_qparams(payload, pos, memo)
-            if not bits == a_params.bits == b_params.bits:
-                raise FormatError(f"slot {slot_id}: bits {bits}, not its A/B {a_params.bits}/{b_params.bits}")
-            descriptors.append(LoRASlotDescriptor(slot_id, target, a_tid, b_tid, alpha_tid,
-                                                  d_out, d_in, r_max, bits, a_params, b_params))
+        rows, pos = _table(payload, pos + 4, _DESC_RECORD, n_desc)
+        columns = [rows[f].tolist() for f in _DESC_RECORD.names[:-2]]
+        a_params, b_params = ([params[i] for i in rows[f].tolist()] for f in ("a_params", "b_params"))
+        descriptors = list(map(LoRASlotDescriptor, *columns, a_params, b_params))
+        for d in descriptors:
+            if not d.bits == d.a_params.bits == d.b_params.bits:
+                raise FormatError(f"slot {d.slot_id}: bits {d.bits}, not its A/B "
+                                  f"{d.a_params.bits}/{d.b_params.bits}")
         if pos != len(payload):
             raise FormatError("trailing bytes in model payload")
         if set(graphs) != {"encoder", "backbone", "decoder"}:
@@ -692,12 +815,14 @@ def load_compiled(data: bytes) -> CompiledModel:
 
 
 # One slot record of a ``.qlp``: the slot's id, the adapter's rank and
-# fp32 alpha, the slot's shape, then its A and B parameters as
-# ``_pack_qparams`` writes them.  44 bytes, little-endian, unaligned.
+# fp32 alpha, the slot's shape, then its A and B parameters, each as a
+# ``_QPARAMS_RECORD``.  44 bytes, little-endian, unaligned.
 SLOT_RECORD = np.dtype([
     ("slot_id", "<u4"), ("rank", "<u4"), ("alpha", "<f4"), ("d_out", "<u4"), ("d_in", "<u4"),
     ("r_max", "<u4"), ("a_scale", "<f4"), ("a_zero", "<i4"), ("a_bits", "u1"), ("a_signed", "u1"),
     ("b_scale", "<f4"), ("b_zero", "<i4"), ("b_bits", "u1"), ("b_signed", "u1")])
+
+
 _SLOT_STRUCT = struct.Struct("<" + "".join(SLOT_RECORD[f].char for f in SLOT_RECORD.names))
 
 
@@ -727,10 +852,14 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
     r_max), in slot order, all in the storage dtype of the slots' one
     width and signedness.  Slots of mixed widths or signedness raise
     ``PackError``; the profile ``shared`` is not read and stays for the
-    callers that pass it.  Factors are zero-padded to the slot rank in
-    the quantized domain (pad value = zero point, which dequantizes to
-    exactly 0).  A NaN factor entry has no level, and alpha must lie in
-    fp32's finite range.
+    callers that pass it.  Factors are zero-padded to the slot rank; a
+    zero quantizes to exactly the zero point, which dequantizes to 0.  A
+    NaN factor entry has no level, and alpha must lie in fp32's finite
+    range.  Each run of consecutive slots of one shape is quantized
+    whole, as ``bind_lora`` prepares it: the run's factors are divided
+    by their slots' scales, a column of shape (n, 1, 1), and rounded by
+    one ``qparams.round_levels``, which ``quantize_array`` does slot by
+    slot with the same float64 arithmetic.
     """
     params = [p for d in descriptors for p in (d.a_params, d.b_params)]
     widths, signs = sorted({p.bits for p in params}), sorted({p.signed for p in params})
@@ -738,9 +867,9 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
         raise PackError(f"the slots' factors must share one bit width, not {widths}")
     if len(signs) != 1:
         raise PackError(f"the slots' factors must share one signedness, not {signs}")
-    dtype = storage_dtype(*widths, *signs)
-    records, blocks = [], []
-    for d in sorted(descriptors, key=lambda d: d.slot_id):
+    descs = sorted(descriptors, key=lambda d: d.slot_id)
+    records, entries = [], []
+    for d in descs:
         entry = adapter.entries.get(d.target_node_id)
         if entry is None:
             raise PackError(f"adapter {adapter.adapter_id!r} has no entry for lora node {d.target_node_id}")
@@ -755,12 +884,28 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
         if not abs(entry.alpha) <= _FP32_MAX:
             raise PackError(f"lora node {d.target_node_id}: alpha {entry.alpha} is not finite in fp32")
         records.append(_slot_record(d, r, np.float32(entry.alpha)))
-        b_q = np.full(d.b_shape, d.b_params.zero_point, dtype)
-        a_q = np.full(d.a_shape, d.a_params.zero_point, dtype)
-        b_q[:r, :] = quantize_array(entry.B, d.b_params)
-        a_q[:, :r] = quantize_array(entry.A, d.a_params)
-        blocks += (b_q.ravel(), a_q.ravel())
-    block = np.concatenate(blocks).astype(np.dtype(dtype).newbyteorder("<"), copy=False)
+        entries.append(entry)
+    lo, hi = float(params[0].q_min), float(params[0].q_max)
+    block = np.empty(sum(d.r_max * (d.d_in + d.d_out) for d in descs),
+                     np.dtype(storage_dtype(*widths, *signs)).newbyteorder("<"))
+    pos = 0
+    for (d_out, d_in, r_max), run in itertools.groupby(zip(descs, entries),
+                                                     key=lambda de: (de[0].d_out, de[0].d_in, de[0].r_max)):
+        run = list(run)
+        n, k = len(run), r_max * d_in
+        b, a = np.zeros((n, r_max, d_in)), np.zeros((n, d_out, r_max))
+        for i, (_, e) in enumerate(run):
+            b[i, :e.rank] = e.B
+            a[i, :, :e.rank] = e.A
+        for levels, side in ((b, "b_params"), (a, "a_params")):
+            p = [getattr(d, side) for d, _ in run]
+            levels /= np.array([x.scale for x in p], np.float64).reshape(-1, 1, 1)
+            round_levels(levels, np.array([x.zero_point for x in p], np.float64).reshape(-1, 1, 1), lo, hi)
+        # each slot's B, then its A, cast into the block
+        rows = block[pos:pos + b.size + a.size].reshape(n, -1)
+        rows[:, :k] = b.reshape(n, k)
+        rows[:, k:] = a.reshape(n, -1)
+        pos += rows.size
     parts = [_pack_str(adapter.adapter_id), struct.pack("<BI", *widths, len(records)), *records,
              block.tobytes()]
     return _wrap_payload(PACK_MAGIC, b"".join(parts))

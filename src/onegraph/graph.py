@@ -53,6 +53,7 @@ one ``rebuild``, and the two fusions one use map (``Graph.consumers``).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -172,8 +173,27 @@ def _qparams(n, key):
     return p
 
 
+def _levels(n, key, dtype):
+    """``_qparams(n, key)``, which must be the parameters of levels stored as ``dtype``."""
+    p = _qparams(n, key)
+    if dtype != storage_name(p):
+        raise ShapeError(f"node {n.id}: {n.kind} reads {dtype} levels under {key} "
+                         f"stored as {storage_name(p)}")
+    return p
+
+
+def _activation(n, kind):
+    if kind not in tz.ACTIVATIONS:
+        raise GraphError(f"node {n.id}: unknown activation {kind!r}")
+
+
+_STORAGE_NAMES = {(bits, signed): tz.name_of(qp.storage_dtype(bits, signed))
+                  for bits in qp.SUPPORTED_BITS for signed in (True, False)}
+
+
 def storage_name(p: qp.QuantParams) -> str:
-    return tz.name_of(qp.storage_dtype(p.bits, p.signed))
+    """The ``tensor.DTYPES`` name of p's storage dtype (``qparams.storage_dtype``)."""
+    return _STORAGE_NAMES[p.bits, p.signed]
 
 
 def weight_tids(g: Graph) -> list:
@@ -255,7 +275,7 @@ def infer_shapes(g: Graph) -> dict:
             out = (sa, "fp32")
         elif n.kind == "scale":
             (sx, dx), (ss, ds) = get(n.inputs[0]), get(n.inputs[1])
-            if dx != "fp32" or ds != "fp32" or int(np.prod(ss)) != 1:
+            if dx != "fp32" or ds != "fp32" or math.prod(ss) != 1:
                 raise ShapeError(f"node {n.id}: scale needs fp32 tensor and 1-element scalar")
             out = (sx, "fp32")
         elif n.kind == "concat":
@@ -274,6 +294,7 @@ def infer_shapes(g: Graph) -> dict:
             sx, dx = get(n.inputs[0])
             if dx != "fp32":
                 raise ShapeError(f"node {n.id}: activation needs fp32")
+            _activation(n, n.attrs.get("kind"))
             out = (sx, "fp32")
         elif n.kind == "quantize":
             sx, dx = get(n.inputs[0])
@@ -282,15 +303,15 @@ def infer_shapes(g: Graph) -> dict:
             p = _qparams(n, "qparams")
             out = (sx, storage_name(p))
         elif n.kind == "dequantize":
-            sx, _ = get(n.inputs[0])
-            _qparams(n, "qparams")
+            sx, dx = get(n.inputs[0])
+            _levels(n, "qparams", dx)
             out = (sx, "fp32")
         elif n.kind == "qlinear":
-            (sw, _), (sx, _) = get(n.inputs[0]), get(n.inputs[1])
-            _qparams(n, "w_qparams")
-            _qparams(n, "in_qparams")
+            (sw, dw), (sx, dx) = get(n.inputs[0]), get(n.inputs[1])
+            _levels(n, "w_qparams", dw)
+            _levels(n, "in_qparams", dx)
             if len(n.inputs) > 2:
-                _qparams(n, "bias_qparams")
+                _levels(n, "bias_qparams", get(n.inputs[2])[1])
             op = n.attrs.get("op")
             if op != "matmul":
                 raise GraphError(f"node {n.id}: qlinear op {op!r}")
@@ -299,9 +320,9 @@ def infer_shapes(g: Graph) -> dict:
             p = _qparams(n, "out_qparams")
             out = ((sw[0], sx[1]), storage_name(p))
         elif n.kind == "qlora":
-            (sw, _), (sx, _), (sb, db), (sa, da), (sal, dal) = (get(t) for t in n.inputs)
-            for key in ("w_qparams", "in_qparams"):
-                _qparams(n, key)
+            (sw, dw), (sx, dx), (sb, db), (sa, da), (sal, dal) = (get(t) for t in n.inputs)
+            _levels(n, "w_qparams", dw)
+            _levels(n, "in_qparams", dx)
             stored = (storage_name(_qparams(n, "b_qparams")), storage_name(_qparams(n, "a_qparams")))
             if (db, da) not in (stored, ("fp32", "fp32")):
                 raise ShapeError(f"node {n.id}: qlora needs B and A as stored {stored} or as "
@@ -309,7 +330,7 @@ def infer_shapes(g: Graph) -> dict:
             if (len(sw) != 2 or len(sx) != 2 or len(sb) != 2 or len(sa) != 2 or sw[1] != sx[0]
                     or sb[1] != sx[0] or sa[1] != sb[0] or sa[0] != sw[0]):
                 raise ShapeError(f"node {n.id}: qlora shapes W{sw} x{sx} B{sb} A{sa}")
-            if dal != "fp32" or int(np.prod(sal)) != 1:
+            if dal != "fp32" or math.prod(sal) != 1:
                 raise ShapeError(f"node {n.id}: qlora needs a 1-element fp32 alpha")
             out = ((sw[0], sx[1]), "fp32")
         elif n.kind == "requant":
@@ -317,6 +338,8 @@ def infer_shapes(g: Graph) -> dict:
             if dx != "fp32":
                 raise ShapeError(f"node {n.id}: requant needs fp32 input")
             _qparams(n, "qparams")
+            if "activation" in n.attrs:
+                _activation(n, n.attrs["activation"])
             out = (sx, storage_name(_qparams(n, "out_qparams")) if "out_qparams" in n.attrs else "fp32")
         else:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")

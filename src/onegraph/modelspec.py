@@ -41,7 +41,7 @@ import numpy as np
 
 from . import graph as gr
 from . import tensor as tz
-from .errors import ModelSpecError
+from .errors import GraphError, ModelSpecError
 from .rng import Rng
 
 
@@ -230,7 +230,9 @@ def build_adapter(bundle: gr.ModelBundle, spec: AdapterSpec) -> gr.LoRAAdapter:
     rng = Rng(spec.seed).child(f"adapter:{spec.adapter_id}")
     entries = {}
     for node in bundle.backbone.lora_nodes():
-        w = bundle.backbone.constants[node.inputs[0]]
+        w = bundle.backbone.constants.get(node.inputs[0])
+        if w is None:
+            raise GraphError(f"node {node.id}: lora_matmul weight must be a constant")
         d_out, d_in = w.shape
         r = min(spec.rank, int(node.attrs["rank"]))
         a = rng.uniform((d_out, r), -spec.amplitude, spec.amplitude)

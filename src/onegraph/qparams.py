@@ -38,12 +38,14 @@ tile takes W x and B x as one GEMM over the two stacked.
 
 Every level comes from one rounding, ``round_levels``: ``levels_into``
 divides by s and calls it, and ``quantize_levels``, ``quantize_array``,
-``fake_quant``, ``compute_quant_params`` and the runtime's kernels all
-go through those two.
+``fake_quant`` and the runtime's kernels all go through those two.
+``compute_quant_params`` rounds its one zero point the same way in
+Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +120,15 @@ def compute_quant_params(t_min: float, t_max: float, bits: int, signed: bool = T
     q_lo, q_hi = int_bounds(bits, signed)
     if t_min == t_max:
         return QuantParams(scale=1.0, zero_point=0, bits=bits, signed=signed)
-    scale = max(float(np.float32((np.float64(t_max) - np.float64(t_min)) / (q_hi - q_lo))), MIN_SCALE)
+    scale = max(float(np.float32((float(t_max) - float(t_min)) / (q_hi - q_lo))), MIN_SCALE)
     # The rounding is odd, round(-y) = -round(y), so q_lo - round(t_min / s)
-    # is round(-t_min / s) + q_lo.
-    z = round_levels(np.array(-np.float64(t_min) / np.float64(scale)), q_lo, q_lo, q_hi)
-    return QuantParams(scale=scale, zero_point=int(z), bits=bits, signed=signed)
+    # is round(-t_min / s) + q_lo: ``round_levels`` in Python floats, which
+    # are IEEE doubles as numpy's float64 is.  The quotient is finite (a
+    # finite scale is at least t_min's spacing over the level count) or
+    # NaN, which raises ValueError in ``trunc``.
+    q = -float(t_min) / scale
+    z = math.trunc(q + math.copysign(0.5, q)) + q_lo
+    return QuantParams(scale=scale, zero_point=min(max(z, q_lo), q_hi), bits=bits, signed=signed)
 
 
 def round_levels(q: np.ndarray, z, lo, hi) -> np.ndarray:

@@ -177,8 +177,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+ACTIVATIONS = ("relu", "silu")
+
+
 def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """relu or silu, elementwise."""
+    """relu or silu (``ACTIVATIONS``), elementwise."""
     _require_fp32(x)
     if kind == "relu":
         return np.maximum(x, np.float32(0.0))
@@ -240,10 +243,24 @@ def qtns_bytes(arr: np.ndarray) -> bytes:
         raise FormatError("rank too large for QTNS")
     head = QTNS_MAGIC + struct.pack("<HBB", QTNS_VERSION, DTYPE_CODES[name], arr.ndim)
     dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return head + dims + little_bytes(arr)
+
+
+def little_bytes(arr: np.ndarray) -> bytes:
+    """The elements of ``arr`` in C order, little-endian."""
     buf = np.ascontiguousarray(arr)
     if buf.dtype.byteorder == ">":
         buf = buf.astype(buf.dtype.newbyteorder("<"))
-    return head + dims + buf.tobytes()
+    return buf.tobytes()
+
+
+def array_at(data, pos: int, shape: tuple, name: str) -> np.ndarray:
+    """The little-endian ``name`` tensor of ``shape`` at byte ``pos`` of
+    ``data``, which the caller has checked holds it: a read-only view,
+    or on a big-endian host a copy in native order."""
+    dtype = _LITTLE[name]
+    arr = np.ndarray(shape, dtype, buffer=data, offset=pos)
+    return arr if dtype.isnative else arr.astype(DTYPES[name])
 
 
 def qtns_from_bytes(data, offset: int = 0) -> tuple[np.ndarray, int]:
@@ -272,12 +289,10 @@ def qtns_from_bytes(data, offset: int = 0) -> tuple[np.ndarray, int]:
     shape = struct.unpack_from(f"<{rank}I", data, pos)
     pos += 4 * rank
     name = DTYPE_NAMES[code]
-    dtype = _LITTLE[name]
-    nbytes = math.prod(shape) * dtype.itemsize
+    nbytes = math.prod(shape) * itemsize(name)
     if len(data) < pos + nbytes:
         raise FormatError("truncated QTNS payload")
-    arr = np.ndarray(shape, dtype, buffer=data, offset=pos)
-    return (arr if dtype.isnative else arr.astype(DTYPES[name])), pos + nbytes
+    return array_at(data, pos, shape, name), pos + nbytes
 
 
 def write_qtns(path, arr: np.ndarray) -> None:

@@ -140,9 +140,7 @@ def w256():
 
 def numbers(g):
     """Tensor id -> the dense number ``compiler.freeze`` writes it as."""
-    ids = {}
-    cp._pack_graph(g, ids)
-    return ids
+    return cp._tensor_numbers(g, {})
 
 
 def slot_reference(q_b, p_b, q_a, p_a, alpha):

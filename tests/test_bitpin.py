@@ -11,7 +11,7 @@ load, bind, infer):
   the reference per-k matmul loop; the d48 ``.qlp`` digests, whose 48
   adapter slots make long rewire chains, with the compiler passes that
   rescanned the node list for every rewire and the planner that
-  rescanned the live set.  The ``.quadm`` digests were re-recorded four
+  rescanned the live set.  The ``.quadm`` digests were re-recorded five
   times: when the model format went to version 2 and began to hold the
   fused graphs in the passes' node order, when version 3 stopped holding
   the profile text, when version 4 numbered the tensors densely and let
@@ -20,8 +20,10 @@ load, bind, infer):
   ``qlora`` directly.  That last change moved node ids alone: each
   ``qlora`` keeps its layer's id, and the nodes the passes add are
   numbered from a lower start.  The files kept their lengths and decode
-  to the same graphs but for those ids.  No ``.qlp`` or output digest
-  moved any of those times.
+  to the same graphs but for those ids.  They were re-recorded a fifth
+  time when version 5 stored each graph as column tables; the graphs
+  they decode to did not change.  No ``.qlp`` or output digest moved
+  any of those times.
 * what every ``.qlp`` decodes to, whatever its layout, hashes to a
   pinned level digest (``level_digest``).  These were recorded from
   the version-1 packs, whose byte digests trace back as told above,
@@ -54,13 +56,13 @@ from onegraph import runtime as rt
 # SHA-256 digests recorded before the change each one guards (see above).
 PINNED = {
     "toy": {
-        "model": "aad665231703fcf685faa73522b1c75f0d3772e5ade6e1ce2fc7cf1255d394f6",
+        "model": "a3899bee08b6df1f3191d4d6666e74fb4ebfca47c937a19b620238670ace5245",
         "packs": ["c299a9b490f6a7b734a7c6bdba27fbd85b3c139238bf3b6980fff76675377eea"],
         "levels": ["d4c85ac7b424b5f5aac6153110e6afd4dfc887c0441c1216d9239c270b73a6c8"],
         "outputs": ["ea94f1bf4ff6a618dc774145a21b3c1f36c3b4a06de575609787f52a495815ba"],
     },
     "w64": {
-        "model": "b0400efaff0387566f7138a391a1d3e9c4dab917584542a6250c2ed7fd21e3ee",
+        "model": "9847c89fb73bdc13bb8c9281fa28f7dbe23e3b5af9efd0045f6d2abe7624808f",
         "packs": ["03cd79794278bc9bf8ab1511bfcb221dc4b4f7509fde41edf8a0eccd4e267edd",
                   "fb30d97e638d212e4c44dfde2d038198eee0062ab1facd8900e1d202eddb40bb"],
         "levels": ["25ec07678b649e01f19d80590601cfd194fea8e53bc1f9134714589b4e713452",
@@ -69,7 +71,7 @@ PINNED = {
                     "cf7c9024c01ad77d89b64de12c890b6b2f8c4a75236b39d0271f443f5e18a02e"],
     },
     "d48": {
-        "model": "3668d7e87f32644af679b3f2cdc85eea91565b88cf33a692bac62d4db4a74c8a",
+        "model": "3e3a1bae626148d9bc00f325859ec9a826ca40999ca5678b8b16c76137cb99ef",
         "packs": ["72ddc979367f3cda4d3c96a3da132910fc7f2c8068f03340fa1fe3831078e4f7",
                   "17eef8d0c31b32fb5a4cf0a142f932e41cf74e0dccba0ff1b2715de552ebbf1d"],
         "levels": ["b1974cffd1e3b189d3ff99e9d7b6ad4cb29e57b1bbfc8ddf89d0ea0363537bf4",

@@ -256,7 +256,7 @@ def test_a_pack_header_width_unlike_its_slots_is_a_usage_error(toy_files, tmp_pa
 
 
 def test_inspect_prints_each_files_own_version(toy_files, capsys):
-    for name, head in (("model.quadm", "magic QADM version 4"), ("style.qlp", "magic QLPK version 2")):
+    for name, head in (("model.quadm", "magic QADM version 5"), ("style.qlp", "magic QLPK version 2")):
         assert cli.main(["inspect", toy_files[name]]) == cli.EXIT_OK
         assert capsys.readouterr().out.splitlines()[0] == head
 

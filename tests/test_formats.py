@@ -1,11 +1,11 @@
 """Malformed artifacts raise FormatError and nothing else.
 
-The fuzz changes one payload byte of the toy ``.quadm`` and ``.qlp``
-and recomputes the checksum, so every mutant reaches the decoder.  A
-mutant may still load (a changed weight value is a valid model); what
-it may not do is escape as struct.error, KeyError, UnicodeDecodeError
-or a RangeError from the quantization parameters.  A model mutant that
-loads must also serve: the structural checks at load leave binding a
+The fuzz changes one payload byte of a ``.quadm`` and a ``.qlp``, of
+the toy and of a 160-layer model, and recomputes the checksum, so every
+mutant reaches the decoder.  A mutant may still load (a changed weight
+value is a valid model); what it may not do is escape as struct.error,
+KeyError, UnicodeDecodeError or a RangeError from the quantization
+parameters.  A model mutant that loads must also serve: the structural checks at load leave binding a
 pack that no longer fits as the only failure after it.
 
 A loaded model reads its constants in place from the artifact's bytes.
@@ -19,15 +19,15 @@ import zlib
 import numpy as np
 import pytest
 import test_bitpin
-from conftest import numbers
 
 from onegraph import compiler as cp
+from onegraph import graph as gr
 from onegraph import modelspec as ms
 from onegraph import quant as qt
 from onegraph import runtime as rt
 from onegraph import tensor as tz
 from onegraph.errors import BindError, CoverageError, FormatError, GraphError, PackError
-from onegraph.qparams import QuantParams
+from onegraph.qparams import QuantParams, quantize_array, storage_dtype
 
 TRIALS = 200
 
@@ -40,10 +40,19 @@ DEEP_MODEL = "\n".join(
 
 
 def reseal(data: bytes, payload: bytes) -> bytes:
-    """``data``'s header with the crc32 of ``payload``, then ``payload``."""
+    """``data``'s header with the crc32 and length of ``payload``, then ``payload``."""
     head = bytearray(data[:20])
-    struct.pack_into("<I", head, 8, zlib.crc32(payload) & 0xFFFFFFFF)
+    struct.pack_into("<IQ", head, 8, zlib.crc32(payload) & 0xFFFFFFFF, len(payload))
     return bytes(head) + payload
+
+
+def parameter_records(model: bytes) -> int:
+    """The row count of a ``.quadm``'s parameter table: after the seed,
+    the name, the step count and the string table."""
+    payload = model[20:]
+    _, pos = cp._unpack_str(payload, 8)
+    _, pos = cp._unpack_strings(payload, pos + 4)
+    return struct.unpack_from("<I", payload, pos)[0]
 
 
 def with_lora_bits(pack: bytes, bits: int) -> bytes:
@@ -79,6 +88,14 @@ def deep():
     return bundle, adapter, profile, samples[0]
 
 
+@pytest.fixture(scope="module")
+def deep_artifacts(deep):
+    bundle, adapter, profile, _ = deep
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    model = cp.freeze(frozen, profile, descriptors, name="deep")
+    return model, cp.pack_lora(adapter, descriptors, profile)
+
+
 def serve(model: bytes, pack: bytes, seed: int):
     """Load, bind and infer a model that ``load_compiled`` accepted."""
     session = rt.load_model(model)
@@ -93,9 +110,12 @@ def serve(model: bytes, pack: bytes, seed: int):
     rt.infer(session, x, cond, seed=seed)
 
 
-@pytest.mark.parametrize("kind", ("model", "pack"))
-def test_one_byte_corruption_is_a_format_error(toy_artifacts, kind):
-    model, pack = toy_artifacts
+@pytest.mark.parametrize("artifacts, kind", (
+    pytest.param("toy_artifacts", "model", id="model"), pytest.param("toy_artifacts", "pack", id="pack"),
+    pytest.param("deep_artifacts", "model", id="deep-model"),
+    pytest.param("deep_artifacts", "pack", id="deep-pack")))
+def test_one_byte_corruption_is_a_format_error(artifacts, kind, request):
+    model, pack = request.getfixturevalue(artifacts)
     data, loader = (model, cp.load_compiled) if kind == "model" else (pack, cp.unpack_lora)
     loader(data)
     rng = random.Random(kind)
@@ -149,12 +169,94 @@ def test_a_session_keeps_serving_without_the_callers_bytes(toy_artifacts, toy_sa
         assert rt.infer(session, x, cond, seed=5).tobytes() == want
 
 
-def test_equal_parameters_decode_to_one_object(toy_artifacts):
-    loaded = cp.load_compiled(toy_artifacts[0])
+def loaded_params(model: bytes) -> list:
+    """Every parameter use of the loaded ``model``: node attributes, then slots."""
+    loaded = cp.load_compiled(model)
     params = [v for g in loaded.graphs.values() for n in g.nodes for v in n.attrs.values()
               if isinstance(v, QuantParams)]
-    params += [p for d in loaded.descriptors for p in (d.a_params, d.b_params)]
-    assert len({id(p) for p in params}) == len(set(params)) < len(params)
+    return params + [p for d in loaded.descriptors for p in (d.a_params, d.b_params)]
+
+
+def test_equal_parameters_decode_to_one_object(toy_artifacts, deep_artifacts):
+    """The file holds each distinct record once, and a load builds one
+    ``QuantParams`` per record, on the toy and on the 160-layer model."""
+    for model, _ in (toy_artifacts, deep_artifacts):
+        params = loaded_params(model)
+        assert len({id(p) for p in params}) == len(set(params)) == parameter_records(model) < len(params)
+
+
+def test_parameters_of_one_record_are_one_row(toy_artifacts, toy_bundle, toy_profile):
+    """A ``qlinear`` weight's parameters with a float64 scale one ulp off,
+    which rounds to the same fp32 scale: the record is the same, so the
+    file is the same bytes and the two decode to one object."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    node = next(n for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
+    p = node.attrs["w_qparams"]
+    twin = dataclasses.replace(p, scale=float(np.nextafter(p.scale, np.inf)))
+    assert twin != p and np.float32(twin.scale) == np.float32(p.scale)
+    node.attrs["w_qparams"] = twin
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    assert model == toy_artifacts[0]
+    params = loaded_params(model)
+    assert len({id(p) for p in params}) == len(set(params)) == parameter_records(model)
+
+
+@pytest.mark.parametrize("name", ("toy", "w64", "d48"))
+def test_a_loaded_model_freezes_to_its_own_bytes(name, request):
+    if name == "toy":
+        bundle, profile = request.getfixturevalue("toy_bundle"), request.getfixturevalue("toy_profile")
+    else:
+        bundle, _, _, profile = request.getfixturevalue(name)
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    model = cp.freeze(frozen, profile, descriptors, name=name, creation_seed=2**64 - 3)
+    loaded = cp.load_compiled(model)
+    again = gr.ModelBundle(*(loaded.graphs[r] for r in ("encoder", "backbone", "decoder")), loaded.steps)
+    assert cp.freeze(again, None, loaded.descriptors, name=loaded.name,
+                     creation_seed=loaded.creation_seed) == model
+
+
+@pytest.mark.parametrize("change, match", ((b"\x00", "trailing bytes in model payload"),
+                                           (None, "ValueError")))
+def test_a_payload_of_the_wrong_length_is_a_format_error(toy_artifacts, change, match):
+    """One byte more, or the last byte gone, with the header's length and
+    checksum rewritten to match."""
+    model = toy_artifacts[0]
+    payload = model[20:] + change if change else model[20:-1]
+    with pytest.raises(FormatError, match=match):
+        cp.load_compiled(reseal(model, payload))
+
+
+def test_a_negative_index_is_a_format_error(toy_bundle, toy_profile, monkeypatch):
+    """The string attribute ``matmul`` written as index -1, which a Python
+    list would take as its last string."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    index = cp._string_index
+    monkeypatch.setattr(cp, "_string_index", lambda graphs: {**index(graphs), "matmul": -1})
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    monkeypatch.undo()
+    with pytest.raises(FormatError, match="negative string or parameter index"):
+        cp.load_compiled(model)
+
+
+@pytest.mark.parametrize("defect", ("activation", "requant activation", "levels"))
+def test_a_node_that_could_not_run_is_a_format_error(toy_bundle, toy_profile, defect):
+    """An activation no kernel knows, or a ``qlora`` whose input levels are
+    stored wider than its ``in_qparams`` hold: either would load and then
+    fail in a step."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    nodes = [n for _, g in frozen.graphs() for n in g.nodes]
+    if defect == "activation":
+        node = next(n for n in nodes if n.kind == "activation")
+        node.attrs["kind"], match = "gelu", "GraphError: node {}: unknown activation 'gelu'"
+    elif defect == "requant activation":
+        node = next(n for n in nodes if n.kind == "requant" and "activation" in n.attrs)
+        node.attrs["activation"], match = "gelu", "GraphError: node {}: unknown activation 'gelu'"
+    else:
+        node = next(n for n in nodes if n.kind == "qlora")
+        node.attrs["in_qparams"] = QuantParams(node.attrs["in_qparams"].scale, 0, 8)
+        match = "ShapeError: node {}: qlora reads i16 levels under in_qparams stored as i8"
+    with pytest.raises(FormatError, match=match.format(node.id)):
+        cp.load_compiled(cp.freeze(frozen, toy_profile, descriptors, name="toy"))
 
 
 @pytest.mark.parametrize("defect", ("swapped slot tids", "wider slot", "missing descriptor"))
@@ -243,17 +345,19 @@ def test_stepless_model_is_a_format_error(toy_bundle, toy_profile):
 
 
 def test_each_magic_has_its_own_version(toy_artifacts):
-    """``.quadm`` is at version 4 and ``.qlp`` at 2.  A version-1
+    """``.quadm`` is at version 5 and ``.qlp`` at 2.  A version-1
     ``.quadm``, which held the graphs before the fusions, is refused, and
-    so are a version-2 one, which also held the profile text, and a
-    version-3 one, whose reader knows no ``requant`` that emits levels.
-    So is a version-1 ``.qlp``, which held per-slot parameter records and
-    tensor headers, and a version-3 one."""
+    so are a version-2 one, which also held the profile text, a version-3
+    one, whose reader knows no ``requant`` that emits levels, and a
+    version-4 one, which wrote each node as a record of its own.  So is a
+    version-1 ``.qlp``, which held per-slot parameter records and tensor
+    headers, and a version-3 one."""
     model, pack = toy_artifacts
-    assert (model[4:6], pack[4:6]) == (b"\x04\x00", b"\x02\x00")
+    assert (model[4:6], pack[4:6]) == (b"\x05\x00", b"\x02\x00")
     for data, loader, magic, old in ((model, cp.load_compiled, "QADM", 1),
                                      (model, cp.load_compiled, "QADM", 2),
                                      (model, cp.load_compiled, "QADM", 3),
+                                     (model, cp.load_compiled, "QADM", 4),
                                      (pack, cp.unpack_lora, "QLPK", 1),
                                      (pack, cp.unpack_lora, "QLPK", 3)):
         changed = bytearray(data)
@@ -276,6 +380,37 @@ def test_a_model_past_the_old_string_limit_serves(deep):
     assert len(qt.profile_to_text(profile).encode()) > 0xFFFF
     _, _, (out,) = test_bitpin.serve(bundle, profile, [adapter], x, cond, seed=1)
     assert np.isfinite(out).all() and out.any()
+
+
+def levels_slot_by_slot(adapter, descriptors) -> np.ndarray:
+    """A pack's level block as ``quantize_array`` gives it one factor at a
+    time, each padded to its slot with the zero point."""
+    blocks = []
+    for d in sorted(descriptors, key=lambda d: d.slot_id):
+        e = adapter.entries[d.target_node_id]
+        dtype = storage_dtype(d.b_params.bits, d.b_params.signed)
+        b_q = np.full(d.b_shape, d.b_params.zero_point, dtype)
+        a_q = np.full(d.a_shape, d.a_params.zero_point, dtype)
+        b_q[:e.rank] = quantize_array(e.B, d.b_params)
+        a_q[:, :e.rank] = quantize_array(e.A, d.a_params)
+        blocks += (b_q.ravel(), a_q.ravel())
+    return np.concatenate(blocks)
+
+
+def test_a_pack_quantizes_each_run_as_each_slot(w64):
+    """W64's slots make two runs (the first layer also reads the
+    conditioning).  A rank-3 adapter in its rank-8 slots, with both
+    zeros, both infinities, values past either end and a subnormal in
+    its factors, packs to the levels ``quantize_array`` gives each."""
+    bundle, _, _, profile = w64
+    _, descriptors = cp.optimize_for_freeze(bundle, profile)
+    assert len({(d.d_out, d.d_in, d.r_max) for d in descriptors}) == 2
+    adapter = ms.build_adapter(bundle, ms.AdapterSpec("odd", seed=3, rank=3, amplitude=0.2))
+    for e in adapter.entries.values():
+        e.A.flat[:6] = (0.0, -0.0, np.inf, -np.inf, 1e30, 1e-45)
+        e.B.flat[:4] = (-1e30, -0.0, 3.0, -3.0)
+    pack = cp.unpack_lora(cp.pack_lora(adapter, descriptors))
+    assert pack.levels.tobytes() == levels_slot_by_slot(adapter, descriptors).tobytes()
 
 
 @pytest.mark.parametrize("defect", ("mixed widths", "no slots", "mixed signedness"))
@@ -379,33 +514,24 @@ def test_kind_codes_are_pinned():
     assert (cp._ATTR_INT, cp._ATTR_STR, cp._ATTR_QPARAMS) == (0, 2, 3)
 
 
-def qlinear_record(toy_bundle, toy_profile):
-    """The toy model's bytes and the serialized head and attributes of one qlinear node."""
-    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
-    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
-    g, node = next((g, n) for _, g in frozen.graphs() for n in g.nodes if n.kind == "qlinear")
-    ids = numbers(g)
-    head = struct.pack(f"<IBB{len(node.inputs)}II", node.id, cp._KIND_CODES["qlinear"],
-                       len(node.inputs), *(ids[t] for t in node.inputs), ids[node.output])
-    record = head + cp._pack_attrs(node.attrs)
-    assert model[20:].count(record) == 1
-    return model, record
-
-
 @pytest.mark.parametrize("code", (1, 3))
-def test_retired_kind_code_is_a_format_error(toy_bundle, toy_profile, code):
-    model, record = qlinear_record(toy_bundle, toy_profile)
-    changed = bytearray(record)
-    changed[4] = code
+def test_retired_kind_code_is_a_format_error(toy_bundle, toy_profile, code, monkeypatch):
+    """Every ``qlinear`` written under a retired kind code."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    monkeypatch.setitem(cp._KIND_CODES, "qlinear", code)
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    monkeypatch.undo()
     with pytest.raises(FormatError, match="KeyError"):
-        cp.load_compiled(reseal(model, model[20:].replace(record, bytes(changed))))
+        cp.load_compiled(model)
 
 
 @pytest.mark.parametrize("tag", (1, 4))
-def test_retired_attr_tag_is_a_format_error(toy_bundle, toy_profile, tag):
-    model, record = qlinear_record(toy_bundle, toy_profile)
-    op = cp._pack_str("op") + struct.pack("<B", cp._ATTR_STR) + cp._pack_str("matmul")
-    assert record.count(op) == 1
-    changed = record.replace(op, cp._pack_str("op") + struct.pack("<B", tag) + cp._pack_str("matmul"))
+def test_retired_attr_tag_is_a_format_error(toy_bundle, toy_profile, tag, monkeypatch):
+    """Every string attribute (a ``qlinear``'s ``op``, an activation's
+    kind) written under a retired tag."""
+    frozen, descriptors = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    monkeypatch.setattr(cp, "_ATTR_STR", tag)
+    model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
+    monkeypatch.undo()
     with pytest.raises(FormatError, match=f"unknown attr tag {tag}"):
-        cp.load_compiled(reseal(model, model[20:].replace(record, changed)))
+        cp.load_compiled(model)

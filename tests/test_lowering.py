@@ -7,8 +7,8 @@ next layer's input when that alone reads the chain, and the ``.quadm``
 holds those graphs (kind codes 11 and 12), with dense tensor ids.  ``compiler.load_compiled`` returns them as frozen,
 they freeze back to the same bytes, and ``runtime.Session`` plans and
 runs them node for node.  ``onegraph inspect --dump`` prints them
-(digests recorded at model format version 4, once each ``qlora`` took
-its adapter layer's node id).
+(digests recorded at model format version 5, whose text differs from
+version 4's only in the version and the byte counts).
 
 A fused node must give the bits of its unfused chain.  The chain's
 reference here runs the chain's own nodes through ``graph.run_graph``,
@@ -28,7 +28,6 @@ import dataclasses
 import gc
 import hashlib
 import itertools
-import struct
 import tracemalloc
 
 import numpy as np
@@ -55,8 +54,8 @@ PINNED_W256 = ["098594beaed4eb871b8e737592a54a3dfed7634409e858c1c79ae62d847af140
                "15a5288e8526e0fb4767c7ba41018462abf7489b1d9a214f2d02a863d54d7a2c"]
 
 INSPECT_SHA256 = {
-    "w64": "2776c62b1e2063f2c91894eff5ce86be88c04caf4228a54c3b363b444e26ff93",
-    "d48": "8fd1d3e076b1efc55227bf542364c15cc39fd2405f64a810fb9c6e4313c05ba1",
+    "w64": "bdfc2e4f89b2a88839049a9a5826c98a7273efd4ccf8c1d3134440b962bf7b3a",
+    "d48": "dc2ce91d0c587895d8c7416c34d75366a6e67ea858f7637382660c4db9f99a60",
 }
 
 
@@ -276,10 +275,11 @@ def test_an_artifact_holds_each_fused_kind(kind, toy_bundle, toy_profile):
                          if n.kind == kind and (kind == "qlora" or "activation" in n.attrs))
     ids = numbers(g)
     inputs = [ids[t] for t in node.inputs]
-    head = struct.pack(f"<IBB{len(node.inputs)}II", node.id, cp._KIND_CODES[kind], len(node.inputs),
-                       *inputs, ids[node.output])
+    row = np.array([(node.id, cp._KIND_CODES[kind], len(inputs), ids[node.output], len(node.attrs))],
+                   cp._NODE_RECORD)
     model = cp.freeze(frozen, toy_profile, descriptors, name="toy")
-    assert model[20:].count(head + cp._pack_attrs(node.attrs)) == 1
+    assert model[20:].count(row.tobytes()) == 1
+    assert np.array(inputs, "<u4").tobytes() in model[20:]
     again = next(n for n in cp.load_compiled(model).graphs[role].nodes if n.id == node.id)
     assert (again.kind, again.inputs, again.attrs) == (kind, inputs, node.attrs)
 
@@ -534,12 +534,13 @@ def _run_qlora(node, q_w, q_x, q_b, q_a):
 
 @pytest.mark.parametrize("operand", ("w", "x", "b", "a"))
 def test_qlora_rejects_a_level_out_of_range(operand):
-    """8-bit levels held in int16 are scanned, as ``dequantize_array`` scans them:
-    W's and x's on every step, B's and A's once, when a bind prepares them."""
-    p = qp.QuantParams(0.01, 0, 8)
+    """Unsigned 8-bit levels, held in their int16 storage, are scanned, as
+    ``dequantize_array`` scans them: W's and x's on every step, B's and
+    A's once, when a bind prepares them."""
+    p = qp.QuantParams(0.01, 0, 8, False)
     ops = {name: np.zeros(shape, np.int16) for name, shape in
            (("w", (3, 4)), ("x", (4, 2)), ("b", (2, 4)), ("a", (3, 2)))}
-    ops[operand][1, 1] = 128
+    ops[operand][1, 1] = 256
     with pytest.raises(RangeError, match="outside"):
         _run_qlora(_qlora_node(p, p, p, p), ops["w"], ops["x"], ops["b"], ops["a"])
 

@@ -9,8 +9,8 @@ in the middle of the graph and a node output that is left unquantized.
 The hand-built bundle has a covered input that nothing reads: its
 ``quantize -> dequantize`` pair outlives ``scale_fold``, and the
 compiler's last dead-code pass drops what that pair fuses to.  Its
-``.quadm`` digest was last recorded at model format version 4, whose
-tensor ids are dense.  The toy backbone's digest was re-recorded when
+``.quadm`` digest was last recorded at model format version 5, which
+stores each graph as column tables with dense tensor ids.  The toy backbone's digest was re-recorded when
 the LoRA-as-input rewrite moved after ``scale_fold`` and began to turn
 each adapter layer into its ``qlora`` directly; the ``.quadm`` files
 that hold its result kept their lengths and, but for node ids, their
@@ -31,7 +31,7 @@ from onegraph.errors import GraphError
 PINNED = "964fc277eb70396c54a64740333178b9fc2e733db41a4f97f0209daf0bacc8d9"
 PINNED_TOY = "cc4ad8fcf4258e6d676ac23aa204e14fb8df123c656a9b26e4f4e1e4f6357137"
 PINNED_UNREAD = "89850afc89c35bc2566fc1b80a013ab235805db4bd68e19ca4d0c4fe6fafc865"
-PINNED_UNREAD_MODEL = "dbc5e84d1fc108958b9c4f33dd8a643dcb67eba92031d9d068ed69cbfb974d39"
+PINNED_UNREAD_MODEL = "641a93160f0c043dd97a4049c926900eaa2f21371a788feeea41302d5d3f0993"
 
 
 def hand_graph():

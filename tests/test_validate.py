@@ -16,6 +16,7 @@ from conftest import all16_profile
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
+from onegraph import modelspec as ms
 from onegraph import quant as qt
 from onegraph.errors import CycleError, GraphError, ShapeError
 
@@ -115,6 +116,7 @@ def activation_weight_bundle():
 @pytest.mark.parametrize("entry, message", (
     ("execute_fp", "node 0: lora_matmul weight must be a constant"),
     ("calibrate", "node 0: lora_matmul weight must be a constant"),
+    ("build_adapter", "node 0: lora_matmul weight must be a constant"),
     ("optimize_for_freeze", "lora node 0: operands are not a dequantized constant weight")))
 def test_an_adapter_layer_whose_weight_is_an_activation(entry, message):
     """The layer's weight must be a constant; each entry point that looks
@@ -127,5 +129,7 @@ def test_an_adapter_layer_whose_weight_is_an_activation(entry, message):
             gr.execute_fp(bundle, x, cond, adapter)
         elif entry == "calibrate":
             qt.calibrate(bundle, [(x, cond)], qt.Policy("w8a16"), adapter=adapter)
+        elif entry == "build_adapter":
+            ms.build_adapter(bundle, ms.AdapterSpec("a", seed=1, rank=2))
         else:
             cp.optimize_for_freeze(bundle, all16_profile(bundle))
