@@ -5,7 +5,18 @@ immutable artifact plus small per-task archives:
 
     constant_fold -> dead_code_eliminate -> materialize_quantsim
         -> scale_fold -> rewrite_lora_as_input -> _fuse_requant
-        -> dead_code_eliminate -> freeze (.quadm)
+        -> dead_code_eliminate -> graph.validate -> freeze (.quadm)
+
+Each graph is checked once, when its last pass is done, as LLVM's pass
+manager verifies a module at the pipeline's ends and after every pass
+only on request (Lattner & Adve, CGO 2004); the tests check the graph
+every pass returns.  A pass never mutates a node it did not create: it
+shares every node it keeps with its input and builds only the nodes it
+replaces, so compiling leaves the caller's bundle as it was.
+``materialize_quantsim``, which rewires the inputs of the nodes it
+keeps, copies them first.  A pass reads node attributes with ``get``,
+so that one a malformed bundle lacks reaches the check, not a
+``KeyError``; ``rewrite_lora_as_input`` checks the rank it drops.
 
 The artifact holds the graphs a runtime session runs, node for node,
 each stored as fixed-width column tables (nodes, operands, attributes
@@ -35,14 +46,14 @@ import operator
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import graph as gr
 from . import quant as qt
 from . import tensor as tz
-from .errors import CoverageError, FormatError, GraphError, PackError
+from .errors import CoverageError, FormatError, GraphError, PackError, ShapeError
 from .qparams import SUPPORTED_BITS, QuantParams, quantize_array, round_levels, storage_dtype
 
 MODEL_MAGIC = b"QADM"
@@ -126,9 +137,11 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
     storage dtype and alpha a new fp32 input; the frozen weight is never
     merged.  A dequantize that no other node reads goes with its layer.
     A layer whose weight is not a dequantized constant or whose input is
-    not dequantized raises ``GraphError``.  A descriptor's ``bits`` is
-    its slot parameters' one width, else ``CoverageError``.  Returns
-    (graph, slot descriptors).
+    not dequantized raises ``GraphError``; one whose weight is not 2-D
+    or whose rank is not between 1 and the weight's smaller extent
+    raises ``ShapeError``, since no ``qlora`` keeps the rank for a later
+    check to see.  A descriptor's ``bits`` is its slot parameters' one
+    width, else ``CoverageError``.  Returns (graph, slot descriptors).
     """
     producer = g.producer_map()
     tids = itertools.count(g.next_tid())
@@ -146,11 +159,16 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
             raise CoverageError(f"lora node {node.id}: slot params A/B are {a_params.bits}/"
                                 f"{b_params.bits} bits, not one width")
         q_w = dq_w.inputs[0]
-        d_out, d_in = g.constants[q_w].shape
+        shape, rank = g.constants[q_w].shape, int(node.attrs.get("rank", 0))
+        if len(shape) != 2:
+            raise ShapeError(f"node {node.id}: lora_matmul weight of shape {shape}")
+        if not 1 <= rank <= min(shape):
+            raise ShapeError(f"node {node.id}: rank {rank} exceeds min{shape}")
+        d_out, d_in = shape
         desc = LoRASlotDescriptor(
             slot_id=slot_id, target_node_id=node.id,
             a_tid=next(tids), b_tid=next(tids), alpha_tid=next(tids),
-            d_out=d_out, d_in=d_in, r_max=int(node.attrs["rank"]),
+            d_out=d_out, d_in=d_in, r_max=rank,
             bits=a_params.bits, a_params=a_params, b_params=b_params,
         )
         descriptors.append(desc)
@@ -159,11 +177,10 @@ def rewrite_lora_as_input(g: gr.Graph, shared: qt.QuantProfile):
                    gr.GraphInput(desc.alpha_name, desc.alpha_tid, (1,)))
         fused[id(node)] = gr.Node(
             node.id, "qlora", [q_w, dq_x.inputs[0], desc.b_tid, desc.a_tid, desc.alpha_tid], node.output,
-            {"w_qparams": dq_w.attrs["qparams"], "in_qparams": dq_x.attrs["qparams"],
+            {"w_qparams": dq_w.attrs.get("qparams"), "in_qparams": dq_x.attrs.get("qparams"),
              "b_qparams": b_params, "a_qparams": a_params})
     out = gr.rebuild(g, fused, set())
     out.inputs = inputs
-    gr.validate(out)
     return out, descriptors
 
 
@@ -181,31 +198,32 @@ def constant_fold(g: gr.Graph) -> gr.Graph:
     runtime-bound factors.  Outputs are bit-exact because folding runs
     the same kernels execution would.  Nodes are in topological order,
     so one forward pass sees each folded value before its consumers.
+    The result shares the kept nodes, the inputs and the constant
+    arrays with ``g``; only its node list and constant dict are new.
     """
-    out = g.copy()
-    kept = []
-    for node in out.nodes:
-        if node.kind not in _FOLDABLE or not all(t in out.constants for t in node.inputs):
+    constants, kept = dict(g.constants), []
+    for node in g.nodes:
+        if node.kind not in _FOLDABLE or not all(t in constants for t in node.inputs):
             kept.append(node)
             continue
-        probe = gr.Graph(nodes=[replace(node, inputs=list(node.inputs), attrs=dict(node.attrs))],
-                         inputs=[], outputs=[("v", node.output)],
-                         constants={t: out.constants[t] for t in node.inputs})
-        out.constants[node.output] = gr.run_graph(probe, {})["v"]
-    out.nodes = kept
-    return out
+        probe = gr.Graph(nodes=[node], inputs=[], outputs=[("v", node.output)],
+                         constants={t: constants[t] for t in node.inputs})
+        constants[node.output] = gr.run_graph(probe, {})["v"]
+    return gr.Graph(kept, g.inputs, g.outputs, constants)
 
 
 def dead_code_eliminate(g: gr.Graph) -> gr.Graph:
-    """Drop nodes that reach no graph output; prune unused constants."""
-    out = g.copy()
-    live = {tid for _, tid in out.outputs}
-    for node in reversed(out.nodes):
+    """Drop nodes that reach no graph output; prune unused constants.
+
+    The result shares the kept nodes, the inputs and the constant
+    arrays with ``g``.
+    """
+    live = {tid for _, tid in g.outputs}
+    for node in reversed(g.nodes):
         if node.output in live:
             live.update(node.inputs)
-    out.nodes = [n for n in out.nodes if n.output in live]
-    out.constants = {t: v for t, v in out.constants.items() if t in live}
-    return out
+    return gr.Graph([n for n in g.nodes if n.output in live], g.inputs, g.outputs,
+                    {t: v for t, v in g.constants.items() if t in live})
 
 
 def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str) -> gr.Graph:
@@ -217,11 +235,13 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str) -> gr
     ``optimize_for_freeze`` does it, the result computes bit-identically
     to hook-based quantsim.
 
-    Node order: the pairs of the covered inputs (last input first), then
-    the weight dequantizes (last first), then the original nodes, each
-    covered one followed by its pair.  Tensor and node ids are allocated
-    upward from the graph's next free ones in the order weights, covered
-    inputs, nodes.
+    The result's nodes and inputs are copies, since rewiring changes
+    the input lists of the nodes it keeps; the unchanged constant arrays
+    are shared.  Node order: the pairs of the covered inputs (last input
+    first), then the weight dequantizes (last first), then the original
+    nodes, each covered one followed by its pair.  Tensor and node ids
+    are allocated upward from the graph's next free ones in the order
+    weights, covered inputs, nodes.
     """
     out = g.copy()
     tids = itertools.count(out.next_tid())
@@ -270,8 +290,6 @@ def materialize_quantsim(g: gr.Graph, profile: qt.QuantProfile, role: str) -> gr
         if node.output in acts:
             nodes += act_pair(node.output, acts[node.output])
     out.nodes = nodes
-
-    gr.validate(out)
     return out
 
 
@@ -314,19 +332,17 @@ def scale_fold(g: gr.Graph) -> gr.Graph:
             continue
         attrs = {
             "op": "matmul",
-            "w_qparams": dq_w.attrs["qparams"],
-            "in_qparams": dq_x.attrs["qparams"],
-            "out_qparams": tail.attrs["qparams"],
+            "w_qparams": dq_w.attrs.get("qparams"),
+            "in_qparams": dq_x.attrs.get("qparams"),
+            "out_qparams": tail.attrs.get("qparams"),
         }
         inputs = [dq_w.inputs[0], dq_x.inputs[0]]
         if bias_dq is not None:
-            attrs["bias_qparams"] = bias_dq.attrs["qparams"]
+            attrs["bias_qparams"] = bias_dq.attrs.get("qparams")
             inputs.append(bias_dq.inputs[0])
         fused[id(node)] = gr.Node(node.id, "qlinear", inputs, tail.output, attrs)
         gone.update(id(n) for n in chain)
-    out = gr.rebuild(g, fused, gone)
-    gr.validate(out)
-    return out
+    return gr.rebuild(g, fused, gone)
 
 
 def _fuse_requant(g: gr.Graph) -> gr.Graph:
@@ -347,7 +363,7 @@ def _fuse_requant(g: gr.Graph) -> gr.Graph:
     def pair(q):
         """The ``dequantize`` that ``q`` heads a pair with, or None."""
         dq = sole(q.output, "dequantize")
-        return dq if dq is not None and dq.attrs["qparams"] == q.attrs["qparams"] else None
+        return dq if dq is not None and dq.attrs.get("qparams") == q.attrs.get("qparams") else None
 
     fused, gone = {}, set()
     for n in g.nodes:
@@ -361,11 +377,11 @@ def _fuse_requant(g: gr.Graph) -> gr.Graph:
         tail = sole(chain[-1].output, "quantize")
         if tail is not None and pair(tail) is None:
             chain.append(tail)
-        attrs = {"qparams": n.attrs["qparams"]}
+        attrs = {"qparams": n.attrs.get("qparams")}
         if act is not None:
-            attrs["activation"] = act.attrs["kind"]
+            attrs["activation"] = act.attrs.get("kind")
         if chain[-1].kind == "quantize":
-            attrs["out_qparams"] = chain[-1].attrs["qparams"]
+            attrs["out_qparams"] = chain[-1].attrs.get("qparams")
         last = chain.pop()
         fused[id(last)] = gr.Node(last.id, "requant", [n.inputs[0]], last.output, attrs)
         gone.update(id(x) for x in (n, *chain))
@@ -385,6 +401,14 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
     reads its ``q_x`` itself, so the ``quantize`` of an adapter layer's
     input starts no ``requant``.  The last ``dead_code_eliminate`` drops
     the ``requant`` of a covered input that nothing reads.
+
+    Each finished graph is checked once, by ``graph.validate``, after
+    its last pass; no pass checks its own result.  A malformed bundle
+    raises ``GraphError``, ``CycleError`` or ``ShapeError`` from that
+    check or from the pass that meets the defect first.  A defect only
+    in nodes that the passes drop, a dead node or the id of a node a
+    fusion retires, is not reported.  The bundle is left as it was: the
+    passes share its nodes and constant arrays and change none.
     """
     qt.check_coverage(shared, bundle)
     graphs, descriptors = {}, []
@@ -395,7 +419,9 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
         g = scale_fold(g)
         if role == "backbone":
             g, descriptors = rewrite_lora_as_input(g, shared)
-        graphs[role] = dead_code_eliminate(_fuse_requant(g))
+        g = dead_code_eliminate(_fuse_requant(g))
+        gr.validate(g)
+        graphs[role] = g
     frozen = gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], bundle.steps)
     return frozen, descriptors
 
@@ -843,6 +869,14 @@ def slot_sizes(records: np.ndarray) -> list:
     return [r * (i + o) for o, i, r in zip(*(records[f].tolist() for f in ("d_out", "d_in", "r_max")))]
 
 
+def _refuse_nan(slots) -> None:
+    """Raise ``PackError`` for the first of ``slots``, (descriptor, entry)
+    pairs, whose factors hold a NaN, which has no level."""
+    for d, entry in slots:
+        if math.isnan(entry.A.max(initial=0)) or math.isnan(entry.B.max(initial=0)):
+            raise PackError(f"lora node {d.target_node_id}: a factor holds a NaN, which has no level")
+
+
 def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
     """Quantize adapter factors under the shared slot params and serialize.
 
@@ -859,7 +893,12 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
     whole, as ``bind_lora`` prepares it: the run's factors are divided
     by their slots' scales, a column of shape (n, 1, 1), and rounded by
     one ``qparams.round_levels``, which ``quantize_array`` does slot by
-    slot with the same float64 arithmetic.
+    slot with the same float64 arithmetic.  The run's stacked B and A
+    are scanned for a NaN once each; only a run that holds one is
+    scanned slot by slot, to name it.  A refused pack names its first
+    failing slot in slot order.  Within a slot, a missing entry, a rank
+    past the slot's or factors that do not fit it are named before a
+    NaN, and a NaN before a non-finite alpha.
     """
     params = [p for d in descriptors for p in (d.a_params, d.b_params)]
     widths, signs = sorted({p.bits for p in params}), sorted({p.signed for p in params})
@@ -872,19 +911,21 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
     for d in descs:
         entry = adapter.entries.get(d.target_node_id)
         if entry is None:
-            raise PackError(f"adapter {adapter.adapter_id!r} has no entry for lora node {d.target_node_id}")
-        r = entry.rank
-        if r > d.r_max:
-            raise PackError(f"adapter rank {r} exceeds slot rank {d.r_max}")
-        if entry.A.shape != (d.d_out, r) or entry.B.shape != (r, d.d_in):
-            raise PackError(f"adapter factors {entry.A.shape}/{entry.B.shape} do not fit slot "
-                            f"{d.a_shape}/{d.b_shape}")
-        if math.isnan(entry.A.max(initial=0)) or math.isnan(entry.B.max(initial=0)):
-            raise PackError(f"lora node {d.target_node_id}: a factor holds a NaN, which has no level")
-        if not abs(entry.alpha) <= _FP32_MAX:
-            raise PackError(f"lora node {d.target_node_id}: alpha {entry.alpha} is not finite in fp32")
-        records.append(_slot_record(d, r, np.float32(entry.alpha)))
-        entries.append(entry)
+            problem = f"adapter {adapter.adapter_id!r} has no entry for lora node {d.target_node_id}"
+        elif entry.rank > d.r_max:
+            problem = f"adapter rank {entry.rank} exceeds slot rank {d.r_max}"
+        elif entry.A.shape != (d.d_out, entry.rank) or entry.B.shape != (entry.rank, d.d_in):
+            problem = (f"adapter factors {entry.A.shape}/{entry.B.shape} do not fit slot "
+                       f"{d.a_shape}/{d.b_shape}")
+        else:
+            entries.append(entry)
+            if abs(entry.alpha) <= _FP32_MAX:
+                records.append(_slot_record(d, entry.rank, np.float32(entry.alpha)))
+                continue
+            problem = f"lora node {d.target_node_id}: alpha {entry.alpha} is not finite in fp32"
+        # a NaN factor of an earlier slot, or of this one when it fits, is named first
+        _refuse_nan(zip(descs, entries))
+        raise PackError(problem)
     lo, hi = float(params[0].q_min), float(params[0].q_max)
     block = np.empty(sum(d.r_max * (d.d_in + d.d_out) for d in descs),
                      np.dtype(storage_dtype(*widths, *signs)).newbyteorder("<"))
@@ -897,6 +938,8 @@ def pack_lora(adapter: gr.LoRAAdapter, descriptors, shared=None) -> bytes:
         for i, (_, e) in enumerate(run):
             b[i, :e.rank] = e.B
             a[i, :, :e.rank] = e.A
+        if math.isnan(b.max()) or math.isnan(a.max()):
+            _refuse_nan(run)
         for levels, side in ((b, "b_params"), (a, "a_params")):
             p = [getattr(d, side) for d, _ in run]
             levels /= np.array([x.scale for x in p], np.float64).reshape(-1, 1, 1)

@@ -5,6 +5,7 @@ import pytest
 
 import onegraph as og
 from onegraph import compiler as cp
+from onegraph import graph as gr
 from onegraph import modelspec as ms
 from onegraph import qparams as qp
 from onegraph import quant as qt
@@ -150,6 +151,29 @@ def slot_reference(q_b, p_b, q_a, p_a, alpha):
     range-checked, as a bind checks them."""
     return (qp.centered_levels(q_b, p_b, np.float32), qp.dequantize_array(q_a, p_a),
             np.array((alpha,), np.float32))
+
+
+def compile_pass_by_pass(bundle, shared):
+    """``compiler.optimize_for_freeze`` run one pass at a time, with
+    ``graph.validate`` on each graph it is given and on every graph a
+    pass returns; returns (frozen-form bundle, descriptors) as it does."""
+    def checked(g):
+        gr.validate(g)
+        return g
+
+    qt.check_coverage(shared, bundle)
+    graphs, descriptors = {}, []
+    for role, g in bundle.graphs():
+        g = checked(cp.constant_fold(checked(g)))
+        g = checked(cp.dead_code_eliminate(g))
+        g = checked(cp.materialize_quantsim(g, shared, role))
+        g = checked(cp.scale_fold(g))
+        if role == "backbone":
+            g, descriptors = cp.rewrite_lora_as_input(g, shared)
+            checked(g)
+        g = checked(cp._fuse_requant(g))
+        graphs[role] = checked(cp.dead_code_eliminate(g))
+    return gr.ModelBundle(graphs["encoder"], graphs["backbone"], graphs["decoder"], bundle.steps), descriptors
 
 
 def with_lora_bits(profile, bundle, adapters, bits):

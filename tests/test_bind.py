@@ -112,6 +112,76 @@ def test_a_nan_factor_or_a_non_finite_alpha_does_not_pack(toy_bundle, toy_adapte
         cp.pack_lora(adapter, descriptors, toy_profile)
 
 
+# Slots of shapes 4x6, then 4x4 three times, 8x4, 8x8 twice and 4x8:
+# five runs of equally shaped slots, the second and the fourth of more
+# than one.
+RUNS_MODEL = "\n".join(
+    ["name runs", "steps 1", "seed 5", "input 4", "cond 2", "latent 4", "section backbone"]
+    + ["lora 4 relu rank=2"] * 4 + ["lora 8 relu rank=2"] * 3
+    + ["lora 4 none rank=2", "section decoder", "dense 4 none"]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def runs():
+    bundle = ms.build_bundle(ms.parse_model_spec(RUNS_MODEL))
+    adapter = ms.build_adapter(bundle, ms.AdapterSpec("runs", seed=3, rank=2, amplitude=0.4))
+    profile = qt.calibrate(bundle, ms.make_samples(bundle, 2, 5), qt.Policy("w8a16"), adapter=adapter,
+                           lora_bits=16, seed=0)
+    _, descriptors = cp.optimize_for_freeze(bundle, profile)
+    assert [(d.d_out, d.d_in) for d in descriptors] == [(4, 6), *[(4, 4)] * 3, (8, 4), (8, 8), (8, 8), (4, 8)]
+    return adapter, descriptors, profile
+
+
+def nan_in(side, slot):
+    def apply(adapter, descriptors):
+        getattr(adapter.entries[descriptors[slot].target_node_id], side)[0, -1] = np.nan
+    return apply
+
+
+def alpha_of(slot, value):
+    def apply(adapter, descriptors):
+        adapter.entries[descriptors[slot].target_node_id].alpha = value
+    return apply
+
+
+def no_entry(slot):
+    def apply(adapter, descriptors):
+        del adapter.entries[descriptors[slot].target_node_id]
+    return apply
+
+
+NAN = "lora node {}: a factor holds a NaN, which has no level"
+
+# (defects, slot named, message): the first failing slot in slot order.
+PACK_DEFECTS = {
+    "A mid-run": ((nan_in("A", 2),), 2, NAN),
+    "B in the second run": ((nan_in("B", 3),), 3, NAN),
+    "B in a later run": ((nan_in("B", 6),), 6, NAN),
+    "two runs": ((nan_in("B", 6), nan_in("A", 1)), 1, NAN),
+    "NaN before an infinite alpha": ((nan_in("A", 2), alpha_of(5, np.inf)), 2, NAN),
+    "NaN after an infinite alpha": ((nan_in("B", 5), alpha_of(2, -np.inf)), 2,
+                                    "lora node {}: alpha -inf is not finite in fp32"),
+    "NaN and a NaN alpha in one slot": ((nan_in("B", 4), alpha_of(4, np.nan)), 4, NAN),
+    "NaN before a missing entry": ((nan_in("A", 1), no_entry(3)), 1, NAN),
+    "NaN after a missing entry": ((nan_in("A", 3), no_entry(1)), 1,
+                                  "adapter 'runs' has no entry for lora node {}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PACK_DEFECTS))
+def test_a_pack_names_the_first_failing_slot(runs, case):
+    """Each run of slots is scanned for a NaN at once; the error names
+    the first failing slot in slot order, as a slot-by-slot check does."""
+    adapter, descriptors, profile = runs
+    defects, slot, message = PACK_DEFECTS[case]
+    adapter = copy_adapter(adapter)
+    for defect in defects:
+        defect(adapter, descriptors)
+    with pytest.raises(PackError) as caught:
+        cp.pack_lora(adapter, descriptors, profile)
+    assert str(caught.value) == message.format(descriptors[slot].target_node_id)
+
+
 @pytest.fixture
 def bound(served):
     """A fresh session with the first adapter bound, and its first sample."""

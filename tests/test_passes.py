@@ -15,18 +15,26 @@ the LoRA-as-input rewrite moved after ``scale_fold`` and began to turn
 each adapter layer into its ``qlora`` directly; the ``.quadm`` files
 that hold its result kept their lengths and, but for node ids, their
 decoded graphs.
+
+``optimize_for_freeze`` checks each graph once, when its last pass is
+done, so the checks after every pass live here: each pass, run in turn,
+must leave a graph ``graph.validate`` accepts.  A malformed bundle must
+still fail with the toolkit's own errors, and a compile must leave the
+bundle it reads as it was, since the passes share its nodes.
 """
 
+import copy
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import compile_pass_by_pass
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
 from onegraph import qparams as qp
 from onegraph import quant as qt
-from onegraph.errors import GraphError
+from onegraph.errors import CycleError, GraphError, ShapeError
 
 PINNED = "964fc277eb70396c54a64740333178b9fc2e733db41a4f97f0209daf0bacc8d9"
 PINNED_TOY = "cc4ad8fcf4258e6d676ac23aa204e14fb8df123c656a9b26e4f4e1e4f6357137"
@@ -149,3 +157,130 @@ def test_constant_fold_folds_an_all_constant_subgraph():
     for name in want:
         assert want[name].dtype == got[name].dtype and want[name].tobytes() == got[name].tobytes()
     assert [n.id for n in g.nodes] == [0, 1, 2, 3]
+
+
+def bundle_and_profile(name, request):
+    """(bundle, profile) of the toy, w64 or d48 fixture."""
+    if name == "toy":
+        return request.getfixturevalue("toy_bundle"), request.getfixturevalue("toy_profile")
+    bundle, _, _, profile = request.getfixturevalue(name)
+    return bundle, profile
+
+
+@pytest.mark.parametrize("name", ("toy", "w64", "d48"))
+def test_every_pass_leaves_a_valid_graph(name, request):
+    """Each pass in turn, each graph it returns validated: the result
+    freezes to the bytes ``optimize_for_freeze`` freezes to."""
+    bundle, profile = bundle_and_profile(name, request)
+    stepwise, descriptors = compile_pass_by_pass(bundle, profile)
+    frozen, want_descriptors = cp.optimize_for_freeze(bundle, profile)
+    assert descriptors == want_descriptors
+    assert cp.freeze(stepwise, profile, descriptors) == cp.freeze(frozen, profile, want_descriptors)
+
+
+def test_each_finished_graph_is_validated_once(toy_bundle, toy_profile, monkeypatch):
+    checked = []
+
+    def validate(g, real=gr.validate):
+        checked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(gr, "validate", validate)
+    frozen, _ = cp.optimize_for_freeze(toy_bundle, toy_profile)
+    assert [id(g) for g in checked] == [id(g) for _, g in frozen.graphs()]
+
+
+def snapshot(bundle):
+    """Every node's id, kind, inputs, output and attrs, the inputs and
+    outputs, and each constant's array (by identity) and bytes."""
+    return [(role, [(n.id, n.kind, list(n.inputs), n.output, dict(n.attrs)) for n in g.nodes],
+             [(gi.name, gi.tid, tuple(gi.shape), gi.dtype) for gi in g.inputs], list(g.outputs),
+             {t: (id(a), a.tobytes()) for t, a in g.constants.items()})
+            for role, g in bundle.graphs()]
+
+
+@pytest.mark.parametrize("name", ("toy", "d48"))
+def test_compiling_leaves_the_bundle_as_it_was(name, request):
+    bundle, profile = bundle_and_profile(name, request)
+    before = snapshot(bundle)
+    frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
+    assert snapshot(bundle) == before
+    again, again_descriptors = cp.optimize_for_freeze(bundle, profile)
+    assert snapshot(bundle) == before
+    assert cp.freeze(again, profile, again_descriptors) == cp.freeze(frozen, profile, descriptors)
+
+
+def edit(role, index, **fields):
+    """An edit that sets ``fields`` of node ``index`` of the ``role`` graph."""
+    def apply(bundle):
+        node = getattr(bundle, role).nodes[index]
+        for key, value in fields.items():
+            setattr(node, key, value)
+    return apply
+
+
+def drop_attr(role, index, key):
+    def apply(bundle):
+        del getattr(bundle, role).nodes[index].attrs[key]
+    return apply
+
+
+def append_nodes(role, *nodes, output=None):
+    def apply(bundle):
+        g = getattr(bundle, role)
+        g.nodes += nodes
+        if output is not None:
+            g.outputs = [(g.outputs[0][0], output)]
+    return apply
+
+
+def reshape_constant(tid, shape):
+    def apply(bundle):
+        bundle.backbone.constants[tid] = bundle.backbone.constants[tid].reshape(shape)
+    return apply
+
+
+# The toy backbone: 0 concat [z, cond] -> 2, 1 lora_matmul [3, 2] -> 4,
+# 2 activation [4] -> 5, 3 lora_matmul [6, 5] -> 7; its encoder: 0
+# matmul [1, 0] -> 2, 1 activation [2] -> 3.
+MALFORMED = {
+    "dangling backbone operand": (edit("backbone", 2, inputs=[999]),
+                                  GraphError, r"^node 2: dangling tensor id 999$"),
+    "tensor produced twice": (
+        lambda b: b.backbone.nodes.insert(3, gr.Node(4, "activation", [4], 5, {"kind": "relu"})),
+        GraphError, r"^tensor 5 produced twice$"),
+    "cycle": (edit("backbone", 2, inputs=[7]), CycleError, r"^cycle through nodes \[2, 3, "),
+    "node reading its own output": (edit("backbone", 2, inputs=[5]), CycleError, r"^cycle through nodes "),
+    "dangling encoder operand": (edit("encoder", 1, inputs=[999]),
+                                 GraphError, r"^node 1: dangling tensor id 999$"),
+    "output of no tensor": (lambda b: setattr(b.backbone, "outputs", [("out", 77)]),
+                            GraphError, r"^output 'out': tensor 77 does not exist$"),
+    "adapter layer of rank 0": (edit("backbone", 1, attrs={"rank": 0}),
+                                ShapeError, r"^node 1: rank 0 exceeds min\(8, 6\)$"),
+    "adapter layer past its weight's rank": (edit("backbone", 1, attrs={"rank": 9}),
+                                             ShapeError, r"^node 1: rank 9 exceeds min\(8, 6\)$"),
+    "adapter layer without a rank": (drop_attr("backbone", 1, "rank"),
+                                     ShapeError, r"^node 1: rank 0 exceeds min\(8, 6\)$"),
+    "adapter weight of rank 3": (reshape_constant(3, (8, 6, 1)), ShapeError, r"^node 1: lora_matmul "),
+    "adapter weight unlike its input": (reshape_constant(6, (2, 16)), ShapeError,
+                                        r"^node 3: (lora_matmul|qlora) shapes"),
+    "activation without a kind": (drop_attr("backbone", 2, "kind"), GraphError, r"unknown activation None$"),
+    "unknown activation": (edit("backbone", 2, attrs={"kind": "gelu"}),
+                           GraphError, r"unknown activation 'gelu'$"),
+    "quantize without parameters": (
+        append_nodes("encoder", gr.Node(2, "quantize", [3], 4), gr.Node(3, "dequantize", [4], 5), output=5),
+        GraphError, r"lacks qparams$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_bundle_fails_with_its_error(case, toy_bundle, toy_profile):
+    """What ``graph.validate`` would refuse in a bundle raises the
+    toolkit's own error from ``optimize_for_freeze``, never a KeyError,
+    IndexError or ValueError from inside a pass."""
+    change, error, message = MALFORMED[case]
+    bundle = copy.deepcopy(toy_bundle)
+    change(bundle)
+    with pytest.raises(error, match=message) as caught:
+        cp.optimize_for_freeze(bundle, toy_profile)
+    assert type(caught.value) is error

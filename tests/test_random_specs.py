@@ -7,7 +7,8 @@ adapters, some spiked.  A valid spec must
 
 * leave no ``quantize`` reading a ``requant``'s output, which either
   emits that quantize's levels or feeds the ``requant`` it heads;
-* freeze to the same bytes twice;
+* freeze to the same bytes twice, and once more when its passes run
+  one at a time, each graph they return accepted by ``graph.validate``;
 * serve every adapter with the runtime bit for bit equal to QuantSim;
 * give each column block of a 2- and a 3-block fp run and QuantSim run
   the bits of its own run.
@@ -20,6 +21,7 @@ unlike the latent) must raise ``ShapeError`` or ``GraphError`` from
 import random
 
 import pytest
+from conftest import compile_pass_by_pass
 
 from onegraph import compiler as cp
 from onegraph import graph as gr
@@ -99,6 +101,8 @@ def test_random_spec(index):
     model = cp.freeze(frozen, profile, descriptors, name="r")
     again, again_descriptors = cp.optimize_for_freeze(bundle, profile)
     assert cp.freeze(again, profile, again_descriptors, name="r") == model
+    stepwise, stepwise_descriptors = compile_pass_by_pass(bundle, profile)
+    assert cp.freeze(stepwise, profile, stepwise_descriptors, name="r") == model
 
     session = rt.load_model(model)
     x, cond = samples[2]
