@@ -403,9 +403,12 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
     the ``requant`` of a covered input that nothing reads.
 
     Each finished graph is checked once, by ``graph.validate``, after
-    its last pass; no pass checks its own result.  A malformed bundle
-    raises ``GraphError``, ``CycleError`` or ``ShapeError`` from that
-    check or from the pass that meets the defect first.  A defect only
+    its last pass; no pass checks its own result.  Before the first pass
+    only each node's operand count is checked
+    (``graph.check_operand_counts``), since the passes unpack operands
+    by kind.  A malformed bundle raises ``GraphError``, ``CycleError``
+    or ``ShapeError`` from those checks or from the pass that meets the
+    defect first.  A defect only
     in nodes that the passes drop, a dead node or the id of a node a
     fusion retires, is not reported.  The bundle is left as it was: the
     passes share its nodes and constant arrays and change none.
@@ -413,6 +416,7 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
     qt.check_coverage(shared, bundle)
     graphs, descriptors = {}, []
     for role, g in bundle.graphs():
+        gr.check_operand_counts(g)
         g = constant_fold(g)
         g = dead_code_eliminate(g)
         g = materialize_quantsim(g, shared, role)

@@ -74,6 +74,11 @@ from .rng import Rng
 FP_KINDS = ("matmul", "add", "scale", "concat", "activation", "lora_matmul")
 QUANT_KINDS = ("quantize", "dequantize", "qlinear", "qlora", "requant")
 ALL_KINDS = FP_KINDS + QUANT_KINDS
+# The fewest and the most operands a node of each kind reads (None: no
+# limit); a ``qlinear``'s third operand is its bias.
+OPERAND_COUNTS = {"matmul": (2, 2), "add": (2, 2), "scale": (2, 2), "concat": (1, None),
+                  "activation": (1, 1), "lora_matmul": (2, 2), "quantize": (1, 1), "dequantize": (1, 1),
+                  "qlinear": (2, 3), "qlora": (5, 5), "requant": (1, 1)}
 
 
 @dataclass(slots=True)
@@ -364,6 +369,7 @@ def validate(g: Graph) -> dict:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
         if n.output in n.inputs:
             raise CycleError(f"node {n.id} consumes its own output")
+    check_operand_counts(g)
 
     both = {gi.tid for gi in g.inputs} & g.constants.keys()
     if both:
@@ -382,6 +388,19 @@ def validate(g: Graph) -> dict:
         if tid not in info:
             raise GraphError(f"output {name!r}: tensor {tid} does not exist")
     return info
+
+
+def check_operand_counts(g: Graph) -> None:
+    """``GraphError`` naming the first node that reads more or fewer
+    operands than its kind takes (``OPERAND_COUNTS``); a kind not in
+    the table is left to ``validate``."""
+    for n in g.nodes:
+        lo, hi = OPERAND_COUNTS.get(n.kind, (0, None))
+        got = len(n.inputs)
+        if got < lo or (hi is not None and got > hi):
+            takes = f"at least {lo}" if hi is None else f"{lo}" if lo == hi else f"{lo} or {hi}"
+            noun = "operand" if lo == 1 and hi in (1, None) else "operands"
+            raise GraphError(f"node {n.id}: {n.kind} takes {takes} {noun}, got {got}")
 
 
 def _check_dangling(g: Graph, known) -> None:
@@ -803,7 +822,8 @@ def _k_qlora(vals, n, view, tape, p):
     the result are scaled by their two scales; a wider layer takes them
     as ``qparams.tiled_matmul`` and ``scaled_matmul``.  An output element
     is one exact integer sum either way, so the bits are the same.
-    A (B x) is the fp32 ``tensor.matmul``.  The 2**53 bound of both
+    A (B x) is the fp32 ``tensor.matmul``, on an A that a bind laid out
+    transposed, so the product reads A.T in C order.  The 2**53 bound of both
     products depends only on the shapes and the parameters, so the
     session checks it once, at load, not here.
     """
@@ -830,6 +850,7 @@ def _k_qlora(vals, n, view, tape, p):
     else:
         out = qp.tiled_matmul(q_w, p_w, c_x, np.float64(p_w.scale) * s_x)
         bx = qp.scaled_matmul(c_b, c_x, np.float64(p_b.scale) * s_x)
+    del c_x   # freed before the scratch of A (B x), which can be larger
     abx = tz.matmul(a, bx)
     abx *= alpha.reshape(())
     return np.add(out, abx, out=out if view is None else view)

@@ -30,8 +30,10 @@ widen their stored left operand, a base weight held as int8, to float64
 one row tile at a time (``tiled_matmul``), never whole, which would cost
 8x its bytes.  A tile is the most consecutive rows whose
 centred float64 levels fit ``tensor.MATMUL_BLOCK_BYTES``, at least one:
-64 rows at k = 256.  Each tile's GEMM writes that tile's rows of one
-float64 accumulator.  An output element is one exact integer sum
+64 rows at k = 256.  (That is the serving kernels' row-tile budget; the
+fp32 ``tensor.matmul`` blocks its k against its own,
+``tensor.PRODUCT_BLOCK_BYTES``.)  Each tile's GEMM writes that tile's
+rows of one float64 accumulator.  An output element is one exact integer sum
 whichever tile computes it, so tiling changes no bit.  An operand of at
 most one tile's rows is one tile, and a ``qlora`` whose [W; B] fits one
 tile takes W x and B x as one GEMM over the two stacked.

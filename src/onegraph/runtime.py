@@ -64,8 +64,13 @@ result, which one assignment stores into the view.  Kernels also
 allocate a bounded scratch: an exact product widens a weight's int8
 levels to float64 one row tile at a time, a tile being the most rows
 that fit ``tensor.MATMUL_BLOCK_BYTES`` (128 KB: 64 rows of a 256-wide
-weight), and ``tensor.matmul`` blocks its k within the same budget.  So no step holds a float64 copy of a
-whole base weight, which would be 8x its int8 bytes.
+weight).  So no step holds a float64 copy of a whole base weight, which
+would be 8x its int8 bytes.  The one fp32 product of a step, a
+``qlora``'s A (B x), blocks its k against the fp32 kernels' own budget,
+``tensor.PRODUCT_BLOCK_BYTES`` (1 MiB); a rank-8 A (B x) is one block,
+128 KB at serve_wide's 256 x 8 times 8 x 16, and the kernel drops q_x's
+centred float64 levels before it.  A bind writes each slot's A
+transposed, so A (B x) reads ``a.T`` in C order.
 
 The artifact holds the graphs ``compiler.optimize_for_freeze`` made.
 Each adapter layer is one ``qlora`` node, into which
@@ -322,7 +327,8 @@ class _ArenaHooks(gr._NullHooks):
 class _Run:
     """Consecutive slots of one shape, from level ``lo`` on in a pack's
     block and in a bind's buffer alike: each slot's ``size`` levels are
-    its B (r_max x d_in), then its A (d_out x r_max).  ``z_b``, ``z_a``
+    its B (r_max x d_in), then its A, (d_out x r_max) in a pack and
+    transposed, (r_max x d_out), in a bind's buffer.  ``z_b``, ``z_a``
     and ``s_a`` are the slots' zero points and A scales, fp32 of shape
     (n, 1, 1)."""
     lo: int
@@ -333,14 +339,16 @@ class _Run:
     z_a: np.ndarray
     s_a: np.ndarray
 
-    def split(self, flat: np.ndarray) -> tuple:
+    def split(self, flat: np.ndarray, a_transposed: bool = False) -> tuple:
         """The run's B and A in ``flat``, a contiguous 1-D array: views of
-        shapes ``b_shape`` and ``a_shape``."""
+        shapes ``b_shape`` and ``a_shape``.  With ``a_transposed`` each
+        slot's A lies in ``flat`` as (r_max, d_out) in C order, as a bind
+        writes it, so each slot's view of A is in Fortran order."""
         k = flat.itemsize
         (_, r_max, d_in), (_, d_out, _) = self.b_shape, self.a_shape
+        a_strides = (self.size * k, k, d_out * k) if a_transposed else (self.size * k, r_max * k, k)
         return (np.ndarray(self.b_shape, flat.dtype, flat, self.lo * k, (self.size * k, d_in * k, k)),
-                np.ndarray(self.a_shape, flat.dtype, flat, (self.lo + r_max * d_in) * k,
-                           (self.size * k, r_max * k, k)))
+                np.ndarray(self.a_shape, flat.dtype, flat, (self.lo + r_max * d_in) * k, a_strides))
 
 
 class Session:
@@ -431,11 +439,14 @@ def slot_operands(q_b, z_b, q_a, z_a, s_a, b, a) -> None:
     Both differences are exact, since |q - z| <= 65,535 < 2**24.  Each
     product is correctly rounded from two fp32 values, as is its float64
     form rounded to fp32, so A is ``qparams.dequantize_array`` bit for
-    bit, infinities included.
+    bit, infinities included.  ``a`` may lie in any order, as a bind's
+    transposed A does: the levels are copied into it once, and the
+    arithmetic runs in place, in its memory order.
     """
     np.subtract(q_b, z_b, out=b, dtype=np.float32)
-    np.subtract(q_a, z_a, out=a, dtype=np.float32)
-    np.multiply(a, s_a, out=a)
+    np.copyto(a, q_a)
+    a -= z_a
+    a *= s_a
 
 
 def _fixed_bytes(records: bytes) -> bytes:
@@ -501,7 +512,7 @@ def bind_lora(session: Session, pack_bytes: bytes):
     buf[levels.size:] = alphas
     operands = []
     for run in session._runs:
-        (q_b, q_a), (b, a) = run.split(levels), run.split(buf)
+        (q_b, q_a), (b, a) = run.split(levels), run.split(buf, a_transposed=True)
         slot_operands(q_b, run.z_b, q_a, run.z_a, run.s_a, b, a)
         operands += (b, a)
     operands.append(buf[levels.size:].reshape(-1, 1))

@@ -13,6 +13,16 @@ sees the same products and the same fp32 additions, in the same order,
 as the one-k-at-a-time loop, so the bits do not change; only the number
 of numpy calls does.
 
+Two budgets bound the scratch, one per kind of product.  An fp32 block
+of k, its product slices with the running sum, fits
+``PRODUCT_BLOCK_BYTES`` (1 MiB), sized for the 2 MiB L2 cache a block
+streams from (Goto and van de Geijn, "Anatomy of high-performance
+matrix multiplication", 2008).  The exact integer products of the
+serving kernels widen their left operand in row tiles of
+``MATMUL_BLOCK_BYTES`` (128 KB).  That budget stays as large as it is:
+at 8 KB tiles a 256 x 256 W x over 16 columns takes about 2.5x as long
+(2-vCPU x86 host, numpy 2.4.6).
+
 These fp32 kernels serve the full-precision paths (``execute_fp``,
 calibration, the distillation gradients) and every product that has an
 fp32 operand, such as an adapter's A (B x).  A product of two quantized
@@ -67,15 +77,20 @@ def _require_fp32(*arrays: np.ndarray) -> None:
             raise ShapeError(f"expected fp32 tensor, got {a.dtype}")
 
 
-# Bytes of scratch one matmul call may hold for a block of k: the product
-# slices with the running sum, plus the transposed block of ``a``.  The
-# exact products (``qparams.tiled_matmul``) widen their left operand in
-# row tiles of at most this many bytes.
-MATMUL_BLOCK_BYTES = 128 * 1024
-_BLOCK_FLOATS = MATMUL_BLOCK_BYTES // np.dtype(np.float32).itemsize
+# Bytes of scratch one fp32 product may hold for a block of k: the
+# product slices with the running sum.  Half of a 2 MiB L2 cache, so
+# serve_wide's 256 x 256 W times its 32 calibration columns takes 9
+# blocks of k, where a 128 KB budget and a 4,096-element plane cap took
+# 2 planes of 43.
+PRODUCT_BLOCK_BYTES = 1024 * 1024
+_BLOCK_FLOATS = PRODUCT_BLOCK_BYTES // np.dtype(np.float32).itemsize
 # The most output elements one block of k covers; a wider product is
 # taken in slices of its longer extent.
-MATMUL_PLANE_FLOATS = 4096
+MATMUL_PLANE_FLOATS = 16384
+# Bytes of one row tile of the serving kernels: the exact products
+# (``qparams.tiled_matmul``, ``graph._k_qlora``) widen their left
+# operand to float64 in row tiles of at most this many bytes.
+MATMUL_BLOCK_BYTES = 128 * 1024
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,10 +109,16 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and a stacked run would pay more numpy calls per multiply than its
     samples run apart.
 
-    k is taken in the fewest blocks that fit ``MATMUL_BLOCK_BYTES``
-    together with the transposed block of ``a``, sized as equally as they
-    can be: ``kb`` is the size of the largest, and k = 8 with room for 6
-    is two blocks of 4, not 6 and 2.
+    k is taken in the fewest blocks whose product slices and running sum
+    fit ``PRODUCT_BLOCK_BYTES``, sized as equally as they can be: ``kb``
+    is the size of the largest, and k = 20 with room for 15 is two blocks
+    of 10, not 15 and 5.  (``MATMUL_BLOCK_BYTES``, the serving kernels'
+    row tile, does not bound these blocks.)
+    When the longer output extent is m, ``a`` (its rows of the plane) is
+    transposed once into C order, a copy unless ``a`` is in Fortran
+    order, so the products read rows of ``a.T`` along their innermost
+    axis; when it is n, they read one element of ``a`` per row of
+    products, and ``a.T`` is read in place.
     A buffer of shape ``[kb + 1, short, long]`` (the longer output extent
     innermost) holds the running sum in slice 0 and the fp32 products of
     the block in slices 1..kb.  ``np.add.reduce`` over that outer axis
@@ -107,14 +128,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m*n == 1 the slices are single elements and the outer axis is the
     innermost one, so the block falls to one k.  It also falls to one k
     when the running sum and one product slice alone exceed the budget.
-    When one block holds every k, as for an adapter's rank-k A (B x),
-    nothing is planned: one multiply writes the products of ``a``'s
-    transpose in C order, and one reduction adds them onto +0.0 (its
-    ``initial``), the same products and additions in the same order.  C
-    order keeps k the outer axis; numpy would otherwise lay the products
-    out in the order of ``a``'s strides, and a reduced axis that ends up
-    innermost is summed pairwise.  The result is a fresh C-contiguous
-    array, never a view of a buffer.
+    When one block holds every k, as for an adapter's rank-k A (B x) or
+    serve_wide's 256 x 8 times 8 x 16, nothing is planned: one multiply
+    writes the products of ``a``'s transpose in C order, and one
+    reduction adds them onto +0.0 (its ``initial``), the same products
+    and additions in the same order.  C order keeps k the outer axis;
+    numpy would otherwise lay the products out in the order of ``a``'s
+    strides, and a reduced axis that ends up innermost is summed
+    pairwise.  The result is a fresh C-contiguous array, never a view of
+    a buffer.
     """
     if a.dtype != np.float32 or b.dtype != np.float32:
         _require_fp32(a, b)
@@ -144,26 +166,22 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.shape[1]
     wide = n >= m
     plane = m * n
-    if k == 1 or (plane > 1 and k * (plane + m) <= _BLOCK_FLOATS - plane):   # one block
-        if wide:
-            return np.add.reduce(np.multiply(a.T[:, :, None], b[:, None, :], order="C"), axis=0, initial=0.0)
-        return np.add.reduce(np.multiply(a.T[:, None, :], b[:, :, None], order="C"), axis=0,
-                             initial=0.0).T.copy()
+    if wide:
+        a3, b3 = a.T[:, :, None], b[:, None, :]
+    else:
+        a3, b3 = np.ascontiguousarray(a.T)[:, None, :], b[:, :, None]
+    if k == 1 or (plane > 1 and (k + 1) * plane <= _BLOCK_FLOATS):   # one block
+        out = np.add.reduce(np.multiply(a3, b3, order="C"), axis=0, initial=0.0)
+        return out if wide else out.T.copy()
     short, long = (m, n) if wide else (n, m)
-    fit = 1 if plane == 1 else max(1, min(k, (_BLOCK_FLOATS - plane) // max(plane + m, 1)))
+    fit = 1 if plane == 1 else max(1, min(k, _BLOCK_FLOATS // max(plane, 1) - 1))
     kb = math.ceil(k / math.ceil(k / fit)) if k else 1
     buf = np.empty((kb + 1, short, long), dtype=np.float32)
-    a_t = np.empty((kb, m), dtype=np.float32)
-    if wide:
-        a3, b3 = a_t[:, :, None], b[:, None, :]
-    else:
-        a3, b3 = a_t[:, None, :], b[:, :, None]
     acc = np.zeros((short, long), dtype=np.float32)
     for k0 in range(0, k, kb):
         c = min(kb, k - k0)
         buf[0] = acc
-        np.copyto(a_t[:c], a[:, k0:k0 + c].T)
-        np.multiply(a3[:c], b3[k0:k0 + c], out=buf[1:c + 1])
+        np.multiply(a3[k0:k0 + c], b3[k0:k0 + c], out=buf[1:c + 1])
         np.add.reduce(buf[:c + 1], axis=0, out=acc)
     return acc if wide else acc.T.copy()
 

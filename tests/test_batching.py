@@ -221,10 +221,14 @@ def test_a_graph_that_mixes_columns_runs_one_block_only(mixing):
         gr.invoke(p, {"x": np.ones((3, 4), np.float32), "s": s}, blocks=2)
 
 
-@pytest.mark.parametrize("m, k, n, slices", ((256, 256, 32, 2), (300, 64, 20, 2), (2, 24, 3000, 2),
-                                             (256, 64, 16, 1)))
+@pytest.mark.parametrize("m, k, n, slices", ((256, 256, 80, 2), (300, 64, 60, 2), (2, 24, 9000, 2),
+                                             (600, 300, 40, 2), (40, 300, 600, 2), (256, 64, 64, 1),
+                                             (256, 256, 32, 1), (256, 64, 16, 1)))
 def test_matmul_past_the_plane_cap_equals_the_per_k_loop(m, k, n, slices, monkeypatch):
-    """256 x 16 (serve_wide's W x) is the cap itself and takes one plane."""
+    """256 x 64 is the cap itself and takes one plane, as do 256 x 32
+    (serve_wide's W x over its two calibration samples) and 256 x 16.  A
+    slice of 600 x 300 x 40 or 40 x 300 x 600 still takes its k in
+    blocks."""
     rng = Rng(m + k + n)
     a, b = rng.uniform((m, k), -2, 2), rng.uniform((k, n), -2, 2)
     planes = []

@@ -208,8 +208,8 @@ def test_bind_prepares_each_slot_from_the_payload(request):
     gives them, and infer serves QuantSim's bits: on the toy, W64 and
     D48 at 8- and 16-bit factors.  The operands are views of the
     session's one buffer, not of the pack, which the caller may change
-    afterwards.  The toy's two slots make two runs: its first layer
-    reads the latent next to the conditioning."""
+    afterwards, each A in Fortran order.  The toy's two slots make two
+    runs: its first layer reads the latent next to the conditioning."""
     for name, bits in ((name, bits) for name in ("toy", "w64", "d48") for bits in (8, 16)):
         bundle, adapters, (x, cond), profile = model_at_width(request, name, bits)
         frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
@@ -233,6 +233,8 @@ def test_bind_prepares_each_slot_from_the_payload(request):
                     got = constants[tid]
                     assert got.dtype == r.dtype and got.shape == r.shape, (name, bits, tid)
                     assert got.tobytes() == r.tobytes() and got.base is buffer, (name, bits, tid)
+                # A lies transposed in the buffer, so A (B x) reads A.T in C order
+                assert constants[d.a_tid].T.flags.c_contiguous, (name, bits, d.slot_id)
             assert rt.infer(session, x, cond, seed=3).tobytes() == first.tobytes()
 
 

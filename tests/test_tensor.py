@@ -32,6 +32,66 @@ def per_k_matmul(a, b):
     return out
 
 
+class ReferenceRng:
+    """``rng.Rng``'s streams as expressions on fresh arrays."""
+
+    def __init__(self, seed):
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self._counter = 0
+
+    @staticmethod
+    def mix(x):
+        with np.errstate(over="ignore"):
+            x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            return x ^ (x >> np.uint64(31))
+
+    def raw(self, n):
+        with np.errstate(over="ignore"):
+            ctr = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+            words = self.mix(np.uint64(self.seed) + ctr * np.uint64(0x9E3779B97F4A7C15))
+        self._counter += n
+        return words
+
+    def unit(self, n):
+        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+    def uniform(self, shape, lo=0.0, hi=1.0):
+        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        return (lo + (hi - lo) * self.unit(n)).astype(np.float32).reshape(shape)
+
+    def normal(self, shape):
+        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        pairs = (n + 1) // 2
+        r = np.sqrt(-2.0 * np.log(1.0 - self.unit(pairs)))
+        theta = 2.0 * np.pi * self.unit(pairs)
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n].astype(np.float32).reshape(shape)
+
+    def integers(self, lo, hi, shape):
+        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        return ((self.raw(n) % np.uint64(hi - lo)).astype(np.int64) + lo).reshape(shape)
+
+    def child(self, tag):
+        h = np.uint64(self.seed)
+        with np.errstate(over="ignore"):
+            for b in tag.encode("utf-8"):
+                h = self.mix(np.uint64((int(h) + b + 1) & 0xFFFFFFFFFFFFFFFF))
+        return ReferenceRng(int(h))
+
+
+def spy_empty(monkeypatch):
+    """The shapes of every ``np.empty`` from here on."""
+    shapes = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        shapes.append(shape)
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    return shapes
+
+
 def assert_same_bits(a, b):
     got = og.matmul(a, b)
     want = per_k_matmul(a, b)
@@ -71,26 +131,51 @@ class TestMatmulBlocked:
         for aa, bb in ((a, b), (np.asfortranarray(a), np.asfortranarray(b))):
             assert_same_bits(aa, bb)
 
+    @pytest.mark.parametrize("m, k, n", ((256, 300, 32), (300, 100, 60), (60, 100, 300)))
+    def test_fortran_and_negative_strides_through_the_blocks(self, m, k, n):
+        """Products that take k in blocks, in one plane or sliced by rows
+        or columns, from a C, Fortran, reversed or column-reversed ``a``:
+        through its transpose in C order, or read in place."""
+        rng = Rng(23 + m)
+        a = rng.uniform((m, k), -1, 1)
+        b = rng.uniform((k, n), -1, 1)
+        for aa, bb in ((a, b), (np.asfortranarray(a), np.asfortranarray(b)), (a[::-1, ::-1], b[::-1, ::-1]),
+                       (np.asfortranarray(a)[:, ::-1], b[::-1]), (np.asfortranarray(a[::-1]), b[:, ::-1])):
+            assert_same_bits(aa, bb)
+
     @pytest.mark.parametrize("k, kb", ((7, 4), (8, 4), (9, 5), (11, 6), (12, 6), (13, 5)))
     def test_equal_blocks_match_triple_loop(self, k, kb, monkeypatch):
-        """256 x k times k x 16 has room for 6 k in a block, so these k take
-        the fewest blocks that fit, of as equal a size as they can be
-        (k = 8: 4 + 4 and a [5, 16, 256] buffer), with the loop's bits."""
+        """Under a budget of 7 product slices of 256 x 16, which leaves room
+        for 6 k in a block, these k take the fewest blocks that fit, of as
+        equal a size as they can be (k = 8: 4 + 4 and a [5, 16, 256]
+        buffer, not 6 + 2), with the loop's bits.  The real budget's
+        blocks are pinned below."""
         rng = Rng(400 + k)
         a = rng.uniform((256, k), -2, 2)
         b = rng.uniform((k, 16), -2, 2)
-        shapes = []
-        empty = np.empty
-
-        def spy(shape, *args, **kwargs):
-            shapes.append(shape)
-            return empty(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", spy)
+        monkeypatch.setattr(tz, "_BLOCK_FLOATS", 7 * 256 * 16)
+        shapes = spy_empty(monkeypatch)
         got = og.matmul(a, b)
         monkeypatch.undo()
         assert got.tobytes() == naive_matmul(a, b).tobytes()
         assert shapes[0] == (kb + 1, 16, 256)
+
+    @pytest.mark.parametrize("k, kb", ((256, 29), (272, 31)))
+    def test_scratch_fits_the_block_budget(self, k, kb, monkeypatch):
+        """serve_wide's W x over two samples, 256 x 256 times 256 x 32, has
+        room for 31 k in a block and takes 9 blocks of at most 29 (not 8
+        of 31 and one of 8), and a k of 272 fills the budget to the byte:
+        every buffer the kernel makes holds at most
+        ``PRODUCT_BLOCK_BYTES``."""
+        rng = Rng(500 + k)
+        a = rng.uniform((256, k), -2, 2)
+        b = rng.uniform((k, 32), -2, 2)
+        shapes = spy_empty(monkeypatch)
+        got = og.matmul(a, b)
+        monkeypatch.undo()
+        assert shapes[0] == (kb + 1, 32, 256)
+        assert max(4 * np.prod(shape) for shape in shapes) <= tz.PRODUCT_BLOCK_BYTES
+        assert got.tobytes() == per_k_matmul(a, b).tobytes()
 
     def test_signed_zero(self):
         for m, k, n in ((1, 1, 1), (1, 40, 1), (2, 40, 3), (64, 40, 4), (4, 40, 64)):
@@ -256,6 +341,21 @@ class TestRng:
         z = Rng(1).normal((200_000,))
         assert abs(float(z.mean())) < 0.01
         assert abs(float(z.std()) - 1.0) < 0.01
+
+    @pytest.mark.parametrize("seed", (0, 1, 42, 0x9E3779B97F4A7C15, 2 ** 64 - 1, -3))
+    def test_streams_follow_the_splitmix64_formulas(self, seed):
+        """Each draw, at counters from 0 on past several earlier draws,
+        carries the bits of splitmix64 written out as expressions."""
+        got, want = Rng(seed), ReferenceRng(seed)
+        for rng in (got, want):
+            rng.draws = [rng.uniform((7,)), rng.normal((5,)), rng.integers(-3, 1000, (2, 3)),
+                         rng.uniform((3, 4), -2.5, 0.75), rng.normal((2, 2)), rng.uniform(()),
+                         rng.integers(0, 2 ** 40, (9,)), rng.uniform((1000,), -1.0, 1.0)]
+            rng.draws += [rng.child("adapter").uniform((6,), -0.1, 0.1), rng.child("é").normal((3,)),
+                          rng.child("").integers(5, 9, (4,))]
+        assert got._counter == want._counter
+        for g, w in zip(got.draws, want.draws):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestQtns:

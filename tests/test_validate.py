@@ -133,3 +133,44 @@ def test_an_adapter_layer_whose_weight_is_an_activation(entry, message):
             ms.build_adapter(bundle, ms.AdapterSpec("a", seed=1, rank=2))
         else:
             cp.optimize_for_freeze(bundle, all16_profile(bundle))
+
+
+TAKES = {"matmul": "2 operands", "add": "2 operands", "scale": "2 operands", "lora_matmul": "2 operands",
+         "concat": "at least 1 operand", "activation": "1 operand", "quantize": "1 operand",
+         "dequantize": "1 operand", "requant": "1 operand", "qlinear": "2 or 3 operands",
+         "qlora": "5 operands"}
+COUNT_CASES = [(kind, count) for kind, (lo, hi) in sorted(gr.OPERAND_COUNTS.items())
+               for count in (lo - 1, None if hi is None else hi + 1) if count is not None]
+
+
+@pytest.mark.parametrize("kind, count", COUNT_CASES)
+def test_an_operand_count_its_kind_does_not_take(kind, count):
+    """Too few or too many operands for the node's kind is a
+    ``GraphError`` naming the node, its kind and its count, before any
+    shape is inferred from the operands it does have."""
+    g = graph([gr.Node(0, kind, [0, 1, 2, 0, 1, 2][:count], 12, {"kind": "relu", "axis": 0})])
+    with pytest.raises(GraphError) as info:
+        gr.validate(g)
+    assert type(info.value) is GraphError
+    assert str(info.value) == f"node 0: {kind} takes {TAKES[kind]}, got {count}"
+
+
+def test_every_kind_has_an_operand_count():
+    assert set(gr.OPERAND_COUNTS) == set(gr.ALL_KINDS) == set(TAKES)
+    assert len(COUNT_CASES) == 21
+
+
+@pytest.mark.parametrize("inputs, count", (([1, 0, 1], 3), ([1], 1)))
+def test_compiling_a_layer_of_the_wrong_operand_count(toy_bundle, toy_profile, inputs, count):
+    """The compiler's passes unpack a node's operands by kind, so the
+    count is checked before the first pass: the toy encoder's matmul
+    with three operands or one is refused with ``GraphError``, not a
+    ``ValueError`` or ``IndexError`` from a pass."""
+    node = toy_bundle.encoder.nodes[0]
+    assert node.kind == "matmul"
+    enc = gr.Graph([gr.Node(node.id, node.kind, [node.inputs[i] for i in inputs], node.output, node.attrs),
+                    *toy_bundle.encoder.nodes[1:]], toy_bundle.encoder.inputs, toy_bundle.encoder.outputs,
+                   toy_bundle.encoder.constants)
+    bundle = gr.ModelBundle(enc, toy_bundle.backbone, toy_bundle.decoder, toy_bundle.steps)
+    with pytest.raises(GraphError, match=f"node {node.id}: matmul takes 2 operands, got {count}"):
+        cp.optimize_for_freeze(bundle, toy_profile)
