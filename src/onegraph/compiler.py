@@ -404,18 +404,19 @@ def optimize_for_freeze(bundle: gr.ModelBundle, shared: qt.QuantProfile):
 
     Each finished graph is checked once, by ``graph.validate``, after
     its last pass; no pass checks its own result.  Before the first pass
-    only each node's operand count is checked
-    (``graph.check_operand_counts``), since the passes unpack operands
-    by kind.  A malformed bundle raises ``GraphError``, ``CycleError``
-    or ``ShapeError`` from those checks or from the pass that meets the
-    defect first.  A defect only
-    in nodes that the passes drop, a dead node or the id of a node a
-    fusion retires, is not reported.  The bundle is left as it was: the
-    passes share its nodes and constant arrays and change none.
+    only node ids and operand counts are checked (``graph.check_node_ids``,
+    ``graph.check_operand_counts``): a fusion can retire a node whose id
+    another holds, and the passes unpack operands by kind.  A malformed
+    bundle raises ``GraphError``, ``CycleError`` or ``ShapeError`` from
+    those checks or from the pass that meets the defect first.  Any other
+    defect only in nodes the passes drop, dead or fused away, is not
+    reported.  The bundle is left as it was: the passes share its nodes
+    and constant arrays and change none.
     """
     qt.check_coverage(shared, bundle)
     graphs, descriptors = {}, []
     for role, g in bundle.graphs():
+        gr.check_node_ids(g)
         gr.check_operand_counts(g)
         g = constant_fold(g)
         g = dead_code_eliminate(g)

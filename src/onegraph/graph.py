@@ -360,11 +360,8 @@ def validate(g: Graph) -> dict:
 
     Its success proves list order topological: no cycle, nothing unreachable.
     """
-    seen_ids = set()
+    check_node_ids(g)
     for n in g.nodes:
-        if n.id in seen_ids:
-            raise GraphError(f"duplicate node id {n.id}")
-        seen_ids.add(n.id)
         if n.kind not in ALL_KINDS:
             raise GraphError(f"node {n.id}: unknown kind {n.kind!r}")
         if n.output in n.inputs:
@@ -388,6 +385,15 @@ def validate(g: Graph) -> dict:
         if tid not in info:
             raise GraphError(f"output {name!r}: tensor {tid} does not exist")
     return info
+
+
+def check_node_ids(g: Graph) -> None:
+    """``GraphError`` naming the first node id that an earlier node holds."""
+    seen = set()
+    for n in g.nodes:
+        if n.id in seen:
+            raise GraphError(f"duplicate node id {n.id}")
+        seen.add(n.id)
 
 
 def check_operand_counts(g: Graph) -> None:

@@ -183,14 +183,14 @@ def check_levels(q: np.ndarray, p: QuantParams) -> None:
         raise RangeError(f"quantized element outside [{p.q_min}, {p.q_max}]")
 
 
-def centered_levels(q: np.ndarray, p: QuantParams, dtype=np.float64) -> np.ndarray:
-    """q - z in ``dtype``, rejecting elements outside [q_min, q_max] (``check_levels``).
+def centered_levels(q: np.ndarray, p: QuantParams) -> np.ndarray:
+    """q - z in float64, rejecting elements outside [q_min, q_max] (``check_levels``).
 
     As |q - z| <= 65,535 < 2**24, fp32 holds the result exactly too.
     """
     qi = np.asarray(q)
     check_levels(qi, p)
-    t = qi.astype(dtype)
+    t = qi.astype(np.float64)
     t -= float(p.zero_point)
     return t
 

@@ -49,7 +49,8 @@ W64_MODEL = "\n".join(
     + ["lora 64 none rank=8", "section decoder", "dense 64 none"]) + "\n"
 
 # Deep and narrow: 48 adapter slots make long chains of rewired tensors
-# in the compiler passes and a large live set in the memory planner.
+# in the compiler passes.  A session plans no slot, so its backbone still
+# has at most 3 tensors live at once.
 D48_MODEL = "\n".join(
     ["name d48", "steps 2", "seed 17", "batch 2", "input 16", "cond 2", "latent 16",
      "amplitude 0.65", "section encoder", "dense 16 relu", "section backbone"]
@@ -146,10 +147,10 @@ def numbers(g):
 
 def slot_reference(q_b, p_b, q_a, p_a, alpha):
     """One slot's B, A and alpha as a ``qlora`` multiplies them, prepared
-    slot by slot: q_b - z_b in fp32, ``qparams.dequantize_array`` of q_a,
-    and alpha as a one-element fp32 array.  Both factors' levels are
-    range-checked, as a bind checks them."""
-    return (qp.centered_levels(q_b, p_b, np.float32), qp.dequantize_array(q_a, p_a),
+    slot by slot: q_b - z_b in fp32 (exact, as |q_b - z_b| < 2**24),
+    ``qparams.dequantize_array`` of q_a, and alpha as a one-element fp32
+    array.  Both factors' levels are range-checked, as a bind checks them."""
+    return (qp.centered_levels(q_b, p_b).astype(np.float32), qp.dequantize_array(q_a, p_a),
             np.array((alpha,), np.float32))
 
 

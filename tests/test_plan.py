@@ -1,9 +1,12 @@
-"""Arena planner: the gap index places every tensor where a scan would.
+"""Arena planner: best-fit offsets, checked against a reference scan.
 
-``reference_assign_offsets`` is the plain best-fit scan that the gap
-index replaced: for every item it filters the live set, sorts it by
-offset and walks every gap.  It is quadratic in the live set, and kept
-here only as the oracle.
+``reference_assign_offsets`` is the best-fit scan written as plainly as
+it reads: for every item it filters the live set, sorts it by offset
+and walks every gap.  ``runtime.assign_offsets`` must place every
+tensor where it does, on random item sets, zero-size items and ties.
+Both walk the live set for each item, which a session keeps at 3
+tensors at most: ``test_a_session_keeps_at_most_three_tensors_live``
+pins that bound on every fixture.
 """
 
 import random
@@ -58,7 +61,7 @@ def random_items(rng: random.Random) -> list:
 
 
 @pytest.mark.parametrize("chunk", range(4))
-def test_gap_index_matches_scan(chunk):
+def test_plan_matches_the_reference_scan(chunk):
     for seed in range(chunk * 600, (chunk + 1) * 600):
         items = random_items(random.Random(seed))
         got = rt.assign_offsets(items)
@@ -102,13 +105,35 @@ def test_deep_plans_have_no_overlaps(d48):
         assert plan == reference_assign_offsets(items), role
 
 
-@pytest.fixture(params=("w64", "d48"))
+def most_live(items) -> int:
+    """The most items whose lifetimes hold one point of the graph."""
+    return max((sum(it.start <= t <= it.end for it in items) for t in {it.start for it in items}),
+               default=0)
+
+
+@pytest.fixture(params=("toy", "w64", "d48", "w256"))
 def served(request):
     """A frozen model and a pack for it."""
-    bundle, adapters, _, profile = request.getfixturevalue(request.param)
+    if request.param == "toy":
+        bundle, adapter, profile = (request.getfixturevalue(f"toy_{f}")
+                                    for f in ("bundle", "adapter", "profile"))
+    else:
+        bundle, (adapter, *_), _, profile = request.getfixturevalue(request.param)
     frozen, descriptors = cp.optimize_for_freeze(bundle, profile)
     return (cp.freeze(frozen, profile, descriptors, name="plan"),
-            cp.pack_lora(adapters[0], descriptors, profile))
+            cp.pack_lora(adapter, descriptors, profile))
+
+
+def test_a_session_keeps_at_most_three_tensors_live(served):
+    """Each placement walks the live set, so planning stays linear in a
+    graph's nodes only while that set stays small: no point of any of a
+    bound session's three plans has more than 3 tensors live."""
+    model_bytes, pack = served
+    session = rt.load_model(model_bytes)
+    rt.bind_lora(session, pack)
+    assert set(session.plans) == {"encoder", "backbone", "decoder"}
+    for role, g in session.model.graphs.items():
+        assert 1 <= most_live(rt.lifetime_items(g)) <= 3, role
 
 
 @pytest.fixture

@@ -174,3 +174,21 @@ def test_compiling_a_layer_of_the_wrong_operand_count(toy_bundle, toy_profile, i
     bundle = gr.ModelBundle(enc, toy_bundle.backbone, toy_bundle.decoder, toy_bundle.steps)
     with pytest.raises(GraphError, match=f"node {node.id}: matmul takes 2 operands, got {count}"):
         cp.optimize_for_freeze(bundle, toy_profile)
+
+
+def test_compiling_a_graph_with_a_duplicate_node_id(toy_bundle, toy_profile):
+    """The toy backbone's activation given the id of the adapter layer
+    after it fails ``validate``.  A fusion retires that activation, so
+    the compiler checks the ids before its first pass, and refuses the
+    bundle with the same error rather than freezing a valid graph."""
+    bb = toy_bundle.backbone
+    act_node, layer = bb.nodes[2], bb.nodes[3]
+    assert (act_node.kind, layer.kind) == ("activation", "lora_matmul")
+    nodes = list(bb.nodes)
+    nodes[2] = gr.Node(layer.id, act_node.kind, act_node.inputs, act_node.output, act_node.attrs)
+    backbone = gr.Graph(nodes, bb.inputs, bb.outputs, bb.constants)
+    with pytest.raises(GraphError, match=f"^duplicate node id {layer.id}$"):
+        gr.validate(backbone)
+    bundle = gr.ModelBundle(toy_bundle.encoder, backbone, toy_bundle.decoder, toy_bundle.steps)
+    with pytest.raises(GraphError, match=f"^duplicate node id {layer.id}$"):
+        cp.optimize_for_freeze(bundle, toy_profile)
