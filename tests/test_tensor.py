@@ -92,6 +92,19 @@ def spy_empty(monkeypatch):
     return shapes
 
 
+def spy_einsum(monkeypatch):
+    """The output of every ``np.einsum`` from here on."""
+    outs = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        outs.append(einsum(*args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return outs
+
+
 def assert_same_bits(a, b):
     got = og.matmul(a, b)
     want = per_k_matmul(a, b)
@@ -177,8 +190,74 @@ class TestMatmulBlocked:
         assert max(4 * np.prod(shape) for shape in shapes) <= tz.PRODUCT_BLOCK_BYTES
         assert got.tobytes() == per_k_matmul(a, b).tobytes()
 
+    @pytest.mark.parametrize("products, k, short, long", (
+        (tz._EINSUM_MIN_PRODUCTS - 1, 43, 3, 127),
+        (tz._EINSUM_MIN_PRODUCTS, 16, 16, 64),
+        (tz._EINSUM_MIN_PRODUCTS + 1, 29, 5, 113)))
+    @pytest.mark.parametrize("wide", (True, False))
+    def test_einsum_threshold_in_one_block(self, products, k, short, long, wide, monkeypatch):
+        """A block of k holding ``_EINSUM_MIN_PRODUCTS`` products or more
+        is written by one einsum, a smaller one by the broadcast multiply,
+        both with the loop's bits, wide (m <= n) or tall.  k is 8 or more,
+        so products that landed with k innermost, as unordered einsum
+        output does from a C-order ``a`` and a Fortran-order ``b``, would
+        be summed pairwise."""
+        assert k * short * long == products
+        m, n = (short, long) if wide else (long, short)
+        rng = Rng(600 + products + wide)
+        a = rng.uniform((m, k), -2, 2)
+        b = rng.uniform((k, n), -2, 2)
+        calls = spy_einsum(monkeypatch)
+        got = og.matmul(a, b)
+        monkeypatch.undo()
+        assert len(calls) == (products >= tz._EINSUM_MIN_PRODUCTS)
+        assert got.tobytes() == per_k_matmul(a, b).tobytes()
+        for aa, bb in ((np.asfortranarray(a), b[:, ::-1]), (a, np.asfortranarray(b))):
+            assert_same_bits(aa, bb)
+
+    @pytest.mark.parametrize("products, c, short, long", (
+        (tz._EINSUM_MIN_PRODUCTS - 1, 3, 43, 127),
+        (tz._EINSUM_MIN_PRODUCTS, 4, 32, 128),
+        (tz._EINSUM_MIN_PRODUCTS + 1, 5, 29, 113)))
+    @pytest.mark.parametrize("wide", (True, False))
+    def test_einsum_threshold_through_the_blocks(self, products, c, short, long, wide, monkeypatch):
+        """Under a budget of c + 1 product slices, 3c k take three blocks
+        of c: each one einsum from the threshold up, else one multiply."""
+        m, n = (short, long) if wide else (long, short)
+        rng = Rng(700 + products + wide)
+        a = rng.uniform((m, 3 * c), -2, 2)
+        b = rng.uniform((3 * c, n), -2, 2)
+        monkeypatch.setattr(tz, "_BLOCK_FLOATS", (c + 1) * short * long)
+        calls = spy_einsum(monkeypatch)
+        got = og.matmul(a, b)
+        monkeypatch.undo()
+        assert [call.shape for call in calls] == \
+            [(c, short, long)] * 3 * (products >= tz._EINSUM_MIN_PRODUCTS)
+        assert got.tobytes() == per_k_matmul(a, b).tobytes()
+
+    @pytest.mark.parametrize("m, k, n", ((128, 40, 4), (4, 40, 128), (256, 300, 32), (32, 300, 256)))
+    def test_einsum_subnormal_and_overflowing_products(self, m, k, n):
+        """einsum's products keep the multiply's bits where they round to
+        subnormals or to -0 and where they overflow to +-inf (and inf
+        meets -inf in a sum as NaN), in one block or in several."""
+        rng = Rng(800 + m + k)
+        sign = np.where(rng.uniform((m, k), -1, 1) < 0, -1, 1).astype(np.float32)
+        tiny = sign * np.float32(10) ** rng.uniform((m, k), -30, -19)
+        small = rng.uniform((k, n), -1, 1) * np.float32(10) ** rng.uniform((k, n), -27, -19)
+        huge = sign * rng.uniform((m, k), 1e19, 1e21)
+        big = rng.uniform((k, n), -1e21, 1e21)
+        with np.errstate(all="ignore"):
+            products = tiny[:, :, None] * small[None]
+            assert (products != 0).any() and (np.abs(products) < np.finfo(np.float32).tiny).all()
+            assert np.signbit(products[products == 0]).any()
+            assert_same_bits(tiny, small)
+            assert np.isinf(huge[:, :, None] * big[None]).any()
+            assert np.isnan(og.matmul(huge, big)).any()
+            assert_same_bits(huge, big)
+
     def test_signed_zero(self):
-        for m, k, n in ((1, 1, 1), (1, 40, 1), (2, 40, 3), (64, 40, 4), (4, 40, 64)):
+        for m, k, n in ((1, 1, 1), (1, 40, 1), (2, 40, 3), (64, 40, 4), (4, 40, 64),
+                        (128, 40, 4), (4, 40, 128), (256, 300, 64)):
             a = np.full((m, k), -1.0, dtype=np.float32)
             b = np.zeros((k, n), dtype=np.float32)
             out = og.matmul(a, b)
@@ -306,6 +385,16 @@ class TestHistogram:
         with pytest.raises(RangeError):
             og.histogram(np.zeros((3,), np.float32), 1, 0.0, 1.0)
 
+    def test_nan_raises_naming_the_count(self):
+        x = np.array([0.25, np.nan, 0.5, np.nan], dtype=np.float32)
+        with pytest.raises(RangeError, match="2 NaN"):
+            og.histogram(x, 4, 0.0, 1.0)
+
+    def test_infinities_clamp_into_the_end_bins(self):
+        x = np.array([-np.inf, 0.5, np.inf], dtype=np.float32)
+        h = og.histogram(x, 2, 0.0, 1.0)
+        assert list(h.counts) == [1, 2]
+
 
 class TestPsnr:
     def test_identical_capped(self):
@@ -324,6 +413,21 @@ class TestPsnr:
         mse = float(np.mean((ref.astype(np.float64) - test.astype(np.float64)) ** 2))
         expected = 10.0 * np.log10(1.0 / mse)
         assert og.psnr(ref, test, 1.0) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("side", ("ref", "test"))
+    def test_non_finite_input_raises(self, value, side):
+        x = Rng(12).uniform((16,), 0, 1)
+        y = x.copy()
+        (x if side == "ref" else y)[5] = value
+        with pytest.raises(RangeError, match=side):
+            og.psnr(x, y, 1.0)
+
+    @pytest.mark.parametrize("peak", (np.nan, np.inf, 0.0, -1.0))
+    def test_peak_must_be_positive_and_finite(self, peak):
+        x = Rng(13).uniform((16,), 0, 1)
+        with pytest.raises(RangeError, match="peak"):
+            og.psnr(x, x, peak)
 
 
 class TestRng:
