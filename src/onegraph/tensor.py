@@ -13,20 +13,22 @@ the same products and the same fp32 additions, in the same order, as
 the one-k-at-a-time loop, so the bits do not change; only the number
 of numpy calls does.
 
-A block of at least ``_EINSUM_MIN_PRODUCTS`` (16,384) products is
-written by ``np.einsum`` with no summed index, which only multiplies,
-in about half the time of a broadcast multiply (2.1 against 4.3 us per
-k for a [29, 32, 256] block).  A smaller block keeps the multiply:
-einsum's fixed cost of about 0.9 us a call loses up to about 4,096
-products (2.3 against 1.4 us for [8, 2, 32]; timeit on a 2-vCPU x86
-host, numpy 2.4.6).  einsum sets each output to zero and adds its
-product, fma(a, b, +0) or fl(a b) + 0.  Both are fl(a b), except that
-an exact -0 product becomes +0, and a running sum that starts at +0.0
-turns a -0 addend into +0 anyway, so the sums keep their bits.  The
-products must land in C order, k outermost (``out=`` a C buffer, or
-``order="C"``): einsum otherwise lays them out in the order of its
-operands' strides, and a reduced axis that ends up innermost is summed
-pairwise.
+Each block's products are written by one ``np.einsum`` with no summed
+index, which only multiplies, in about half the time of a broadcast
+multiply (2.1 against 4.3 us per k for a [29, 32, 256] block).  Its
+fixed cost of about 0.9 us a call makes it the slower of the two below
+about 4,096 products (2.3 against 1.4 us for [8, 2, 32]; timeit on a
+2-vCPU x86 host, numpy 2.4.6).  On the same host a model of width
+32, perfbench's compile_deep, distills about 4% and serves about 3%
+slower than with a multiply on its small blocks; that is inside the
+benchmark's 25% bound, so one writer takes every size.  einsum sets
+each output to zero and adds its product, fma(a, b, +0) or
+fl(a b) + 0.  Both are fl(a b), except that an exact -0 product
+becomes +0, and a running sum that starts at +0.0 turns a -0 addend
+into +0 anyway, so the sums keep their bits.  The products must land
+in C order, k outermost (``out=`` a C buffer, or ``order="C"``):
+einsum otherwise lays them out in the order of its operands' strides,
+and a reduced axis that ends up innermost is summed pairwise.
 
 Two budgets bound the scratch, one per kind of product.  An fp32 block
 of k, its product slices with the running sum, fits
@@ -102,12 +104,6 @@ _BLOCK_FLOATS = PRODUCT_BLOCK_BYTES // np.dtype(np.float32).itemsize
 # The most output elements one block of k covers; a wider product is
 # taken in slices of its longer extent.
 MATMUL_PLANE_FLOATS = 16384
-# The fewest products a block of k must hold for ``np.einsum`` to write
-# them; a smaller block takes the broadcast multiply (see the module
-# docstring).  At 8,192, adapt_mid's 128 x 8 times 8 x 8 A (B x) went
-# through einsum and raised its serving peak by 632 B; 16,384 keeps it
-# on the multiply.
-_EINSUM_MIN_PRODUCTS = 16384
 # Bytes of one row tile of the serving kernels: the exact products
 # (``qparams.tiled_matmul``, ``graph._k_qlora``) widen their left
 # operand to float64 in row tiles of at most this many bytes.
@@ -153,19 +149,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     serve_wide's 256 x 8 times 8 x 16, nothing is planned: one call
     writes the products of ``a``'s transpose in C order, and one
     reduction adds them onto +0.0 (its ``initial``), the same products
-    and additions in the same order.  C order keeps k the outer axis;
-    numpy would otherwise lay the products out in the order of ``a``'s
-    strides, and a reduced axis that ends up innermost is summed
-    pairwise.  The result is a fresh C-contiguous array, never a view of
-    a buffer.
-    A block of k with ``_EINSUM_MIN_PRODUCTS`` products or more (k m n
-    for the one block, c m n for a block of c) is written by
-    ``np.einsum`` into the buffer (``out=``) or in C order, a smaller
-    one by the broadcast multiply: einsum writes a product in about half
-    the multiply's time, but its 0.9 us fixed cost a call loses below
-    about 4,096 products.  Its products are the multiply's bits save
-    that a -0 product is +0, which a sum starting at +0.0 cannot tell
-    apart (see the module docstring).
+    and additions in the same order.  The result is a fresh C-contiguous
+    array, never a view of a buffer.
+    Every block, the one block or each block of the buffer, is written
+    by one ``np.einsum``: in C order, or into the buffer with ``out=``.
+    The module docstring gives its cost against a broadcast multiply,
+    why its products keep the loop's bits, and why k must stay the
+    outer axis.
     """
     if a.dtype != np.float32 or b.dtype != np.float32:
         _require_fp32(a, b)
@@ -197,16 +187,10 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     plane = m * n
     if wide:
         aT, spec = a.T, "ki,kj->kij"
-        a3, b3 = aT[:, :, None], b[:, None, :]
     else:
         aT, spec = np.ascontiguousarray(a.T), "ki,kj->kji"
-        a3, b3 = aT[:, None, :], b[:, :, None]
     if k == 1 or (plane > 1 and (k + 1) * plane <= _BLOCK_FLOATS):   # one block
-        if k * plane >= _EINSUM_MIN_PRODUCTS:
-            prods = np.einsum(spec, aT, b, order="C")
-        else:
-            prods = np.multiply(a3, b3, order="C")
-        out = np.add.reduce(prods, axis=0, initial=0.0)
+        out = np.add.reduce(np.einsum(spec, aT, b, order="C"), axis=0, initial=0.0)
         return out if wide else out.T.copy()
     short, long = (m, n) if wide else (n, m)
     fit = 1 if plane == 1 else max(1, min(k, _BLOCK_FLOATS // max(plane, 1) - 1))
@@ -216,10 +200,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k0 in range(0, k, kb):
         c = min(kb, k - k0)
         buf[0] = acc
-        if c * plane >= _EINSUM_MIN_PRODUCTS:
-            np.einsum(spec, aT[k0:k0 + c], b[k0:k0 + c], out=buf[1:c + 1])
-        else:
-            np.multiply(a3[k0:k0 + c], b3[k0:k0 + c], out=buf[1:c + 1])
+        np.einsum(spec, aT[k0:k0 + c], b[k0:k0 + c], out=buf[1:c + 1])
         np.add.reduce(buf[:c + 1], axis=0, out=acc)
     return acc if wide else acc.T.copy()
 

@@ -190,49 +190,41 @@ class TestMatmulBlocked:
         assert max(4 * np.prod(shape) for shape in shapes) <= tz.PRODUCT_BLOCK_BYTES
         assert got.tobytes() == per_k_matmul(a, b).tobytes()
 
-    @pytest.mark.parametrize("products, k, short, long", (
-        (tz._EINSUM_MIN_PRODUCTS - 1, 43, 3, 127),
-        (tz._EINSUM_MIN_PRODUCTS, 16, 16, 64),
-        (tz._EINSUM_MIN_PRODUCTS + 1, 29, 5, 113)))
+    @pytest.mark.parametrize("k, short, long", ((8, 2, 32), (43, 3, 127), (16, 16, 64), (29, 5, 113)))
     @pytest.mark.parametrize("wide", (True, False))
-    def test_einsum_threshold_in_one_block(self, products, k, short, long, wide, monkeypatch):
-        """A block of k holding ``_EINSUM_MIN_PRODUCTS`` products or more
-        is written by one einsum, a smaller one by the broadcast multiply,
-        both with the loop's bits, wide (m <= n) or tall.  k is 8 or more,
-        so products that landed with k innermost, as unordered einsum
-        output does from a C-order ``a`` and a Fortran-order ``b``, would
-        be summed pairwise."""
-        assert k * short * long == products
+    def test_one_einsum_writes_the_one_block(self, k, short, long, wide, monkeypatch):
+        """When one block holds every k, one einsum writes its products,
+        small or large, with the loop's bits, wide (m <= n) or tall.  k
+        is 8 or more, so products that landed with k innermost, as
+        unordered einsum output does from a C-order ``a`` and a
+        Fortran-order ``b``, would be summed pairwise."""
         m, n = (short, long) if wide else (long, short)
-        rng = Rng(600 + products + wide)
+        rng = Rng(600 + k * short + wide)
         a = rng.uniform((m, k), -2, 2)
         b = rng.uniform((k, n), -2, 2)
         calls = spy_einsum(monkeypatch)
         got = og.matmul(a, b)
         monkeypatch.undo()
-        assert len(calls) == (products >= tz._EINSUM_MIN_PRODUCTS)
+        assert [call.shape for call in calls] == [(k, short, long)]
         assert got.tobytes() == per_k_matmul(a, b).tobytes()
         for aa, bb in ((np.asfortranarray(a), b[:, ::-1]), (a, np.asfortranarray(b))):
             assert_same_bits(aa, bb)
 
-    @pytest.mark.parametrize("products, c, short, long", (
-        (tz._EINSUM_MIN_PRODUCTS - 1, 3, 43, 127),
-        (tz._EINSUM_MIN_PRODUCTS, 4, 32, 128),
-        (tz._EINSUM_MIN_PRODUCTS + 1, 5, 29, 113)))
+    @pytest.mark.parametrize("c, short, long", ((1, 1, 1), (2, 2, 32), (3, 43, 127), (5, 29, 113)))
     @pytest.mark.parametrize("wide", (True, False))
-    def test_einsum_threshold_through_the_blocks(self, products, c, short, long, wide, monkeypatch):
+    def test_one_einsum_writes_each_block(self, c, short, long, wide, monkeypatch):
         """Under a budget of c + 1 product slices, 3c k take three blocks
-        of c: each one einsum from the threshold up, else one multiply."""
+        of c, each written by one einsum into the buffer.  A 1 x 1 plane
+        takes one k a block whatever the budget."""
         m, n = (short, long) if wide else (long, short)
-        rng = Rng(700 + products + wide)
+        rng = Rng(700 + c * short + wide)
         a = rng.uniform((m, 3 * c), -2, 2)
         b = rng.uniform((3 * c, n), -2, 2)
         monkeypatch.setattr(tz, "_BLOCK_FLOATS", (c + 1) * short * long)
         calls = spy_einsum(monkeypatch)
         got = og.matmul(a, b)
         monkeypatch.undo()
-        assert [call.shape for call in calls] == \
-            [(c, short, long)] * 3 * (products >= tz._EINSUM_MIN_PRODUCTS)
+        assert [call.shape for call in calls] == [(c, short, long)] * 3
         assert got.tobytes() == per_k_matmul(a, b).tobytes()
 
     @pytest.mark.parametrize("m, k, n", ((128, 40, 4), (4, 40, 128), (256, 300, 32), (32, 300, 256)))
